@@ -125,20 +125,20 @@ def parse_config(source) -> ScenarioBundle:
     if dim not in (1, 2):
         raise ValidationError("grid.dim must be 1 or 2")
 
-    def vec(section, key, default):
+    def vec(section, key, default, conv=float):
+        """One value per axis; a single value broadcasts to every axis."""
         v = get(section, key)
         if v is None:
             return (default,) * dim
-        parts = tuple(float(t) for t in v.split())
-        return parts if len(parts) == dim else (parts[0],) * dim
+        try:
+            parts = tuple(conv(t) for t in v.split())
+        except ValueError:
+            raise ParseError(f"non-numeric value for {section}.{key}: {v!r}") from None
+        return parts * dim if len(parts) == 1 else parts  # Grid checks the length
 
     boundary = get("grid", "boundary", "zero-flux")
-    n_raw = get("grid", "n", "64")
-    ns = tuple(int(t) for t in n_raw.split())
-    if len(ns) != dim:
-        ns = (ns[0],) * dim
     grid = Grid(dim, vec("grid", "x_min", -8.0), vec("grid", "x_max", 8.0),
-                ns, boundary)
+                vec("grid", "n", 64, int), boundary)
 
     # time
     dt = get_float("time", "dt", 1e-3)

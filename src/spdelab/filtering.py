@@ -325,10 +325,7 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
         rhs = pi + src @ dBcheck
         sy = sys_ if static else implicit_system(
             assemble_generator(coeffs, grid, t + 0.5 * dt), dt, cfg.theta, grid)
-        pi_new = sy.solve(rhs)
-        if not np.all(np.isfinite(pi_new)):
-            raise DegenerateMassError(f"density step produced non-finite values at t={t}")
-        pi = normalize(pi_new, grid)
+        pi = normalize(sy.solve(rhs), grid)
         l2s.append(grid.l2(pi))
         if history is not None:
             history[n + 1] = pi

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spdelab import cli
+from spdelab.acceptance import PICARD_CONFIG
 from spdelab.config import parse_config
 from spdelab.errors import ParseError, ValidationError
 from spdelab.manifest import RunManifest
@@ -69,6 +70,38 @@ class TestParseConfig:
     def test_field_value_errors_are_parse_errors(self):
         with pytest.raises(ParseError):
             parse_config(HEAT.replace("constant:0.5", "warpdrive:9"))
+
+
+    @pytest.mark.parametrize("old, new", [
+        ("x_min = -8", "x_min = abc"),
+        ("x_max = 8", "x_max = 8 nine"),
+        ("n = 128", "n = 128.5"),
+    ])
+    def test_non_numeric_grid_entries_are_parse_errors(self, old, new):
+        with pytest.raises(ParseError, match="grid"):
+            parse_config(HEAT.replace(old, new))
+
+    @pytest.mark.parametrize("old, new", [
+        ("x_min = -8", "x_min = -8 -8 -8"),
+        ("n = 128", "n = 128 128"),
+        ("n = 128", "n ="),
+    ])
+    def test_wrong_length_grid_vectors_rejected(self, old, new):
+        with pytest.raises(ValidationError, match="entries"):
+            parse_config(HEAT.replace(old, new))
+
+    def test_single_grid_value_broadcasts(self):
+        b = parse_config(HEAT.replace("dim = 1", "dim = 2")
+                         .replace("a = constant:0.5", "a11 = constant:0.5"))
+        assert b.grid.x_min == (-8.0, -8.0)
+        assert b.grid.n == (128, 128)
+
+    @pytest.mark.parametrize("spec", ["sin_of_u:scale=abc", "sin_of_u:scale",
+                                      "sin_of_u:scael=0.2", "linear_in_u:coeff=x",
+                                      "quadratic:scale=1"])
+    def test_bad_picard_source_is_parse_error(self, spec):
+        with pytest.raises(ParseError):
+            cli._parse_source(spec, 1)
 
 
 class TestManifest:
@@ -176,3 +209,57 @@ n_particles = 200
         rc = cli.main(["run-spde", "--config", str(cfg), "--out",
                        str(tmp_path / "runs")])
         assert rc == 0
+
+
+class TestCliErrors:
+    """Bad input exits 1 with one 'error:' line and no traceback, and a run
+    that fails leaves nothing under --out."""
+
+    @staticmethod
+    def run(tmp_path, capsys, sub, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "runs"
+        rc = cli.main([sub, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        return rc, err, out
+
+    @pytest.mark.parametrize("sub, text", [
+        ("run-spde", HEAT.replace("x_min = -8", "x_min = abc")),
+        ("run-spde", HEAT.replace("n = 128", "n = lots")),
+        ("run-spde", HEAT.replace("x_min = -8", "x_min = -8 -8 -8")),
+        ("picard", PICARD_CONFIG.replace("scale=0.1", "scale=abc")),
+    ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc"])
+    def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, sub, text):
+        rc, err, out = self.run(tmp_path, capsys, sub, text)
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text", [
+        PICARD_CONFIG.replace("scale=0.1", "scale=abc"),
+        PICARD_CONFIG.replace("tol = 1e-8", "tol = 1e-30\nmax_iter = 2"),
+    ], ids=["bad-source", "no-convergence"])
+    def test_failed_picard_run_leaves_no_run_dir(self, tmp_path, capsys, text):
+        rc, err, out = self.run(tmp_path, capsys, "picard", text)
+        assert rc == 1 and err.startswith("error: ")
+        assert list(out.iterdir()) == []
+
+    def test_rerun_replaces_run_dir(self, tmp_path, capsys):
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(HEAT)
+        out = tmp_path / "runs"
+        for _ in range(2):
+            assert cli.main(["run-spde", "--config", str(cfg), "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        assert capsys.readouterr().out.split() == [str(run_dir)] * 2
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "manifest.json", "series.csv", "trajectory.csv"]
+
+    @pytest.mark.parametrize("only", ["2,x", "13"])
+    def test_bad_check_subset_exits_1(self, tmp_path, capsys, only):
+        rc = cli.main(["check", "--only", only, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
+from scipy.sparse import csr_matrix, identity
+from scipy.sparse.linalg import splu
 
 from spdelab import noise, solver
-from spdelab.errors import (ConfigurationError, StabilityError,
+from spdelab.errors import (ConfigurationError, SolverError, StabilityError,
                             TestFunctionError, ValidationError)
 from spdelab.families import ScalarField
 from spdelab.grids import DensityField, Grid
@@ -277,6 +284,110 @@ class TestSolve2d:
         traj = solver.solve(cs, u0, grid, SolverConfig(dt=dt), path, [0.1])
         m0 = traj.mass_series[0]
         assert np.max(np.abs(traj.mass_series - m0)) <= 1e-12 * m0
+
+
+class TestImplicitSystem:
+    DT = 2e-3
+
+    @staticmethod
+    def drift_operator(boundary):
+        grid = Grid.line(-3, 3, 128, boundary=boundary)
+        cs = CoefficientSet.from_fields(
+            d=1, L=1, a=ScalarField("sinusoidal", 1, amp=0.2, offset=0.5),
+            b=ScalarField("sinusoidal", 1, amp=1.5, freq=1.7), c=-0.3)
+        return grid, solver.assemble_generator(cs, grid, 0.0)
+
+    @pytest.mark.parametrize("boundary", ["zero-flux", "zero-value"])
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_1d_matches_banded_and_sparse_lu(self, boundary, theta):
+        grid, Lop = self.drift_operator(boundary)
+        M = (identity(grid.npts, format="csr") - theta * self.DT * Lop).tocsc()
+        ab = np.zeros((3, grid.npts))
+        ab[0, 1:] = M.diagonal(1)
+        ab[1] = M.diagonal(0)
+        ab[2, :-1] = M.diagonal(-1)
+        rhs = gaussian_density(grid) + np.sin(3 * grid.x)
+        out = solver.implicit_system(Lop, self.DT, theta, grid).solve(rhs)
+        assert out.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
+        ref = splu(M).solve(rhs)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_1d_rhs_left_untouched_and_system_reusable(self):
+        grid, Lop = self.drift_operator("zero-flux")
+        sys_ = solver.implicit_system(Lop, self.DT, 1.0, grid)
+        rhs = gaussian_density(grid)
+        keep = rhs.copy()
+        first = sys_.solve(rhs)
+        assert np.array_equal(rhs, keep)
+        assert np.array_equal(sys_.solve(rhs), first)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_raises_solver_error_1d(self, bad):
+        grid, Lop = self.drift_operator("zero-flux")
+        rhs = gaussian_density(grid)
+        rhs[40] = bad
+        with pytest.raises(SolverError):
+            solver.implicit_system(Lop, self.DT, 1.0, grid).solve(rhs)
+
+    def test_non_finite_rhs_raises_solver_error_2d(self):
+        grid = Grid.box2d((-1, -1), (1, 1), (16, 16))
+        cs = CoefficientSet.from_fields(d=2, L=1, a=(0.5, 0.1, 0.4), b=(0.3, 0.0))
+        Lop = solver.assemble_generator(cs, grid, 0.0)
+        rhs = np.ones(grid.npts)
+        rhs[7] = np.nan
+        with pytest.raises(SolverError):
+            solver.implicit_system(Lop, self.DT, 1.0, grid).solve(rhs)
+
+    def test_non_tridiagonal_1d_operator_rejected(self):
+        grid, Lop = self.drift_operator("zero-flux")
+        wide = Lop.tolil()
+        wide[0, 2] = 1.0
+        with pytest.raises(SolverError, match="tridiagonal"):
+            solver.implicit_system(csr_matrix(wide), self.DT, 1.0, grid)
+
+    def test_singular_1d_system_rejected(self):
+        # theta dt L = I makes I - theta dt L the zero matrix
+        grid = Grid.line(-1, 1, 16)
+        Lop = identity(grid.npts, format="csr") / self.DT
+        with pytest.raises(SolverError, match="factorization"):
+            solver.implicit_system(Lop, self.DT, 1.0, grid)
+
+
+@st.composite
+def family_coefficients(draw):
+    """Random 1-d coefficient fields from the serializable families that keep
+    a >= sigma^2 / 2 > 0 and the noise budget at dt = 1e-3 on a 96-point box."""
+    a = ScalarField("sinusoidal", 1, amp=draw(st.floats(0.0, 0.4)), offset=0.6,
+                    freq=draw(st.floats(0.2, 2.0)), phase=draw(st.floats(0, 3)))
+    b = draw(st.sampled_from([
+        ScalarField("affine", 1, c0=draw(st.floats(-1, 1)),
+                    slope=draw(st.floats(-0.3, 0.3))),
+        ScalarField("gaussian", 1, amp=draw(st.floats(-1, 1)),
+                    center=draw(st.floats(-1, 1)), width=draw(st.floats(0.3, 2))),
+    ]))
+    sigma = draw(st.floats(0.0, 0.4))
+    c = draw(st.sampled_from([0.0, -0.2]))
+    return CoefficientSet.from_fields(d=1, L=1, a=a, b=b, c=c, sigma=sigma)
+
+
+class TestSeriesSums:
+    @settings(max_examples=25, deadline=None)
+    @given(cs=family_coefficients(),
+           boundary=st.sampled_from(["zero-flux", "zero-value"]),
+           seed=st.integers(0, 2**16), width=st.floats(0.05, 0.5))
+    def test_series_match_compensated_sums(self, cs, boundary, seed, width):
+        # floating sums stay within a few eps of the correctly rounded sums
+        grid = Grid.line(-6, 6, 96, boundary=boundary)
+        dt = 1e-3
+        path = noise.generate(seed, 1, 60, dt)
+        traj = solver.solve(cs, gaussian_density(grid, var=width), grid,
+                            SolverConfig(dt=dt, store_every=1), path, [0.06])
+        vol = grid.cell_volume
+        for u, mass, l2 in zip(traj.full_history, traj.mass_series, traj.l2_series):
+            scale = math.fsum(np.abs(u)) * vol
+            assert abs(mass - math.fsum(u) * vol) <= 1e-14 * scale
+            ref = math.sqrt(math.fsum(u * u) * vol)
+            assert abs(l2 - ref) <= 1e-14 * ref
 
 
 class TestWeakResidual:
