@@ -201,7 +201,7 @@ def cmd_picard(args) -> int:
         n_steps = int(round(bundle.t_end / bundle.dt))
         path = noise.generate(bundle.seeds["path"], bundle.coeffs.L, n_steps,
                               bundle.dt)
-        src = _parse_source(pp["f"], bundle.coeffs.L)
+        src = _parse_source(pp["f"], bundle.coeffs.L, bundle.grid.d)
         u0 = bundle.u0_field(bundle.grid.points())
         _, log = picard.picard_solve(bundle.coeffs, src, u0, bundle.grid,
                                      SolverConfig(dt=bundle.dt), path,
@@ -212,11 +212,18 @@ def cmd_picard(args) -> int:
     return 0
 
 
-def _parse_source(spec: str, L: int) -> NonlinearSources:
+def _parse_source(spec: str, L: int, d: int) -> NonlinearSources:
     spec = spec.strip()
     if spec in ("none", ""):
         return NonlinearSources.independent(L=L)
     name, _, body = spec.partition(":")
+    if name == "independent":
+        # everything after f= is one field spec, commas included
+        key, eq, field = body.partition("=")
+        if body.strip() and (key.strip() != "f" or not eq):
+            raise ParseError(f"independent takes f=<field>, got {spec!r}")
+        return NonlinearSources.independent(
+            f_field=parse_field(field if eq else "zero", d), L=L)
     params = {}
     for item in filter(None, body.split(",")):
         key, eq, value = item.partition("=")
@@ -236,8 +243,6 @@ def _parse_source(spec: str, L: int) -> NonlinearSources:
         src = NonlinearSources.sin_of_u(number("scale", 0.1), L=L)
     elif name == "linear_in_u":
         src = NonlinearSources.linear_in_u(number("coeff", 0.1), L=L)
-    elif name == "independent":
-        src = NonlinearSources.independent(f_field=parse_field(params.pop("f", "zero"), 1), L=L)
     else:
         raise ParseError(f"unknown picard source {spec!r}")
     if params:

@@ -36,7 +36,7 @@ from .grids import DensityField, Grid
 from .model import CoefficientSet
 from .noise import BrownianPath
 from .solver import (SolverConfig, Trajectory, assemble_generator,
-                     implicit_system, solve)
+                     check_stability, implicit_system, solve)
 
 _FD = 1e-4
 
@@ -297,6 +297,8 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     Each step solves the implicit generator system with the explicit noise
     source h^k pi - pi(h^k) pi against dBcheck = dBbar - pi(h) dt, then
     renormalizes (the source moves no mass, so this is bit-level hygiene).
+    With ``cfg.stability_guard`` the stability check runs as in ``solve``:
+    once at t = 0, and every step when the coefficients are time dependent.
     """
     coeffs = zakai_coefficients(sc, truth.y_path, truth.dt)
     pts = grid.points()
@@ -307,6 +309,8 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     out_times = _snapshot_times(n_steps, dt)
     snap_steps = {int(round(t / dt)): t for t in out_times}
     static = sc.static_coefficients
+    if cfg.stability_guard:
+        check_stability(coeffs, grid, 0.0, dt)
     sys_ = implicit_system(assemble_generator(coeffs, grid, 0.5 * dt), dt,
                            cfg.theta, grid) if static else None
     fields = []
@@ -318,6 +322,8 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     l2s = [grid.l2(pi)]
     for n in range(n_steps):
         t = n * dt
+        if cfg.stability_guard and not static:
+            check_stability(coeffs, grid, t, dt)
         hv = coeffs.h(t, pts)                       # (m, d1)
         pi_h = (pi @ hv) * vol                      # (d1,)
         dBcheck = truth.bbar_increments[n] - pi_h * dt

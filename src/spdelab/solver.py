@@ -80,13 +80,45 @@ class Trajectory:
         return self.fields[k]
 
 
-def _ghost_sign(boundary: str) -> float:
-    # mirror value for zero-flux, negated mirror for a wall zero
-    return 1.0 if boundary == "zero-flux" else -1.0
+def _neighbours(idx: np.ndarray, axis: int, boundary: str):
+    """Flat index of each cell's +1 and -1 neighbour along ``axis``, each with
+    its ghost factor: 1 inside the box; at a wall the ghost is the cell itself
+    times +1 (zero-flux mirror) or -1 (negated mirror for a wall zero)."""
+    out = []
+    for step, wall in ((1, -1), (-1, 0)):
+        edge = (slice(None),) * axis + (wall,)
+        nb = np.roll(idx, -step, axis)
+        nb[edge] = idx[edge]
+        factor = np.ones(idx.shape)
+        factor[edge] = 1.0 if boundary == "zero-flux" else -1.0
+        out += [nb, factor]
+    return out
+
+
+def _entries(rows, cols, vals, keep):
+    """COO triplets from per-site entry lists: each list is stacked on a last
+    axis and raveled in C order, so the triplets come site by site and, within
+    a site, in list order; ``keep`` masks entries out."""
+    keep = np.stack([np.broadcast_to(k, np.shape(rows[0])) for k in keep], axis=-1).ravel()
+    return tuple(np.stack(part, axis=-1).ravel()[keep] for part in (rows, cols, vals))
+
+
+def _to_csr(blocks, N: int) -> csr_matrix:
+    # csr_matrix sums duplicate entries in triplet order, so the same triplet
+    # sequence gives the same bits
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
+    return csr_matrix((vals, (rows, cols)), shape=(N, N))
 
 
 def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matrix:
-    """Flux-form sparse generator at time t."""
+    """Flux-form sparse generator at time t.
+
+    Per face, in face order along each axis: the diffusive and drift fluxes
+    (8 entries), then in 2-d the a12 cross flux with the 4-point corner
+    average for the transverse gradient (8 entries, only where the face
+    value of a12 is nonzero).  Then the zero-value ghost terms, axis by
+    axis, and the nonzero entries of c on the diagonal.
+    """
     pts = grid.points()
     A = coeffs.a(t, pts)
     bvec = coeffs.b(t, pts)
@@ -96,204 +128,70 @@ def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matr
         raise SolverError(f"non-finite generator coefficients at t={t}")
     if not np.allclose(A, np.transpose(A, (0, 2, 1)), atol=1e-13, rtol=0):
         raise ValidationError("a(t,x) sample is not symmetric")
-    if grid.d == 1:
-        return _assemble_1d(A[:, 0, 0], bvec[:, 0], cvec, grid)
-    return _assemble_2d(A, bvec, cvec, grid)
-
-
-def _assemble_1d(a, b, c, grid: Grid) -> csr_matrix:
-    n = grid.n[0]
-    h = grid.hs[0]
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    af = 0.5 * (a[:-1] + a[1:])
-    for k in range(n - 1):
-        add(k, k, -af[k] / h**2)
-        add(k, k + 1, af[k] / h**2)
-        add(k + 1, k + 1, -af[k] / h**2)
-        add(k + 1, k, af[k] / h**2)
+    shape = tuple(grid.n)
+    idx = np.arange(grid.npts).reshape(shape)
+    blocks, ghosts = [], []
+    for ax, h in enumerate(grid.hs):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        a = A[:, ax, ax].reshape(shape)
+        b = bvec[:, ax].reshape(shape)
+        r0, r1 = idx[lo], idx[hi]
+        af = 0.5 * (a[lo] + a[hi])
+        b0, b1 = b[lo], b[hi]
         # drift flux F_{k+1/2} = (b_k u_k + b_{k+1} u_{k+1}) / 2
-        add(k, k, b[k] / (2 * h))
-        add(k, k + 1, b[k + 1] / (2 * h))
-        add(k + 1, k, -b[k] / (2 * h))
-        add(k + 1, k + 1, -b[k + 1] / (2 * h))
-    if grid.boundary == "zero-value":
-        # ghost = -u across the wall: diffusion doubles, drift cancels to O(h^2)
-        add(0, 0, -2.0 * a[0] / h**2)
-        add(n - 1, n - 1, -2.0 * a[-1] / h**2)
-    for i in range(n):
-        if c[i] != 0.0:
-            add(i, i, c[i])
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _assemble_2d(A, b, c, grid: Grid) -> csr_matrix:
-    n1, n2 = grid.n
-    h1, h2 = grid.hs
-    N = n1 * n2
-    sgn = _ghost_sign(grid.boundary)
-
-    def idx(i, j):
-        return i * n2 + j
-
-    rows, cols, vals = [], [], []
-
-    def add(r, cc, v):
-        rows.append(r)
-        cols.append(cc)
-        vals.append(v)
-
-    a11 = A[:, 0, 0].reshape(n1, n2)
-    a22 = A[:, 1, 1].reshape(n1, n2)
-    a12 = A[:, 0, 1].reshape(n1, n2)
-    b1 = b[:, 0].reshape(n1, n2)
-    b2 = b[:, 1].reshape(n1, n2)
-
-    def corner_avg_terms(i, j, axis):
-        """Transverse-gradient stencil at the face (i+1/2, j) (axis 0) or
-        (i, j+1/2) (axis 1), with ghost mirroring at the box walls."""
-        out = []
-        if axis == 0:
-            hT, nT = h2, n2
-            cells = ((i, j), (i + 1, j))
-            plus = [(ci, cj + 1) for ci, cj in cells]
-            minus = [(ci, cj - 1) for ci, cj in cells]
-        else:
-            hT, nT = h1, n1
-            cells = ((i, j), (i, j + 1))
-            plus = [(ci + 1, cj) for ci, cj in cells]
-            minus = [(ci - 1, cj) for ci, cj in cells]
-        for (pi, pj), (ci, cj) in zip(plus, cells):
-            tr = pi if axis == 1 else pj
-            if 0 <= tr < nT:
-                out.append((idx(pi, pj), 1.0 / (4 * hT)))
-            else:
-                out.append((idx(ci, cj), sgn / (4 * hT)))
-        for (mi, mj), (ci, cj) in zip(minus, cells):
-            tr = mi if axis == 1 else mj
-            if 0 <= tr < nT:
-                out.append((idx(mi, mj), -1.0 / (4 * hT)))
-            else:
-                out.append((idx(ci, cj), -sgn / (4 * hT)))
-        return out
-
-    # axis-0 faces
-    for i in range(n1 - 1):
-        for j in range(n2):
-            r0, r1 = idx(i, j), idx(i + 1, j)
-            af = 0.5 * (a11[i, j] + a11[i + 1, j])
-            add(r0, r0, -af / h1**2)
-            add(r0, r1, af / h1**2)
-            add(r1, r1, -af / h1**2)
-            add(r1, r0, af / h1**2)
-            add(r0, r0, b1[i, j] / (2 * h1))
-            add(r0, r1, b1[i + 1, j] / (2 * h1))
-            add(r1, r0, -b1[i, j] / (2 * h1))
-            add(r1, r1, -b1[i + 1, j] / (2 * h1))
-            cf = 0.5 * (a12[i, j] + a12[i + 1, j])
-            if cf != 0.0:
-                for col, w in corner_avg_terms(i, j, axis=0):
-                    add(r0, col, cf * w / h1)
-                    add(r1, col, -cf * w / h1)
-    # axis-1 faces
-    for i in range(n1):
-        for j in range(n2 - 1):
-            r0, r1 = idx(i, j), idx(i, j + 1)
-            af = 0.5 * (a22[i, j] + a22[i, j + 1])
-            add(r0, r0, -af / h2**2)
-            add(r0, r1, af / h2**2)
-            add(r1, r1, -af / h2**2)
-            add(r1, r0, af / h2**2)
-            add(r0, r0, b2[i, j] / (2 * h2))
-            add(r0, r1, b2[i, j + 1] / (2 * h2))
-            add(r1, r0, -b2[i, j] / (2 * h2))
-            add(r1, r1, -b2[i, j + 1] / (2 * h2))
-            cf = 0.5 * (a12[i, j] + a12[i, j + 1])
-            if cf != 0.0:
-                for col, w in corner_avg_terms(i, j, axis=1):
-                    add(r0, col, cf * w / h2)
-                    add(r1, col, -cf * w / h2)
-    if grid.boundary == "zero-value":
-        for j in range(n2):
-            add(idx(0, j), idx(0, j), -2 * a11[0, j] / h1**2)
-            add(idx(n1 - 1, j), idx(n1 - 1, j), -2 * a11[n1 - 1, j] / h1**2)
-        for i in range(n1):
-            add(idx(i, 0), idx(i, 0), -2 * a22[i, 0] / h2**2)
-            add(idx(i, n2 - 1), idx(i, n2 - 1), -2 * a22[i, n2 - 1] / h2**2)
-    cflat = np.asarray(c, float).ravel()
-    for r in np.nonzero(cflat)[0]:
-        add(int(r), int(r), cflat[r])
-    return csr_matrix((vals, (rows, cols)), shape=(N, N))
+        rows = [r0, r0, r1, r1, r0, r0, r1, r1]
+        cols = [r0, r1, r1, r0, r0, r1, r0, r1]
+        vals = [-af / h**2, af / h**2, -af / h**2, af / h**2,
+                b0 / (2 * h), b1 / (2 * h), -b0 / (2 * h), -b1 / (2 * h)]
+        keep = [True] * 8
+        if grid.d == 2:
+            a12 = A[:, 0, 1].reshape(shape)
+            cf = 0.5 * (a12[lo] + a12[hi])
+            q = 1.0 / (4 * grid.hs[1 - ax])
+            nbp, fp, nbm, fm = _neighbours(idx, 1 - ax, grid.boundary)
+            for col, w in ((nbp[lo], fp[lo] * q), (nbp[hi], fp[hi] * q),
+                           (nbm[lo], -fm[lo] * q), (nbm[hi], -fm[hi] * q)):
+                rows += [r0, r1]
+                cols += [col, col]
+                vals += [cf * w / h, -cf * w / h]
+                keep += [cf != 0.0] * 2
+        blocks.append(_entries(rows, cols, vals, keep))
+        if grid.boundary == "zero-value":
+            # ghost = -u across the wall: diffusion doubles, drift cancels to O(h^2)
+            walls = [(slice(None),) * ax + (w,) for w in (0, -1)]
+            ends = [idx[w] for w in walls]
+            ghosts.append(_entries(ends, ends, [-2 * a[w] / h**2 for w in walls],
+                                   [True, True]))
+    cflat = np.asarray(cvec, float).ravel()
+    nz = np.flatnonzero(cflat)
+    return _to_csr(blocks + ghosts + [(nz, nz, cflat[nz])], grid.npts)
 
 
 def assemble_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> csr_matrix:
-    """M^l u = sigma^{il} d_i u + h^l u with central differences."""
+    """M^l u = sigma^{il} d_i u + h^l u with central differences.
+
+    Per cell, in cell order: the +1 and -1 neighbours along each axis (the
+    cell itself times the ghost factor at a wall), then h^l on the
+    diagonal; zero entries are left out.
+    """
     if not 0 <= l < coeffs.L:
         raise ConfigurationError(f"driver index {l} outside [0, {coeffs.L})")
     pts = grid.points()
     S = coeffs.sigma(t, pts)[:, :, l]
     hv = coeffs.h(t, pts)[:, l]
-    sgn = _ghost_sign(grid.boundary)
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        if v != 0.0:
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-
-    if grid.d == 1:
-        n = grid.n[0]
-        h = grid.hs[0]
-        s = S[:, 0]
-        for i in range(n):
-            ip, im = i + 1, i - 1
-            if ip < n:
-                add(i, ip, s[i] / (2 * h))
-            else:
-                add(i, i, sgn * s[i] / (2 * h))
-            if im >= 0:
-                add(i, im, -s[i] / (2 * h))
-            else:
-                add(i, i, -sgn * s[i] / (2 * h))
-            add(i, i, hv[i])
-        return csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    n1, n2 = grid.n
-    h1, h2 = grid.hs
-    s1 = S[:, 0].reshape(n1, n2)
-    s2 = S[:, 1].reshape(n1, n2)
-    hv2 = hv.reshape(n1, n2)
-
-    def idx(i, j):
-        return i * n2 + j
-
-    for i in range(n1):
-        for j in range(n2):
-            r = idx(i, j)
-            if i + 1 < n1:
-                add(r, idx(i + 1, j), s1[i, j] / (2 * h1))
-            else:
-                add(r, r, sgn * s1[i, j] / (2 * h1))
-            if i - 1 >= 0:
-                add(r, idx(i - 1, j), -s1[i, j] / (2 * h1))
-            else:
-                add(r, r, -sgn * s1[i, j] / (2 * h1))
-            if j + 1 < n2:
-                add(r, idx(i, j + 1), s2[i, j] / (2 * h2))
-            else:
-                add(r, r, sgn * s2[i, j] / (2 * h2))
-            if j - 1 >= 0:
-                add(r, idx(i, j - 1), -s2[i, j] / (2 * h2))
-            else:
-                add(r, r, -sgn * s2[i, j] / (2 * h2))
-            add(r, r, hv2[i, j])
-    return csr_matrix((vals, (rows, cols)), shape=(n1 * n2, n1 * n2))
+    shape = tuple(grid.n)
+    idx = np.arange(grid.npts).reshape(shape)
+    cols, vals = [], []
+    for ax, h in enumerate(grid.hs):
+        s = S[:, ax].reshape(shape)
+        nbp, fp, nbm, fm = _neighbours(idx, ax, grid.boundary)
+        cols += [nbp, nbm]
+        vals += [fp * s / (2 * h), -fm * s / (2 * h)]
+    cols.append(idx)
+    vals.append(hv.reshape(shape))
+    keep = [v != 0.0 for v in vals]
+    return _to_csr([_entries([idx] * len(cols), cols, vals, keep)], grid.npts)
 
 
 def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):

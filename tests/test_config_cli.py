@@ -98,10 +98,21 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("spec", ["sin_of_u:scale=abc", "sin_of_u:scale",
                                       "sin_of_u:scael=0.2", "linear_in_u:coeff=x",
-                                      "quadratic:scale=1"])
+                                      "quadratic:scale=1",
+                                      "independent:f=gaussian:amp=1,width=abc",
+                                      "independent:f=gaussian:amp=1,width=0",
+                                      "independent:f=", "independent:g=constant:1"])
     def test_bad_picard_source_is_parse_error(self, spec):
         with pytest.raises(ParseError):
-            cli._parse_source(spec, 1)
+            cli._parse_source(spec, 1, 1)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_independent_source_takes_a_multi_parameter_field(self, d):
+        # the field spec keeps its commas and takes the grid's dimension
+        src = cli._parse_source("independent:f=gaussian:amp=2,width=0.5", 1, d)
+        X = np.zeros((3, d))
+        X[1, 0] = X[2, d - 1] = 0.5
+        assert np.allclose(src.f(0.0, X, None), 2 * np.exp([0.0, -0.5, -0.5]))
 
 
 class TestManifest:
@@ -202,6 +213,20 @@ n_particles = 200
         header = (run_dir / "oracle.csv").read_text().splitlines()[0]
         assert header == "t,pde_mean,kb_mean,pde_var,kb_var,particle_phi,stderr"
 
+    @pytest.mark.parametrize("source", ["independent:f=constant:0.1",
+                                        "independent:f=gaussian:amp=1,width=0.5"])
+    def test_picard_2d_with_independent_source(self, tmp_path, source):
+        cfg = tmp_path / "p2.cfg"
+        cfg.write_text(PICARD_CONFIG.replace("dim = 1", "dim = 2")
+                       .replace("x_min = -8", "x_min = -3").replace("x_max = 8", "x_max = 3")
+                       .replace("n = 128", "n = 24")
+                       .replace("a = constant:0.5", "a11 = constant:0.5\na22 = constant:0.5")
+                       .replace("sin_of_u:scale=0.1", source))
+        rc = cli.main(["picard", "--config", str(cfg), "--out", str(tmp_path / "runs")])
+        assert rc == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert (run_dir / "iterates.csv").exists()
+
     def test_mollified_solve_option(self, tmp_path):
         cfg = tmp_path / "m.cfg"
         cfg.write_text(HEAT.replace("a = constant:0.5",
@@ -229,7 +254,10 @@ class TestCliErrors:
         ("run-spde", HEAT.replace("n = 128", "n = lots")),
         ("run-spde", HEAT.replace("x_min = -8", "x_min = -8 -8 -8")),
         ("picard", PICARD_CONFIG.replace("scale=0.1", "scale=abc")),
-    ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc"])
+        ("picard", PICARD_CONFIG.replace("sin_of_u:scale=0.1",
+                                         "independent:f=gaussian:amp=1,width=abc")),
+    ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc",
+            "picard-independent-width-abc"])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, sub, text):
         rc, err, out = self.run(tmp_path, capsys, sub, text)
         assert rc == 1

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spdelab import filtering as flt
+from spdelab import solver
 from spdelab.errors import (ConfigurationError, OracleNotApplicableError,
-                            ValidationError)
+                            StabilityError, ValidationError)
 from spdelab.grids import Grid
 from spdelab.solver import SolverConfig
 
@@ -233,6 +236,46 @@ class TestKushner:
         pi_traj = flt.run_kushner(kb_scenario(), truth, grid, SolverConfig(dt=1e-3))
         for f in pi_traj.fields:
             assert f.mass() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestKushnerStabilityGuard:
+    """The Zakai coefficients carry sigma = 0 and a = sigma_hat sigma_hat^T / 2,
+    so check_stability cannot fail on a filter scenario; stand-in guards pin
+    that the Kushner filter consults it where the Zakai path does."""
+
+    @staticmethod
+    def install(monkeypatch, guard):
+        monkeypatch.setattr(solver, "check_stability", guard)
+        monkeypatch.setattr(flt, "check_stability", guard)
+
+    @pytest.mark.parametrize("static", [True, False])
+    def test_guard_runs_where_zakai_runs_it(self, monkeypatch, static):
+        sc = dataclasses.replace(kb_scenario(), static_coefficients=static)
+        truth = kb_truth(n_steps=20)
+        grid = Grid.line(-8, 8, 64)
+        calls = {}
+        for name, run in (("zakai", flt.run_zakai), ("kushner", flt.run_kushner)):
+            seen = calls[name] = []
+            self.install(monkeypatch, lambda cs, g, t, dt, seen=seen: seen.append((g, t, dt)))
+            run(sc, truth, grid, SolverConfig(dt=truth.dt))
+        assert calls["kushner"] == calls["zakai"]
+        assert len(calls["zakai"]) == (1 if static else 1 + truth.n_steps)
+
+    @pytest.mark.parametrize("static", [True, False])
+    def test_dt_rejected_by_zakai_is_rejected_by_kushner(self, monkeypatch, static):
+        def guard(cs, g, t, dt):
+            if dt > 5e-4:
+                raise StabilityError(f"dt={dt} violates the budget", suggested_dt=5e-4)
+        self.install(monkeypatch, guard)
+        sc = dataclasses.replace(kb_scenario(), static_coefficients=static)
+        grid = Grid.line(-8, 8, 64)
+        coarse = flt.simulate_truth(sc, 42, 20, 1e-3)
+        fine = flt.simulate_truth(sc, 42, 20, 5e-4)
+        for run in (flt.run_zakai, flt.run_kushner):
+            with pytest.raises(StabilityError):
+                run(sc, coarse, grid, SolverConfig(dt=coarse.dt))
+            run(sc, coarse, grid, SolverConfig(dt=coarse.dt, stability_guard=False))
+            run(sc, fine, grid, SolverConfig(dt=fine.dt))
 
 
 class TestKalmanBucy:

@@ -139,6 +139,316 @@ class TestAssembleNoiseOp:
             solver.assemble_noise_op(cs, grid, 0.0, 1)
 
 
+# -- reference face loops ---------------------------------------------------
+# The operators as they were first built: COO triplets appended one face (or
+# one cell) at a time.  The index-array builders in solver.py must reproduce
+# their CSR byte for byte.
+
+def reference_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matrix:
+    pts = grid.points()
+    A = coeffs.a(t, pts)
+    bvec = coeffs.b(t, pts)
+    cvec = coeffs.c(t, pts)
+    if grid.d == 1:
+        return _assemble_1d(A[:, 0, 0], bvec[:, 0], cvec, grid)
+    return _assemble_2d(A, bvec, cvec, grid)
+
+
+def _ghost_sign(boundary: str) -> float:
+    # mirror value for zero-flux, negated mirror for a wall zero
+    return 1.0 if boundary == "zero-flux" else -1.0
+
+
+def _assemble_1d(a, b, c, grid: Grid) -> csr_matrix:
+    n = grid.n[0]
+    h = grid.hs[0]
+    rows, cols, vals = [], [], []
+
+    def add(i, j, v):
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+
+    af = 0.5 * (a[:-1] + a[1:])
+    for k in range(n - 1):
+        add(k, k, -af[k] / h**2)
+        add(k, k + 1, af[k] / h**2)
+        add(k + 1, k + 1, -af[k] / h**2)
+        add(k + 1, k, af[k] / h**2)
+        # drift flux F_{k+1/2} = (b_k u_k + b_{k+1} u_{k+1}) / 2
+        add(k, k, b[k] / (2 * h))
+        add(k, k + 1, b[k + 1] / (2 * h))
+        add(k + 1, k, -b[k] / (2 * h))
+        add(k + 1, k + 1, -b[k + 1] / (2 * h))
+    if grid.boundary == "zero-value":
+        # ghost = -u across the wall: diffusion doubles, drift cancels to O(h^2)
+        add(0, 0, -2.0 * a[0] / h**2)
+        add(n - 1, n - 1, -2.0 * a[-1] / h**2)
+    for i in range(n):
+        if c[i] != 0.0:
+            add(i, i, c[i])
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _assemble_2d(A, b, c, grid: Grid) -> csr_matrix:
+    n1, n2 = grid.n
+    h1, h2 = grid.hs
+    N = n1 * n2
+    sgn = _ghost_sign(grid.boundary)
+
+    def idx(i, j):
+        return i * n2 + j
+
+    rows, cols, vals = [], [], []
+
+    def add(r, cc, v):
+        rows.append(r)
+        cols.append(cc)
+        vals.append(v)
+
+    a11 = A[:, 0, 0].reshape(n1, n2)
+    a22 = A[:, 1, 1].reshape(n1, n2)
+    a12 = A[:, 0, 1].reshape(n1, n2)
+    b1 = b[:, 0].reshape(n1, n2)
+    b2 = b[:, 1].reshape(n1, n2)
+
+    def corner_avg_terms(i, j, axis):
+        """Transverse-gradient stencil at the face (i+1/2, j) (axis 0) or
+        (i, j+1/2) (axis 1), with ghost mirroring at the box walls."""
+        out = []
+        if axis == 0:
+            hT, nT = h2, n2
+            cells = ((i, j), (i + 1, j))
+            plus = [(ci, cj + 1) for ci, cj in cells]
+            minus = [(ci, cj - 1) for ci, cj in cells]
+        else:
+            hT, nT = h1, n1
+            cells = ((i, j), (i, j + 1))
+            plus = [(ci + 1, cj) for ci, cj in cells]
+            minus = [(ci - 1, cj) for ci, cj in cells]
+        for (pi, pj), (ci, cj) in zip(plus, cells):
+            tr = pi if axis == 1 else pj
+            if 0 <= tr < nT:
+                out.append((idx(pi, pj), 1.0 / (4 * hT)))
+            else:
+                out.append((idx(ci, cj), sgn / (4 * hT)))
+        for (mi, mj), (ci, cj) in zip(minus, cells):
+            tr = mi if axis == 1 else mj
+            if 0 <= tr < nT:
+                out.append((idx(mi, mj), -1.0 / (4 * hT)))
+            else:
+                out.append((idx(ci, cj), -sgn / (4 * hT)))
+        return out
+
+    # axis-0 faces
+    for i in range(n1 - 1):
+        for j in range(n2):
+            r0, r1 = idx(i, j), idx(i + 1, j)
+            af = 0.5 * (a11[i, j] + a11[i + 1, j])
+            add(r0, r0, -af / h1**2)
+            add(r0, r1, af / h1**2)
+            add(r1, r1, -af / h1**2)
+            add(r1, r0, af / h1**2)
+            add(r0, r0, b1[i, j] / (2 * h1))
+            add(r0, r1, b1[i + 1, j] / (2 * h1))
+            add(r1, r0, -b1[i, j] / (2 * h1))
+            add(r1, r1, -b1[i + 1, j] / (2 * h1))
+            cf = 0.5 * (a12[i, j] + a12[i + 1, j])
+            if cf != 0.0:
+                for col, w in corner_avg_terms(i, j, axis=0):
+                    add(r0, col, cf * w / h1)
+                    add(r1, col, -cf * w / h1)
+    # axis-1 faces
+    for i in range(n1):
+        for j in range(n2 - 1):
+            r0, r1 = idx(i, j), idx(i, j + 1)
+            af = 0.5 * (a22[i, j] + a22[i, j + 1])
+            add(r0, r0, -af / h2**2)
+            add(r0, r1, af / h2**2)
+            add(r1, r1, -af / h2**2)
+            add(r1, r0, af / h2**2)
+            add(r0, r0, b2[i, j] / (2 * h2))
+            add(r0, r1, b2[i, j + 1] / (2 * h2))
+            add(r1, r0, -b2[i, j] / (2 * h2))
+            add(r1, r1, -b2[i, j + 1] / (2 * h2))
+            cf = 0.5 * (a12[i, j] + a12[i, j + 1])
+            if cf != 0.0:
+                for col, w in corner_avg_terms(i, j, axis=1):
+                    add(r0, col, cf * w / h2)
+                    add(r1, col, -cf * w / h2)
+    if grid.boundary == "zero-value":
+        for j in range(n2):
+            add(idx(0, j), idx(0, j), -2 * a11[0, j] / h1**2)
+            add(idx(n1 - 1, j), idx(n1 - 1, j), -2 * a11[n1 - 1, j] / h1**2)
+        for i in range(n1):
+            add(idx(i, 0), idx(i, 0), -2 * a22[i, 0] / h2**2)
+            add(idx(i, n2 - 1), idx(i, n2 - 1), -2 * a22[i, n2 - 1] / h2**2)
+    cflat = np.asarray(c, float).ravel()
+    for r in np.nonzero(cflat)[0]:
+        add(int(r), int(r), cflat[r])
+    return csr_matrix((vals, (rows, cols)), shape=(N, N))
+
+
+def reference_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> csr_matrix:
+    """M^l u = sigma^{il} d_i u + h^l u with central differences."""
+    if not 0 <= l < coeffs.L:
+        raise ConfigurationError(f"driver index {l} outside [0, {coeffs.L})")
+    pts = grid.points()
+    S = coeffs.sigma(t, pts)[:, :, l]
+    hv = coeffs.h(t, pts)[:, l]
+    sgn = _ghost_sign(grid.boundary)
+    rows, cols, vals = [], [], []
+
+    def add(i, j, v):
+        if v != 0.0:
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
+
+    if grid.d == 1:
+        n = grid.n[0]
+        h = grid.hs[0]
+        s = S[:, 0]
+        for i in range(n):
+            ip, im = i + 1, i - 1
+            if ip < n:
+                add(i, ip, s[i] / (2 * h))
+            else:
+                add(i, i, sgn * s[i] / (2 * h))
+            if im >= 0:
+                add(i, im, -s[i] / (2 * h))
+            else:
+                add(i, i, -sgn * s[i] / (2 * h))
+            add(i, i, hv[i])
+        return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    n1, n2 = grid.n
+    h1, h2 = grid.hs
+    s1 = S[:, 0].reshape(n1, n2)
+    s2 = S[:, 1].reshape(n1, n2)
+    hv2 = hv.reshape(n1, n2)
+
+    def idx(i, j):
+        return i * n2 + j
+
+    for i in range(n1):
+        for j in range(n2):
+            r = idx(i, j)
+            if i + 1 < n1:
+                add(r, idx(i + 1, j), s1[i, j] / (2 * h1))
+            else:
+                add(r, r, sgn * s1[i, j] / (2 * h1))
+            if i - 1 >= 0:
+                add(r, idx(i - 1, j), -s1[i, j] / (2 * h1))
+            else:
+                add(r, r, -sgn * s1[i, j] / (2 * h1))
+            if j + 1 < n2:
+                add(r, idx(i, j + 1), s2[i, j] / (2 * h2))
+            else:
+                add(r, r, sgn * s2[i, j] / (2 * h2))
+            if j - 1 >= 0:
+                add(r, idx(i, j - 1), -s2[i, j] / (2 * h2))
+            else:
+                add(r, r, -sgn * s2[i, j] / (2 * h2))
+            add(r, r, hv2[i, j])
+    return csr_matrix((vals, (rows, cols)), shape=(n1 * n2, n1 * n2))
+
+
+def family_field(draw, d):
+    """A random serializable field in d dimensions, of magnitude about 1."""
+    kind = draw(st.sampled_from(["constant", "affine", "sinusoidal", "gaussian"]))
+    vec = st.lists(st.floats(-1, 1), min_size=d, max_size=d)
+    if kind == "constant":
+        return ScalarField("constant", d, value=draw(st.floats(-1, 1)))
+    if kind == "affine":
+        return ScalarField("affine", d, c0=draw(st.floats(-1, 1)), slope=draw(vec))
+    if kind == "sinusoidal":
+        return ScalarField("sinusoidal", d, amp=draw(st.floats(0, 1)),
+                           freq=np.abs(draw(vec)) * 3, phase=draw(st.floats(0, 3)),
+                           offset=draw(st.floats(-1, 1)))
+    return ScalarField("gaussian", d, amp=draw(st.floats(-1, 1)), center=draw(vec),
+                       width=draw(st.floats(0.2, 2)))
+
+
+def cut_to_zero(fn, cut):
+    """fn(t, x) with its values set to zero wherever x_1 < cut."""
+    def out(t, x):
+        v = fn(t, x)
+        mask = (x[:, 0] < cut).reshape((-1,) + (1,) * (v.ndim - 1))
+        return np.where(mask, 0.0, v)
+    return out
+
+
+@st.composite
+def operator_cases(draw, d, boundary, cross, with_c=True):
+    """(coefficients, grid) from random family fields on a 1-d or a
+    non-square 2-d grid, with the a12 field when ``cross``; in half of the
+    cases a, c, sigma and h are cut to zero on a random half-space."""
+    L = draw(st.integers(1, 2))
+    c = family_field(draw, d) if with_c else 0.0
+    sigma = [family_field(draw, d) if d == 1 else
+             (family_field(draw, d), family_field(draw, d)) for _ in range(L)]
+    h = [family_field(draw, d) for _ in range(L)]
+    if d == 1:
+        grid = Grid.line(-2, 2, draw(st.integers(16, 40)), boundary=boundary)
+        cs = CoefficientSet.from_fields(d=1, L=L, a=family_field(draw, 1),
+                                        b=family_field(draw, 1), c=c, sigma=sigma, h=h)
+    else:
+        n1 = draw(st.integers(16, 24))
+        grid = Grid.box2d((-2, -1.5), (2, 1.5), (n1, n1 + draw(st.integers(1, 6))),
+                          boundary=boundary)
+        a12 = family_field(draw, 2) if cross else 0.0
+        cs = CoefficientSet.from_fields(
+            d=2, L=L, a=(family_field(draw, 2), a12, family_field(draw, 2)),
+            b=(family_field(draw, 2), family_field(draw, 2)), c=c, sigma=sigma, h=h)
+    if draw(st.booleans()):
+        cut = draw(st.floats(-2, 2))
+        cs.a, cs.c, cs.sigma, cs.h = (cut_to_zero(fn, cut)
+                                      for fn in (cs.a, cs.c, cs.sigma, cs.h))
+    return cs, grid
+
+
+def assert_same_csr(new, ref):
+    assert new.shape == ref.shape
+    assert new.indptr.tobytes() == ref.indptr.tobytes()
+    assert new.indices.tobytes() == ref.indices.tobytes()
+    assert new.data.tobytes() == ref.data.tobytes()
+
+
+LAYOUTS = pytest.mark.parametrize("d, cross", [(1, False), (2, False), (2, True)])
+BOUNDARIES = pytest.mark.parametrize("boundary", ["zero-flux", "zero-value"])
+
+
+class TestIndexArrayBuilders:
+    @LAYOUTS
+    @BOUNDARIES
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_generator_matches_face_loops_bytewise(self, d, cross, boundary, data):
+        cs, grid = data.draw(operator_cases(d, boundary, cross))
+        assert_same_csr(solver.assemble_generator(cs, grid, 0.0),
+                        reference_generator(cs, grid, 0.0))
+
+    @LAYOUTS
+    @BOUNDARIES
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_noise_op_matches_cell_loops_bytewise(self, d, cross, boundary, data):
+        cs, grid = data.draw(operator_cases(d, boundary, cross))
+        for l in range(cs.L):
+            assert_same_csr(solver.assemble_noise_op(cs, grid, 0.0, l),
+                            reference_noise_op(cs, grid, 0.0, l))
+
+    @LAYOUTS
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_column_sums_vanish(self, d, cross, data):
+        # zero flux and c = 0: every column telescopes, so mass is conserved
+        cs, grid = data.draw(operator_cases(d, "zero-flux", cross, with_c=False))
+        L = solver.assemble_generator(cs, grid, 0.0)
+        assert np.max(np.abs(np.asarray(L.sum(axis=0)))) <= 1e-12
+
+
 class TestStep:
     def test_zero_coefficients_identity(self):
         grid = Grid.line(-1, 1, 32)
