@@ -80,8 +80,7 @@ def _solve_bundle(bundle: ScenarioBundle):
     n_steps = int(round(bundle.t_end / bundle.dt))
     path = noise.generate(bundle.seeds["path"], bundle.coeffs.L,
                           max(n_steps, 1), bundle.dt)
-    cfg = SolverConfig(dt=bundle.dt, theta=bundle.theta,
-                       store_every=max(bundle.store_every, 1))
+    cfg = SolverConfig(dt=bundle.dt, theta=bundle.theta, store_every=1)
     coeffs = bundle.coeffs
     if bundle.mollify_epsilon is not None:
         coeffs = mollified_coefficient_set(
@@ -119,11 +118,11 @@ def cmd_run_spde(args) -> int:
 
 
 def _energy_defect_series(traj, coeffs, path):
-    """Per-step energy-balance defect aligned with the step grid (0 at t=0)."""
-    try:
-        rep = diag.energy_report(traj, coeffs, path)
-    except SpdelabError:
-        return np.zeros(len(traj.step_times))
+    """Per-step energy-balance defect aligned with the step grid (0 at t=0);
+    NaN throughout when theta != 1, where the balance is not defined."""
+    if traj.theta != 1.0:
+        return np.full(len(traj.step_times), np.nan)
+    rep = diag.energy_report(traj, coeffs, path)
     return np.concatenate([[0.0], rep.extra["per_step"]])
 
 

@@ -3,16 +3,15 @@
 Sections and keys (all values are plain scalars, space-separated vectors, or
 field specs 'family:key=val,...'):
 
-    [run]           name, seed, particle_seed, direction_seed
+    [run]           name, seed, particle_seed
     [grid]          dim, x_min, x_max, n, boundary
-    [time]          dt, t_end, output_times, theta, store_every
+    [time]          dt, t_end, output_times, theta
     [coefficients]  L, a (or a11 a12 a22), b (or b1 b2), c, f,
                     sigma0..k, h0..k, g0..k, sigma_hat0..k, mollify
     [initial]       u0
     [filter]        kind, A, Q, H, R, prior_mean, prior_var, t_end, dt,
                     n_particles
     [picard]        f, tol, max_iter
-    [checks]        positivity_tol, run
 
 Unknown sections or keys are rejected at parse time, and the model
 invariants run immediately so a bad scenario never reaches a solver.
@@ -30,15 +29,14 @@ from .grids import Grid
 from .model import CoefficientSet
 
 _SECTION_KEYS = {
-    "run": {"name", "seed", "particle_seed", "direction_seed"},
+    "run": {"name", "seed", "particle_seed"},
     "grid": {"dim", "x_min", "x_max", "n", "boundary"},
-    "time": {"dt", "t_end", "output_times", "theta", "store_every"},
+    "time": {"dt", "t_end", "output_times", "theta"},
     "coefficients": None,  # validated by pattern below
     "initial": {"u0"},
     "filter": {"kind", "A", "Q", "H", "R", "prior_mean", "prior_var",
                "t_end", "dt", "n_particles"},
     "picard": {"f", "tol", "max_iter"},
-    "checks": {"positivity_tol", "run"},
 }
 _COEFF_KEY = re.compile(
     r"^(L|a|a11|a12|a22|b|b1|b2|c|f|mollify|(sigma|h|g|sigma_hat)\d+(_[12])?)$")
@@ -52,13 +50,11 @@ class ScenarioBundle:
     t_end: float
     output_times: list
     theta: float
-    store_every: int
     coeffs: CoefficientSet | None
     u0_field: object
     seeds: dict
     filter_params: dict = field(default_factory=dict)
     picard_params: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
     mollify_epsilon: float | None = None
     raw: dict = field(default_factory=dict)
 
@@ -144,7 +140,6 @@ def parse_config(source) -> ScenarioBundle:
     dt = get_float("time", "dt", 1e-3)
     t_end = get_float("time", "t_end", 0.25)
     theta = get_float("time", "theta", 1.0)
-    store_every = get_int("time", "store_every", 0)
     out_raw = get("time", "output_times")
     output_times = ([float(t) for t in out_raw.split()] if out_raw else [t_end])
 
@@ -197,8 +192,7 @@ def parse_config(source) -> ScenarioBundle:
         u0_field = parse_field(get("initial", "u0"), dim)
 
     seeds = {"path": get_int("run", "seed", 0),
-             "particles": get_int("run", "particle_seed", 1),
-             "directions": get_int("run", "direction_seed", 2)}
+             "particles": get_int("run", "particle_seed", 1)}
 
     filter_params = {}
     if cp.has_section("filter"):
@@ -223,11 +217,6 @@ def parse_config(source) -> ScenarioBundle:
                          "tol": get_float("picard", "tol", 1e-8),
                          "max_iter": get_int("picard", "max_iter", 50)}
 
-    checks = {}
-    if cp.has_section("checks"):
-        checks = {"positivity_tol": get_float("checks", "positivity_tol", 1e-8),
-                  "run": get("checks", "run", "all")}
-
     name = get("run", "name", "scenario")
     # structural validation of the time grid
     if dt <= 0:
@@ -238,9 +227,8 @@ def parse_config(source) -> ScenarioBundle:
             raise ValidationError(f"output time {t} is not a multiple of dt")
 
     return ScenarioBundle(name=name, grid=grid, dt=dt, t_end=t_end,
-                          output_times=output_times, theta=theta,
-                          store_every=store_every, coeffs=coeffs,
+                          output_times=output_times, theta=theta, coeffs=coeffs,
                           u0_field=u0_field, seeds=seeds,
                           filter_params=filter_params,
-                          picard_params=picard_params, checks=checks,
+                          picard_params=picard_params,
                           mollify_epsilon=mollify_epsilon, raw=raw)

@@ -17,8 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, HypothesisError
 from .model import CoefficientSet
 from .noise import BrownianPath
-from .solver import (Trajectory, assemble_generator, assemble_noise_op,
-                     implicit_system)
+from .solver import Stepper, Trajectory
 
 
 @dataclass
@@ -137,27 +136,19 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet, path: BrownianPath,
     if traj.theta != 1.0:
         raise ConfigurationError("energy accounting is defined for theta = 1")
     grid = traj.grid
-    pts = grid.points()
     vol = grid.cell_volume
     hist = traj.full_history
     n_steps = hist.shape[0] - 1
     dt = traj.dt
-    static = not coeffs.time_dependent
-    Lop = sys_ = ops = None
-    if static:
-        Lop = assemble_generator(coeffs, grid, 0.5 * dt)
-        sys_ = implicit_system(Lop, dt, 1.0, grid)
-        ops = [assemble_noise_op(coeffs, grid, 0.0, l) for l in range(coeffs.L)]
+    stepper = Stepper(coeffs, grid, dt, 1.0, False)
+    pts = stepper.pts
     net = 0.0
     total_abs = 0.0
     gen_total = mart_total = ito_total = 0.0
     per_step = np.zeros(n_steps)
     for n in range(n_steps):
         t = n * dt
-        if not static:
-            Lop = assemble_generator(coeffs, grid, t + 0.5 * dt)
-            sys_ = implicit_system(Lop, dt, 1.0, grid)
-            ops = [assemble_noise_op(coeffs, grid, t, l) for l in range(coeffs.L)]
+        step = stepper.at(n)
         u = hist[n]
         fv = coeffs.f(t + 0.5 * dt, pts)
         gv = coeffs.g(t, pts)
@@ -165,9 +156,9 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet, path: BrownianPath,
         for l in range(coeffs.L):
             dB = path.increments[n, l]
             if dB != 0.0:
-                w += (ops[l] @ u + gv[:, l]) * dB
-        ubar = sys_.solve(u + dt * fv)
-        gen = 2.0 * dt * (float((Lop @ ubar) @ ubar) + float(fv @ ubar)) * vol
+                w += (step.noise_op(l) @ u + gv[:, l]) * dB
+        ubar = step.system.solve(u + dt * fv)
+        gen = 2.0 * dt * (float((step.Lop @ ubar) @ ubar) + float(fv @ ubar)) * vol
         mart = 2.0 * float(u @ w) * vol
         ito = float(w @ w) * vol
         d = (float(hist[n + 1] @ hist[n + 1]) - float(u @ u)) * vol - gen - mart - ito

@@ -14,7 +14,11 @@ import numpy as np
 
 from .errors import EvaluationError, ParseError
 
-FAMILY_NAMES = ("constant", "affine", "sinusoidal", "pwlinear", "gaussian")
+FAMILY_PARAMS = {"constant": {"value"}, "affine": {"c0", "slope"},
+                 "sinusoidal": {"amp", "freq", "phase", "offset"},
+                 "pwlinear": {"xs", "ys"}, "gaussian": {"amp", "center", "width"}}
+FAMILY_NAMES = tuple(FAMILY_PARAMS)
+VECTOR_PARAMS = {"slope", "freq", "center", "xs", "ys"}
 
 
 def _as_points(x, dim):
@@ -47,21 +51,27 @@ class ScalarField:
     def _check_params(self):
         p = self.params
         d = self.dim
+        unknown = sorted(set(p) - FAMILY_PARAMS[self.family])
+        if unknown:
+            raise ParseError(f"unknown {self.family} parameter(s) {unknown}")
+        for key in set(p) - VECTOR_PARAMS:
+            if np.ndim(p[key]) != 0:
+                raise ParseError(f"{self.family} {key} takes one value")
         if self.family == "constant":
             p.setdefault("value", 0.0)
         elif self.family == "affine":
             p.setdefault("c0", 0.0)
-            p["slope"] = np.broadcast_to(np.atleast_1d(
-                np.asarray(p.get("slope", 0.0), dtype=float)), (d,)).copy()
+            self._per_axis("slope", 0.0)
         elif self.family == "sinusoidal":
             p.setdefault("amp", 1.0)
             p.setdefault("phase", 0.0)
             p.setdefault("offset", 0.0)
-            p["freq"] = np.broadcast_to(np.atleast_1d(
-                np.asarray(p.get("freq", 1.0), dtype=float)), (d,)).copy()
+            self._per_axis("freq", 1.0)
         elif self.family == "pwlinear":
             if d != 1:
                 raise ParseError("pwlinear fields are 1-d only")
+            if not {"xs", "ys"} <= set(p):
+                raise ParseError("pwlinear needs both xs and ys knots")
             xs = np.asarray(p["xs"], dtype=float)
             ys = np.asarray(p["ys"], dtype=float)
             if xs.ndim != 1 or xs.shape != ys.shape or len(xs) < 2:
@@ -72,10 +82,17 @@ class ScalarField:
         elif self.family == "gaussian":
             p.setdefault("amp", 1.0)
             p.setdefault("width", 1.0)
-            p["center"] = np.broadcast_to(np.atleast_1d(
-                np.asarray(p.get("center", 0.0), dtype=float)), (d,)).copy()
+            self._per_axis("center", 0.0)
             if p["width"] <= 0:
                 raise ParseError("gaussian width must be positive")
+
+    def _per_axis(self, key, default):
+        """One value per axis; a single value broadcasts to every axis."""
+        v = np.atleast_1d(np.asarray(self.params.get(key, default), dtype=float))
+        if v.shape not in ((1,), (self.dim,)):
+            raise ParseError(f"{self.family} {key} takes {self.dim} value(s) or one "
+                             f"for every axis, got {v.size}")
+        self.params[key] = np.broadcast_to(v, (self.dim,)).copy()
 
     def __call__(self, x):
         x = _as_points(x, self.dim)
@@ -161,7 +178,7 @@ def parse_field(text: str, dim: int) -> ScalarField:
             params[key.strip()] = _parse_value(raw, text)
     try:
         return ScalarField(name, dim, **params)
-    except TypeError as exc:
+    except (ParseError, TypeError) as exc:   # TypeError: a key named dim or family
         raise ParseError(f"bad parameters for {text!r}: {exc}") from None
 
 

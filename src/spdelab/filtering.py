@@ -35,8 +35,7 @@ from .errors import (ConfigurationError, DegenerateMassError,
 from .grids import DensityField, Grid
 from .model import CoefficientSet
 from .noise import BrownianPath
-from .solver import (SolverConfig, Trajectory, assemble_generator,
-                     check_stability, implicit_system, solve)
+from .solver import SolverConfig, Stepper, Trajectory, solve
 
 _FD = 1e-4
 
@@ -294,25 +293,21 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
                 cfg: SolverConfig) -> Trajectory:
     """Step the normalized density directly with innovation-driven sources.
 
-    Each step solves the implicit generator system with the explicit noise
-    source h^k pi - pi(h^k) pi against dBcheck = dBbar - pi(h) dt, then
-    renormalizes (the source moves no mass, so this is bit-level hygiene).
-    With ``cfg.stability_guard`` the stability check runs as in ``solve``:
-    once at t = 0, and every step when the coefficients are time dependent.
+    Each step is the ``solve`` step with the explicit noise source
+    h^k pi - pi(h^k) pi against dBcheck = dBbar - pi(h) dt in place of the
+    Zakai noise term, followed by renormalization (the source moves no mass,
+    so this is bit-level hygiene).  The generator, its theta split and the
+    stability guard come from the same ``Stepper`` as in ``solve``.
     """
     coeffs = zakai_coefficients(sc, truth.y_path, truth.dt)
-    pts = grid.points()
-    vol = grid.cell_volume
-    pi = normalize(np.maximum(sc.pi0(pts), 0.0), grid)
     n_steps = truth.n_steps
     dt = truth.dt
+    stepper = Stepper(coeffs, grid, dt, cfg.theta, cfg.stability_guard)
+    pts = stepper.pts
+    vol = grid.cell_volume
+    pi = normalize(np.maximum(sc.pi0(pts), 0.0), grid)
     out_times = _snapshot_times(n_steps, dt)
     snap_steps = {int(round(t / dt)): t for t in out_times}
-    static = sc.static_coefficients
-    if cfg.stability_guard:
-        check_stability(coeffs, grid, 0.0, dt)
-    sys_ = implicit_system(assemble_generator(coeffs, grid, 0.5 * dt), dt,
-                           cfg.theta, grid) if static else None
     fields = []
     history = np.empty((n_steps + 1, grid.npts)) if cfg.store_every == 1 else None
     if history is not None:
@@ -321,17 +316,12 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
         fields.append(DensityField(grid=grid, values=pi.copy(), time_index=0))
     l2s = [grid.l2(pi)]
     for n in range(n_steps):
-        t = n * dt
-        if cfg.stability_guard and not static:
-            check_stability(coeffs, grid, t, dt)
-        hv = coeffs.h(t, pts)                       # (m, d1)
+        step = stepper.at(n)
+        hv = coeffs.h(n * dt, pts)                  # (m, d1)
         pi_h = (pi @ hv) * vol                      # (d1,)
         dBcheck = truth.bbar_increments[n] - pi_h * dt
         src = (hv - pi_h[None, :]) * pi[:, None]    # (m, d1)
-        rhs = pi + src @ dBcheck
-        sy = sys_ if static else implicit_system(
-            assemble_generator(coeffs, grid, t + 0.5 * dt), dt, cfg.theta, grid)
-        pi = normalize(sy.solve(rhs), grid)
+        pi = normalize(step.system.solve(step.explicit(pi) + src @ dBcheck), grid)
         l2s.append(grid.l2(pi))
         if history is not None:
             history[n + 1] = pi

@@ -23,8 +23,7 @@ from .errors import ConfigurationError, NonConvergenceError, ValidationError
 from .grids import DensityField, Grid
 from .model import CoefficientSet
 from .noise import BrownianPath
-from .solver import (SolverConfig, Trajectory, assemble_generator,
-                     assemble_noise_op, implicit_system)
+from .solver import SolverConfig, Stepper, Trajectory
 
 
 @dataclass
@@ -96,35 +95,16 @@ class NonlinearSources:
 
 def _linear_sweep(coeffs, grid, cfg, path, n_steps, u0_vals, prev_hist, sources):
     """One linear solve with sources frozen at prev_hist; returns history."""
-    pts = grid.points()
-    static = not coeffs.time_dependent
-    dt = cfg.dt
-    sys_ = None
-    noise_ops = None
-    if static:
-        Lop = assemble_generator(coeffs, grid, 0.5 * dt)
-        sys_ = implicit_system(Lop, dt, cfg.theta, grid)
-        noise_ops = [assemble_noise_op(coeffs, grid, 0.0, l) for l in range(coeffs.L)]
+    stepper = Stepper(coeffs, grid, cfg.dt, cfg.theta, False)
+    pts = stepper.pts
     hist = np.empty((n_steps + 1, grid.npts))
     hist[0] = u0_vals
     u = u0_vals.copy()
     for n in range(n_steps):
-        t = n * dt
-        if not static:
-            Lop = assemble_generator(coeffs, grid, t + 0.5 * dt)
-            sys_ = implicit_system(Lop, dt, cfg.theta, grid)
-            noise_ops = [assemble_noise_op(coeffs, grid, t, l) for l in range(coeffs.L)]
-        rhs = u.copy()
-        if cfg.theta < 1.0:
-            rhs += (1.0 - cfg.theta) * dt * (Lop @ u)
-        rhs += dt * (coeffs.f(t + 0.5 * dt, pts)
-                     + sources.f(t + dt, pts, prev_hist[n + 1]))
-        gsrc = sources.g(t, pts, prev_hist[n]) + coeffs.g(t, pts)
-        for l in range(coeffs.L):
-            dB = path.increments[n, l]
-            if dB != 0.0:
-                rhs += (noise_ops[l] @ u + gsrc[:, l]) * dB
-        u = sys_.solve(rhs)
+        t = n * cfg.dt
+        u = stepper.advance(u, n, path.increments[n],
+                            f=sources.f(t + cfg.dt, pts, prev_hist[n + 1]),
+                            g=sources.g(t, pts, prev_hist[n]))
         hist[n + 1] = u
     return hist
 

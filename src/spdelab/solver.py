@@ -52,6 +52,8 @@ class SolverConfig:
             raise ValidationError("dt must be positive")
         if not 0.5 <= self.theta <= 1.0:
             raise ValidationError("theta must lie in [1/2, 1]")
+        if self.store_every not in (0, 1):
+            raise ValidationError("store_every must be 0 (snapshots) or 1 (every step)")
 
 
 @dataclass
@@ -252,42 +254,76 @@ class _ImplicitSystem:
         return out
 
 
-def implicit_system(Lop: csr_matrix, dt: float, theta: float, grid: Grid) -> _ImplicitSystem:
-    return _ImplicitSystem(Lop, dt, theta, grid)
+class Stepper:
+    """The semi-implicit step shared by every solve path.
 
+    Operators for the step from t = n dt are the generator at t + dt/2 with
+    its factored implicit system, and the noise operators at t, each built
+    on first use.  Static coefficients build them once (at n = 0);
+    time-dependent ones rebuild them every step.  With ``guard`` the
+    stability check runs at t = 0 and, for time-dependent coefficients,
+    again at the start of every step.
+    """
 
-def step(u: DensityField, t: float, cfg: SolverConfig, dB: np.ndarray,
-         coeffs: CoefficientSet) -> DensityField:
-    """One semi-implicit step from time t using driver increments dB."""
-    dB = np.atleast_1d(np.asarray(dB, float))
-    if dB.shape[0] != coeffs.L:
-        raise ConfigurationError(f"need {coeffs.L} driver increments, got {dB.shape[0]}")
-    grid = u.grid
-    if cfg.stability_guard:
-        check_stability(coeffs, grid, t, cfg.dt)
-    t_mid = t + 0.5 * cfg.dt
-    Lop = assemble_generator(coeffs, grid, t_mid)
-    sys_ = _ImplicitSystem(Lop, cfg.dt, cfg.theta, grid)
-    rhs = _explicit_rhs(u.values, t, t_mid, cfg, dB, coeffs, grid, Lop)
-    vals = sys_.solve(rhs)
-    return DensityField(grid=grid, values=vals, time_index=u.time_index + 1)
+    def __init__(self, coeffs: CoefficientSet, grid: Grid, dt: float,
+                 theta: float, guard: bool):
+        self.coeffs, self.grid, self.dt, self.theta = coeffs, grid, dt, theta
+        self.pts = grid.points()
+        self._static = not coeffs.time_dependent
+        self._guard = guard
+        self._n = None
+        self._check(0.0)
 
+    def _check(self, t: float):
+        if self._guard:
+            check_stability(self.coeffs, self.grid, t, self.dt)
 
-def _explicit_rhs(uvals, t, t_mid, cfg, dB, coeffs, grid, Lop, noise_ops=None):
-    pts = grid.points()
-    rhs = uvals.copy()
-    if cfg.theta < 1.0:
-        rhs += (1.0 - cfg.theta) * cfg.dt * (Lop @ uvals)
-    fv = coeffs.f(t_mid, pts)
-    if np.any(fv):
-        rhs += cfg.dt * fv
-    gv = coeffs.g(t, pts)
-    for l in range(coeffs.L):
-        if dB[l] == 0.0:
-            continue
-        Ml = noise_ops[l] if noise_ops is not None else assemble_noise_op(coeffs, grid, t, l)
-        rhs += (Ml @ uvals + gv[:, l]) * dB[l]
-    return rhs
+    def at(self, n: int) -> "Stepper":
+        """Make ``Lop`` and ``system`` those of step n."""
+        if self._static:
+            n = 0
+        if n != self._n:
+            t = n * self.dt
+            if not self._static:
+                self._check(t)
+            self.Lop = assemble_generator(self.coeffs, self.grid, t + 0.5 * self.dt)
+            self.system = _ImplicitSystem(self.Lop, self.dt, self.theta, self.grid)
+            self._noise = [None] * self.coeffs.L
+            self._n = n
+        return self
+
+    def noise_op(self, l: int) -> csr_matrix:
+        """M^l of the current step."""
+        if self._noise[l] is None:
+            self._noise[l] = assemble_noise_op(self.coeffs, self.grid,
+                                               self._n * self.dt, l)
+        return self._noise[l]
+
+    def explicit(self, u: np.ndarray) -> np.ndarray:
+        """u + (1 - theta) dt L u with the current step's generator."""
+        rhs = u.copy()
+        if self.theta < 1.0:
+            rhs += (1.0 - self.theta) * self.dt * (self.Lop @ u)
+        return rhs
+
+    def advance(self, u: np.ndarray, n: int, dB, f=None, g=None) -> np.ndarray:
+        """u_{n+1} from u_n along driver increments dB; ``f`` (m,) and ``g``
+        (m, L) are extra sources added to the coefficients' f and g."""
+        self.at(n)
+        t = n * self.dt
+        rhs = self.explicit(u)
+        fv = self.coeffs.f(t + 0.5 * self.dt, self.pts)
+        if f is not None:
+            fv = fv + f
+        if f is not None or np.any(fv):
+            rhs += self.dt * fv
+        gv = self.coeffs.g(t, self.pts)
+        if g is not None:
+            gv = g + gv
+        for l in range(self.coeffs.L):
+            if dB[l] != 0.0:
+                rhs += (self.noise_op(l) @ u + gv[:, l]) * dB[l]
+        return self.system.solve(rhs)
 
 
 def solve(coeffs: CoefficientSet, u0, grid: Grid, cfg: SolverConfig,
@@ -317,16 +353,7 @@ def solve(coeffs: CoefficientSet, u0, grid: Grid, cfg: SolverConfig,
             raise ConfigurationError(f"output time {t} is not a step boundary")
         snap_steps[k] = t
 
-    static = not coeffs.time_dependent
-    if cfg.stability_guard:
-        check_stability(coeffs, grid, 0.0, cfg.dt)
-    sys_ = None
-    noise_ops = None
-    if static:
-        Lop = assemble_generator(coeffs, grid, 0.5 * cfg.dt)
-        sys_ = _ImplicitSystem(Lop, cfg.dt, cfg.theta, grid)
-        noise_ops = [assemble_noise_op(coeffs, grid, 0.0, l) for l in range(coeffs.L)]
-
+    stepper = Stepper(coeffs, grid, cfg.dt, cfg.theta, cfg.stability_guard)
     mass = np.empty(n_steps + 1)
     l2 = np.empty(n_steps + 1)
     vol = grid.cell_volume
@@ -340,19 +367,7 @@ def solve(coeffs: CoefficientSet, u0, grid: Grid, cfg: SolverConfig,
         fields.append(DensityField(grid=grid, values=u.copy(), time_index=0))
 
     for n in range(n_steps):
-        t = n * cfg.dt
-        t_mid = t + 0.5 * cfg.dt
-        if static:
-            Lop_n, sys_n, ops_n = Lop, sys_, noise_ops
-        else:
-            if cfg.stability_guard:
-                check_stability(coeffs, grid, t, cfg.dt)
-            Lop_n = assemble_generator(coeffs, grid, t_mid)
-            sys_n = _ImplicitSystem(Lop_n, cfg.dt, cfg.theta, grid)
-            ops_n = [assemble_noise_op(coeffs, grid, t, l) for l in range(coeffs.L)]
-        rhs = _explicit_rhs(u, t, t_mid, cfg, path.increments[n], coeffs, grid,
-                            Lop_n, noise_ops=ops_n)
-        u = sys_n.solve(rhs)
+        u = stepper.advance(u, n, path.increments[n])
         mass[n + 1] = np.sum(u) * vol
         l2[n + 1] = math.sqrt((u @ u) * vol)
         if history is not None:

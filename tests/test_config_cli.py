@@ -71,6 +71,18 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config(HEAT.replace("constant:0.5", "warpdrive:9"))
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("t_end = 0.05", "t_end = 0.05\nstore_every = 1", "store_every"),
+        ("seed = 0", "seed = 0\ndirection_seed = 2", "direction_seed"),
+        ("[grid]", "[checks]\npositivity_tol = 1e-8\n\n[grid]", "checks"),
+    ])
+    def test_removed_keys_rejected(self, old, new, match):
+        with pytest.raises(ParseError, match=match):
+            parse_config(HEAT.replace(old, new))
+
+    def test_seeds_are_path_and_particles(self):
+        assert parse_config(HEAT).seeds == {"path": 0, "particles": 1}
+
 
     @pytest.mark.parametrize("old, new", [
         ("x_min = -8", "x_min = abc"),
@@ -140,6 +152,23 @@ class TestCli:
         series = (run_dir / "series.csv").read_text().splitlines()
         assert series[0] == "t,mass,l2,energy_defect"
         assert len(series) == 52  # header + 51 step boundaries
+
+    @pytest.mark.parametrize("theta", ["1.0", "0.5"])
+    def test_energy_defect_column(self, tmp_path, theta):
+        # theta = 1 writes the per-step defects; elsewhere the balance is
+        # undefined and the column is NaN, never silent zeros
+        cfg = tmp_path / "heat.cfg"
+        cfg.write_text(HEAT.replace("t_end = 0.05", f"t_end = 0.05\ntheta = {theta}"))
+        assert cli.main(["run-spde", "--config", str(cfg), "--out",
+                         str(tmp_path / "runs")]) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        rows = np.loadtxt(run_dir / "series.csv", delimiter=",", skiprows=1)
+        defects = rows[1:, 3]
+        if theta == "0.5":
+            assert np.all(np.isnan(rows[:, 3]))
+        else:
+            assert rows[0, 3] == 0.0
+            assert np.all(np.isfinite(defects)) and np.all(defects != 0.0)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = tmp_path / "heat.cfg"
@@ -256,8 +285,18 @@ class TestCliErrors:
         ("picard", PICARD_CONFIG.replace("scale=0.1", "scale=abc")),
         ("picard", PICARD_CONFIG.replace("sin_of_u:scale=0.1",
                                          "independent:f=gaussian:amp=1,width=abc")),
+        ("run-spde", HEAT.replace("width=0.5", "widht=0.1")),
+        ("run-spde", HEAT.replace("a = constant:0.5", "a = constant:0.5,valu=3")),
+        ("run-spde", HEAT.replace("a = constant:0.5", "a = pwlinear:ys=1 2")),
+        ("run-spde", HEAT.replace("a = constant:0.5",
+                                  "a = sinusoidal:amp=0.1,offset=0.5,freq=1 2")),
+        ("run-spde", HEAT.replace("a = constant:0.5", "a = constant:0.5 0.7")),
+        ("run-spde", HEAT.replace("width=0.5", "width=0.5,dim=2")),
     ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc",
-            "picard-independent-width-abc"])
+            "picard-independent-width-abc", "field-unknown-parameter",
+            "constant-unknown-parameter", "pwlinear-missing-knots",
+            "field-vector-too-long", "scalar-parameter-given-vector",
+            "field-parameter-named-dim"])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, sub, text):
         rc, err, out = self.run(tmp_path, capsys, sub, text)
         assert rc == 1

@@ -1,3 +1,6 @@
+import collections
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +11,8 @@ from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import splu
 
-from spdelab import noise, solver
+from spdelab import diagnostics, noise, picard, solver
+from spdelab import filtering as flt
 from spdelab.errors import (ConfigurationError, SolverError, StabilityError,
                             TestFunctionError, ValidationError)
 from spdelab.families import ScalarField
@@ -449,12 +453,19 @@ class TestIndexArrayBuilders:
         assert np.max(np.abs(np.asarray(L.sum(axis=0)))) <= 1e-12
 
 
+def advance(u, cfg, dB, cs):
+    """One step from t = 0 through the shared stepping core."""
+    stepper = solver.Stepper(cs, u.grid, cfg.dt, cfg.theta, cfg.stability_guard)
+    return DensityField(grid=u.grid, values=stepper.advance(u.values, 0, dB),
+                        time_index=1)
+
+
 class TestStep:
     def test_zero_coefficients_identity(self):
         grid = Grid.line(-1, 1, 32)
         cs = CoefficientSet.from_fields(d=1, L=1)
         u = DensityField(grid=grid, values=gaussian_density(grid))
-        out = solver.step(u, 0.0, SolverConfig(dt=1e-3), np.array([0.3]), cs)
+        out = advance(u, SolverConfig(dt=1e-3), np.array([0.3]), cs)
         assert np.array_equal(out.values, u.values)
 
     def test_heat_step_matches_variance_growth(self):
@@ -463,7 +474,7 @@ class TestStep:
         dt = 1e-3
         v0 = 0.25
         u = DensityField(grid=grid, values=gaussian_density(grid, var=v0))
-        out = solver.step(u, 0.0, SolverConfig(dt=dt), np.array([0.0]), cs)
+        out = advance(u, SolverConfig(dt=dt), np.array([0.0]), cs)
         exact = np.exp(-grid.x**2 / (2 * (v0 + dt))) / np.sqrt(2 * np.pi * (v0 + dt))
         err = grid.l2(out.values - exact)
         assert err < (dt**2 + grid.hs[0] ** 2) * 5
@@ -477,7 +488,7 @@ class TestStep:
             cs = CoefficientSet.from_fields(d=1, L=1, a=0.5, sigma=1.0)
             u = DensityField(grid=grid, values=gaussian_density(grid))
             dB = 0.8 * np.sqrt(dt)
-            out = solver.step(u, 0.0, SolverConfig(dt=dt), np.array([dB]), cs)
+            out = advance(u, SolverConfig(dt=dt), np.array([dB]), cs)
             exact = gaussian_density(grid, center=-dB)
             errs.append(grid.l2(out.values - exact) / grid.l2(exact))
         assert errs[1] < 0.35 * errs[0]
@@ -487,7 +498,7 @@ class TestStep:
         cs = CoefficientSet.from_fields(d=1, L=1, a=0.5, sigma=1.0)
         u = DensityField(grid=grid, values=gaussian_density(grid, var=0.01))
         with pytest.raises(StabilityError) as exc:
-            solver.step(u, 0.0, SolverConfig(dt=0.5), np.array([0.0]), cs)
+            advance(u, SolverConfig(dt=0.5), np.array([0.0]), cs)
         assert exc.value.suggested_dt is not None
         assert exc.value.suggested_dt < 0.5
 
@@ -496,7 +507,7 @@ class TestStep:
         cs = CoefficientSet.from_fields(d=1, L=1, a=0.4, sigma=1.0)  # 2a < sigma^2
         u = DensityField(grid=grid, values=gaussian_density(grid, var=0.01))
         with pytest.raises(StabilityError):
-            solver.step(u, 0.0, SolverConfig(dt=1e-5), np.array([0.0]), cs)
+            advance(u, SolverConfig(dt=1e-5), np.array([0.0]), cs)
 
 
 class TestSolve:
@@ -617,14 +628,14 @@ class TestImplicitSystem:
         ab[1] = M.diagonal(0)
         ab[2, :-1] = M.diagonal(-1)
         rhs = gaussian_density(grid) + np.sin(3 * grid.x)
-        out = solver.implicit_system(Lop, self.DT, theta, grid).solve(rhs)
+        out = solver._ImplicitSystem(Lop, self.DT, theta, grid).solve(rhs)
         assert out.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
         ref = splu(M).solve(rhs)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_1d_rhs_left_untouched_and_system_reusable(self):
         grid, Lop = self.drift_operator("zero-flux")
-        sys_ = solver.implicit_system(Lop, self.DT, 1.0, grid)
+        sys_ = solver._ImplicitSystem(Lop, self.DT, 1.0, grid)
         rhs = gaussian_density(grid)
         keep = rhs.copy()
         first = sys_.solve(rhs)
@@ -637,7 +648,7 @@ class TestImplicitSystem:
         rhs = gaussian_density(grid)
         rhs[40] = bad
         with pytest.raises(SolverError):
-            solver.implicit_system(Lop, self.DT, 1.0, grid).solve(rhs)
+            solver._ImplicitSystem(Lop, self.DT, 1.0, grid).solve(rhs)
 
     def test_non_finite_rhs_raises_solver_error_2d(self):
         grid = Grid.box2d((-1, -1), (1, 1), (16, 16))
@@ -646,21 +657,21 @@ class TestImplicitSystem:
         rhs = np.ones(grid.npts)
         rhs[7] = np.nan
         with pytest.raises(SolverError):
-            solver.implicit_system(Lop, self.DT, 1.0, grid).solve(rhs)
+            solver._ImplicitSystem(Lop, self.DT, 1.0, grid).solve(rhs)
 
     def test_non_tridiagonal_1d_operator_rejected(self):
         grid, Lop = self.drift_operator("zero-flux")
         wide = Lop.tolil()
         wide[0, 2] = 1.0
         with pytest.raises(SolverError, match="tridiagonal"):
-            solver.implicit_system(csr_matrix(wide), self.DT, 1.0, grid)
+            solver._ImplicitSystem(csr_matrix(wide), self.DT, 1.0, grid)
 
     def test_singular_1d_system_rejected(self):
         # theta dt L = I makes I - theta dt L the zero matrix
         grid = Grid.line(-1, 1, 16)
         Lop = identity(grid.npts, format="csr") / self.DT
         with pytest.raises(SolverError, match="factorization"):
-            solver.implicit_system(Lop, self.DT, 1.0, grid)
+            solver._ImplicitSystem(Lop, self.DT, 1.0, grid)
 
 
 @st.composite
@@ -698,6 +709,112 @@ class TestSeriesSums:
             assert abs(mass - math.fsum(u) * vol) <= 1e-14 * scale
             ref = math.sqrt(math.fsum(u * u) * vol)
             assert abs(l2 - ref) <= 1e-14 * ref
+
+
+def flagged(cs, time_dependent):
+    """The same coefficient fields under the other build policy."""
+    out = copy.copy(cs)
+    out.time_dependent = time_dependent
+    return out
+
+
+class TestStepperBuilds:
+    """Static coefficients build the generator, its factorization and the
+    noise operators once per run; time-dependent ones build them every step.
+    Kushner never builds a noise operator, and Picard and the energy check
+    never run the stability guard."""
+
+    N = 12
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("assemble_generator", "assemble_noise_op", "check_stability"):
+            monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+        monkeypatch.setattr(solver._ImplicitSystem, "__init__",
+                            counting("factor", solver._ImplicitSystem.__init__))
+        return counts
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_build_counts(self, builds, time_dependent):
+        N, dt = self.N, 1e-3
+        per_run = N if time_dependent else 1
+        guard = N + 1 if time_dependent else 1
+        grid = Grid.line(-4, 4, 64)
+        cs = flagged(CoefficientSet.from_fields(d=1, L=2, a=0.5, b=0.3,
+                                                sigma=[0.4, 0.3]), time_dependent)
+        path = noise.generate(5, 2, N, dt)
+        u0 = gaussian_density(grid)
+
+        traj = solver.solve(cs, u0, grid, SolverConfig(dt=dt, store_every=1), path,
+                            [N * dt])
+        assert builds == {"assemble_generator": per_run, "factor": per_run,
+                          "assemble_noise_op": 2 * per_run, "check_stability": guard}
+
+        builds.clear()
+        diagnostics.energy_report(traj, cs, path)
+        assert builds == {"assemble_generator": per_run, "factor": per_run,
+                          "assemble_noise_op": 2 * per_run}
+
+        builds.clear()
+        _, log = picard.picard_solve(cs, picard.NonlinearSources.sin_of_u(0.1, L=2),
+                                     u0, grid, SolverConfig(dt=dt), path)
+        sweeps = len(log)
+        assert builds == {"assemble_generator": sweeps * per_run,
+                          "factor": sweeps * per_run,
+                          "assemble_noise_op": 2 * sweeps * per_run}
+
+        builds.clear()
+        sc = dataclasses.replace(flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0),
+                                 static_coefficients=not time_dependent)
+        truth = flt.simulate_truth(sc, 12, N, dt)
+        flt.run_kushner(sc, truth, grid, SolverConfig(dt=dt))
+        assert builds == {"assemble_generator": per_run, "factor": per_run,
+                          "check_stability": guard}
+
+
+class TestBuildPolicyInvariance:
+    @settings(max_examples=10, deadline=None)
+    @given(cs=family_coefficients(), theta=st.sampled_from([1.0, 0.5]),
+           seed=st.integers(0, 2**16),
+           filt=st.tuples(st.floats(-1.0, 0.5), st.floats(0.5, 1.5),
+                          st.floats(-1.0, 1.0), st.floats(0.5, 2.0)))
+    def test_static_and_time_dependent_builds_agree(self, cs, theta, seed, filt):
+        # t-independent fields give the same bits whether the operators are
+        # built once or rebuilt every step
+        grid = Grid.line(-6, 6, 96)
+        dt, N = 1e-3, 30
+        path = noise.generate(seed, 1, N, dt)
+        u0 = gaussian_density(grid)
+        cfg = SolverConfig(dt=dt, theta=theta, store_every=1)
+        runs = [flagged(cs, False), flagged(cs, True)]
+
+        hists = [solver.solve(c, u0, grid, cfg, path, [N * dt]).full_history for c in runs]
+        assert hists[0].tobytes() == hists[1].tobytes()
+
+        traj = solver.solve(cs, u0, grid, SolverConfig(dt=dt, store_every=1), path, [N * dt])
+        reps = [diagnostics.energy_report(traj, c, path) for c in runs]
+        assert reps[0].measured == reps[1].measured
+        assert reps[0].extra["per_step"].tobytes() == reps[1].extra["per_step"].tobytes()
+
+        src = picard.NonlinearSources.sin_of_u(0.1)
+        out = [picard.picard_solve(c, src, u0, grid, cfg, path) for c in runs]
+        assert out[0][0].full_history.tobytes() == out[1][0].full_history.tobytes()
+        assert np.array_equal(np.array(out[0][1]), np.array(out[1][1]), equal_nan=True)
+
+        A, Q, H, R = filt
+        sc = flt.FilterScenario.linear_gaussian(A=A, Q=Q, H=H, R=R)
+        truth = flt.simulate_truth(sc, seed, N, dt)
+        pis = [flt.run_kushner(dataclasses.replace(sc, static_coefficients=static),
+                               truth, grid, cfg).full_history for static in (True, False)]
+        assert pis[0].tobytes() == pis[1].tobytes()
 
 
 class TestWeakResidual:
@@ -786,6 +903,11 @@ class TestTrajectoryAndMisc:
     def test_theta_range_validated(self):
         with pytest.raises(ValidationError):
             SolverConfig(dt=1e-3, theta=0.3)
+
+    @pytest.mark.parametrize("store_every", [2, -1])
+    def test_store_every_is_zero_or_one(self, store_every):
+        with pytest.raises(ValidationError, match="store_every"):
+            SolverConfig(dt=1e-3, store_every=store_every)
 
     @pytest.mark.filterwarnings("ignore:boundary cells")
     def test_zero_value_boundary_absorbs_mass(self):
