@@ -24,6 +24,8 @@ from .grids import DensityField, Grid
 from .model import CoefficientSet
 from .noise import BrownianPath
 from .solver import SolverConfig, Stepper, Trajectory
+# bound here for perfbench's tracer test, which reads this name
+from .solver import assemble_generator  # noqa: F401
 
 
 @dataclass

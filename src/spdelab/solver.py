@@ -278,7 +278,7 @@ class Stepper:
         if self._guard:
             check_stability(self.coeffs, self.grid, t, self.dt)
 
-    def at(self, n: int) -> "Stepper":
+    def at(self, n: int):
         """Make ``Lop`` and ``system`` those of step n."""
         if self._static:
             n = 0
@@ -290,7 +290,6 @@ class Stepper:
             self.system = _ImplicitSystem(self.Lop, self.dt, self.theta, self.grid)
             self._noise = [None] * self.coeffs.L
             self._n = n
-        return self
 
     def noise_op(self, l: int) -> csr_matrix:
         """M^l of the current step."""
