@@ -70,8 +70,9 @@ def check_positivity(traj: Trajectory, tol: float = 1e-8,
         else np.stack([f.values for f in traj.fields])
     if data[0].min() < -1e-14 * max(1.0, np.abs(data[0]).max()):
         raise HypothesisError("declared-nonnegative initial state has negative values")
-    sup = np.abs(data).max()
-    measured = float(np.maximum(-data, 0.0).max() / sup) if sup > 0 else 0.0
+    lo, hi = data.min(), data.max()                 # no history-sized temporaries
+    sup = max(hi, -lo)
+    measured = float(max(0.0, -lo) / sup) if sup > 0 else 0.0
     return CheckReport(name="positivity", passed=measured <= tol,
                        measured=measured, threshold=tol, context=context or {})
 

@@ -35,7 +35,7 @@ from .errors import (ConfigurationError, DegenerateMassError,
 from .grids import DensityField, Grid
 from .model import CoefficientSet
 from .noise import BrownianPath
-from .solver import SolverConfig, Stepper, Trajectory, solve
+from .solver import SolverConfig, Stepper, Trajectory, _march, solve
 # bound here for perfbench's tracer test, which reads this name
 from .solver import assemble_generator  # noqa: F401
 
@@ -226,6 +226,12 @@ def _snapshot_times(n_steps: int, dt: float, count: int = 10):
     return [k * dt for k in ks]
 
 
+def _observation_path(sc: FilterScenario, truth: TruthRealization) -> BrownianPath:
+    """The transformed observation increments dBbar as the filters' drivers."""
+    return BrownianPath(L=sc.d1, n_steps=truth.n_steps, dt=truth.dt,
+                        increments=truth.bbar_increments, seed=truth.seed)
+
+
 def normalize(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Divide by the mass; already-normalized input is returned unchanged so
     the operation is idempotent at the bit level."""
@@ -263,12 +269,10 @@ def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     coeffs = zakai_coefficients(sc, truth.y_path, truth.dt)
     sc.validate(grid, [(0.0, truth.y_path[0])])
     p0 = normalize(np.maximum(sc.pi0(grid.points()), 0.0), grid)
-    path = BrownianPath(L=sc.d1, n_steps=truth.n_steps, dt=truth.dt,
-                        increments=truth.bbar_increments, seed=truth.seed)
-    out_times = _snapshot_times(truth.n_steps, truth.dt)
     cfg_full = SolverConfig(dt=cfg.dt, theta=cfg.theta,
                             stability_guard=cfg.stability_guard, store_every=1)
-    traj = solve(coeffs, p0, grid, cfg_full, path, out_times)
+    traj = solve(coeffs, p0, grid, cfg_full, _observation_path(sc, truth),
+                 _snapshot_times(truth.n_steps, truth.dt))
     mass = traj.mass_series
     if np.any(mass <= 0):
         raise DegenerateMassError(
@@ -283,10 +287,8 @@ def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     pi_fields = [DensityField(grid=grid, values=normalize(f.values, grid),
                               time_index=f.time_index) for f in traj.fields]
     pi_traj = Trajectory(grid=grid, times=traj.times, fields=pi_fields,
-                         mass_series=np.ones_like(mass),
-                         l2_series=np.array([grid.l2(f.values) for f in pi_fields]),
-                         dt=traj.dt, theta=traj.theta,
-                         step_times=traj.step_times, seed=traj.seed)
+                         mass_series=np.ones_like(mass), l2_series=traj.l2_series / mass,
+                         dt=traj.dt, theta=traj.theta, seed=traj.seed)
     return ZakaiResult(u=traj, mass_series=mass, pi=pi_traj,
                        innovations=innovations)
 
@@ -299,41 +301,26 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     h^k pi - pi(h^k) pi against dBcheck = dBbar - pi(h) dt in place of the
     Zakai noise term, followed by renormalization (the source moves no mass,
     so this is bit-level hygiene).  The generator, its theta split and the
-    stability guard come from the same ``Stepper`` as in ``solve``.
+    stability guard come from the same ``Stepper``, and the march and its
+    records from the same loop, as in ``solve``.
     """
     coeffs = zakai_coefficients(sc, truth.y_path, truth.dt)
-    n_steps = truth.n_steps
+    path = _observation_path(sc, truth)
     dt = truth.dt
     stepper = Stepper(coeffs, grid, dt, cfg.theta, cfg.stability_guard)
     pts = stepper.pts
     vol = grid.cell_volume
-    pi = normalize(np.maximum(sc.pi0(pts), 0.0), grid)
-    out_times = _snapshot_times(n_steps, dt)
-    snap_steps = {int(round(t / dt)): t for t in out_times}
-    fields = []
-    history = np.empty((n_steps + 1, grid.npts)) if cfg.store_every == 1 else None
-    if history is not None:
-        history[0] = pi
-    if 0 in snap_steps:
-        fields.append(DensityField(grid=grid, values=pi.copy(), time_index=0))
-    l2s = [grid.l2(pi)]
-    for n in range(n_steps):
+
+    def update(n, pi):
         stepper.at(n)
         hv = coeffs.h(n * dt, pts)                  # (m, d1)
         pi_h = (pi @ hv) * vol                      # (d1,)
-        dBcheck = truth.bbar_increments[n] - pi_h * dt
+        dBcheck = path.increments[n] - pi_h * dt
         src = (hv - pi_h[None, :]) * pi[:, None]    # (m, d1)
-        pi = normalize(stepper.system.solve(stepper.explicit(pi) + src @ dBcheck), grid)
-        l2s.append(grid.l2(pi))
-        if history is not None:
-            history[n + 1] = pi
-        if n + 1 in snap_steps:
-            fields.append(DensityField(grid=grid, values=pi.copy(), time_index=n + 1))
-    return Trajectory(grid=grid, times=np.asarray(sorted(snap_steps.values())),
-                      fields=fields, mass_series=np.ones(n_steps + 1),
-                      l2_series=np.asarray(l2s), dt=dt, theta=cfg.theta,
-                      step_times=np.arange(n_steps + 1) * dt,
-                      full_history=history, seed=truth.seed)
+        return normalize(stepper.system.solve(stepper.explicit(pi) + src @ dBcheck), grid)
+    pi0 = normalize(np.maximum(sc.pi0(pts), 0.0), grid)
+    return _march(update, pi0, grid, cfg, path, coeffs.L,
+                  _snapshot_times(truth.n_steps, dt), cfg.store_every == 1)
 
 
 def particle_ensemble(sc: FilterScenario, truth: TruthRealization, N: int,

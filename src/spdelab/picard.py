@@ -23,7 +23,7 @@ from .errors import ConfigurationError, NonConvergenceError, ValidationError
 from .grids import DensityField, Grid
 from .model import CoefficientSet
 from .noise import BrownianPath
-from .solver import SolverConfig, Stepper, Trajectory
+from .solver import SolverConfig, Stepper, Trajectory, _march
 # bound here for perfbench's tracer test, which reads this name
 from .solver import assemble_generator  # noqa: F401
 
@@ -95,20 +95,17 @@ class NonlinearSources:
                     f"sampled Lipschitz check failed: excess {worst:.3e} over K={self.K}")
 
 
-def _linear_sweep(coeffs, grid, cfg, path, n_steps, u0_vals, prev_hist, sources):
-    """One linear solve with sources frozen at prev_hist; returns history."""
+def _linear_sweep(coeffs, grid, cfg, path, output_times, u0_vals, prev_hist, sources):
+    """One linear solve with sources frozen at prev_hist, keeping every step."""
     stepper = Stepper(coeffs, grid, cfg.dt, cfg.theta, False)
     pts = stepper.pts
-    hist = np.empty((n_steps + 1, grid.npts))
-    hist[0] = u0_vals
-    u = u0_vals.copy()
-    for n in range(n_steps):
+
+    def update(n, u):
         t = n * cfg.dt
-        u = stepper.advance(u, n, path.increments[n],
-                            f=sources.f(t + cfg.dt, pts, prev_hist[n + 1]),
-                            g=sources.g(t, pts, prev_hist[n]))
-        hist[n + 1] = u
-    return hist
+        return stepper.advance(u, n, path.increments[n],
+                               f=sources.f(t + cfg.dt, pts, prev_hist[n + 1]),
+                               g=sources.g(t, pts, prev_hist[n]))
+    return _march(update, u0_vals, grid, cfg, path, coeffs.L, output_times, True)
 
 
 def picard_solve(coeffs: CoefficientSet, sources: NonlinearSources, u0,
@@ -131,36 +128,21 @@ def picard_solve(coeffs: CoefficientSet, sources: NonlinearSources, u0,
     sources.lipschitz_check(grid, [0.0, n_steps * cfg.dt / 2], seed=path.seed or 0)
 
     vol = grid.cell_volume
-    if initial_guess is None:
-        prev = np.tile(u0_vals, (n_steps + 1, 1))
-    else:
-        guess = np.asarray(initial_guess, float).ravel()
-        prev = np.tile(guess, (n_steps + 1, 1))
+    guess = u0_vals if initial_guess is None else np.asarray(initial_guess, float).ravel()
+    prev = np.tile(guess, (n_steps + 1, 1))
     log = []
-    hist = prev
     for it in range(1, max_iter + 1):
-        hist = _linear_sweep(coeffs, grid, cfg, path, n_steps, u0_vals, prev, sources)
-        diffs = np.sqrt(np.sum((hist - prev) ** 2, axis=1) * vol)
+        traj = _linear_sweep(coeffs, grid, cfg, path, output_times, u0_vals, prev,
+                             sources)
+        diffs = np.sqrt(np.sum((traj.full_history - prev) ** 2, axis=1) * vol)
         sup_diff = float(np.max(diffs))
         ratio = sup_diff / log[-1][1] if log and log[-1][1] > 0 else math.nan
         log.append((it, sup_diff, ratio))
-        prev = hist
+        prev = traj.full_history
         if sup_diff < tol:
-            break
-    else:
-        raise NonConvergenceError(
-            f"no contraction below tol={tol} within {max_iter} iterations", log=log)
-
-    mass = hist.sum(axis=1) * vol
-    l2s = np.sqrt(np.sum(hist**2, axis=1) * vol)
-    snap_steps = sorted(int(round(t / cfg.dt)) for t in output_times)
-    fields = [DensityField(grid=grid, values=hist[k].copy(), time_index=k)
-              for k in snap_steps]
-    traj = Trajectory(grid=grid, times=np.asarray([k * cfg.dt for k in snap_steps]),
-                      fields=fields, mass_series=mass, l2_series=l2s, dt=cfg.dt,
-                      theta=cfg.theta, step_times=np.arange(n_steps + 1) * cfg.dt,
-                      full_history=hist, seed=path.seed)
-    return traj, log
+            return traj, log
+    raise NonConvergenceError(
+        f"no contraction below tol={tol} within {max_iter} iterations", log=log)
 
 
 def frozen_source_coefficients(coeffs: CoefficientSet, sources: NonlinearSources,

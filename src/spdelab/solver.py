@@ -67,9 +67,12 @@ class Trajectory:
     l2_series: np.ndarray
     dt: float
     theta: float
-    step_times: np.ndarray
     full_history: np.ndarray | None = None
     seed: int | None = None
+
+    @property
+    def step_times(self) -> np.ndarray:
+        return np.arange(len(self.mass_series)) * self.dt
 
     @property
     def energy_series(self) -> np.ndarray:
@@ -328,6 +331,17 @@ class Stepper:
 def solve(coeffs: CoefficientSet, u0, grid: Grid, cfg: SolverConfig,
           path: BrownianPath, output_times) -> Trajectory:
     """March the scheme along the driver path and record snapshots."""
+    stepper = Stepper(coeffs, grid, cfg.dt, cfg.theta, cfg.stability_guard)
+    return _march(lambda n, u: stepper.advance(u, n, path.increments[n]), u0,
+                  grid, cfg, path, coeffs.L, output_times, cfg.store_every == 1)
+
+
+def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int,
+           output_times, keep_history: bool) -> Trajectory:
+    """Run u_{n+1} = update(n, u_n) from u0 up to the last output time and
+    record the per-step mass and L2 series, the snapshots at the output times
+    and, with ``keep_history``, every step.  The horizon, the output times,
+    dt and the driver count are checked against ``path`` before any step."""
     if isinstance(u0, DensityField):
         u = u0.values.copy()
     else:
@@ -343,41 +357,33 @@ def solve(coeffs: CoefficientSet, u0, grid: Grid, cfg: SolverConfig,
         raise ConfigurationError("t_end must be a multiple of dt")
     if path.n_steps < n_steps:
         raise ConfigurationError("driver path is shorter than the requested horizon")
-    if path.L != coeffs.L:
-        raise ConfigurationError(f"path has {path.L} drivers, coefficients need {coeffs.L}")
-    snap_steps = {}
+    if path.L != L:
+        raise ConfigurationError(f"path has {path.L} drivers, coefficients need {L}")
+    snap_steps = set()
     for t in output_times:
         k = int(round(t / cfg.dt))
         if abs(k * cfg.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigurationError(f"output time {t} is not a step boundary")
-        snap_steps[k] = t
+        snap_steps.add(k)
 
-    stepper = Stepper(coeffs, grid, cfg.dt, cfg.theta, cfg.stability_guard)
     mass = np.empty(n_steps + 1)
     l2 = np.empty(n_steps + 1)
     vol = grid.cell_volume
-    mass[0] = np.sum(u) * vol
-    l2[0] = math.sqrt((u @ u) * vol)
+    history = np.empty((n_steps + 1, grid.npts)) if keep_history else None
     fields = []
-    history = np.empty((n_steps + 1, grid.npts)) if cfg.store_every == 1 else None
-    if history is not None:
-        history[0] = u
-    if 0 in snap_steps:
-        fields.append(DensityField(grid=grid, values=u.copy(), time_index=0))
-
-    for n in range(n_steps):
-        u = stepper.advance(u, n, path.increments[n])
-        mass[n + 1] = np.sum(u) * vol
-        l2[n + 1] = math.sqrt((u @ u) * vol)
+    for n in range(n_steps + 1):
+        if n > 0:
+            u = update(n - 1, u)
+        mass[n] = np.sum(u) * vol
+        l2[n] = math.sqrt((u @ u) * vol)
         if history is not None:
-            history[n + 1] = u
-        if n + 1 in snap_steps:
-            fields.append(DensityField(grid=grid, values=u.copy(), time_index=n + 1))
+            history[n] = u
+        if n in snap_steps:
+            fields.append(DensityField(grid=grid, values=u.copy(), time_index=n))
 
     _boundary_mass_guard(grid, u)
     return Trajectory(grid=grid, times=np.asarray(output_times), fields=fields,
                       mass_series=mass, l2_series=l2, dt=cfg.dt, theta=cfg.theta,
-                      step_times=np.arange(n_steps + 1) * cfg.dt,
                       full_history=history, seed=path.seed)
 
 
@@ -470,14 +476,6 @@ class TestFunction:
         X = np.asarray(X, float)
         diff = X - np.asarray(self.center)
         return np.sum(diff**2, axis=1) / self.width**2
-
-
-def default_test_functions(grid: Grid):
-    span = min(hi - lo for lo, hi in zip(grid.x_min, grid.x_max))
-    c = tuple((lo + hi) / 2 for lo, hi in zip(grid.x_min, grid.x_max))
-    w = span / 12.0
-    off = tuple(ci + span / 8.0 for ci in c)
-    return [TestFunction.gaussian(c, w), TestFunction.bump(off, 3.0 * w)]
 
 
 def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,

@@ -292,11 +292,12 @@ class TestCliErrors:
                                   "a = sinusoidal:amp=0.1,offset=0.5,freq=1 2")),
         ("run-spde", HEAT.replace("a = constant:0.5", "a = constant:0.5 0.7")),
         ("run-spde", HEAT.replace("width=0.5", "width=0.5,dim=2")),
+        ("picard", PICARD_CONFIG.replace("t_end = 0.1", "t_end = 0.01\noutput_times = 0.02")),
     ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc",
             "picard-independent-width-abc", "field-unknown-parameter",
             "constant-unknown-parameter", "pwlinear-missing-knots",
             "field-vector-too-long", "scalar-parameter-given-vector",
-            "field-parameter-named-dim"])
+            "field-parameter-named-dim", "picard-output-time-past-path"])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, sub, text):
         rc, err, out = self.run(tmp_path, capsys, sub, text)
         assert rc == 1

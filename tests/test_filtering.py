@@ -292,6 +292,13 @@ class TestKushnerStabilityGuard:
             run(sc, fine, grid, SolverConfig(dt=fine.dt))
 
 
+@pytest.mark.parametrize("run", [flt.run_zakai, flt.run_kushner], ids=["zakai", "kushner"])
+def test_dt_other_than_the_observation_step_is_rejected(run):
+    truth = kb_truth(n_steps=20)
+    with pytest.raises(ConfigurationError, match="differs"):
+        run(kb_scenario(), truth, Grid.line(-8, 8, 64), SolverConfig(dt=2 * truth.dt))
+
+
 class TestKalmanBucy:
     def test_steady_state_variance(self):
         # Riccati transient at T=3 is ~(P0-Pinf) e^{-2.24 T} ~ 4e-4

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spdelab import noise, picard, solver
-from spdelab.errors import NonConvergenceError, ValidationError
+from spdelab.errors import (ConfigurationError, NonConvergenceError,
+                            ValidationError)
 from spdelab.families import ScalarField
 from spdelab.grids import Grid
 from spdelab.model import CoefficientSet
@@ -32,6 +33,25 @@ class TestSources:
         src.K = 0.1
         with pytest.raises(ValidationError, match="Lipschitz"):
             src.lipschitz_check(Grid.line(-2, 2, 32), [0.0])
+
+
+class TestPicardInputs:
+    """The horizon, dt and driver count are checked before the first sweep."""
+
+    @pytest.mark.parametrize("change", [
+        {"output_times": [0.0104]},
+        {"cfg": SolverConfig(dt=2e-3)},
+        {"output_times": [0.03]},
+        {"path": noise.generate(5, 2, 25, 1e-3)},
+    ], ids=["off-grid-output-time", "dt-differs-from-path", "path-too-short",
+            "wrong-driver-count"])
+    def test_rejected_as_configuration_error(self, change):
+        grid, cs, path, u0 = heat_setup(T=0.025)
+        run = {"cfg": SolverConfig(dt=1e-3), "path": path, "output_times": [0.01]}
+        run.update(change)
+        with pytest.raises(ConfigurationError):
+            picard.picard_solve(cs, NonlinearSources.sin_of_u(0.1), u0, grid,
+                                run["cfg"], run["path"], output_times=run["output_times"])
 
 
 class TestPicardSolve:
@@ -73,9 +93,9 @@ class TestPicardSolve:
         orig_sweep = picard._linear_sweep
 
         def recording_sweep(*args, **kw):
-            hist = orig_sweep(*args, **kw)
-            sup_norms.append(np.max(np.sqrt(np.sum(hist**2, axis=1) * grid.cell_volume)))
-            return hist
+            traj = orig_sweep(*args, **kw)
+            sup_norms.append(np.max(traj.l2_series))
+            return traj
         picard._linear_sweep = recording_sweep
         try:
             picard.picard_solve(cs, src, u0, grid, SolverConfig(dt=1e-3), path,

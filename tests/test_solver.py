@@ -721,8 +721,8 @@ def flagged(cs, time_dependent):
 class TestStepperBuilds:
     """Static coefficients build the generator, its factorization and the
     noise operators once per run; time-dependent ones build them every step.
-    Kushner never builds a noise operator, and Picard and the energy check
-    never run the stability guard."""
+    Kushner never builds a noise operator, Picard and the energy check never
+    run the stability guard, and neither Picard nor Kushner calls ``solve``."""
 
     N = 12
 
@@ -740,6 +740,10 @@ class TestStepperBuilds:
             monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
         monkeypatch.setattr(solver._ImplicitSystem, "__init__",
                             counting("factor", solver._ImplicitSystem.__init__))
+        solve = solver.solve
+        for module in (solver, flt, picard, diagnostics):
+            if getattr(module, "solve", None) is solve:
+                monkeypatch.setattr(module, "solve", counting("solve", solve))
         return counts
 
     @pytest.mark.parametrize("time_dependent", [False, True])
@@ -755,7 +759,7 @@ class TestStepperBuilds:
 
         traj = solver.solve(cs, u0, grid, SolverConfig(dt=dt, store_every=1), path,
                             [N * dt])
-        assert builds == {"assemble_generator": per_run, "factor": per_run,
+        assert builds == {"solve": 1, "assemble_generator": per_run, "factor": per_run,
                           "assemble_noise_op": 2 * per_run, "check_stability": guard}
 
         builds.clear()
@@ -778,6 +782,40 @@ class TestStepperBuilds:
         flt.run_kushner(sc, truth, grid, SolverConfig(dt=dt))
         assert builds == {"assemble_generator": per_run, "factor": per_run,
                           "check_stability": guard}
+
+
+class TestTrajectorySeries:
+    """Every recorded Trajectory has one mass, L2 and time entry per step
+    boundary, and its snapshots agree with those series."""
+
+    N = 12
+
+    @pytest.mark.parametrize("source", ["solve", "zakai.u", "zakai.pi", "kushner", "picard"])
+    def test_one_entry_per_step_boundary(self, source):
+        N, dt = self.N, 1e-3
+        grid = Grid.line(-8, 8, 64)
+        cs = CoefficientSet.from_fields(d=1, L=1, a=0.5, sigma=0.3)
+        path = noise.generate(5, 1, N, dt)
+        u0 = gaussian_density(grid)
+        cfg = SolverConfig(dt=dt)
+        sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
+        truth = flt.simulate_truth(sc, 12, N, dt)
+        traj = {
+            "solve": lambda: solver.solve(cs, u0, grid, cfg, path, [N * dt / 2, N * dt]),
+            "zakai.u": lambda: flt.run_zakai(sc, truth, grid, cfg).u,
+            "zakai.pi": lambda: flt.run_zakai(sc, truth, grid, cfg).pi,
+            "kushner": lambda: flt.run_kushner(sc, truth, grid, cfg),
+            "picard": lambda: picard.picard_solve(
+                cs, picard.NonlinearSources.sin_of_u(0.1), u0, grid, cfg, path,
+                output_times=[N * dt / 2, N * dt])[0],
+        }[source]()
+        for series in (traj.mass_series, traj.l2_series, traj.step_times):
+            assert series.shape == (N + 1,)
+        assert np.array_equal(traj.step_times, np.arange(N + 1) * dt)
+        for fld in traj.fields:
+            k = fld.time_index
+            assert traj.mass_series[k] == pytest.approx(grid.integrate(fld.values), rel=1e-12)
+            assert traj.l2_series[k] == pytest.approx(grid.l2(fld.values), rel=1e-12)
 
 
 class TestBuildPolicyInvariance:
