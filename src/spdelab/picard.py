@@ -124,6 +124,8 @@ def picard_solve(coeffs: CoefficientSet, sources: NonlinearSources, u0,
     u0_vals = u0.values if isinstance(u0, DensityField) else np.asarray(u0, float).ravel()
     if output_times is None:
         output_times = [path.n_steps * cfg.dt]
+    if len(output_times) == 0:
+        raise ConfigurationError("output_times is empty")
     n_steps = int(round(max(output_times) / cfg.dt))
     sources.lipschitz_check(grid, [0.0, n_steps * cfg.dt / 2], seed=path.seed or 0)
 

@@ -23,6 +23,8 @@ mean-square stability budget of the explicit noise term.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -351,6 +353,8 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
     if abs(path.dt - cfg.dt) > 1e-12 * max(path.dt, cfg.dt):
         raise ConfigurationError(f"path.dt={path.dt} differs from cfg.dt={cfg.dt}")
     output_times = sorted(float(t) for t in output_times)
+    if not output_times:
+        raise ConfigurationError("output_times is empty")
     t_end = output_times[-1]
     n_steps = int(round(t_end / cfg.dt))
     if abs(n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, t_end):
@@ -399,7 +403,17 @@ def _boundary_mass_guard(grid: Grid, u: np.ndarray):
     if edge / total > BOUNDARY_MASS_WARN_FRACTION:
         warnings.warn(
             f"boundary cells hold {edge / total:.2e} of the mass; "
-            "the box is too small for this scenario", stacklevel=2)
+            "the box is too small for this scenario", stacklevel=_caller_stacklevel())
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` that makes a warning raised by this function's caller
+    point at the first frame outside the spdelab package."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # -- weak-form residual ----------------------------------------------------

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdelab import filtering as flt
 from spdelab import solver
@@ -362,3 +364,168 @@ class TestScenarioValidation:
         grid = Grid.line(-8, 8, 64)
         rep = sc.validate(grid, [(0.0, np.zeros(1))])
         assert rep["soft_violations"]
+
+
+# -- reference oracles ---------------------------------------------------------
+# The particle step with plain matmuls and a fresh noise array per step, and
+# the Kalman-Bucy loop on numpy scalars with the prior quadrature on every
+# call: the forms the production oracles must reproduce.
+
+def reference_particle_ensemble(sc, truth, N, seed):
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=int(seed), spawn_key=(7,))))
+    X = sc.prior_sampler(rng, N)
+    logw = np.zeros(N)
+    dt = truth.dt
+    sq = np.sqrt(dt)
+    for n in range(truth.n_steps):
+        t = n * dt
+        y = truth.y_path[n]
+        st_inv = np.linalg.inv(np.asarray(sc.sigma_tilde(t, y), float))
+        hX = np.asarray(sc.b_tilde(t, X, y), float) @ st_inv.T
+        logw += hX @ truth.bbar_increments[n] - 0.5 * np.sum(hX**2, axis=1) * dt
+        bh = np.asarray(sc.b_hat(t, X, y), float)
+        sh = np.asarray(sc.sigma_hat(t, X, y), float)
+        dW = rng.standard_normal((N, sc.d)) * sq
+        X = X + bh * dt + np.einsum("nij,nj->ni", sh, dW)
+    return X, np.exp(logw)
+
+
+def reference_kalman_bucy(sc, truth):
+    A, Q, H, R = sc.linear
+    dt = truth.dt
+    n = truth.n_steps
+    m = np.empty(n + 1)
+    P = np.empty(n + 1)
+    xs = np.linspace(-40, 40, 400_001)
+    p0 = sc.pi0(xs[:, None])
+    w = p0 / np.trapezoid(p0, xs)
+    m[0] = np.trapezoid(w * xs, xs)
+    P[0] = np.trapezoid(w * xs**2, xs) - m[0] ** 2
+
+    def pdot(p):
+        return 2 * A * p + Q * Q - p * p * H * H / (R * R)
+
+    for k in range(n):
+        dy = truth.y_path[k + 1, 0] - truth.y_path[k, 0]
+        gain = P[k] * H / (R * R)
+        m[k + 1] = m[k] + A * m[k] * dt + gain * (dy - H * m[k] * dt)
+        k1 = pdot(P[k])
+        k2 = pdot(P[k] + 0.5 * dt * k1)
+        k3 = pdot(P[k] + 0.5 * dt * k2)
+        k4 = pdot(P[k] + dt * k3)
+        P[k + 1] = P[k] + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    return m, P
+
+
+def scenario_2d(a_drift, q, h_obs, r_obs, mean, chol):
+    """Linear-Gaussian d = d1 = 2 scenario with full matrices."""
+    A, Qm, H, R = (np.asarray(v, float) for v in (a_drift, q, h_obs, r_obs))
+    mean, chol = np.asarray(mean, float), np.asarray(chol, float)
+    cov_inv = np.linalg.inv(chol @ chol.T)
+
+    def pi0(X):
+        z = X - mean
+        quad = np.einsum("ni,ij,nj->n", z, cov_inv, z)
+        return np.exp(-0.5 * quad) / (2 * np.pi * abs(np.linalg.det(chol)))
+
+    return flt.FilterScenario(
+        d=2, d1=2, b_hat=lambda t, X, y: X @ A.T,
+        sigma_hat=lambda t, X, y: np.broadcast_to(Qm, (X.shape[0], 2, 2)),
+        b_tilde=lambda t, X, y: X @ H.T,
+        sigma_tilde=lambda t, y: R + 0.1 * np.tanh(y[0]) * np.eye(2),
+        pi0=pi0, prior_sampler=lambda rng, n: mean + rng.standard_normal((n, 2)) @ chol.T)
+
+
+linear_1d = st.fixed_dictionaries({
+    "A": st.floats(-2, 2), "Q": st.floats(0, 2), "H": st.floats(-2, 2),
+    "R": st.floats(0.2, 2) | st.floats(-2, -0.2),
+    "prior_mean": st.floats(-3, 3), "prior_var": st.floats(0.1, 4)})
+
+
+class TestOracleReferences:
+    @settings(max_examples=25, deadline=None)
+    @given(params=linear_1d, seed=st.integers(0, 2**32 - 1),
+           n_steps=st.integers(0, 300), N=st.integers(100, 400))
+    def test_1d_oracles_match_references_bytewise(self, params, seed, n_steps, N):
+        sc = flt.FilterScenario.linear_gaussian(**params)
+        truth = flt.simulate_truth(sc, seed, n_steps, 1e-3)
+        for new, ref in zip(flt.kalman_bucy_oracle(sc, truth),
+                            reference_kalman_bucy(sc, truth)):
+            assert new.tobytes() == ref.tobytes()
+        with np.errstate(over="ignore"):
+            new = flt.particle_ensemble(sc, truth, N, seed)
+            ref = reference_particle_ensemble(sc, truth, N, seed)
+        for a, b in zip(new, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 200),
+           N=st.integers(100, 300))
+    def test_2d_particles_match_reference(self, seed, n_steps, N):
+        sc = scenario_2d([[-0.5, 0.3], [0.1, -1.0]], [[1.0, 0.0], [0.4, 0.6]],
+                         [[1.0, 0.5], [-0.3, 2.0]], [[1.0, 0.2], [0.0, 0.7]],
+                         [0.5, -1.0], [[1.0, 0.0], [0.3, 0.5]])
+        truth = flt.simulate_truth(sc, seed, n_steps, 1e-3)
+        X, w = flt.particle_ensemble(sc, truth, N, seed)
+        X_ref, w_ref = reference_particle_ensemble(sc, truth, N, seed)
+        np.testing.assert_allclose(X, X_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
+
+    def test_sampler_output_is_not_mutated(self):
+        sc = kb_scenario()
+        drawn = []
+
+        def sampler(rng, n):
+            drawn.append(rng.standard_normal((n, 1)))
+            return drawn[-1]
+        sc.prior_sampler = sampler
+        flt.particle_ensemble(sc, kb_truth(n_steps=5), 100, 3)
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=3, spawn_key=(7,))))
+        assert drawn[0].tobytes() == rng.standard_normal((100, 1)).tobytes()
+
+
+class TestPriorCache:
+    @staticmethod
+    def counted(pi0, calls):
+        def wrapped(X):
+            calls.append(len(X))
+            return pi0(X)
+        return wrapped
+
+    def test_prior_is_integrated_once_per_pi0(self):
+        sc = kb_scenario()
+        truth = kb_truth(n_steps=20)
+        calls = []
+        sc.pi0 = self.counted(sc.pi0, calls)
+        first = flt.kalman_bucy_oracle(sc, truth)
+        second = flt.kalman_bucy_oracle(sc, truth)
+        assert len(calls) == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+    def test_new_pi0_recomputes(self):
+        sc = kb_scenario()
+        truth = kb_truth(n_steps=20)
+        m, P = flt.kalman_bucy_oracle(sc, truth)
+        assert m[0] == pytest.approx(0.0, abs=1e-12) and P[0] == pytest.approx(1.0)
+        shifted = flt.FilterScenario.linear_gaussian(**KB, prior_mean=1.5, prior_var=0.5)
+        calls = []
+        sc.pi0 = self.counted(shifted.pi0, calls)
+        m, P = flt.kalman_bucy_oracle(sc, truth)
+        assert len(calls) == 1
+        assert m[0] == pytest.approx(1.5) and P[0] == pytest.approx(0.5)
+
+    def test_replace_recomputes(self):
+        sc = kb_scenario()
+        truth = kb_truth(n_steps=20)
+        calls = []
+        sc.pi0 = self.counted(sc.pi0, calls)
+        flt.kalman_bucy_oracle(sc, truth)
+        copy = dataclasses.replace(sc, static_coefficients=False)
+        flt.kalman_bucy_oracle(copy, truth)
+        assert len(calls) == 2
+        flt.kalman_bucy_oracle(copy, truth)
+        flt.kalman_bucy_oracle(sc, truth)
+        assert len(calls) == 2

@@ -930,13 +930,32 @@ class TestTrajectoryAndMisc:
         with pytest.raises(ConfigurationError):
             traj.field_at(0.015)
 
+    @staticmethod
+    def run_solve(cs, u0, grid, path, output_times):
+        return solver.solve(cs, u0, grid, SolverConfig(dt=1e-3), path, output_times)
+
+    @staticmethod
+    def run_picard(cs, u0, grid, path, output_times):
+        return picard.picard_solve(cs, picard.NonlinearSources.sin_of_u(0.1), u0, grid,
+                                   SolverConfig(dt=1e-3), path, output_times=output_times)
+
     def test_boundary_mass_warning(self):
+        # the warning names the caller's line, not a line inside spdelab
         grid = Grid.line(-2, 2, 32)
         cs = CoefficientSet.from_fields(d=1, L=1)
         path = zero_path(1, 5, 1e-3)
         wide = np.ones(grid.npts)
-        with pytest.warns(UserWarning, match="boundary"):
-            solver.solve(cs, wide, grid, SolverConfig(dt=1e-3), path, [0.005])
+        for run in (self.run_solve, self.run_picard):
+            with pytest.warns(UserWarning, match="boundary") as record:
+                run(cs, wide, grid, path, [0.005])
+            assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("run", ["run_solve", "run_picard"])
+    def test_empty_output_times_rejected(self, run):
+        grid = Grid.line(-2, 2, 32)
+        cs = CoefficientSet.from_fields(d=1, L=1, a=0.1)
+        with pytest.raises(ConfigurationError, match="output_times"):
+            getattr(self, run)(cs, gaussian_density(grid), grid, zero_path(1, 5, 1e-3), [])
 
     def test_theta_range_validated(self):
         with pytest.raises(ValidationError):
