@@ -144,17 +144,14 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet, path: BrownianPath,
     n_steps = hist.shape[0] - 1
     dt = traj.dt
     stepper = Stepper(coeffs, grid, dt, 1.0, False)
-    pts = stepper.pts
     net = 0.0
     total_abs = 0.0
     gen_total = mart_total = ito_total = 0.0
     per_step = np.zeros(n_steps)
     for n in range(n_steps):
-        t = n * dt
         stepper.at(n)
         u = hist[n]
-        fv = coeffs.f(t + 0.5 * dt, pts)
-        gv = coeffs.g(t, pts)
+        fv, gv, _ = stepper.sources(n)
         w = np.zeros_like(u)
         for l in range(coeffs.L):
             dB = path.increments[n, l]

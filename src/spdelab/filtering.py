@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (ConfigurationError, DegenerateMassError,
                      OracleNotApplicableError, ScenarioError, ValidationError)
 from .grids import DensityField, Grid
-from .model import CoefficientSet
+from .model import CoefficientSet, reuse_if_static
 from .noise import BrownianPath
 from .solver import SolverConfig, Stepper, Trajectory, _march, solve
 # bound here for perfbench's tracer test, which reads this name
@@ -50,6 +50,11 @@ class FilterScenario:
     (m, d, d)``, ``b_tilde(t, X, y) -> (m, d1)``, ``sigma_tilde(t, y) ->
     (d1, d1)``; ``pi0(X) -> (m,)`` is the prior density and
     ``prior_sampler(rng, n) -> (n, d)`` draws from it.
+
+    ``static_coefficients = True`` is a contract: no callable depends on
+    ``t`` or ``y``.  The truth simulation, the particle step and the
+    filters then evaluate ``sigma_tilde`` (with its inverse) and ``h``
+    once per run and reuse the values at every step.
     """
 
     d: int
@@ -102,11 +107,17 @@ class FilterScenario:
 
     def prior_moments(self) -> tuple[float, float]:
         """Mean and variance of ``pi0`` (d = 1) from the trapezoid rule on
-        400 001 points of [-40, 40], computed once per ``pi0`` object."""
+        400 001 points of [-40, 40], computed once per ``pi0`` object.  A
+        prior with more than 1e-9 of its mass outside the window has no
+        moments here: truncating it would bias both."""
         if self._prior is None or self._prior[0] is not self.pi0:
             xs = np.linspace(-40, 40, 400_001)
             p0 = self.pi0(xs[:, None])
-            w = p0 / np.trapezoid(p0, xs)
+            mass = float(np.trapezoid(p0, xs))
+            if not abs(mass - 1.0) <= 1e-9:
+                raise OracleNotApplicableError(
+                    f"prior mass on [-40, 40] is {mass!r}, not 1 within 1e-9")
+            w = p0 / mass
             m0 = np.trapezoid(w * xs, xs)
             var0 = np.trapezoid(w * xs**2, xs) - m0 ** 2
             self._prior = (self.pi0, float(m0), float(var0))
@@ -155,6 +166,7 @@ def simulate_truth(sc: FilterScenario, seed: int, n_steps: int, dt: float,
     """Euler-Maruyama on the joint system; dy is materialized from dBbar so
     the change-of-measure bookkeeping is consistent by construction."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    scale = reuse_if_static(_observation_scale(sc), sc.static_coefficients)
     x = sc.prior_sampler(rng, 1)[0]
     y = np.zeros(sc.d1)
     dW = rng.standard_normal((n_steps, sc.d)) * np.sqrt(dt)
@@ -169,8 +181,7 @@ def simulate_truth(sc: FilterScenario, seed: int, n_steps: int, dt: float,
         bh = np.asarray(sc.b_hat(t, X, y), float)[0]
         sh = np.asarray(sc.sigma_hat(t, X, y), float)[0]
         bt = np.asarray(sc.b_tilde(t, X, y), float)[0]
-        st = np.asarray(sc.sigma_tilde(t, y), float)
-        st_inv = np.linalg.inv(st)
+        st, st_inv = scale(t, y)
         bbar[n] = st_inv @ bt * dt + dV[n]
         y = y + st @ bbar[n]
         x = x + bh * dt + sh @ dW[n]
@@ -182,6 +193,14 @@ def simulate_truth(sc: FilterScenario, seed: int, n_steps: int, dt: float,
         xs[n + 1], ys[n + 1] = x, y
     return TruthRealization(x_path=xs, y_path=ys, bbar_increments=bbar,
                             seed=int(seed), dt=float(dt))
+
+
+def _observation_scale(sc: FilterScenario):
+    """(t, y) -> (sigma_tilde, sigma_tilde^{-1})."""
+    def scale(t, y):
+        st = np.asarray(sc.sigma_tilde(t, y), float)
+        return st, np.linalg.inv(st)
+    return scale
 
 
 def zakai_coefficients(sc: FilterScenario, y_path: np.ndarray, dt: float) -> CoefficientSet:
@@ -293,9 +312,10 @@ def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
             f"unnormalized mass hit {mass.min():.3e}; the scenario is under-resolved")
     pts = grid.points()
     vol = grid.cell_volume
+    h = reuse_if_static(coeffs.h, not coeffs.time_dependent)
     innovations = np.empty_like(truth.bbar_increments)
     for n in range(truth.n_steps):
-        hv = coeffs.h(n * truth.dt, pts)
+        hv = h(n * truth.dt, pts)
         pi_h = (traj.full_history[n] @ hv) * vol / mass[n]
         innovations[n] = truth.bbar_increments[n] - pi_h * truth.dt
     pi_fields = [DensityField(grid=grid, values=normalize(f.values, grid),
@@ -324,10 +344,11 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     stepper = Stepper(coeffs, grid, dt, cfg.theta, cfg.stability_guard)
     pts = stepper.pts
     vol = grid.cell_volume
+    h = reuse_if_static(coeffs.h, not coeffs.time_dependent)
 
     def update(n, pi):
         stepper.at(n)
-        hv = coeffs.h(n * dt, pts)                  # (m, d1)
+        hv = h(n * dt, pts)                         # (m, d1)
         pi_h = (pi @ hv) * vol                      # (d1,)
         dBcheck = path.increments[n] - pi_h * dt
         src = (hv - pi_h[None, :]) * pi[:, None]    # (m, d1)
@@ -355,10 +376,11 @@ def particle_ensemble(sc: FilterScenario, truth: TruthRealization, N: int,
     dW = np.empty((N, sc.d))
     dt = truth.dt
     sq = np.sqrt(dt)
+    scale = reuse_if_static(_observation_scale(sc), sc.static_coefficients)
     for n in range(truth.n_steps):
         t = n * dt
         y = truth.y_path[n]
-        st_inv = np.linalg.inv(np.asarray(sc.sigma_tilde(t, y), float))
+        st_inv = scale(t, y)[1]
         # einsum, not (N, d1) @ (d1, d1) matmuls, which take numpy's slow
         # small-matrix loop; for d1 = 1 the bits are the same
         hX = np.einsum("nk,jk->nj", np.asarray(sc.b_tilde(t, X, y), float), st_inv)
@@ -372,7 +394,12 @@ def particle_ensemble(sc: FilterScenario, truth: TruthRealization, N: int,
         diffusion = np.einsum("nij,nj->ni", sh, dW)
         X += drift
         X += diffusion
-    return X, np.exp(logw)
+    with np.errstate(over="ignore"):
+        w = np.exp(logw)
+    bad = np.count_nonzero(~np.isfinite(w))
+    if bad:
+        raise ScenarioError(f"{bad} of {N} particle weights are not finite")
+    return X, w
 
 
 def particle_estimate(sc: FilterScenario, truth: TruthRealization, N: int,

@@ -56,6 +56,11 @@ class CoefficientSet:
     Derivative hooks (``da`` = d_j a^{ij} as (m, d), ``div_b`` as (m,),
     ``div_sigma`` = d_i sigma^{il} as (m, L), ``grad_h`` as (m, d, L)) default
     to 4th-order central differences of the primary callables.
+
+    ``time_dependent = False`` is a contract: no callable depends on ``t``.
+    The solve paths then build the operators and evaluate ``f``, ``g`` and
+    ``h`` once per run and reuse the values at every step; a set whose
+    fields do vary in time must be flagged ``time_dependent = True``.
     """
 
     def __init__(self, d, L, a, b, c, sigma, h, f, g, sigma_hat=None,
@@ -233,6 +238,30 @@ class CoefficientSet:
         obj.fields = {"a": a_f, "b": b_f, "c": c_f, "sigma": sig_f, "h": h_f,
                       "f": f_f, "g": g_f, "sigma_hat": shat_f}
         return obj
+
+
+def reuse_if_static(fn, static: bool):
+    """``fn`` itself, or for static coefficients a stand-in that calls it on
+    first use and returns that value, arrays read-only, on every later call:
+    static fields do not depend on the time (or observation) argument."""
+    if not static:
+        return fn
+    memo = []
+
+    def first(*args):
+        if not memo:
+            memo.append(_read_only(fn(*args)))
+        return memo[0]
+    return first
+
+
+def _read_only(value):
+    if isinstance(value, tuple):
+        return tuple(_read_only(v) for v in value)
+    if isinstance(value, np.ndarray):
+        value = value.view()   # the caller's own array keeps its flags
+        value.flags.writeable = False
+    return value
 
 
 # -- parabolicity ---------------------------------------------------------

@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 from .errors import (ConfigurationError, SolverError, StabilityError,
                      TestFunctionError, ValidationError)
 from .grids import DensityField, Grid
-from .model import CoefficientSet
+from .model import CoefficientSet, reuse_if_static
 from .noise import BrownianPath
 
 BOUNDARY_MASS_WARN_FRACTION = 1e-6
@@ -264,10 +264,11 @@ class Stepper:
 
     Operators for the step from t = n dt are the generator at t + dt/2 with
     its factored implicit system, and the noise operators at t, each built
-    on first use.  Static coefficients build them once (at n = 0);
-    time-dependent ones rebuild them every step.  With ``guard`` the
-    stability check runs at t = 0 and, for time-dependent coefficients,
-    again at the start of every step.
+    on first use.  Static coefficients build them once (at n = 0), and
+    ``sources`` evaluates their f and g once; time-dependent ones rebuild
+    and re-evaluate every step.  With ``guard`` the stability check runs at
+    t = 0 and, for time-dependent coefficients, again at the start of every
+    step.
     """
 
     def __init__(self, coeffs: CoefficientSet, grid: Grid, dt: float,
@@ -278,6 +279,7 @@ class Stepper:
         self._guard = guard
         self._n = None
         self._check(0.0)
+        self.sources = reuse_if_static(self._sources, self._static)
 
     def _check(self, t: float):
         if self._guard:
@@ -295,6 +297,13 @@ class Stepper:
             self.system = _ImplicitSystem(self.Lop, self.dt, self.theta, self.grid)
             self._noise = [None] * self.coeffs.L
             self._n = n
+
+    def _sources(self, n: int):
+        """f at the midpoint of step n, g at its left point, and whether f
+        is nonzero."""
+        t = n * self.dt
+        fv = self.coeffs.f(t + 0.5 * self.dt, self.pts)
+        return fv, self.coeffs.g(t, self.pts), bool(np.any(fv))
 
     def noise_op(self, l: int) -> csr_matrix:
         """M^l of the current step."""
@@ -314,14 +323,12 @@ class Stepper:
         """u_{n+1} from u_n along driver increments dB; ``f`` (m,) and ``g``
         (m, L) are extra sources added to the coefficients' f and g."""
         self.at(n)
-        t = n * self.dt
         rhs = self.explicit(u)
-        fv = self.coeffs.f(t + 0.5 * self.dt, self.pts)
+        fv, gv, f_nonzero = self.sources(n)
         if f is not None:
             fv = fv + f
-        if f is not None or np.any(fv):
+        if f is not None or f_nonzero:
             rhs += self.dt * fv
-        gv = self.coeffs.g(t, self.pts)
         if g is not None:
             gv = g + gv
         for l in range(self.coeffs.L):
@@ -521,10 +528,9 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
     n_steps = hist.shape[0] - 1
     dt = traj.dt
 
-    static = not coeffs.time_dependent
-    lstar = mstar = None
-
-    def adjoints(t):
+    def terms(n):
+        """L* phi, M* phi, <f, phi> and <g^l, phi> of step n."""
+        t = n * dt
         A = coeffs.a(t, pts)
         da = coeffs.da(t, pts)
         bv = coeffs.b(t, pts)
@@ -537,7 +543,10 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
               - np.einsum("mi,mi->m", bv, gphi) + cv * phiv)
         ms = (-dS * phiv[:, None] - np.einsum("mil,mi->ml", S, gphi)
               + hv * phiv[:, None])
-        return ls, ms
+        fv, gv = coeffs.f(t, pts), coeffs.g(t, pts)
+        return (ls, ms, float(fv @ phiv),
+                tuple(float(gv[:, l] @ phiv) for l in range(coeffs.L)))
+    terms = reuse_if_static(terms, not coeffs.time_dependent)
 
     lhs0 = float(hist[0] @ phiv) * vol
     acc = 0.0
@@ -551,21 +560,13 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
             snap_defects.append(abs(lhs - (lhs0 + acc)))
         if n == n_steps:
             break
-        t = n * dt
-        if static:
-            if lstar is None:
-                lstar, mstar = adjoints(0.0)
-            ls, ms = lstar, mstar
-        else:
-            ls, ms = adjoints(t)
+        ls, ms, f_phi, g_phi = terms(n)
         u_n = hist[n]
-        fv = coeffs.f(t, pts)
-        gv = coeffs.g(t, pts)
-        acc += dt * float(u_n @ ls) * vol + dt * float(fv @ phiv) * vol
+        acc += dt * float(u_n @ ls) * vol + dt * f_phi * vol
         for l in range(coeffs.L):
             dB = path.increments[n, l]
             if dB != 0.0:
                 acc += float(u_n @ ms[:, l]) * vol * dB
-                acc += float(gv[:, l] @ phiv) * vol * dB
+                acc += g_phi[l] * vol * dB
     denom = max(abs(v) for v in obs.values()) + 1.0
     return max(snap_defects) / denom

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spdelab import filtering as flt
 from spdelab import solver
 from spdelab.errors import (ConfigurationError, OracleNotApplicableError,
-                            StabilityError, ValidationError)
+                            ScenarioError, StabilityError, ValidationError)
 from spdelab.grids import Grid
 from spdelab.solver import SolverConfig
 
@@ -184,6 +184,14 @@ class TestParticle:
         truth = kb_truth(n_steps=5)
         with pytest.raises(ConfigurationError):
             flt.particle_estimate(kb_scenario(), truth, 50, lambda X: X[:, 0], 1)
+
+    def test_weight_overflow_raises(self):
+        sc = flt.FilterScenario.linear_gaussian(A=-1, Q=2, H=3, R=0.2,
+                                                prior_mean=-2, prior_var=4)
+        truth = flt.simulate_truth(sc, 7, 1000, 1e-3)
+        with np.errstate(over="raise"):     # numpy's overflow is not the signal
+            with pytest.raises(ScenarioError, match="1204 of 2000"):
+                flt.particle_ensemble(sc, truth, 2000, 7)
 
     def test_pde_particle_cross_validation(self):
         sc = kb_scenario()
@@ -529,3 +537,10 @@ class TestPriorCache:
         flt.kalman_bucy_oracle(copy, truth)
         flt.kalman_bucy_oracle(sc, truth)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("prior", [dict(prior_var=900.0), dict(prior_mean=45.0)])
+    def test_prior_outside_the_window_is_refused(self, prior):
+        # window mass 0.818 and 2.9e-7: truncated moments would be biased
+        sc = flt.FilterScenario.linear_gaussian(0.0, 1.0, 1.0, 1.0, **prior)
+        with pytest.raises(OracleNotApplicableError, match="prior mass"):
+            sc.prior_moments()

@@ -784,6 +784,71 @@ class TestStepperBuilds:
                           "check_stability": guard}
 
 
+class TestCoefficientEvaluations:
+    """Static coefficients evaluate f, g, h and sigma_tilde once per run on
+    every path that reads them; time-dependent ones once per step."""
+
+    N = 12
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_evaluation_counts(self, monkeypatch, time_dependent):
+        N, dt = self.N, 1e-3
+        per_run = N if time_dependent else 1
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        grid = Grid.line(-4, 4, 64)
+        cs = flagged(CoefficientSet.from_fields(d=1, L=2, a=0.5, b=0.3, sigma=[0.4, 0.3],
+                                                f=0.1, g=[0.05, 0.02]), time_dependent)
+        cs.f, cs.g = counted("f", cs.f), counted("g", cs.g)
+        path = noise.generate(5, 2, N, dt)
+        traj = solver.solve(cs, gaussian_density(grid), grid,
+                            SolverConfig(dt=dt, store_every=1), path, [N * dt])
+        assert counts == {"f": per_run, "g": per_run}
+
+        counts.clear()
+        diagnostics.energy_report(traj, cs, path)
+        assert counts == {"f": per_run, "g": per_run}
+
+        counts.clear()
+        solver.weak_residual(traj, TestFunction.gaussian(0.0, 0.3), cs, path)
+        assert counts == {"f": per_run, "g": per_run}
+
+        zakai = flt.zakai_coefficients
+
+        def counting_zakai(*args):
+            out = zakai(*args)
+            out.h = counted("h", out.h)
+            return out
+        monkeypatch.setattr(flt, "zakai_coefficients", counting_zakai)
+        sc = dataclasses.replace(flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0),
+                                 static_coefficients=not time_dependent)
+        sc.sigma_tilde = counted("sigma_tilde", sc.sigma_tilde)
+        counts.clear()
+        truth = flt.simulate_truth(sc, 12, N, dt)
+        assert counts == {"sigma_tilde": per_run}
+
+        counts.clear()
+        flt.particle_ensemble(sc, truth, 100, 7)
+        assert counts == {"sigma_tilde": per_run}
+
+        sc.sigma_tilde = lambda t, y: np.array([[1.0]])  # h evaluates it too
+        grid = Grid.line(-8, 8, 64)  # holds the prior's mass
+        counts.clear()
+        flt.run_kushner(sc, truth, grid, SolverConfig(dt=dt))
+        assert counts == {"h": per_run}
+
+        counts.clear()
+        flt.run_zakai(sc, truth, grid, SolverConfig(dt=dt))
+        # one for the noise operators' build(s), one for the innovations
+        assert counts == {"h": 2 * per_run}
+
+
 class TestTrajectorySeries:
     """Every recorded Trajectory has one mass, L2 and time entry per step
     boundary, and its snapshots agree with those series."""
@@ -841,6 +906,9 @@ class TestBuildPolicyInvariance:
         reps = [diagnostics.energy_report(traj, c, path) for c in runs]
         assert reps[0].measured == reps[1].measured
         assert reps[0].extra["per_step"].tobytes() == reps[1].extra["per_step"].tobytes()
+        phi = TestFunction.gaussian(0.5, 0.4)
+        residuals = [solver.weak_residual(traj, phi, c, path) for c in runs]
+        assert residuals[0] == residuals[1]
 
         src = picard.NonlinearSources.sin_of_u(0.1)
         out = [picard.picard_solve(c, src, u0, grid, cfg, path) for c in runs]
@@ -850,9 +918,12 @@ class TestBuildPolicyInvariance:
         A, Q, H, R = filt
         sc = flt.FilterScenario.linear_gaussian(A=A, Q=Q, H=H, R=R)
         truth = flt.simulate_truth(sc, seed, N, dt)
-        pis = [flt.run_kushner(dataclasses.replace(sc, static_coefficients=static),
-                               truth, grid, cfg).full_history for static in (True, False)]
+        scs = [dataclasses.replace(sc, static_coefficients=static) for static in (True, False)]
+        pis = [flt.run_kushner(s, truth, grid, cfg).full_history for s in scs]
         assert pis[0].tobytes() == pis[1].tobytes()
+        wide = Grid.line(-8, 8, 128)  # holds the prior's mass
+        innovations = [flt.run_zakai(s, truth, wide, cfg).innovations for s in scs]
+        assert innovations[0].tobytes() == innovations[1].tobytes()
 
 
 class TestWeakResidual:
