@@ -24,7 +24,7 @@ from . import diagnostics as diag
 from . import filtering as flt
 from . import noise, picard, solver
 from .config import ScenarioBundle, parse_config
-from .errors import ParseError, SpdelabError
+from .errors import ConfigurationError, ParseError, SpdelabError
 from .manifest import RunManifest, write_csv, write_json_report
 from .mollifier import MollifierParams, mollified_coefficient_set
 from .picard import NonlinearSources
@@ -91,8 +91,19 @@ def _solve_bundle(bundle: ScenarioBundle):
     return coeffs, path, traj
 
 
+def _spde_bundle(config) -> ScenarioBundle:
+    """The parsed config of a run that solves the SPDE, which needs both
+    coefficients and an initial condition."""
+    bundle = parse_config(config)
+    if bundle.coeffs is None:
+        raise ConfigurationError("config lacks a [coefficients] section")
+    if bundle.u0_field is None:
+        raise ConfigurationError("config lacks [initial] u0")
+    return bundle
+
+
 def cmd_run_spde(args) -> int:
-    bundle = parse_config(args.config)
+    bundle = _spde_bundle(args.config)
     manifest = RunManifest(scenario=bundle.name, subcommand="run-spde",
                            parameters=bundle.manifest_parameters(),
                            grid={"n": list(bundle.grid.n),
@@ -190,7 +201,7 @@ def cmd_sweep_commutator(args) -> int:
 
 
 def cmd_picard(args) -> int:
-    bundle = parse_config(args.config)
+    bundle = _spde_bundle(args.config)
     pp = bundle.picard_params or {"f": "none", "tol": 1e-8, "max_iter": 50}
     manifest = RunManifest(scenario=bundle.name, subcommand="picard",
                            parameters=bundle.manifest_parameters(),

@@ -6,21 +6,22 @@ field specs 'family:key=val,...'):
     [run]           name, seed, particle_seed
     [grid]          dim, x_min, x_max, n, boundary
     [time]          dt, t_end, output_times, theta
-    [coefficients]  L, a (or a11 a12 a22), b (or b1 b2), c, f,
-                    sigma0..k, h0..k, g0..k, sigma_hat0..k, mollify
+    [coefficients]  L, mollify and the field keys of _coefficient_keys(dim, L)
     [initial]       u0
     [filter]        kind, A, Q, H, R, prior_mean, prior_var, t_end, dt,
                     n_particles
     [picard]        f, tol, max_iter
 
-Unknown sections or keys are rejected at parse time, and the model
+Unknown sections or keys, and coefficient keys that the file's dim and L do
+not define, are rejected at parse time; numbers must be finite.  The model
 invariants run immediately so a bad scenario never reaches a solver.
 """
 
 from __future__ import annotations
 
 import configparser
-import re
+import math
+import os
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -32,14 +33,41 @@ _SECTION_KEYS = {
     "run": {"name", "seed", "particle_seed"},
     "grid": {"dim", "x_min", "x_max", "n", "boundary"},
     "time": {"dt", "t_end", "output_times", "theta"},
-    "coefficients": None,  # validated by pattern below
+    "coefficients": None,  # the keys of _coefficient_keys(dim, L)
     "initial": {"u0"},
     "filter": {"kind", "A", "Q", "H", "R", "prior_mean", "prior_var",
                "t_end", "dt", "n_particles"},
     "picard": {"f", "tol", "max_iter"},
 }
-_COEFF_KEY = re.compile(
-    r"^(L|a|a11|a12|a22|b|b1|b2|c|f|mollify|(sigma|h|g|sigma_hat)\d+(_[12])?)$")
+
+
+def _coefficient_keys(dim: int, L: int) -> dict:
+    """The [coefficients] field keys for ``dim`` and ``L``, laid out as the
+    arguments of ``CoefficientSet.from_fields``: a key per scalar, a tuple
+    per vector, a list over the drivers l < L.  dim 1: a b c f, sigma<l>
+    h<l> g<l> sigma_hat<l>; dim 2: a11 a12 a22 b1 b2 c f, sigma<l>_1
+    sigma<l>_2 h<l> g<l> sigma_hat<l>_1 sigma_hat<l>_2."""
+    def pair(name, sep):
+        return name if dim == 1 else (f"{name}{sep}1", f"{name}{sep}2")
+    return {"a": "a" if dim == 1 else ("a11", "a12", "a22"), "b": pair("b", ""),
+            "c": "c", "f": "f",
+            "sigma": [pair(f"sigma{l}", "_") for l in range(L)],
+            "h": [f"h{l}" for l in range(L)], "g": [f"g{l}" for l in range(L)],
+            "sigma_hat": [pair(f"sigma_hat{l}", "_") for l in range(L)]}
+
+
+def _leaves(keys) -> set:
+    return {keys} if isinstance(keys, str) else set().union(*map(_leaves, keys))
+
+
+def _check_steps(dt, times, section):
+    """dt is positive and each time a finite, nonnegative number of steps."""
+    if dt <= 0:
+        raise ValidationError(f"{section}.dt must be positive")
+    for t in times:
+        if not 0 <= t / dt < math.inf:
+            raise ValidationError(f"{section}: time {t} is not a finite, "
+                                  f"nonnegative number of dt = {dt} steps")
 
 
 @dataclass
@@ -66,7 +94,6 @@ def parse_config(source) -> ScenarioBundle:
     """Parse a config file path or literal text into a validated bundle."""
     text = source
     try:
-        import os
         if isinstance(source, (str, bytes)) and os.path.exists(source):
             with open(source) as fh:
                 text = fh.read()
@@ -88,100 +115,80 @@ def parse_config(source) -> ScenarioBundle:
             raise ParseError(f"unknown section [{section}]")
         allowed = _SECTION_KEYS[section]
         for key in cp[section]:
-            if allowed is None:
-                if not _COEFF_KEY.match(key):
-                    raise ParseError(f"unknown key '{key}' in [{section}]")
-            elif key not in allowed:
+            if allowed is not None and key not in allowed:
                 raise ParseError(f"unknown key '{key}' in [{section}]")
             raw[f"{section}.{key}"] = cp[section][key]
 
     def get(section, key, default=None):
         return cp.get(section, key, fallback=default)
 
-    def get_float(section, key, default=None):
+    def numbers(section, key, conv=float):
+        """The space-separated values of a key, each a finite ``conv``."""
         v = get(section, key)
-        if v is None:
-            return default
         try:
-            return float(v)
+            parts = [conv(t) for t in v.split()]
+            ok = conv is int or all(map(math.isfinite, parts))
         except ValueError:
-            raise ParseError(f"non-numeric value for {section}.{key}: {v!r}") from None
+            ok = False
+        if not ok:
+            kind = "an integer" if conv is int else "a finite number"
+            raise ParseError(f"{section}.{key} takes {kind} per entry, got {v!r}")
+        return parts
 
-    def get_int(section, key, default=None):
-        v = get(section, key)
-        if v is None:
+    def number(section, key, default=None, conv=float):
+        if get(section, key) is None:
             return default
-        try:
-            return int(v)
-        except ValueError:
-            raise ParseError(f"non-integer value for {section}.{key}: {v!r}") from None
+        parts = numbers(section, key, conv)
+        if len(parts) != 1:
+            raise ParseError(f"{section}.{key} takes one value, got {get(section, key)!r}")
+        return parts[0]
 
     # grid
-    dim = get_int("grid", "dim", 1)
+    dim = number("grid", "dim", 1, int)
     if dim not in (1, 2):
         raise ValidationError("grid.dim must be 1 or 2")
 
-    def vec(section, key, default, conv=float):
+    def vec(key, default, conv=float):
         """One value per axis; a single value broadcasts to every axis."""
-        v = get(section, key)
-        if v is None:
+        if get("grid", key) is None:
             return (default,) * dim
-        try:
-            parts = tuple(conv(t) for t in v.split())
-        except ValueError:
-            raise ParseError(f"non-numeric value for {section}.{key}: {v!r}") from None
+        parts = tuple(numbers("grid", key, conv))
         return parts * dim if len(parts) == 1 else parts  # Grid checks the length
 
     boundary = get("grid", "boundary", "zero-flux")
-    grid = Grid(dim, vec("grid", "x_min", -8.0), vec("grid", "x_max", 8.0),
-                vec("grid", "n", 64, int), boundary)
+    grid = Grid(dim, vec("x_min", -8.0), vec("x_max", 8.0), vec("n", 64, int), boundary)
 
     # time
-    dt = get_float("time", "dt", 1e-3)
-    t_end = get_float("time", "t_end", 0.25)
-    theta = get_float("time", "theta", 1.0)
-    out_raw = get("time", "output_times")
-    output_times = ([float(t) for t in out_raw.split()] if out_raw else [t_end])
+    dt = number("time", "dt", 1e-3)
+    t_end = number("time", "t_end", 0.25)
+    theta = number("time", "theta", 1.0)
+    output_times = (numbers("time", "output_times")
+                    if get("time", "output_times") else [t_end])
 
-    # coefficients
-    L = get_int("coefficients", "L", 1)
+    # coefficients: exactly the keys this file's dim and L define
+    L = number("coefficients", "L", 1, int)
+    if L < 1:
+        raise ValidationError(f"coefficients.L must be at least 1, got {L}")
     coeffs = None
-    mollify_epsilon = get_float("coefficients", "mollify")
+    mollify_epsilon = number("coefficients", "mollify")
     if cp.has_section("coefficients"):
-        def fld(key):
-            v = get("coefficients", key)
-            return parse_field(v, dim) if v is not None else None
+        layout = _coefficient_keys(dim, L)
+        given = set(cp["coefficients"])
+        undefined = sorted(given - _leaves(layout.values()) - {"L", "mollify"})
+        if undefined:
+            raise ParseError(f"key '{undefined[0]}' in [coefficients] is not "
+                             f"defined for dim = {dim} and L = {L}")
 
-        def per_driver(prefix):
-            out = []
-            for l in range(L):
-                if dim == 1:
-                    out.append(fld(f"{prefix}{l}"))
-                else:
-                    pair = (fld(f"{prefix}{l}_1"), fld(f"{prefix}{l}_2"))
-                    out.append(None if pair[0] is None and pair[1] is None else
-                               tuple(p if p is not None else parse_field("zero", dim)
-                                     for p in pair))
-            if all(v is None for v in out):
-                return None
-            return [v if v is not None else
-                    (parse_field("zero", dim) if dim == 1 else
-                     (parse_field("zero", dim),) * dim) for v in out]
+        def fields(keys):
+            if isinstance(keys, str):
+                return parse_field(get("coefficients", keys), dim) if keys in given else None
+            return type(keys)(map(fields, keys))
 
-        if dim == 1:
-            a_spec = fld("a")
-            b_spec = fld("b")
-        else:
-            a_spec = (fld("a11") or parse_field("zero", 2),
-                      fld("a12") or parse_field("zero", 2),
-                      fld("a22") or parse_field("zero", 2))
-            b_spec = (fld("b1") or parse_field("zero", 2),
-                      fld("b2") or parse_field("zero", 2))
+        shat = layout.pop("sigma_hat")      # absent means none, not a zero one
         coeffs = CoefficientSet.from_fields(
-            d=dim, L=L, a=a_spec, b=b_spec, c=fld("c"), f=fld("f"),
-            sigma=per_driver("sigma"), h=per_driver("h"), g=per_driver("g"),
-            sigma_hat=per_driver("sigma_hat"),
-            label=get("run", "name", "scenario"))
+            d=dim, L=L, label=get("run", "name", "scenario"),
+            sigma_hat=fields(shat) if given & _leaves(shat) else None,
+            **{name: fields(keys) for name, keys in layout.items()})
         times_probe = [0.0, t_end / 2 if t_end else 0.0]
         probe = Grid(dim, grid.x_min, grid.x_max,
                      tuple(max(16, n // 8) for n in grid.n), boundary)
@@ -191,36 +198,39 @@ def parse_config(source) -> ScenarioBundle:
     if cp.has_option("initial", "u0"):
         u0_field = parse_field(get("initial", "u0"), dim)
 
-    seeds = {"path": get_int("run", "seed", 0),
-             "particles": get_int("run", "particle_seed", 1)}
+    seeds = {"path": number("run", "seed", 0, int),
+             "particles": number("run", "particle_seed", 1, int)}
+    if min(seeds.values()) < 0:
+        raise ValidationError("run.seed and run.particle_seed must be nonnegative")
 
     filter_params = {}
     if cp.has_section("filter"):
         filter_params = {
             "kind": get("filter", "kind", "linear-gaussian"),
-            "A": get_float("filter", "A", -0.5),
-            "Q": get_float("filter", "Q", 1.0),
-            "H": get_float("filter", "H", 1.0),
-            "R": get_float("filter", "R", 1.0),
-            "prior_mean": get_float("filter", "prior_mean", 0.0),
-            "prior_var": get_float("filter", "prior_var", 1.0),
-            "t_end": get_float("filter", "t_end", t_end),
-            "dt": get_float("filter", "dt", dt),
-            "n_particles": get_int("filter", "n_particles", 0),
+            "A": number("filter", "A", -0.5),
+            "Q": number("filter", "Q", 1.0),
+            "H": number("filter", "H", 1.0),
+            "R": number("filter", "R", 1.0),
+            "prior_mean": number("filter", "prior_mean", 0.0),
+            "prior_var": number("filter", "prior_var", 1.0),
+            "t_end": number("filter", "t_end", t_end),
+            "dt": number("filter", "dt", dt),
+            "n_particles": number("filter", "n_particles", 0, int),
         }
         if filter_params["kind"] != "linear-gaussian":
             raise ParseError(f"unsupported filter kind {filter_params['kind']!r}")
+        _check_steps(filter_params["dt"], [filter_params["t_end"]], "filter")
+        if filter_params["prior_var"] <= 0:
+            raise ValidationError("filter.prior_var must be positive")
 
     picard_params = {}
     if cp.has_section("picard"):
         picard_params = {"f": get("picard", "f", "none"),
-                         "tol": get_float("picard", "tol", 1e-8),
-                         "max_iter": get_int("picard", "max_iter", 50)}
+                         "tol": number("picard", "tol", 1e-8),
+                         "max_iter": number("picard", "max_iter", 50, int)}
 
     name = get("run", "name", "scenario")
-    # structural validation of the time grid
-    if dt <= 0:
-        raise ValidationError("time.dt must be positive")
+    _check_steps(dt, [t_end, *output_times], "time")
     for t in output_times:
         k = round(t / dt)
         if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):

@@ -39,8 +39,6 @@ from .solver import SolverConfig, Stepper, Trajectory, _march, solve
 # bound here for perfbench's tracer test, which reads this name
 from .solver import assemble_generator  # noqa: F401
 
-_FD = 1e-4
-
 
 @dataclass
 class FilterScenario:
@@ -206,8 +204,10 @@ def _observation_scale(sc: FilterScenario):
 def zakai_coefficients(sc: FilterScenario, y_path: np.ndarray, dt: float) -> CoefficientSet:
     """Coefficient bundle whose generator is the Fokker-Planck form
     dd(a u) - d(b_hat u); the drift stored in the divergence-form slot is
-    therefore d_j a^{ij} - b_hat^i.  Noise is multiplication by
-    h = sigma_tilde^{-1} b_tilde, one driver per observation component."""
+    therefore d_j a^{ij} - b_hat^i, with d_j a^{ij} from the scenario's
+    ``da_hook`` or else the set's finite-difference fallback.  Noise is
+    multiplication by h = sigma_tilde^{-1} b_tilde, one driver per
+    observation component."""
     y_path = np.asarray(y_path, float)
     n_avail = y_path.shape[0] - 1
 
@@ -219,19 +219,11 @@ def zakai_coefficients(sc: FilterScenario, y_path: np.ndarray, dt: float) -> Coe
         sh = np.asarray(sc.sigma_hat(t, X, y_at(t)), float)
         return 0.5 * np.einsum("mik,mjk->mij", sh, sh)
 
-    def da_fn(t, X):
-        if sc.da_hook is not None:
-            return np.asarray(sc.da_hook(t, X, y_at(t)), float)
-        out = np.zeros_like(X)
-        for j in range(sc.d):
-            e = np.zeros(sc.d)
-            e[j] = _FD
-            out += (a_fn(t, X - 2 * e)[:, :, j] - 8 * a_fn(t, X - e)[:, :, j]
-                    + 8 * a_fn(t, X + e)[:, :, j] - a_fn(t, X + 2 * e)[:, :, j]) / (12 * _FD)
-        return out
+    def hook(t, X):
+        return np.asarray(sc.da_hook(t, X, y_at(t)), float)
 
     def b_fn(t, X):
-        return da_fn(t, X) - np.asarray(sc.b_hat(t, X, y_at(t)), float)
+        return da(t, X) - np.asarray(sc.b_hat(t, X, y_at(t)), float)
 
     def h_fn(t, X):
         y = y_at(t)
@@ -242,10 +234,12 @@ def zakai_coefficients(sc: FilterScenario, y_path: np.ndarray, dt: float) -> Coe
     zeros1 = lambda t, X: np.zeros(X.shape[0])                      # noqa: E731
     zerosL = lambda t, X: np.zeros((X.shape[0], sc.d1))             # noqa: E731
     zerosS = lambda t, X: np.zeros((X.shape[0], sc.d, sc.d1))       # noqa: E731
-    return CoefficientSet(sc.d, sc.d1, a_fn, b_fn, zeros1, zerosS, h_fn,
-                          zeros1, zerosL, da=da_fn,
-                          time_dependent=not sc.static_coefficients,
-                          label="zakai")
+    hooked = sc.da_hook is not None
+    cs = CoefficientSet(sc.d, sc.d1, a_fn, b_fn, zeros1, zerosS, h_fn,
+                        zeros1, zerosL, da=hook if hooked else None,
+                        time_dependent=not sc.static_coefficients, label="zakai")
+    da = hook if hooked else cs._fd_da      # without a hook, the set's own FD
+    return cs
 
 
 def fokker_planck_drift(sc: FilterScenario, y_path, dt, t, X):
@@ -337,6 +331,13 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     so this is bit-level hygiene).  The generator, its theta split and the
     stability guard come from the same ``Stepper``, and the march and its
     records from the same loop, as in ``solve``.
+
+    The explicit innovation source needs no dt-h bound of its own.  It
+    multiplies pi pointwise by the bounded h - pi(h) and takes no spatial
+    derivative, so one step grows the mean square of a cell by at most a
+    factor 1 + |h - pi(h)|^2 dt, with no 1/h^2 in it.  The dt sum|sigma|^2/h^2
+    budget of ``check_stability`` exists only for the first-order sigma.grad
+    noise term, which the filter does not have.
     """
     coeffs = zakai_coefficients(sc, truth.y_path, truth.dt)
     path = _observation_path(sc, truth)

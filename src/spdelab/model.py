@@ -127,117 +127,66 @@ class CoefficientSet:
     @classmethod
     def from_fields(cls, d=1, L=1, a=None, b=None, c=None, sigma=None, h=None,
                     f=None, g=None, sigma_hat=None, label=""):
-        """Build from ScalarFields (or plain numbers for constants).
+        """Build from ScalarFields (or plain numbers for constants; None is 0).
 
-        For d = 1, ``a``..``g`` are single fields and ``sigma``/``h``/``g``
-        may be lists over the driver index.  For d = 2, ``a`` is given as
-        (a11, a12, a22), ``b`` as (b1, b2), and each sigma^l as a pair.
+        For d = 1, ``a``..``g`` are single fields and ``sigma``/``h``/``g``/
+        ``sigma_hat`` may be lists over the driver index.  For d = 2, ``a`` is
+        given as (a11, a12, a22), ``b`` as (b1, b2), and each sigma^l (and
+        sigma_hat^l) as a pair.  Driver lists are padded with zeros to L.
+        Internally every coefficient is one nested list of fields: a is d x d,
+        b is d, sigma and sigma_hat are d x L, h and g are L, c and f scalars.
         """
-        def F(v, default=0.0):
-            if v is None:
-                v = default
+        def F(v):
             if isinstance(v, ScalarField):
                 return v
-            return ScalarField("constant", d, value=float(v))
+            return ScalarField("constant", d, value=0.0 if v is None else float(v))
 
-        def per_driver(v):
-            if v is None:
-                return [F(0.0) for _ in range(L)]
-            if not isinstance(v, (list, tuple)):
-                v = [v]
-            out = list(v) + [0.0] * (L - len(v))
-            return [F(t) for t in out[:L]]
+        def drivers(v):
+            v = list(v) if isinstance(v, (list, tuple)) else [] if v is None else [v]
+            return (v + [None] * L)[:L]
+
+        def columns(v):                       # d x L, driver l in column l
+            cols = [(e,) if d == 1 else e or (None,) * d for e in drivers(v)]
+            return [[F(col[i]) for col in cols] for i in range(d)]
 
         if d == 1:
-            a_f = [[F(a)]]
-            b_f = [F(b)]
-            sig_f = [[fld] for fld in per_driver(sigma)]       # [l][i]
-            shat_f = None if sigma_hat is None else [[fld] for fld in per_driver(sigma_hat)]
+            A, B = [[F(a)]], [F(b)]
         else:
-            a11, a12, a22 = (F(t) for t in (a or (0.0, 0.0, 0.0)))
-            a_f = [[a11, a12], [a12, a22]]
-            b_f = [F(t) for t in (b or (0.0, 0.0))]
-            sig_raw = sigma or []
-            sig_f = [[F(ci) for ci in pair] for pair in sig_raw]
-            sig_f += [[F(0.0), F(0.0)] for _ in range(L - len(sig_f))]
-            shat_f = None
-            if sigma_hat is not None:
-                shat_f = [[F(ci) for ci in pair] for pair in sigma_hat]
-        c_f, f_f = F(c), F(f)
-        h_f = per_driver(h)
-        g_f = per_driver(g)
+            a11, a12, a22 = (F(v) for v in (a or (None,) * 3))
+            A, B = [[a11, a12], [a12, a22]], [F(v) for v in (b or (None,) * 2)]
+        S = columns(sigma)
+        H = [F(v) for v in drivers(h)]
 
-        def a_fn(t, x):
-            m = x.shape[0]
-            out = np.empty((m, d, d))
-            for i in range(d):
-                for j in range(d):
-                    out[:, i, j] = a_f[i][j](x)
-            return out
+        def values(tree):
+            return lambda t, x: _evaluate(tree, lambda fld: fld(x))
 
-        def da_fn(t, x):
-            m = x.shape[0]
-            out = np.zeros((m, d))
-            for i in range(d):
-                for j in range(d):
-                    out[:, i] += a_f[i][j].grad(x)[:, j]
-            return out
+        def divergence(rows):
+            return lambda t, x: _divergence(rows, x)
 
-        def b_fn(t, x):
-            return np.stack([fld(x) for fld in b_f], axis=1)
+        return cls(d, L, values(A), values(B), values(F(c)), values(S), values(H),
+                   values(F(f)), values([F(v) for v in drivers(g)]),
+                   sigma_hat=None if sigma_hat is None else values(columns(sigma_hat)),
+                   da=divergence([list(col) for col in zip(*A)]),
+                   div_b=divergence(B), div_sigma=divergence(S),
+                   grad_h=lambda t, x: np.stack([fld.grad(x) for fld in H], axis=2),
+                   time_dependent=False, label=label)
 
-        def div_b_fn(t, x):
-            return sum(b_f[i].grad(x)[:, i] for i in range(d))
 
-        def sigma_fn(t, x):
-            m = x.shape[0]
-            out = np.zeros((m, d, L))
-            for l, comps in enumerate(sig_f):
-                for i in range(d):
-                    out[:, i, l] = comps[i](x)
-            return out
+def _evaluate(tree, leaf):
+    """``leaf(field)`` over a nested list of fields: each list level stacks
+    its entries on axis 1, so a d x L tree gives an (m, d, L) array."""
+    if isinstance(tree, list):
+        return np.stack([_evaluate(sub, leaf) for sub in tree], axis=1)
+    return leaf(tree)
 
-        def div_sigma_fn(t, x):
-            m = x.shape[0]
-            out = np.zeros((m, L))
-            for l, comps in enumerate(sig_f):
-                for i in range(d):
-                    out[:, l] += comps[i].grad(x)[:, i]
-            return out
 
-        def h_fn(t, x):
-            return np.stack([fld(x) for fld in h_f], axis=1)
-
-        def grad_h_fn(t, x):
-            return np.stack([fld.grad(x) for fld in h_f], axis=2)
-
-        def c_fn(t, x):
-            return c_f(x)
-
-        def f_fn(t, x):
-            return f_f(x)
-
-        def g_fn(t, x):
-            return np.stack([fld(x) for fld in g_f], axis=1)
-
-        shat_fn = None
-        if shat_f is not None:
-            def shat_fn(t, x):
-                m = x.shape[0]
-                Lp = len(shat_f)
-                out = np.zeros((m, d, Lp))
-                for l, comps in enumerate(shat_f):
-                    for i in range(d):
-                        out[:, i, l] = comps[i](x)
-                return out
-
-        obj = cls(d, L, a_fn, b_fn, c_fn, sigma_fn, h_fn, f_fn, g_fn,
-                  sigma_hat=shat_fn, da=da_fn, div_b=div_b_fn,
-                  div_sigma=div_sigma_fn, grad_h=grad_h_fn,
-                  time_dependent=False, label=label)
-        obj.fields = {"a": a_f, "b": b_f, "c": c_f, "sigma": sig_f, "h": h_f,
-                      "f": f_f, "g": g_f, "sigma_hat": shat_f}
-        return obj
+def _divergence(rows, x):
+    """sum_k d_k rows[k], each rows[k] a nested list of fields, accumulated
+    from zero in k order."""
+    out = 0.0
+    for k, tree in enumerate(rows):
+        out = out + _evaluate(tree, lambda fld: fld.grad(x)[:, k])
+    return out
 
 
 def reuse_if_static(fn, static: bool):
@@ -336,28 +285,35 @@ def verify_parabolicity(coeffs: CoefficientSet, grid: Grid, times, kappa=0.0,
     times = list(times)
     if grid.npts == 0 or not times:
         raise ConfigurationError("verify_parabolicity needs a nonempty grid and times")
-    dirs = direction_set(coeffs.d, n_dirs, seed)
     X = grid.points()
     kap = _kappa_values(kappa, X)
-    best = []
-    n_sampled = 0
-    for t in times:
+
+    def defect_at(t):
         A = coeffs.a(t, X)
         S = coeffs.sigma(t, X)
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(S))):
             bad = "a" if not np.all(np.isfinite(A)) else "sigma"
             raise EvaluationError(f"field '{bad}' is non-finite at t={t}")
+        return lambda xi: (2.0 * np.einsum("mij,i,j->m", A, xi, xi)
+                           - np.sum(np.einsum("mil,i->ml", S, xi) ** 2, axis=1) - kap)
+    return _sample_defect(defect_at, times, direction_set(coeffs.d, n_dirs, seed), X,
+                          kappa_floor=float(np.min(kap)), alpha=alpha)
+
+
+def _sample_defect(defect_at, times, dirs, X, **report) -> ParabolicityReport:
+    """Minimum of ``defect_at(t)(xi)``, an array over the points X, over all
+    sampled times and directions, with the three worst samples as witnesses."""
+    best = []
+    for t in times:
+        defect = defect_at(t)
         for xi in dirs:
-            quad = 2.0 * np.einsum("mij,i,j->m", A, xi, xi)
-            noise = np.sum(np.einsum("mil,i->ml", S, xi) ** 2, axis=1)
-            vals = quad - noise - kap
+            vals = defect(xi)
             i = int(np.argmin(vals))
             best.append((float(vals[i]), t, tuple(X[i]), tuple(xi)))
-            n_sampled += X.shape[0]
     best.sort(key=lambda r: r[0])
-    witnesses = [(t, x, xi, v) for v, t, x, xi in best[:3]]
-    return ParabolicityReport(min_defect=best[0][0], kappa_floor=float(np.min(kap)),
-                              alpha=alpha, witnesses=witnesses, n_sampled=n_sampled)
+    return ParabolicityReport(min_defect=best[0][0],
+                              witnesses=[(t, x, xi, v) for v, t, x, xi in best[:3]],
+                              n_sampled=len(times) * len(dirs) * len(X), **report)
 
 
 def coercivity_constant(alpha: float) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, HypothesisError, UnderResolvedError
 from .grids import Grid
 from .model import (CoefficientSet, ParabolicityReport, _kappa_values,
-                    direction_set, verify_parabolicity)
+                    _sample_defect, direction_set, verify_parabolicity)
 
 # unit-mass normalizations of exp(-1/(1-|x|^2)) on the unit ball
 Z_1D = 2.252283621044
@@ -154,12 +154,24 @@ def _extended_lattice(grid: Grid, pad_cells):
     return axes
 
 
-def _eval_on_axes(fn, axes, d):
-    if d == 1:
-        return np.asarray(fn(axes[0][:, None]), dtype=float)
-    X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    return np.asarray(fn(pts), dtype=float).reshape(X.shape)
+def _padded_samples(fn, grid: Grid, w) -> np.ndarray:
+    """fn sampled once on the grid's lattice padded by the stencil's
+    half-width: fn's component axes first, the lattice axes last."""
+    axes = _extended_lattice(grid, [(s - 1) // 2 for s in np.shape(w)])
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.d)
+    vals = np.asarray(fn(pts), dtype=float)
+    return np.moveaxis(vals, 0, -1).reshape(vals.shape[1:] + tuple(map(len, axes)))
+
+
+def _smooth(samples, w, grid: Grid, factor=None) -> np.ndarray:
+    """Collar-free convolution of each component of ``_padded_samples``
+    with w, times ``factor`` if given; 2-d lattices come out flat."""
+    comps = samples.shape[:samples.ndim - grid.d]
+    out = np.empty(comps + ((grid.npts,) if grid.d == 2 else grid.n))
+    for idx in np.ndindex(*comps):
+        conv = _convolve_valid(samples[idx], w)
+        out[idx] = (conv if factor is None else conv * factor).ravel()
+    return out
 
 
 def mollify_callable(fn, params: MollifierParams, grid: Grid,
@@ -167,12 +179,8 @@ def mollify_callable(fn, params: MollifierParams, grid: Grid,
     """(fn * rho_eps) chi_eps^k on the grid, sampling fn beyond the box so the
     convolution is collar-free everywhere on the grid."""
     w = stencil(params, grid.hs, grid.d)
-    pad = [(s - 1) // 2 for s in np.shape(w)]
-    axes = _extended_lattice(grid, pad)
-    vals = _eval_on_axes(fn, axes, grid.d)
-    conv = _convolve_valid(vals, w)
-    out = conv * _chi_grid(grid, params) ** cutoff_power if cutoff_power else conv
-    return out.ravel() if grid.d == 2 else out
+    return _smooth(_padded_samples(fn, grid, w), w, grid,
+                   _chi_grid(grid, params) ** cutoff_power if cutoff_power else None)
 
 
 def _convolve_valid(values, w):
@@ -222,21 +230,21 @@ def mollify_coefficients(coeffs: CoefficientSet, params: MollifierParams,
     """Mollified coefficient samples on the grid at time t.
 
     a picks up chi^2, sigma/c/h/f/g pick up chi, and b is truncated at 1/eps
-    before smoothing (no cutoff).  Returns a dict of arrays.
+    before smoothing (no cutoff).  Returns a dict of arrays, each with the
+    coefficient's component axes first and the grid last.  Every coefficient
+    is evaluated once on the padded lattice.
     """
-    d, L = coeffs.d, coeffs.L
-    mol = lambda fn, p: mollify_callable(fn, params, grid, cutoff_power=p)  # noqa: E731
-    out = {}
-    out["a"] = np.stack([[mol(lambda x, i=i, j=j: coeffs.a(t, x)[:, i, j], 2)
-                          for j in range(d)] for i in range(d)])
-    out["sigma"] = np.stack([[mol(lambda x, i=i, l=l: coeffs.sigma(t, x)[:, i, l], 1)
-                              for l in range(L)] for i in range(d)])
-    out["c"] = mol(lambda x: coeffs.c(t, x), 1)
-    out["h"] = np.stack([mol(lambda x, l=l: coeffs.h(t, x)[:, l], 1) for l in range(L)])
-    out["f"] = mol(lambda x: coeffs.f(t, x), 1)
-    out["g"] = np.stack([mol(lambda x, l=l: coeffs.g(t, x)[:, l], 1) for l in range(L)])
-    out["b"] = np.stack([truncate_drift(lambda x, i=i: coeffs.b(t, x)[:, i], params, grid)
-                         for i in range(d)])
+    w = stencil(params, grid.hs, grid.d)
+    chi = _chi_grid(grid, params)
+    cap = 1.0 / params.epsilon
+
+    def mol(name, factor):
+        return _smooth(_padded_samples(lambda x: getattr(coeffs, name)(t, x), grid, w),
+                       w, grid, factor)
+    out = {"a": mol("a", chi ** 2)}
+    out.update((name, mol(name, chi)) for name in ("sigma", "c", "h", "f", "g"))
+    out["b"] = _smooth(np.clip(_padded_samples(lambda x: coeffs.b(t, x), grid, w),
+                               -cap, cap), w, grid)
     return out
 
 
@@ -250,42 +258,19 @@ def mollified_coefficient_set(coeffs: CoefficientSet, params: MollifierParams,
     """
     m = mollify_coefficients(coeffs, params, grid, t)
     npts = grid.npts
-    d, L = coeffs.d, coeffs.L
 
-    def guard(X):
-        if X.shape[0] != npts:
-            raise ConfigurationError(
-                "mollified coefficients are grid samples; evaluate on the same grid")
+    def frozen(name):
+        points_first = np.moveaxis(m[name], -1, 0)
 
-    def a_fn(tt, X):
-        guard(X)
-        return np.moveaxis(m["a"].reshape(d, d, npts), -1, 0)
+        def fn(tt, X):
+            if X.shape[0] != npts:
+                raise ConfigurationError(
+                    "mollified coefficients are grid samples; evaluate on the same grid")
+            return points_first
+        return fn
 
-    def b_fn(tt, X):
-        guard(X)
-        return np.moveaxis(m["b"].reshape(d, npts), -1, 0)
-
-    def sigma_fn(tt, X):
-        guard(X)
-        return np.moveaxis(m["sigma"].reshape(d, L, npts), -1, 0)
-
-    def h_fn(tt, X):
-        guard(X)
-        return np.moveaxis(m["h"].reshape(L, npts), -1, 0)
-
-    def g_fn(tt, X):
-        guard(X)
-        return np.moveaxis(m["g"].reshape(L, npts), -1, 0)
-
-    def c_fn(tt, X):
-        guard(X)
-        return m["c"].ravel()
-
-    def f_fn(tt, X):
-        guard(X)
-        return m["f"].ravel()
-
-    return CoefficientSet(d, L, a_fn, b_fn, c_fn, sigma_fn, h_fn, f_fn, g_fn,
+    return CoefficientSet(coeffs.d, coeffs.L,
+                          *map(frozen, ("a", "b", "c", "sigma", "h", "f", "g")),
                           time_dependent=False,
                           label=f"{coeffs.label or 'coeffs'}-mollified-{params.epsilon}")
 
@@ -303,30 +288,19 @@ def mollified_parabolicity_check(coeffs: CoefficientSet, params: MollifierParams
     if not raw.passes:
         raise HypothesisError(
             f"raw coefficients violate the parabolic condition (min {raw.min_defect:.3e})")
-    dirs = direction_set(coeffs.d, n_dirs, seed)
     X = grid.points()
     kap = _kappa_values(kappa, X)
     kap_eps = mollify_field(kap.reshape(grid.n) if grid.d == 2 else kap,
                             params, grid, cutoff_power=0)
-    chi2 = (_chi_grid(grid, params) ** 2).ravel()
-    best = []
-    for t in times:
-        m = mollify_coefficients(coeffs, params, grid, t)
-        a_eps = m["a"]      # (d, d, ...) grid-shaped
-        s_eps = m["sigma"]  # (d, L, ...)
-        a_flat = a_eps.reshape(coeffs.d, coeffs.d, -1)
-        s_flat = s_eps.reshape(coeffs.d, coeffs.L, -1)
-        for xi in dirs:
-            quad = 2.0 * np.einsum("ijm,i,j->m", a_flat, xi, xi)
-            nse = np.sum(np.einsum("ilm,i->lm", s_flat, xi) ** 2, axis=0)
-            vals = quad - nse - np.ravel(kap_eps) * chi2
-            i = int(np.argmin(vals))
-            best.append((float(vals[i]), t, tuple(X[i]), tuple(xi)))
-    best.sort(key=lambda r: r[0])
-    witnesses = [(t, x, xi, v) for v, t, x, xi in best[:3]]
-    return ParabolicityReport(min_defect=best[0][0], kappa_floor=float(np.min(kap)),
-                              witnesses=witnesses, n_sampled=len(times) * len(dirs) * len(X),
-                              tol=tol)
+    floor = np.ravel(kap_eps) * (_chi_grid(grid, params) ** 2).ravel()
+
+    def defect_at(t):
+        m = mollify_coefficients(coeffs, params, grid, t)   # grid axis last
+        return lambda xi: (2.0 * np.einsum("ijm,i,j->m", m["a"], xi, xi)
+                           - np.sum(np.einsum("ilm,i->lm", m["sigma"], xi) ** 2, axis=0)
+                           - floor)
+    return _sample_defect(defect_at, times, direction_set(coeffs.d, n_dirs, seed), X,
+                          kappa_floor=float(np.min(kap)), tol=tol)
 
 
 def cutoff_derivative_bound(params: MollifierParams, grid: Grid) -> float:

@@ -362,6 +362,8 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
     output_times = sorted(float(t) for t in output_times)
     if not output_times:
         raise ConfigurationError("output_times is empty")
+    if output_times[0] < 0:
+        raise ConfigurationError(f"output time {output_times[0]} is negative")
     t_end = output_times[-1]
     n_steps = int(round(t_end / cfg.dt))
     if abs(n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, t_end):
@@ -375,6 +377,8 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
         k = int(round(t / cfg.dt))
         if abs(k * cfg.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigurationError(f"output time {t} is not a step boundary")
+        if k in snap_steps:
+            raise ConfigurationError(f"output time {t} is listed twice")
         snap_steps.add(k)
 
     mass = np.empty(n_steps + 1)
@@ -406,7 +410,7 @@ def _boundary_mass_guard(grid: Grid, u: np.ndarray):
         edge = abs(u[0]) + abs(u[-1])
     else:
         arr = np.abs(u.reshape(grid.n))
-        edge = arr[0, :].sum() + arr[-1, :].sum() + arr[:, 0].sum() + arr[:, -1].sum()
+        edge = arr[[0, -1], :].sum() + arr[1:-1, [0, -1]].sum()  # each cell once
     if edge / total > BOUNDARY_MASS_WARN_FRACTION:
         warnings.warn(
             f"boundary cells hold {edge / total:.2e} of the mass; "

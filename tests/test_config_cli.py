@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spdelab import cli
+from spdelab import acceptance, cli
 from spdelab.acceptance import PICARD_CONFIG
-from spdelab.config import parse_config
-from spdelab.errors import ParseError, ValidationError
+from spdelab.config import _SECTION_KEYS, _coefficient_keys, _leaves, parse_config
+from spdelab.errors import ParseError, SpdelabError, ValidationError
 from spdelab.manifest import RunManifest
 
 HEAT = """\
@@ -82,6 +84,34 @@ class TestParseConfig:
 
     def test_seeds_are_path_and_particles(self):
         assert parse_config(HEAT).seeds == {"path": 0, "particles": 1}
+
+    @pytest.mark.parametrize("dim, L, key", [
+        (1, 1, "a11"), (1, 1, "b1"), (1, 1, "sigma0_1"),
+        (2, 1, "a"), (2, 1, "b"), (2, 1, "sigma0"), (2, 1, "sigma1_1"),
+        (1, 1, "sigma1"), (1, 1, "h1"), (1, 1, "g1"), (1, 1, "sigma_hat1"),
+        (1, 2, "sigma2"), (2, 2, "sigma_hat0"),
+    ])
+    def test_key_the_layout_does_not_define_is_named(self, dim, L, key):
+        text = (HEAT.replace("dim = 1", f"dim = {dim}").replace("L = 1", f"L = {L}")
+                .replace("a = constant:0.5", "c = constant:0.1"))
+        parse_config(text)
+        with pytest.raises(ParseError, match=f"'{key}'"):
+            parse_config(text.replace("c = constant:0.1",
+                                      f"c = constant:0.1\n{key} = constant:100"))
+
+    @pytest.mark.parametrize("dim, L, keys", [
+        (1, 1, "a b c f sigma0 h0 g0"),
+        (1, 3, "a b c f sigma2 h1 g0 sigma_hat0 sigma_hat1 sigma_hat2"),
+        (2, 1, "a11 a12 a22 b1 b2 c f sigma0_1 sigma0_2 h0 g0"),
+        (2, 2, "a11 a22 sigma1_2 h1 g1 sigma_hat0_1 sigma_hat1_2"),
+    ])
+    def test_every_key_the_layout_defines_is_read(self, dim, L, keys):
+        lines = "\n".join(f"{k} = constant:0" for k in keys.split())
+        b = parse_config(HEAT.replace("dim = 1", f"dim = {dim}")
+                         .replace("L = 1", f"L = {L}\nmollify = 0.5")
+                         .replace("a = constant:0.5", lines))
+        assert b.coeffs.L == L and b.mollify_epsilon == 0.5
+        assert (b.coeffs.sigma_hat is None) == ("sigma_hat" not in keys)
 
 
     @pytest.mark.parametrize("old, new", [
@@ -293,11 +323,29 @@ class TestCliErrors:
         ("run-spde", HEAT.replace("a = constant:0.5", "a = constant:0.5 0.7")),
         ("run-spde", HEAT.replace("width=0.5", "width=0.5,dim=2")),
         ("picard", PICARD_CONFIG.replace("t_end = 0.1", "t_end = 0.01\noutput_times = 0.02")),
+        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = abc")),
+        ("run-spde", HEAT.replace("dt = 1e-3", "dt = nan")),
+        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = inf")),
+        ("run-spde", HEAT.replace("L = 1", "L = 0")),
+        ("run-spde", HEAT.replace("L = 1", "L = -1")),
+        ("run-spde", HEAT.replace("seed = 0", "seed = -1")),
+        ("run-spde", HEAT.replace("[initial]\nu0 = gaussian:amp=1,width=0.5\n", "")),
+        ("run-spde", HEAT.replace("[coefficients]\nL = 1\na = constant:0.5\n", "")),
+        ("picard", PICARD_CONFIG.replace("[coefficients]\nL = 1\na = constant:0.5\n", "")),
+        ("run-spde", HEAT.replace("a = constant:0.5", "a = constant:0.5\na11 = constant:1")),
+        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = -0.01 0.01")),
+        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = 0.01 0.01")),
+        ("run-filter", acceptance.FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nt_end = -1")),
+        ("run-filter", acceptance.FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nprior_var = -1")),
     ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc",
             "picard-independent-width-abc", "field-unknown-parameter",
             "constant-unknown-parameter", "pwlinear-missing-knots",
             "field-vector-too-long", "scalar-parameter-given-vector",
-            "field-parameter-named-dim", "picard-output-time-past-path"])
+            "field-parameter-named-dim", "picard-output-time-past-path",
+            "output-times-abc", "dt-nan", "t_end-inf", "L-0", "L-negative",
+            "seed-negative", "no-initial-u0", "run-spde-no-coefficients",
+            "picard-no-coefficients", "a11-in-1d", "output-time-negative",
+            "output-time-repeated", "filter-t_end-negative", "filter-prior-var-negative"])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, sub, text):
         rc, err, out = self.run(tmp_path, capsys, sub, text)
         assert rc == 1
@@ -331,3 +379,64 @@ class TestCliErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+
+# -- fuzzed config text: parse_config returns a bundle or a typed error ------
+
+ACCEPTANCE_CONFIGS = {"heat": acceptance.HEAT_CONFIG, "filter": acceptance.FILTER_CONFIG,
+                      "picard": acceptance.PICARD_CONFIG, "sweep": acceptance.SWEEP_CONFIG}
+ALL_KEYS = sorted(set().union(*filter(None, _SECTION_KEYS.values()), {"L", "mollify"},
+                              *(_leaves(_coefficient_keys(d, 2).values()) for d in (1, 2))))
+# integers stay small so that a drawn grid size stays cheap to validate
+TOKENS = st.one_of(
+    st.integers(-5, 400).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "-0.5", "", "abc", "1 2", "0.0 abc",
+                     "zero", "constant:0.5", "gaussian:amp=1,width=0.5",
+                     "affine:c0=1,slope=-0.5", "sinusoidal:amp=0.1,offset=0.5,freq=1 2",
+                     "pwlinear:xs=0 1,ys=1 2", "constant:nan", "gaussian:width=-1"]))
+MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+    st.tuples(st.just("duplicate"), st.integers(0, 99)),
+    st.tuples(st.just("swap"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("value"), st.integers(0, 99), TOKENS),
+    st.tuples(st.just("insert"), st.integers(0, 99), st.sampled_from(ALL_KEYS), TOKENS))
+
+
+def mutate(text, mutations):
+    lines = text.splitlines()
+    for kind, i, *rest in mutations:
+        i %= len(lines) + (kind == "insert")
+        if kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = rest[0] % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "value" and "=" in lines[i]:
+            lines[i] = f"{lines[i].partition('=')[0]}= {rest[0]}"
+        elif kind == "insert":
+            lines.insert(i, f"{rest[0]} = {rest[1]}")
+    return "\n".join(lines) + "\n"
+
+
+def value_of(key, config, token):
+    """The mutation that sets ``key`` of an acceptance config to ``token``."""
+    lines = ACCEPTANCE_CONFIGS[config].splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+    return config, [("value", index, token)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(ACCEPTANCE_CONFIGS)), st.lists(MUTATIONS, min_size=1, max_size=3))
+@example(*value_of("t_end", "heat", "0.1\noutput_times = abc"))
+@example(*value_of("dt", "heat", "nan"))
+@example(*value_of("t_end", "picard", "inf"))
+@example(*value_of("L", "heat", "0"))
+def test_fuzzed_config_parses_or_raises_a_typed_error(config, mutations):
+    try:
+        parse_config(mutate(ACCEPTANCE_CONFIGS[config], mutations))
+    except SpdelabError:
+        pass
+
