@@ -8,13 +8,18 @@ field specs 'family:key=val,...'):
     [time]          dt, t_end, output_times, theta
     [coefficients]  L, mollify and the field keys of _coefficient_keys(dim, L)
     [initial]       u0
-    [filter]        kind, A, Q, H, R, prior_mean, prior_var, t_end, dt,
-                    n_particles
+    [filter]        kind, A, Q, H, R, prior_mean, prior_var, n_particles
     [picard]        f, tol, max_iter
 
-Unknown sections or keys, and coefficient keys that the file's dim and L do
-not define, are rejected at parse time; numbers must be finite.  The model
-invariants run immediately so a bad scenario never reaches a solver.
+``parse_config`` is the one reader of this text: it returns the run's inputs
+as objects (a ``CoefficientSet``, the ``u0`` field, a linear-Gaussian
+``FilterScenario`` on the ``[time]`` step and horizon, ``NonlinearSources``),
+so a command only picks the ones it runs.  Unknown sections or keys, and
+coefficient keys that the file's dim and L do not define, are rejected at
+parse time; numbers must be finite.  The model invariants and the range
+checks run immediately so a bad scenario never reaches a solver.  The CLI
+refuses a section that its command does not read; ``theta`` means the same
+to run-spde, picard and run-filter, and ``mollify`` to run-spde and picard.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
 from .families import parse_field
+from .filtering import FilterScenario
 from .grids import Grid
 from .model import CoefficientSet
+from .picard import NonlinearSources
 
 _SECTION_KEYS = {
     "run": {"name", "seed", "particle_seed"},
@@ -36,7 +43,7 @@ _SECTION_KEYS = {
     "coefficients": None,  # the keys of _coefficient_keys(dim, L)
     "initial": {"u0"},
     "filter": {"kind", "A", "Q", "H", "R", "prior_mean", "prior_var",
-               "t_end", "dt", "n_particles"},
+               "n_particles"},
     "picard": {"f", "tol", "max_iter"},
 }
 
@@ -60,18 +67,11 @@ def _leaves(keys) -> set:
     return {keys} if isinstance(keys, str) else set().union(*map(_leaves, keys))
 
 
-def _check_steps(dt, times, section):
-    """dt is positive and each time a finite, nonnegative number of steps."""
-    if dt <= 0:
-        raise ValidationError(f"{section}.dt must be positive")
-    for t in times:
-        if not 0 <= t / dt < math.inf:
-            raise ValidationError(f"{section}: time {t} is not a finite, "
-                                  f"nonnegative number of dt = {dt} steps")
-
-
 @dataclass
 class ScenarioBundle:
+    """A run's inputs.  Without [coefficients], [initial] or [filter] the
+    matching object is None; the [picard] values always have defaults."""
+
     name: str
     grid: Grid
     dt: float
@@ -81,13 +81,14 @@ class ScenarioBundle:
     coeffs: CoefficientSet | None
     u0_field: object
     seeds: dict
-    filter_params: dict = field(default_factory=dict)
-    picard_params: dict = field(default_factory=dict)
+    sources: NonlinearSources    # [picard] f, the zero source by default
+    tol: float
+    max_iter: int
+    filter: FilterScenario | None = None
+    n_particles: int = 0
     mollify_epsilon: float | None = None
-    raw: dict = field(default_factory=dict)
-
-    def manifest_parameters(self) -> dict:
-        return dict(self.raw)
+    sections: tuple = ()
+    raw: dict = field(default_factory=dict)  # section.key -> text, hashed
 
 
 def parse_config(source) -> ScenarioBundle:
@@ -195,7 +196,9 @@ def parse_config(source) -> ScenarioBundle:
         coeffs.validate(probe, times_probe)
 
     u0_field = None
-    if cp.has_option("initial", "u0"):
+    if cp.has_section("initial"):
+        if not cp.has_option("initial", "u0"):
+            raise ParseError("[initial] lacks u0")
         u0_field = parse_field(get("initial", "u0"), dim)
 
     seeds = {"path": number("run", "seed", 0, int),
@@ -203,34 +206,39 @@ def parse_config(source) -> ScenarioBundle:
     if min(seeds.values()) < 0:
         raise ValidationError("run.seed and run.particle_seed must be nonnegative")
 
-    filter_params = {}
+    filter_scenario = None
+    n_particles = number("filter", "n_particles", 0, int)
     if cp.has_section("filter"):
-        filter_params = {
-            "kind": get("filter", "kind", "linear-gaussian"),
-            "A": number("filter", "A", -0.5),
-            "Q": number("filter", "Q", 1.0),
-            "H": number("filter", "H", 1.0),
-            "R": number("filter", "R", 1.0),
-            "prior_mean": number("filter", "prior_mean", 0.0),
-            "prior_var": number("filter", "prior_var", 1.0),
-            "t_end": number("filter", "t_end", t_end),
-            "dt": number("filter", "dt", dt),
-            "n_particles": number("filter", "n_particles", 0, int),
-        }
-        if filter_params["kind"] != "linear-gaussian":
-            raise ParseError(f"unsupported filter kind {filter_params['kind']!r}")
-        _check_steps(filter_params["dt"], [filter_params["t_end"]], "filter")
-        if filter_params["prior_var"] <= 0:
+        if dim != 1:
+            raise ValidationError(f"the linear-Gaussian [filter] is 1-d, got grid.dim = {dim}")
+        kind = get("filter", "kind", "linear-gaussian")
+        if kind != "linear-gaussian":
+            raise ParseError(f"unsupported filter kind {kind!r}")
+        prior_var = number("filter", "prior_var", 1.0)
+        if prior_var <= 0:
             raise ValidationError("filter.prior_var must be positive")
+        if n_particles != 0 and n_particles < 100:
+            raise ValidationError(f"filter.n_particles must be 0 or at least 100, "
+                                  f"got {n_particles}")
+        filter_scenario = FilterScenario.linear_gaussian(
+            A=number("filter", "A", -0.5), Q=number("filter", "Q", 1.0),
+            H=number("filter", "H", 1.0), R=number("filter", "R", 1.0),
+            prior_mean=number("filter", "prior_mean", 0.0), prior_var=prior_var)
 
-    picard_params = {}
-    if cp.has_section("picard"):
-        picard_params = {"f": get("picard", "f", "none"),
-                         "tol": number("picard", "tol", 1e-8),
-                         "max_iter": number("picard", "max_iter", 50, int)}
+    sources = NonlinearSources.from_spec(get("picard", "f", "none"), L, dim)
+    tol = number("picard", "tol", 1e-8)
+    max_iter = number("picard", "max_iter", 50, int)
+    if tol <= 0 or max_iter < 1:
+        raise ValidationError(f"picard.tol must be positive and picard.max_iter at "
+                              f"least 1, got {tol} and {max_iter}")
 
     name = get("run", "name", "scenario")
-    _check_steps(dt, [t_end, *output_times], "time")
+    if dt <= 0:
+        raise ValidationError("time.dt must be positive")
+    for t in [t_end, *output_times]:
+        if not 0 <= t / dt < math.inf:
+            raise ValidationError(f"time: time {t} is not a finite, "
+                                  f"nonnegative number of dt = {dt} steps")
     for t in output_times:
         k = round(t / dt)
         if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
@@ -238,7 +246,8 @@ def parse_config(source) -> ScenarioBundle:
 
     return ScenarioBundle(name=name, grid=grid, dt=dt, t_end=t_end,
                           output_times=output_times, theta=theta, coeffs=coeffs,
-                          u0_field=u0_field, seeds=seeds,
-                          filter_params=filter_params,
-                          picard_params=picard_params,
-                          mollify_epsilon=mollify_epsilon, raw=raw)
+                          u0_field=u0_field, seeds=seeds, sources=sources,
+                          tol=tol, max_iter=max_iter, filter=filter_scenario,
+                          n_particles=n_particles,
+                          mollify_epsilon=mollify_epsilon,
+                          sections=tuple(cp.sections()), raw=raw)

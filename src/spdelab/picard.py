@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NonConvergenceError, ValidationError
+from .errors import ConfigurationError, NonConvergenceError, ParseError, ValidationError
+from .families import parse_field
 from .grids import DensityField, Grid
 from .model import CoefficientSet
 from .noise import BrownianPath
@@ -74,6 +75,48 @@ class NonlinearSources:
         def g(t, X, z):
             return np.zeros((X.shape[0], L))
         return cls(f=f, g=g, L=L, K=abs(lam))
+
+    @classmethod
+    def from_spec(cls, spec: str, L: int, d: int):
+        """The sources of a ``[picard] f`` spec: ``none``, ``independent:f=<field>``,
+        ``sin_of_u:scale=..`` or ``linear_in_u:coeff=..``."""
+        spec = spec.strip()
+        if spec in ("none", ""):
+            return cls.independent(L=L)
+        name, _, body = spec.partition(":")
+        if name == "independent":
+            # everything after f= is one field spec, commas included
+            key, eq, field = body.partition("=")
+            if body.strip() and (key.strip() != "f" or not eq):
+                raise ParseError(f"independent takes f=<field>, got {spec!r}")
+            return cls.independent(f_field=parse_field(field if eq else "zero", d), L=L)
+        params = {}
+        for item in filter(None, body.split(",")):
+            key, eq, value = item.partition("=")
+            if not eq:
+                raise ParseError(f"bad picard source parameter {item!r} in {spec!r}")
+            params[key.strip()] = value.strip()
+
+        def number(key, default):
+            value = params.pop(key, default)
+            try:
+                if math.isfinite(float(value)):
+                    return float(value)
+            except ValueError:
+                pass
+            raise ParseError(f"{key} takes a finite number, got {value!r} in "
+                             f"picard source {spec!r}")
+
+        if name == "sin_of_u":
+            src = cls.sin_of_u(number("scale", 0.1), L=L)
+        elif name == "linear_in_u":
+            src = cls.linear_in_u(number("coeff", 0.1), L=L)
+        else:
+            raise ParseError(f"unknown picard source {spec!r}")
+        if params:
+            raise ParseError(f"unknown picard source parameter(s) {sorted(params)} "
+                             f"in {spec!r}")
+        return src
 
     def lipschitz_check(self, grid: Grid, times, seed: int = 0,
                         n_samples: int = 64, slack: float = 1e-10) -> None:

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdelab import acceptance, cli
-from spdelab.acceptance import PICARD_CONFIG
+from spdelab import acceptance, cli, filtering, noise
+from spdelab.acceptance import FILTER_CONFIG, PICARD_CONFIG, SWEEP_CONFIG
 from spdelab.config import _SECTION_KEYS, _coefficient_keys, _leaves, parse_config
 from spdelab.errors import ParseError, SpdelabError, ValidationError
-from spdelab.manifest import RunManifest
+from spdelab.manifest import RunManifest, write_csv
+from spdelab.mollifier import MollifierParams, mollified_coefficient_set
+from spdelab.picard import NonlinearSources, picard_solve
+from spdelab.solver import SolverConfig
 
 HEAT = """\
 [run]
@@ -82,6 +85,16 @@ class TestParseConfig:
         with pytest.raises(ParseError, match=match):
             parse_config(HEAT.replace(old, new))
 
+    @pytest.mark.parametrize("text, match", [
+        (FILTER_CONFIG.replace("dim = 1", "dim = 2"), "grid.dim"),
+        (FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nn_particles = 99"), "n_particles"),
+        (PICARD_CONFIG.replace("tol = 1e-8", "tol = 0"), "tol"),
+        (PICARD_CONFIG.replace("tol = 1e-8", "max_iter = 0"), "max_iter"),
+    ], ids=["filter-2d", "n_particles-99", "picard-tol-0", "picard-max_iter-0"])
+    def test_range_checks_run_at_parse_time(self, text, match):
+        with pytest.raises(ValidationError, match=match):
+            parse_config(text)
+
     def test_seeds_are_path_and_particles(self):
         assert parse_config(HEAT).seeds == {"path": 0, "particles": 1}
 
@@ -146,12 +159,12 @@ class TestParseConfig:
                                       "independent:f=", "independent:g=constant:1"])
     def test_bad_picard_source_is_parse_error(self, spec):
         with pytest.raises(ParseError):
-            cli._parse_source(spec, 1, 1)
+            NonlinearSources.from_spec(spec, 1, 1)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_independent_source_takes_a_multi_parameter_field(self, d):
         # the field spec keeps its commas and takes the grid's dimension
-        src = cli._parse_source("independent:f=gaussian:amp=2,width=0.5", 1, d)
+        src = NonlinearSources.from_spec("independent:f=gaussian:amp=2,width=0.5", 1, d)
         X = np.zeros((3, d))
         X[1, 0] = X[2, d - 1] = 0.5
         assert np.allclose(src.f(0.0, X, None), 2 * np.exp([0.0, -0.5, -0.5]))
@@ -295,6 +308,70 @@ n_particles = 200
         assert rc == 0
 
 
+SECTIONS = {"coefficients": "\n[coefficients]\nL = 1\na = constant:0.5\n",
+            "initial": "\n[initial]\nu0 = gaussian:amp=1,width=0.5\n",
+            "filter": "\n[filter]\nA = -0.5\n",
+            "picard": "\n[picard]\nf = sin_of_u:scale=0.1\n"}
+
+
+def run_dir_of(tmp_path, sub, text):
+    """Run ``sub`` on ``text`` and return its run directory."""
+    tmp_path.mkdir(exist_ok=True)
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "runs"
+    assert cli.main([sub, "--config", str(cfg), "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    return run_dir
+
+
+class TestCliSettings:
+    """theta and mollify mean the same to every command that can use them,
+    and a zero horizon runs wherever the solve does."""
+
+    @pytest.mark.parametrize("sub, text", [
+        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.0")),
+        ("picard", PICARD_CONFIG.replace("t_end = 0.1", "t_end = 0.0")),
+    ], ids=["run-spde", "picard"])
+    def test_zero_horizon_runs(self, tmp_path, capsys, sub, text):
+        run_dir_of(tmp_path, sub, text)
+
+    @pytest.mark.parametrize("old, new", [
+        ("t_end = 0.1", "t_end = 0.1\ntheta = 0.5"),
+        ("L = 1", "L = 1\nmollify = 0.5"),
+    ], ids=["theta", "mollify"])
+    def test_picard_reads_theta_and_mollify(self, tmp_path, capsys, old, new):
+        run_dir = run_dir_of(tmp_path, "picard", PICARD_CONFIG.replace(old, new))
+        b = parse_config(PICARD_CONFIG)
+        coeffs = b.coeffs
+        if "mollify" in new:
+            coeffs = mollified_coefficient_set(coeffs, MollifierParams(0.5), b.grid)
+        path = noise.generate(3, 1, 100, 1e-3)
+        cfg = SolverConfig(dt=1e-3, theta=0.5 if "theta" in new else 1.0)
+        _, log = picard_solve(coeffs, NonlinearSources.sin_of_u(0.1), b.u0_field(b.grid.points()),
+                              b.grid, cfg, path, tol=1e-8)
+        write_csv(tmp_path / "direct.csv", ["iter", "sup_diff", "ratio"], log)
+        direct = (tmp_path / "direct.csv").read_bytes()
+        assert (run_dir / "iterates.csv").read_bytes() == direct
+        plain = run_dir_of(tmp_path / "plain", "picard", PICARD_CONFIG)
+        assert (plain / "iterates.csv").read_bytes() != direct
+
+    def test_run_filter_reads_theta(self, tmp_path, capsys):
+        run_dir = run_dir_of(tmp_path, "run-filter",
+                             FILTER_CONFIG.replace("t_end = 0.25", "t_end = 0.25\ntheta = 0.5"))
+        b = parse_config(FILTER_CONFIG)
+        sc = filtering.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
+        truth = filtering.simulate_truth(sc, 12, 250, 1e-3)
+        res = filtering.run_zakai(sc, truth, b.grid, SolverConfig(dt=1e-3, theta=0.5))
+        written = np.loadtxt(run_dir / "posterior.csv", delimiter=",", skiprows=1)
+        direct = [(t, x, v) for t, fld in zip(res.pi.times, res.pi.fields)
+                  for x, v in zip(b.grid.x, fld.values)]
+        assert np.array_equal(written, np.array(direct))
+        plain = run_dir_of(tmp_path / "plain", "run-filter", FILTER_CONFIG)
+        assert not np.array_equal(
+            np.loadtxt(plain / "posterior.csv", delimiter=",", skiprows=1), written)
+
+
 class TestCliErrors:
     """Bad input exits 1 with one 'error:' line and no traceback, and a run
     that fails leaves nothing under --out."""
@@ -337,6 +414,15 @@ class TestCliErrors:
         ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = 0.01 0.01")),
         ("run-filter", acceptance.FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nt_end = -1")),
         ("run-filter", acceptance.FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nprior_var = -1")),
+        ("run-filter", FILTER_CONFIG.replace("t_end = 0.25", "t_end = -1")),
+        ("run-filter", FILTER_CONFIG.replace("dim = 1", "dim = 2")),
+        ("run-filter", FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nn_particles = 5")),
+        ("run-filter", FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nn_particles = -5")),
+        ("picard", PICARD_CONFIG.replace("tol = 1e-8", "tol = 0")),
+        ("picard", PICARD_CONFIG.replace("tol = 1e-8", "tol = -1e-8")),
+        ("picard", PICARD_CONFIG.replace("tol = 1e-8", "tol = 1e-8\nmax_iter = 0")),
+        ("picard", PICARD_CONFIG.replace("scale=0.1", "scale=nan")),
+        ("picard", PICARD_CONFIG.replace("sin_of_u:scale=0.1", "linear_in_u:coeff=inf")),
     ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc",
             "picard-independent-width-abc", "field-unknown-parameter",
             "constant-unknown-parameter", "pwlinear-missing-knots",
@@ -345,7 +431,10 @@ class TestCliErrors:
             "output-times-abc", "dt-nan", "t_end-inf", "L-0", "L-negative",
             "seed-negative", "no-initial-u0", "run-spde-no-coefficients",
             "picard-no-coefficients", "a11-in-1d", "output-time-negative",
-            "output-time-repeated", "filter-t_end-negative", "filter-prior-var-negative"])
+            "output-time-repeated", "filter-t_end-negative", "filter-prior-var-negative",
+            "run-filter-t_end-negative", "run-filter-2d", "n_particles-5",
+            "n_particles-negative", "picard-tol-0", "picard-tol-negative",
+            "picard-max_iter-0", "picard-scale-nan", "picard-coeff-inf"])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, sub, text):
         rc, err, out = self.run(tmp_path, capsys, sub, text)
         assert rc == 1
@@ -360,7 +449,27 @@ class TestCliErrors:
     def test_failed_picard_run_leaves_no_run_dir(self, tmp_path, capsys, text):
         rc, err, out = self.run(tmp_path, capsys, "picard", text)
         assert rc == 1 and err.startswith("error: ")
-        assert list(out.iterdir()) == []
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("sub, text, section", [
+        *[pytest.param(sub, base + SECTIONS[name], f"[{name}]", id=f"{sub}-{name}")
+          for sub, base, names in [
+              ("run-filter", FILTER_CONFIG, ["coefficients", "initial", "picard"]),
+              ("run-spde", HEAT, ["filter", "picard"]),
+              ("picard", PICARD_CONFIG, ["filter"]),
+              ("sweep-commutator", SWEEP_CONFIG, list(SECTIONS))]
+          for name in names],
+        pytest.param("run-filter", FILTER_CONFIG.replace(
+            "t_end = 0.25", "t_end = 0.25\noutput_times = 0.1 0.25"), "output_times",
+            id="run-filter-output_times"),
+    ])
+    def test_input_the_command_does_not_read_is_refused(self, tmp_path, capsys,
+                                                         sub, text, section):
+        rc, err, out = self.run(tmp_path, capsys, sub, text)
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sub in err and section in err
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_rerun_replaces_run_dir(self, tmp_path, capsys):
         cfg = tmp_path / "heat.cfg"
