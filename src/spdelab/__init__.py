@@ -10,13 +10,11 @@ __version__ = "0.1.0"
 
 from .families import ScalarField, parse_field, triangle_wave
 from .grids import DensityField, Grid
-from .model import (CoefficientSet, ParabolicityReport, coercivity_constant,
-                    factorized_margin, parabolic_defect, verify_parabolicity)
+from .model import CoefficientSet, ParabolicityReport, verify_parabolicity
 
 __all__ = [
     "__version__",
     "ScalarField", "parse_field", "triangle_wave",
     "DensityField", "Grid",
-    "CoefficientSet", "ParabolicityReport", "coercivity_constant",
-    "factorized_margin", "parabolic_defect", "verify_parabolicity",
+    "CoefficientSet", "ParabolicityReport", "verify_parabolicity",
 ]

@@ -1,12 +1,12 @@
 """Command-line interface: scenario runs, sweeps, and the acceptance suite.
 
 Subcommands: run-spde, run-filter, sweep-commutator, picard, check.  The
-four run commands share one path, ``cmd_run``: it parses the config, refuses
-any section the command does not read (``_RUNS``), and writes the outputs
-into a directory named by the manifest hash, so rerunning an identical
-configuration reproduces identical bytes in the same place.  Exit codes: 0
-on success (all requested checks passing), 1 on bad input or a failed
-check, 2 on usage errors.
+four run commands share one path, ``cmd_run``: it reads and parses the
+config file, refuses any section the command does not read (``_RUNS``), and
+writes the outputs into a directory named by the manifest hash, so rerunning
+an identical configuration reproduces identical bytes in the same place.
+Exit codes: 0 on success (all requested checks passing), 1 on bad input or a
+failed check, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -174,10 +174,15 @@ _RUNS = {
 
 
 def cmd_run(args) -> int:
-    """Parse the config, refuse what the command does not read, and run the
-    command's body in the run directory its manifest names."""
+    """Read and parse the config, refuse what the command does not read, and
+    run the command's body in the run directory its manifest names."""
     body, needs, takes, whole_grid = _RUNS[args.subcommand]
-    bundle = parse_config(args.config)
+    try:
+        text = Path(args.config).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config {args.config}: "
+                                 f"{getattr(exc, 'strerror', None) or exc}") from None
+    bundle = parse_config(text)
     given = set(bundle.sections) - {"run", "grid", "time"}
     unread, missing = sorted(given - needs - takes), sorted(needs - given)
     if unread:

@@ -97,20 +97,11 @@ def commutator_direct(b, u, eps: float, grid: Grid) -> np.ndarray:
     return out[ws.keep]
 
 
-def commutator_integral(b, u, eps: float, grid: Grid, div_b=None) -> np.ndarray:
-    """Kernel-difference route; div b defaults to the discrete divergence."""
+def commutator_integral(b, u, eps: float, grid: Grid) -> np.ndarray:
+    """Kernel-difference route, with div b the discrete divergence."""
     ws = _workspace(grid, eps)
     bv, uv = _sample(b, ws.x), _sample(u, ws.x)
-    dbv = ws.d4(bv) if div_b is None else _sample(div_b, ws.x)
-    out = ws.dsmooth(bv * uv) - bv * ws.dsmooth(uv) - ws.smooth(dbv * uv)
-    return out[ws.keep]
-
-
-def commutator_zero_order(c, u, eps: float, grid: Grid) -> np.ndarray:
-    """smooth(c u) - c smooth(u) on the grid."""
-    ws = _workspace(grid, eps)
-    cv, uv = _sample(c, ws.x), _sample(u, ws.x)
-    out = ws.smooth(cv * uv) - cv * ws.smooth(uv)
+    out = ws.dsmooth(bv * uv) - bv * ws.dsmooth(uv) - ws.smooth(ws.d4(bv) * uv)
     return out[ws.keep]
 
 

@@ -16,17 +16,17 @@ as objects (a ``CoefficientSet``, the ``u0`` field, a linear-Gaussian
 ``FilterScenario`` on the ``[time]`` step and horizon, ``NonlinearSources``),
 so a command only picks the ones it runs.  Unknown sections or keys, and
 coefficient keys that the file's dim and L do not define, are rejected at
-parse time; numbers must be finite.  The model invariants and the range
-checks run immediately so a bad scenario never reaches a solver.  The CLI
-refuses a section that its command does not read; ``theta`` means the same
-to run-spde, picard and run-filter, and ``mollify`` to run-spde and picard.
+parse time; numbers must be finite, and output_times must end at t_end.  The
+model invariants and the range checks run immediately so a bad scenario
+never reaches a solver.  The CLI reads the file and refuses a section that
+its command does not read; ``theta`` means the same to run-spde, picard and
+run-filter, and ``mollify`` to run-spde and picard.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import os
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -91,17 +91,8 @@ class ScenarioBundle:
     raw: dict = field(default_factory=dict)  # section.key -> text, hashed
 
 
-def parse_config(source) -> ScenarioBundle:
-    """Parse a config file path or literal text into a validated bundle."""
-    text = source
-    try:
-        if isinstance(source, (str, bytes)) and os.path.exists(source):
-            with open(source) as fh:
-                text = fh.read()
-        elif hasattr(source, "read_text"):
-            text = source.read_text()
-    except OSError:
-        pass
+def parse_config(text: str) -> ScenarioBundle:
+    """Parse config text into a validated bundle."""
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
                                    comment_prefixes=("#",), strict=True)
     cp.optionxform = str  # keys are case-sensitive (L vs l, A/Q/H/R)
@@ -243,6 +234,11 @@ def parse_config(source) -> ScenarioBundle:
         k = round(t / dt)
         if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ValidationError(f"output time {t} is not a multiple of dt")
+        if t > t_end:
+            raise ValidationError(f"output time {t} is past t_end = {t_end}")
+    if output_times[-1] != t_end:
+        raise ValidationError(f"the last output time {output_times[-1]} is not "
+                              f"t_end = {t_end}")
 
     return ScenarioBundle(name=name, grid=grid, dt=dt, t_end=t_end,
                           output_times=output_times, theta=theta, coeffs=coeffs,

@@ -1,15 +1,14 @@
-"""Numerical checks of the a-priori estimates: positivity propagation, L1
-bounds, the per-step energy balance, and weak time-continuity moduli.
+"""Numerical checks of the a-priori estimates: positivity propagation, the
+per-step energy balance, and weak time-continuity moduli.
 
 Checks are pure functions of (trajectory, declared hypotheses); they refuse
 to run outside their hypothesis set rather than report vacuous passes (the
-positivity and L1 statements require vanishing stochastic sources, so a run
-with g != 0 is rejected, not ignored).
+positivity statement requires vanishing stochastic sources, so a run with
+g != 0 is rejected, not ignored).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +49,6 @@ class Hypotheses:
     u0_nonneg: bool = False
     f_nonneg: bool = False
     g_zero: bool = False
-    h_zero: bool = False
-    c_nonpos: bool = False
 
 
 def check_positivity(traj: Trajectory, tol: float = 1e-8,
@@ -75,48 +72,6 @@ def check_positivity(traj: Trajectory, tol: float = 1e-8,
     measured = float(max(0.0, -lo) / sup) if sup > 0 else 0.0
     return CheckReport(name="positivity", passed=measured <= tol,
                        measured=measured, threshold=tol, context=context or {})
-
-
-def l1_report(traj: Trajectory, u0, f_series=None,
-              hypotheses: Hypotheses | None = None,
-              bound_constants=None, context=None) -> CheckReport:
-    """Sharp and constant-C verdicts on sup_t ||u_t||_1.
-
-    In the clean regime (u >= 0, c <= 0, h = 0, f >= 0) the sharp bound
-    sup_t ||u_t||_1 <= ||u0||_1 + int ||f||_1 is asserted within 1e-10;
-    otherwise the Gronwall-style bound C (||u0||_1 + int ||f||_1) is used,
-    with C = exp(int c+ + (||div sigma|| + ||h||)^2 / 2 dt) built from
-    ``bound_constants`` = (cplus_int, dsig_sq_int, h_sq_int).
-    """
-    hyp = hypotheses or Hypotheses()
-    if not hyp.g_zero:
-        raise HypothesisError("the L1 estimate requires g = 0")
-    grid = traj.grid
-    u0_vals = np.asarray(u0, float).ravel()
-    l1_0 = grid.l1(u0_vals)
-    if traj.full_history is not None:
-        l1_series = np.sum(np.abs(traj.full_history), axis=1) * grid.cell_volume
-    else:
-        l1_series = np.array([f.l1() for f in traj.fields])
-    sup_l1 = float(np.max(l1_series))
-    f_int = 0.0
-    if f_series is not None:
-        f_int = float(np.sum(np.abs(np.asarray(f_series, float)))) * traj.dt
-    sharp_case = hyp.u0_nonneg and hyp.f_nonneg and hyp.h_zero and hyp.c_nonpos
-    base = l1_0 + f_int
-    if sharp_case:
-        threshold = base + 1e-10 * max(1.0, base)
-        name = "l1-sharp"
-        C = 1.0
-    else:
-        cplus, dsig2, h2 = bound_constants or (0.0, 0.0, 0.0)
-        C = math.exp(cplus + 0.5 * dsig2 + 0.5 * h2)
-        threshold = C * base
-        name = "l1-gronwall"
-    return CheckReport(name=name, passed=sup_l1 <= threshold, measured=sup_l1,
-                       threshold=float(threshold), context=context or {},
-                       extra={"l1_initial": l1_0, "source_integral": f_int,
-                              "constant": C})
 
 
 def energy_report(traj: Trajectory, coeffs: CoefficientSet, path: BrownianPath,

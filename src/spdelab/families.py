@@ -132,22 +132,6 @@ class ScalarField:
         val = self(x)
         return -(x - p["center"]) / p["width"] ** 2 * val[:, None]
 
-    def spec_string(self) -> str:
-        """Round-trippable textual form, used in manifests."""
-        def fmt(v):
-            if isinstance(v, np.ndarray):
-                return " ".join(repr(float(t)) for t in v)
-            return repr(float(v))
-        body = ",".join(f"{k}={fmt(v)}" for k, v in sorted(self.params.items()))
-        return f"{self.family}:{body}"
-
-    def __repr__(self):
-        return f"ScalarField({self.spec_string()!r}, dim={self.dim})"
-
-
-def constant(value: float, dim: int = 1) -> ScalarField:
-    return ScalarField("constant", dim, value=value)
-
 
 def zero(dim: int = 1) -> ScalarField:
     return ScalarField("constant", dim, value=0.0)

@@ -107,11 +107,5 @@ class DensityField:
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("DensityField contains non-finite values")
 
-    def l1(self) -> float:
-        return self.grid.l1(self.values)
-
-    def l2(self) -> float:
-        return self.grid.l2(self.values)
-
     def mass(self) -> float:
         return self.grid.integrate(self.values)

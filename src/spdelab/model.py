@@ -1,5 +1,5 @@
 """Coefficient data model for the drift-diffusion operator and its noise
-operators, plus the parabolicity and factorization predicates.
+operators, plus the parabolicity predicate.
 
 The generator acts in divergence form,
 
@@ -226,7 +226,6 @@ class ParabolicityReport:
 
     min_defect: float
     kappa_floor: float
-    alpha: float | None = None
     witnesses: list = field(default_factory=list)
     n_sampled: int = 0
     tol: float = PARABOLIC_TOL
@@ -234,20 +233,6 @@ class ParabolicityReport:
     @property
     def passes(self) -> bool:
         return self.min_defect >= -self.tol
-
-
-def parabolic_defect(coeffs: CoefficientSet, t: float, x, xi) -> float:
-    """Evaluate 2 xi'a xi - sum_l (sigma'xi)_l^2 at a single (t, x)."""
-    xi = np.asarray(xi, dtype=float).ravel()
-    if xi.shape[0] != coeffs.d or not np.any(xi):
-        raise ConfigurationError("xi must be a nonzero d-vector")
-    X = np.asarray(x, dtype=float).reshape(1, coeffs.d)
-    A = coeffs.a(t, X)[0]
-    S = coeffs.sigma(t, X)[0]
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(S))):
-        bad = "a" if not np.all(np.isfinite(A)) else "sigma"
-        raise EvaluationError(f"field '{bad}' is non-finite at t={t}, x={x}")
-    return float(2.0 * xi @ A @ xi - np.sum((S.T @ xi) ** 2))
 
 
 def direction_set(d: int, n_dirs: int, seed: int = 0) -> np.ndarray:
@@ -275,8 +260,7 @@ def _kappa_values(kappa, X):
 
 
 def verify_parabolicity(coeffs: CoefficientSet, grid: Grid, times, kappa=0.0,
-                        n_dirs: int = 8, seed: int = 0,
-                        alpha: float | None = None) -> ParabolicityReport:
+                        n_dirs: int = 8, seed: int = 0) -> ParabolicityReport:
     """Sample defect - kappa over grid points, times and unit directions.
 
     Passes when the sampled minimum is >= -1e-12.  Directions are the d axes
@@ -297,7 +281,7 @@ def verify_parabolicity(coeffs: CoefficientSet, grid: Grid, times, kappa=0.0,
         return lambda xi: (2.0 * np.einsum("mij,i,j->m", A, xi, xi)
                            - np.sum(np.einsum("mil,i->ml", S, xi) ** 2, axis=1) - kap)
     return _sample_defect(defect_at, times, direction_set(coeffs.d, n_dirs, seed), X,
-                          kappa_floor=float(np.min(kap)), alpha=alpha)
+                          kappa_floor=float(np.min(kap)))
 
 
 def _sample_defect(defect_at, times, dirs, X, **report) -> ParabolicityReport:
@@ -314,23 +298,3 @@ def _sample_defect(defect_at, times, dirs, X, **report) -> ParabolicityReport:
     return ParabolicityReport(min_defect=best[0][0],
                               witnesses=[(t, x, xi, v) for v, t, x, xi in best[:3]],
                               n_sampled=len(times) * len(dirs) * len(X), **report)
-
-
-def coercivity_constant(alpha: float) -> float:
-    """Coercivity constant (2 alpha - 1)/(1 + alpha) of the factorized bound."""
-    if alpha <= 0.5:
-        raise ConfigurationError("alpha must exceed 1/2")
-    return (2.0 * alpha - 1.0) / (1.0 + alpha)
-
-
-def factorized_margin(coeffs: CoefficientSet, alpha: float, t: float, x, xi) -> float:
-    """|sigma_hat' xi|^2 - alpha |sigma' xi|^2 at one point (>= 0 wanted)."""
-    if coeffs.sigma_hat is None:
-        raise ConfigurationError("factorized_margin needs coeffs.sigma_hat")
-    if alpha <= 0.5:
-        raise ConfigurationError("alpha must exceed 1/2")
-    xi = np.asarray(xi, dtype=float).ravel()
-    X = np.asarray(x, dtype=float).reshape(1, coeffs.d)
-    Sh = coeffs.sigma_hat(t, X)[0]
-    S = coeffs.sigma(t, X)[0]
-    return float(np.sum((Sh.T @ xi) ** 2) - alpha * np.sum((S.T @ xi) ** 2))

@@ -1,5 +1,5 @@
 """Regularization machinery: smoothing kernel, plateau cutoff, mollified
-coefficients, truncated drift, and the quantitative bounds they obey.
+coefficients, and the quantitative bounds they obey.
 
 One fixed analytic kernel/cutoff pair is used everywhere so every bound in
 the test suite is reproducible:
@@ -76,13 +76,6 @@ def cutoff_value(x, epsilon: float) -> np.ndarray:
     return _psi(epsilon * r)
 
 
-def cutoff_grad_magnitude(x, epsilon: float) -> np.ndarray:
-    """|grad chi_eps|(x) = eps |psi'(eps |x|)| (analytic form)."""
-    x = np.asarray(x, dtype=float)
-    r = np.abs(x) if x.ndim <= 1 else np.linalg.norm(x, axis=-1)
-    return epsilon * np.abs(_dpsi(epsilon * r))
-
-
 def _psi(r):
     r = np.asarray(r, dtype=float)
     out = np.ones_like(r)
@@ -92,19 +85,6 @@ def _psi(r):
     A = np.exp(-1.0 / (2.0 - rm))
     B = np.exp(-1.0 / (rm - 1.0))
     out[mid] = A / (A + B)
-    return out
-
-
-def _dpsi(r):
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    mid = (r > 1.0) & (r < 2.0)
-    rm = r[mid]
-    A = np.exp(-1.0 / (2.0 - rm))
-    B = np.exp(-1.0 / (rm - 1.0))
-    dA = -A / (2.0 - rm) ** 2
-    dB = B / (rm - 1.0) ** 2
-    out[mid] = (dA * B - A * dB) / (A + B) ** 2
     return out
 
 
@@ -212,17 +192,6 @@ def mollify_field(values: np.ndarray, params: MollifierParams, grid: Grid,
     return out.ravel() if grid.d == 2 else out
 
 
-def truncate_drift(values, params: MollifierParams, grid: Grid) -> np.ndarray:
-    """[(b ^ 1/eps) v (-1/eps)] * rho_eps: clip then smooth, no cutoff factor
-    (clipping already caps the amplitude, and this keeps div bounds intact)."""
-    cap = 1.0 / params.epsilon
-    if callable(values):
-        clipped = lambda x: np.clip(values(x), -cap, cap)  # noqa: E731
-        return mollify_callable(clipped, params, grid, cutoff_power=0)
-    arr = np.clip(np.asarray(values, dtype=float), -cap, cap)
-    return mollify_field(arr, params, grid, cutoff_power=0)
-
-
 # -- coefficient-level mollification and checks ---------------------------
 
 def mollify_coefficients(coeffs: CoefficientSet, params: MollifierParams,
@@ -301,24 +270,6 @@ def mollified_parabolicity_check(coeffs: CoefficientSet, params: MollifierParams
                            - floor)
     return _sample_defect(defect_at, times, direction_set(coeffs.d, n_dirs, seed), X,
                           kappa_floor=float(np.min(kap)), tol=tol)
-
-
-def cutoff_derivative_bound(params: MollifierParams, grid: Grid) -> float:
-    """Smallest C with |grad chi_eps| <= C eps on the shell, from the grid.
-
-    Always <= sup |psi'| = 2 of the fixed profile.
-    """
-    pts = grid.points()
-    r = np.abs(pts[:, 0]) if grid.d == 1 else np.linalg.norm(pts, axis=1)
-    eps = params.epsilon
-    shell = (r >= 1.0 / eps) & (r <= 2.0 / eps)
-    grads = cutoff_grad_magnitude(pts if grid.d > 1 else pts[:, 0], eps)
-    off_shell = grads[~shell]
-    if off_shell.size and np.max(off_shell) > 0:
-        raise AssertionError("cutoff derivative leaked outside the shell")
-    if not np.any(shell):
-        return 0.0
-    return float(np.max(grads[shell]) / eps)
 
 
 # -- divergence bound (drift smoothing keeps div uniformly bounded) --------

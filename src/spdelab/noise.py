@@ -21,7 +21,6 @@ from .errors import ConfigurationError, SizeError
 GENERATOR_ID = "philox4x64-q26"
 _QUANTUM = 2.0 ** -26
 _MAX_ELEMENTS = 200_000_000
-_MAGIC = b"BPTH"
 
 
 @dataclass(frozen=True)
@@ -73,29 +72,3 @@ def coarsen(path: BrownianPath, k: int) -> BrownianPath:
     return BrownianPath(L=path.L, n_steps=path.n_steps // k, dt=path.dt * k,
                         increments=inc, seed=path.seed,
                         generator_id=path.generator_id)
-
-
-def write_path(path: BrownianPath, filename) -> None:
-    """Binary dump: 24-byte header (magic 'BPTH', version, L, n_steps) then
-    row-major little-endian float64 increments."""
-    header = np.zeros(3, dtype="<u8")
-    header[0] = int.from_bytes(_MAGIC + (1).to_bytes(4, "little"), "little")
-    header[1] = path.L
-    header[2] = path.n_steps
-    with open(filename, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(path.increments.astype("<f8").tobytes(order="C"))
-
-
-def read_path(filename, dt: float, seed: int = -1) -> BrownianPath:
-    """Read a dump written by write_path. dt and seed live in the manifest,
-    not the dump, and must be supplied by the caller."""
-    with open(filename, "rb") as fh:
-        raw = fh.read(24)
-        if len(raw) != 24 or raw[:4] != _MAGIC:
-            raise ConfigurationError(f"{filename} is not a driver dump (bad magic)")
-        L = int(np.frombuffer(raw, dtype="<u8", count=1, offset=8)[0])
-        n_steps = int(np.frombuffer(raw, dtype="<u8", count=1, offset=16)[0])
-        inc = np.frombuffer(fh.read(), dtype="<f8").reshape(n_steps, L).copy()
-    return BrownianPath(L=L, n_steps=n_steps, dt=float(dt), increments=inc,
-                        seed=int(seed))

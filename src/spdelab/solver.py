@@ -15,9 +15,10 @@ the noise term explicitly (left-point in time):
     (I - theta dt L) u_{n+1} = u_n + (1-theta) dt L u_n + dt f_n
                                + sum_l (M^l u_n + g^l_n) dB^l_n.
 
-The optional stability guard enforces dt sum_l ||sigma^{.l}||_inf^2 <= h^2
-together with a nonnegative face margin 2a - |sigma|^2, which is exactly the
-mean-square stability budget of the explicit noise term.
+The stability guard, on in ``solve`` and the filters, enforces
+dt sum_l ||sigma^{.l}||_inf^2 <= h^2 together with a nonnegative face margin
+2a - |sigma|^2, which is exactly the mean-square stability budget of the
+explicit noise term.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ BOUNDARY_MASS_WARN_FRACTION = 1e-6
 class SolverConfig:
     dt: float
     theta: float = 1.0
-    stability_guard: bool = True
     store_every: int = 0  # 0: snapshots only; 1: keep the full step history
 
     def __post_init__(self):
@@ -79,12 +79,6 @@ class Trajectory:
     @property
     def energy_series(self) -> np.ndarray:
         return self.l2_series ** 2
-
-    def field_at(self, t: float) -> DensityField:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigurationError(f"no snapshot at t={t}")
-        return self.fields[k]
 
 
 def _neighbours(idx: np.ndarray, axis: int, boundary: str):
@@ -340,7 +334,7 @@ class Stepper:
 def solve(coeffs: CoefficientSet, u0, grid: Grid, cfg: SolverConfig,
           path: BrownianPath, output_times) -> Trajectory:
     """March the scheme along the driver path and record snapshots."""
-    stepper = Stepper(coeffs, grid, cfg.dt, cfg.theta, cfg.stability_guard)
+    stepper = Stepper(coeffs, grid, cfg.dt, cfg.theta, True)
     return _march(lambda n, u: stepper.advance(u, n, path.increments[n]), u0,
                   grid, cfg, path, coeffs.L, output_times, cfg.store_every == 1)
 

@@ -91,39 +91,6 @@ class TestIntegral:
         mask = np.abs(grid.x) <= 3.0
         assert l2(grid, d - i, mask) / l2(grid, d, mask) < 1e-6
 
-    def test_analytic_divergence_option(self):
-        grid = sweep_grid(0.1)
-        b = lambda p: np.sin(p[:, 0])        # noqa: E731
-        db = lambda p: np.cos(p[:, 0])       # noqa: E731
-        d = com.commutator_direct(b, gauss, 0.1, grid)
-        i = com.commutator_integral(b, gauss, 0.1, grid, div_b=db)
-        mask = np.abs(grid.x) <= 3.0
-        assert l2(grid, d - i, mask) / l2(grid, d, mask) < 1e-6
-
-
-class TestZeroOrder:
-    def test_constant_c(self):
-        grid = sweep_grid(0.1, ppr=16)
-        out = com.commutator_zero_order(lambda p: np.full(p.shape[0], 3.0), tri, 0.1, grid)
-        assert np.max(np.abs(out)) < 1e-12
-
-    def test_linear_c_constant_u(self):
-        grid = sweep_grid(0.1, ppr=16)
-        out = com.commutator_zero_order(lambda p: p[:, 0],
-                                        lambda p: np.ones(p.shape[0]), 0.1, grid)
-        mask = com.collar_mask(grid, 0.1)
-        assert np.max(np.abs(out[mask])) < 1e-12
-
-    def test_absval_step_norm_decreases(self):
-        norms = []
-        for eps in (0.2, 0.1, 0.05):
-            grid = sweep_grid(eps, ppr=32)
-            out = com.commutator_zero_order(
-                lambda p: np.abs(p[:, 0]),
-                lambda p: (p[:, 0] >= 0.25).astype(float), eps, grid)
-            norms.append(l2(grid, out, np.abs(grid.x) <= 3.0))
-        assert norms[0] > norms[1] > norms[2]
-
 
 class TestIdentities:
     def test_first_identity_defect_small(self):

@@ -284,6 +284,10 @@ n_particles = 200
                          "posterior.csv"]
         header = (run_dir / "oracle.csv").read_text().splitlines()[0]
         assert header == "t,pde_mean,kb_mean,pde_var,kb_var,particle_phi,stderr"
+        # n_particles > 0: the particle estimate fills the last row only
+        rows = np.loadtxt(run_dir / "oracle.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows[-1, 5:])) and rows[-1, 6] > 0
+        assert np.all(np.isnan(rows[:-1, 5:]))
 
     @pytest.mark.parametrize("source", ["independent:f=constant:0.1",
                                         "independent:f=gaussian:amp=1,width=0.5"])
@@ -410,8 +414,10 @@ class TestCliErrors:
         ("run-spde", HEAT.replace("[coefficients]\nL = 1\na = constant:0.5\n", "")),
         ("picard", PICARD_CONFIG.replace("[coefficients]\nL = 1\na = constant:0.5\n", "")),
         ("run-spde", HEAT.replace("a = constant:0.5", "a = constant:0.5\na11 = constant:1")),
-        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = -0.01 0.01")),
-        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = 0.01 0.01")),
+        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = -0.01 0.05")),
+        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = 0.05 0.05")),
+        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = 0.01 0.06")),
+        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = 0.01 0.02")),
         ("run-filter", acceptance.FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nt_end = -1")),
         ("run-filter", acceptance.FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nprior_var = -1")),
         ("run-filter", FILTER_CONFIG.replace("t_end = 0.25", "t_end = -1")),
@@ -431,7 +437,9 @@ class TestCliErrors:
             "output-times-abc", "dt-nan", "t_end-inf", "L-0", "L-negative",
             "seed-negative", "no-initial-u0", "run-spde-no-coefficients",
             "picard-no-coefficients", "a11-in-1d", "output-time-negative",
-            "output-time-repeated", "filter-t_end-negative", "filter-prior-var-negative",
+            "output-time-repeated", "output-time-past-t_end",
+            "last-output-time-before-t_end", "filter-t_end-negative",
+            "filter-prior-var-negative",
             "run-filter-t_end-negative", "run-filter-2d", "n_particles-5",
             "n_particles-negative", "picard-tol-0", "picard-tol-negative",
             "picard-max_iter-0", "picard-scale-nan", "picard-coeff-inf"])
@@ -441,6 +449,19 @@ class TestCliErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "a-directory", "binary.cfg"])
+    def test_unreadable_config_exits_1_naming_the_path(self, tmp_path, capsys, name):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe[run]\n")
+        config = tmp_path / name
+        out = tmp_path / "runs"
+        rc = cli.main(["run-spde", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: cannot read config {config}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         PICARD_CONFIG.replace("scale=0.1", "scale=abc"),

@@ -32,8 +32,8 @@ class TestZakaiCoefficients:
         assert np.allclose(cs.a(0.0, X)[:, 0, 0], 0.5)
         # divergence-form drift slot carries d_j a - b_hat = -A x
         assert np.allclose(cs.b(0.0, X)[:, 0], -KB["A"] * X[:, 0])
-        drift = flt.fokker_planck_drift(sc, truth.y_path, truth.dt, 0.0, X)
-        assert np.allclose(drift[:, 0], KB["A"] * X[:, 0])
+        # the forward-form drift b_hat - d_j a^{ij} is -b
+        assert np.allclose(-cs.b(0.0, X)[:, 0], KB["A"] * X[:, 0])
 
     def test_h_is_scaled_observation_drift(self):
         sc = flt.FilterScenario.linear_gaussian(A=0.0, Q=1.0, H=1.0, R=2.0)
@@ -57,8 +57,7 @@ class TestZakaiCoefficients:
         X = np.linspace(0.5, 2, 7)[:, None]
         cs = flt.zakai_coefficients(sc, truth.y_path, truth.dt)
         assert np.allclose(cs.a(0.0, X)[:, 0, 0], X[:, 0] ** 2 / 2, atol=1e-12)
-        drift = flt.fokker_planck_drift(sc, truth.y_path, truth.dt, 0.0, X)
-        assert np.allclose(drift[:, 0], KB["A"] * X[:, 0] - X[:, 0], atol=1e-8)
+        assert np.allclose(-cs.b(0.0, X)[:, 0], KB["A"] * X[:, 0] - X[:, 0], atol=1e-8)
 
 
 class TestSimulateTruth:
@@ -107,9 +106,9 @@ class TestSimulateTruth:
 
     def test_explosion_guard(self):
         sc = kb_scenario()
-        sc.b_hat = lambda t, X, y: 80.0 * np.ones_like(X)
-        with pytest.raises(flt.ScenarioError):
-            flt.simulate_truth(sc, 1, 200, 1e-2, x_bound=4.0)
+        sc.b_hat = lambda t, X, y: np.full_like(X, np.inf)
+        with pytest.raises(flt.ScenarioError, match="exploded at step 0"):
+            flt.simulate_truth(sc, 1, 200, 1e-2)
 
 
 class TestRunZakai:
@@ -298,7 +297,6 @@ class TestKushnerStabilityGuard:
         for run in (flt.run_zakai, flt.run_kushner):
             with pytest.raises(StabilityError):
                 run(sc, coarse, grid, SolverConfig(dt=coarse.dt))
-            run(sc, coarse, grid, SolverConfig(dt=coarse.dt, stability_guard=False))
             run(sc, fine, grid, SolverConfig(dt=fine.dt))
 
 

@@ -6,48 +6,41 @@ from hypothesis import strategies as st
 from spdelab.errors import ConfigurationError, EvaluationError, ValidationError
 from spdelab.families import ScalarField, parse_field
 from spdelab.grids import Grid
-from spdelab.model import (CoefficientSet, coercivity_constant, direction_set,
-                           factorized_margin, parabolic_defect,
-                           verify_parabolicity)
+from spdelab.model import CoefficientSet, direction_set, verify_parabolicity
 
 
 def heat_coeffs(a=0.5, sigma=None, d=1, L=1, **kw):
     return CoefficientSet.from_fields(d=d, L=L, a=a, sigma=sigma, **kw)
 
 
+def pointwise_defect(cs, t, x, xi):
+    """2 xi'a xi - sum_l (sigma'xi)_l^2 at one point: the oracle for the
+    sampled minimum of verify_parabolicity."""
+    X = np.asarray(x, dtype=float).reshape(1, cs.d)
+    xi = np.asarray(xi, dtype=float)
+    A, S = cs.a(t, X)[0], cs.sigma(t, X)[0]
+    return float(2.0 * xi @ A @ xi - np.sum((S.T @ xi) ** 2))
+
+
 class TestParabolicDefect:
     def test_identity_a_no_noise_d2(self):
         cs = CoefficientSet.from_fields(d=2, L=1, a=(1.0, 0.0, 1.0))
-        assert parabolic_defect(cs, 0.0, (0.0, 0.0), (1.0, 0.0)) == pytest.approx(2.0)
+        grid = Grid.box2d((-1, -1), (1, 1), (16, 16))
+        rep = verify_parabolicity(cs, grid, [0.0], n_dirs=6)
+        assert rep.min_defect == pytest.approx(2.0, rel=1e-12)
 
     def test_exact_degeneracy_by_construction(self):
         # a = sigma sigma^T / 2 with a 1x2 sigma
         s1, s2 = 0.7, -1.3
         a_val = 0.5 * (s1 * s1 + s2 * s2)
         cs = CoefficientSet.from_fields(d=1, L=2, a=a_val, sigma=[s1, s2])
-        for xi in (1.0, -2.5, 0.3):
-            assert parabolic_defect(cs, 0.0, 0.1, [xi]) == pytest.approx(0.0, abs=1e-13)
+        rep = verify_parabolicity(cs, Grid.line(-1, 1, 16), [0.0], n_dirs=6)
+        assert rep.min_defect == pytest.approx(0.0, abs=1e-13)
 
     def test_two_driver_arithmetic(self):
         cs = CoefficientSet.from_fields(d=1, L=2, a=1.0, sigma=[1.0, 1.0])
-        assert parabolic_defect(cs, 0.0, 0.0, [1.0]) == pytest.approx(0.0, abs=1e-14)
-
-    def test_sign_symmetry_and_homogeneity(self):
-        cs = CoefficientSet.from_fields(
-            d=1, L=1, a=ScalarField("sinusoidal", 1, amp=0.3, offset=1.0), sigma=0.8)
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            x = rng.uniform(-3, 3)
-            xi = rng.uniform(0.1, 2.0)
-            s = rng.uniform(0.1, 3.0)
-            v = parabolic_defect(cs, 0.0, x, [xi])
-            assert parabolic_defect(cs, 0.0, x, [-xi]) == pytest.approx(v, rel=1e-12)
-            assert parabolic_defect(cs, 0.0, x, [s * xi]) == pytest.approx(s * s * v, rel=1e-12)
-
-    def test_zero_xi_rejected(self):
-        cs = heat_coeffs()
-        with pytest.raises(ConfigurationError):
-            parabolic_defect(cs, 0.0, 0.0, [0.0])
+        rep = verify_parabolicity(cs, Grid.line(-1, 1, 16), [0.0], n_dirs=2)
+        assert rep.min_defect == pytest.approx(0.0, abs=1e-14)
 
     def test_nonfinite_field_named(self):
         def bad_a(t, x):
@@ -58,7 +51,7 @@ class TestParabolicDefect:
         cs = CoefficientSet(1, 1, bad_a, base.b, base.c, base.sigma, base.h,
                             base.f, base.g)
         with pytest.raises(EvaluationError, match="'a'"):
-            parabolic_defect(cs, 0.0, 1.0, [1.0])
+            verify_parabolicity(cs, Grid.line(-2, 2, 16), [0.0])
 
 
 class TestVerifyParabolicity:
@@ -101,55 +94,14 @@ class TestVerifyParabolicity:
         vals = []
         for xi in dirs:
             for row in X:
-                vals.append(parabolic_defect(cs, 0.0, row, xi))
+                vals.append(pointwise_defect(cs, 0.0, row, xi))
         assert rep.min_defect == pytest.approx(min(vals), abs=0)
         t, x, xi, v = rep.witnesses[0]
-        assert parabolic_defect(cs, t, x, xi) == pytest.approx(v, abs=1e-15)
+        assert pointwise_defect(cs, t, x, xi) == pytest.approx(v, abs=1e-15)
 
     def test_empty_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
             verify_parabolicity(heat_coeffs(), Grid.line(-1, 1, 16), [])
-
-
-class TestFactorizedMargin:
-    def test_coercivity_constant_values(self):
-        assert coercivity_constant(1.0) == pytest.approx(0.5)
-        assert coercivity_constant(2.0) == pytest.approx(1.0)
-        with pytest.raises(ConfigurationError):
-            coercivity_constant(0.5)
-
-    def test_sigma_hat_equal_sigma_alpha_one(self):
-        cs = CoefficientSet.from_fields(d=1, L=1, a=0.49, sigma=0.7, sigma_hat=0.7)
-        for xi in (1.0, -0.4, 2.2):
-            assert factorized_margin(cs, 1.0, 0.0, 0.0, [xi]) == pytest.approx(0.0, abs=1e-14)
-
-    def test_sqrt2_scaling_alpha_two(self):
-        s = 0.9
-        cs = CoefficientSet.from_fields(d=1, L=1, a=2 * s * s, sigma=s,
-                                        sigma_hat=np.sqrt(2) * s)
-        assert factorized_margin(cs, 2.0, 0.0, 0.3, [1.7]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_missing_sigma_hat(self):
-        with pytest.raises(ConfigurationError):
-            factorized_margin(heat_coeffs(), 1.0, 0.0, 0.0, [1.0])
-
-    def test_margin_implies_parabolicity(self):
-        # a = sigma_hat^2 with margin >= 0 at alpha > 1/2 forces the
-        # quadratic-form chain to stay nonnegative with kappa = 0
-        shat = ScalarField("sinusoidal", 1, amp=0.3, offset=1.2)
-        sig = ScalarField("sinusoidal", 1, amp=0.3, offset=1.0)
-
-        def a_fn(t, x):
-            return (shat(x) ** 2)[:, None, None]
-        base = CoefficientSet.from_fields(d=1, L=1, sigma=sig, sigma_hat=shat)
-        cs = CoefficientSet(1, 1, a_fn, base.b, base.c, base.sigma, base.h,
-                            base.f, base.g, sigma_hat=base.sigma_hat)
-        grid = Grid.line(-3, 3, 48)
-        alpha = 1.1
-        margins = [factorized_margin(cs, alpha, 0.0, x, [1.0]) for x in grid.x]
-        assert min(margins) >= 0
-        rep = verify_parabolicity(cs, grid, [0.0], kappa=0.0, n_dirs=2)
-        assert rep.min_defect >= -1e-12
 
 
 class TestCoefficientSetInvariants:
@@ -176,9 +128,9 @@ class TestFamilies:
         fld = parse_field("gaussian:amp=2,center=0.5,width=0.7", 1)
         x = np.array([0.5])
         assert fld(x)[0] == pytest.approx(2.0)
-        again = parse_field(fld.spec_string(), 1)
+        direct = ScalarField("gaussian", 1, amp=2.0, center=0.5, width=0.7)
         xs = np.linspace(-2, 2, 11)
-        assert np.allclose(fld(xs), again(xs))
+        assert np.array_equal(fld(xs), direct(xs))
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(0)

@@ -76,27 +76,3 @@ class TestCoarsen:
     def test_dt_scales(self):
         p = noise.generate(2, 1, 100, 1e-3)
         assert noise.coarsen(p, 10).dt == pytest.approx(1e-2)
-
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        p = noise.generate(17, 3, 257, 1e-3)
-        fn = tmp_path / "drivers.bpth"
-        noise.write_path(p, fn)
-        q = noise.read_path(fn, dt=1e-3, seed=17)
-        assert q.L == p.L and q.n_steps == p.n_steps
-        assert np.array_equal(q.increments, p.increments)
-
-    def test_header_size_and_magic(self, tmp_path):
-        p = noise.generate(1, 1, 4, 0.1)
-        fn = tmp_path / "d.bpth"
-        noise.write_path(p, fn)
-        raw = fn.read_bytes()
-        assert raw[:4] == b"BPTH"
-        assert len(raw) == 24 + 4 * 8
-
-    def test_bad_magic(self, tmp_path):
-        fn = tmp_path / "junk.bin"
-        fn.write_bytes(b"NOPE" + b"\0" * 40)
-        with pytest.raises(ConfigurationError):
-            noise.read_path(fn, dt=0.1)
