@@ -129,7 +129,7 @@ def _run_filter(bundle: ScenarioBundle, out: Path) -> None:
     write_csv(out / "posterior.csv", ["t", "x", "pi"], rows)
     ts = res.u.step_times
     write_csv(out / "moments.csv", ["t", "mean", "var", "mass"],
-              zip(ts, mean, var, res.mass_series))
+              zip(ts, mean, var, res.u.mass_series))
     part_est, part_se = (np.nan, np.nan)
     if bundle.n_particles:
         part_est, part_se = flt.particle_estimate(

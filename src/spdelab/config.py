@@ -205,16 +205,14 @@ def parse_config(text: str) -> ScenarioBundle:
         kind = get("filter", "kind", "linear-gaussian")
         if kind != "linear-gaussian":
             raise ParseError(f"unsupported filter kind {kind!r}")
-        prior_var = number("filter", "prior_var", 1.0)
-        if prior_var <= 0:
-            raise ValidationError("filter.prior_var must be positive")
         if n_particles != 0 and n_particles < 100:
             raise ValidationError(f"filter.n_particles must be 0 or at least 100, "
                                   f"got {n_particles}")
         filter_scenario = FilterScenario.linear_gaussian(
             A=number("filter", "A", -0.5), Q=number("filter", "Q", 1.0),
             H=number("filter", "H", 1.0), R=number("filter", "R", 1.0),
-            prior_mean=number("filter", "prior_mean", 0.0), prior_var=prior_var)
+            prior_mean=number("filter", "prior_mean", 0.0),
+            prior_var=number("filter", "prior_var", 1.0))
 
     sources = NonlinearSources.from_spec(get("picard", "f", "none"), L, dim)
     tol = number("picard", "tol", 1e-8)

@@ -26,7 +26,7 @@ is never regenerated inside a solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +42,15 @@ from .solver import assemble_generator  # noqa: F401
 
 @dataclass
 class FilterScenario:
-    """Signal/observation model with prior density and declared bounds.
+    """Signal/observation model with its prior density.
 
     Callables: ``b_hat(t, X, y) -> (m, d)``, ``sigma_hat(t, X, y) ->
     (m, d, d)``, ``b_tilde(t, X, y) -> (m, d1)``, ``sigma_tilde(t, y) ->
     (d1, d1)``; ``pi0(X) -> (m,)`` is the prior density and
     ``prior_sampler(rng, n) -> (n, d)`` draws from it.
+
+    ``linear = (A, Q, H, R, prior_mean, prior_var)`` declares the d = d1 = 1
+    linear-Gaussian model, prior included, that the Kalman-Bucy oracle reads.
 
     ``static_coefficients = True`` is a contract: no callable depends on
     ``t`` or ``y``.  The truth simulation, the particle step and the
@@ -63,19 +66,20 @@ class FilterScenario:
     sigma_tilde: object
     pi0: object
     prior_sampler: object
-    K: float = 10.0
-    linear: tuple | None = None          # (A, Q, H, R) for d = d1 = 1
+    linear: tuple | None = None
     static_coefficients: bool = False
     da_hook: object = None               # optional analytic d_j a^{ij}
-    _prior: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)  # (pi0, mean, variance)
 
     @classmethod
     def linear_gaussian(cls, A: float, Q: float, H: float, R: float,
                         prior_mean: float = 0.0, prior_var: float = 1.0):
-        """1-d signal dx = A x dt + Q dW observed via dy = H x dt + R dV."""
+        """1-d signal dx = A x dt + Q dW observed via dy = H x dt + R dV,
+        with the prior N(prior_mean, prior_var)."""
         if R == 0.0:
             raise ValidationError("sigma_tilde must be invertible (R != 0)")
+        if not (math.isfinite(prior_mean) and math.isfinite(prior_var) and prior_var > 0):
+            raise ValidationError("the prior needs a finite mean and a finite, positive "
+                                  f"variance, got N({prior_mean!r}, {prior_var!r})")
 
         def b_hat(t, X, y):
             return A * X
@@ -99,49 +103,22 @@ class FilterScenario:
         return cls(d=1, d1=1, b_hat=b_hat, sigma_hat=sigma_hat,
                    b_tilde=b_tilde, sigma_tilde=sigma_tilde, pi0=pi0,
                    prior_sampler=sampler,
-                   K=max(abs(A), abs(Q), abs(H), abs(R), 1.0) * 4,
-                   linear=(A, Q, H, R), static_coefficients=True,
+                   linear=(A, Q, H, R, prior_mean, prior_var), static_coefficients=True,
                    da_hook=lambda t, X, y: np.zeros_like(X))
 
-    def prior_moments(self) -> tuple[float, float]:
-        """Mean and variance of ``pi0`` (d = 1) from the trapezoid rule on
-        400 001 points of [-40, 40], computed once per ``pi0`` object.  A
-        prior with more than 1e-9 of its mass outside the window has no
-        moments here: truncating it would bias both."""
-        if self._prior is None or self._prior[0] is not self.pi0:
-            xs = np.linspace(-40, 40, 400_001)
-            p0 = self.pi0(xs[:, None])
-            mass = float(np.trapezoid(p0, xs))
-            if not abs(mass - 1.0) <= 1e-9:
-                raise OracleNotApplicableError(
-                    f"prior mass on [-40, 40] is {mass!r}, not 1 within 1e-9")
-            w = p0 / mass
-            m0 = np.trapezoid(w * xs, xs)
-            var0 = np.trapezoid(w * xs**2, xs) - m0 ** 2
-            self._prior = (self.pi0, float(m0), float(var0))
-        return self._prior[1:]
-
-    def validate(self, grid: Grid, y_samples) -> dict:
-        """Structural checks plus a soft report on the declared bounds."""
-        X = grid.points()
-        p = self.pi0(X)
+    def validate(self, grid: Grid, y_samples) -> None:
+        """A nonnegative prior of mass 1 on the grid, and an invertible
+        sigma_tilde at every (t, y) sample."""
+        p = self.pi0(grid.points())
         if np.any(p < 0):
             raise ValidationError("prior density must be nonnegative")
         mass = grid.integrate(p)
         if abs(mass - 1.0) > 1e-10:
             raise ValidationError(f"prior mass {mass!r} is not 1 within 1e-10")
-        report = {"prior_mass": mass, "soft_violations": []}
         for t, y in y_samples:
             st = np.asarray(self.sigma_tilde(t, y), float)
             if abs(np.linalg.det(st)) <= 1e-12:
                 raise ValidationError(f"sigma_tilde singular at t={t}, y={y}")
-            sh = self.sigma_hat(t, X, y)
-            if np.max(np.abs(sh)) > self.K:
-                report["soft_violations"].append(("sigma_hat", t, float(np.max(np.abs(sh)))))
-            bt = self.b_tilde(t, X, y)
-            if np.max(np.abs(bt)) > self.K * (1 + np.max(np.abs(X))):
-                report["soft_violations"].append(("b_tilde", t, float(np.max(np.abs(bt)))))
-        return report
 
 
 @dataclass
@@ -264,10 +241,7 @@ def normalize(values: np.ndarray, grid: Grid) -> np.ndarray:
 @dataclass
 class ZakaiResult:
     u: Trajectory
-    mass_series: np.ndarray
     pi: Trajectory
-    innovations: np.ndarray
-    manifest: dict = field(default_factory=dict)
 
     def posterior_moments(self):
         """Per-step mean and variance of the normalized density (d = 1)."""
@@ -283,7 +257,7 @@ class ZakaiResult:
 
 def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
               cfg: SolverConfig) -> ZakaiResult:
-    """Solve the driven linear SPDE, normalize, and collect innovations."""
+    """Solve the driven linear SPDE and normalize its snapshots."""
     coeffs = zakai_coefficients(sc, truth.y_path, truth.dt)
     sc.validate(grid, [(0.0, truth.y_path[0])])
     p0 = normalize(np.maximum(sc.pi0(grid.points()), 0.0), grid)
@@ -294,21 +268,12 @@ def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     if np.any(mass <= 0):
         raise DegenerateMassError(
             f"unnormalized mass hit {mass.min():.3e}; the scenario is under-resolved")
-    pts = grid.points()
-    vol = grid.cell_volume
-    h = reuse_if_static(coeffs.h, not coeffs.time_dependent)
-    innovations = np.empty_like(truth.bbar_increments)
-    for n in range(truth.n_steps):
-        hv = h(n * truth.dt, pts)
-        pi_h = (traj.full_history[n] @ hv) * vol / mass[n]
-        innovations[n] = truth.bbar_increments[n] - pi_h * truth.dt
     pi_fields = [DensityField(grid=grid, values=normalize(f.values, grid),
                               time_index=f.time_index) for f in traj.fields]
     pi_traj = Trajectory(grid=grid, times=traj.times, fields=pi_fields,
                          mass_series=np.ones_like(mass), l2_series=traj.l2_series / mass,
                          dt=traj.dt, theta=traj.theta, seed=traj.seed)
-    return ZakaiResult(u=traj, mass_series=mass, pi=pi_traj,
-                       innovations=innovations)
+    return ZakaiResult(u=traj, pi=pi_traj)
 
 
 def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
@@ -413,14 +378,13 @@ def kalman_bucy_oracle(sc: FilterScenario, truth: TruthRealization):
 
     The variance Riccati equation is integrated with classical 4th-order
     steps between observation increments; the mean picks up the measurement
-    update with the left-point gain.  The loop runs on Python floats; the
-    prior moments come from ``sc.prior_moments()``.
+    update with the left-point gain.  The loop runs on Python floats and
+    starts from the prior moments the scenario declares in ``sc.linear``.
     """
     if sc.linear is None:
         raise OracleNotApplicableError("scenario is not declared linear-Gaussian")
-    A, Q, H, R = (float(v) for v in sc.linear)
+    A, Q, H, R, mk, pk = (float(v) for v in sc.linear)
     dt = float(truth.dt)
-    mk, pk = sc.prior_moments()
     m, P = [mk], [pk]
 
     def pdot(p):

@@ -106,6 +106,3 @@ class DensityField:
             raise ValidationError("DensityField values do not match the grid size")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("DensityField contains non-finite values")
-
-    def mass(self) -> float:
-        return self.grid.integrate(self.values)

@@ -280,10 +280,6 @@ class DivBoundResult:
     sup_div_mollified: float
     bound: float
 
-    @property
-    def passes(self) -> bool:
-        return self.sup_div_mollified <= self.bound
-
 
 # From the shell estimate: |(b*rho_eps) grad chi_eps| <= sup|psi'| (2 eps + 2)
 # ||b/(1+|x|)||, and |(div b * rho_eps) chi| <= ||div b||; eps < 1 gives

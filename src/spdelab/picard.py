@@ -41,7 +41,6 @@ class NonlinearSources:
     g: object
     L: int
     K: float
-    gamma_bound: float = 0.0
 
     @classmethod
     def independent(cls, f_field=None, g_fields=None, L=1):

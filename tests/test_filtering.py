@@ -117,7 +117,7 @@ class TestRunZakai:
         truth = flt.simulate_truth(sc, 11, 250, 1e-3)
         grid = Grid.line(-8, 8, 256)
         res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=1e-3))
-        assert np.max(np.abs(res.mass_series - 1.0)) < 1e-12
+        assert np.max(np.abs(res.u.mass_series - 1.0)) < 1e-12
         # OU density stays gaussian: mean -> m0 e^{At}, var -> stationary
         mean, var = res.posterior_moments()
         t = 0.25
@@ -130,7 +130,7 @@ class TestRunZakai:
         grid = Grid.line(-8, 8, 256)
         res = flt.run_zakai(kb_scenario(), truth, grid, SolverConfig(dt=1e-3))
         for f in res.pi.fields:
-            assert f.mass() == pytest.approx(1.0, abs=1e-12)
+            assert grid.integrate(f.values) == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_martingale_identity(self):
         truth = kb_truth(n_steps=200)
@@ -145,7 +145,7 @@ class TestRunZakai:
         for n in range(truth.n_steps):
             u_n = res.u.full_history[n]
             predicted = (u_n @ hv) * vol * truth.bbar_increments[n, 0]
-            defects.append(res.mass_series[n + 1] - res.mass_series[n] - predicted)
+            defects.append(res.u.mass_series[n + 1] - res.u.mass_series[n] - predicted)
         assert np.max(np.abs(defects)) < 1e-12
 
     def test_normalization_idempotent_bit_exact(self):
@@ -155,20 +155,6 @@ class TestRunZakai:
         once = flt.normalize(v, grid)
         twice = flt.normalize(once, grid)
         assert np.array_equal(once, twice)
-
-    def test_innovation_matches_definition(self):
-        truth = kb_truth(n_steps=100)
-        grid = Grid.line(-8, 8, 256)
-        sc = kb_scenario()
-        res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=1e-3))
-        pts = grid.points()
-        vol = grid.cell_volume
-        n = 40
-        u_n = res.u.full_history[n]
-        cs = flt.zakai_coefficients(sc, truth.y_path, truth.dt)
-        pi_h = (u_n @ cs.h(0, pts)[:, 0]) * vol / res.mass_series[n]
-        expected = truth.bbar_increments[n, 0] - pi_h * truth.dt
-        assert res.innovations[n, 0] == pytest.approx(expected, abs=0)
 
 
 class TestParticle:
@@ -259,7 +245,7 @@ class TestKushner:
         grid = Grid.line(-8, 8, 256)
         pi_traj = flt.run_kushner(kb_scenario(), truth, grid, SolverConfig(dt=1e-3))
         for f in pi_traj.fields:
-            assert f.mass() == pytest.approx(1.0, abs=1e-12)
+            assert grid.integrate(f.values) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestKushnerStabilityGuard:
@@ -364,18 +350,19 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             flt.FilterScenario.linear_gaussian(A=0.0, Q=1.0, H=1.0, R=0.0)
 
-    def test_soft_bound_report(self):
-        sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
-        sc.K = 0.5  # declared bound deliberately too small
-        grid = Grid.line(-8, 8, 64)
-        rep = sc.validate(grid, [(0.0, np.zeros(1))])
-        assert rep["soft_violations"]
+    @pytest.mark.parametrize("prior", [
+        dict(prior_mean=np.nan), dict(prior_mean=np.inf), dict(prior_var=-1.0),
+        dict(prior_var=0.0), dict(prior_var=np.inf), dict(prior_var=np.nan)],
+        ids=["mean-nan", "mean-inf", "var-negative", "var-0", "var-inf", "var-nan"])
+    def test_bad_prior_rejected(self, prior):
+        with pytest.raises(ValidationError, match="prior"):
+            flt.FilterScenario.linear_gaussian(**KB, **prior)
 
 
 # -- reference oracles ---------------------------------------------------------
 # The particle step with plain matmuls and a fresh noise array per step, and
-# the Kalman-Bucy loop on numpy scalars with the prior quadrature on every
-# call: the forms the production oracles must reproduce.
+# the Kalman-Bucy loop on numpy scalars: the forms the production oracles
+# must reproduce.
 
 def reference_particle_ensemble(sc, truth, N, seed):
     rng = np.random.Generator(np.random.Philox(
@@ -398,16 +385,12 @@ def reference_particle_ensemble(sc, truth, N, seed):
 
 
 def reference_kalman_bucy(sc, truth):
-    A, Q, H, R = sc.linear
+    A, Q, H, R, m0, P0 = sc.linear
     dt = truth.dt
     n = truth.n_steps
     m = np.empty(n + 1)
     P = np.empty(n + 1)
-    xs = np.linspace(-40, 40, 400_001)
-    p0 = sc.pi0(xs[:, None])
-    w = p0 / np.trapezoid(p0, xs)
-    m[0] = np.trapezoid(w * xs, xs)
-    P[0] = np.trapezoid(w * xs**2, xs) - m[0] ** 2
+    m[0], P[0] = m0, P0
 
     def pdot(p):
         return 2 * A * p + Q * Q - p * p * H * H / (R * R)
@@ -493,52 +476,27 @@ class TestOracleReferences:
         assert drawn[0].tobytes() == rng.standard_normal((100, 1)).tobytes()
 
 
-class TestPriorCache:
-    @staticmethod
-    def counted(pi0, calls):
-        def wrapped(X):
-            calls.append(len(X))
-            return pi0(X)
-        return wrapped
+class TestDeclaredPrior:
+    @pytest.mark.parametrize("prior", [
+        dict(), dict(prior_mean=1.5, prior_var=0.5),
+        dict(prior_var=900.0), dict(prior_mean=45.0)],
+        ids=["standard", "shifted", "wide", "off-centre"])
+    def test_oracle_starts_from_the_declared_prior(self, prior):
+        # a window quadrature would truncate the wide and off-centre priors
+        sc = flt.FilterScenario.linear_gaussian(**KB, **prior)
+        m, P = flt.kalman_bucy_oracle(sc, kb_truth(n_steps=20))
+        declared = [prior.get("prior_mean", 0.0), prior.get("prior_var", 1.0)]
+        assert np.array([m[0], P[0]]).tobytes() == np.array(declared).tobytes()
 
-    def test_prior_is_integrated_once_per_pi0(self):
-        sc = kb_scenario()
-        truth = kb_truth(n_steps=20)
-        calls = []
-        sc.pi0 = self.counted(sc.pi0, calls)
-        first = flt.kalman_bucy_oracle(sc, truth)
-        second = flt.kalman_bucy_oracle(sc, truth)
-        assert len(calls) == 1
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
-
-    def test_new_pi0_recomputes(self):
-        sc = kb_scenario()
-        truth = kb_truth(n_steps=20)
-        m, P = flt.kalman_bucy_oracle(sc, truth)
-        assert m[0] == pytest.approx(0.0, abs=1e-12) and P[0] == pytest.approx(1.0)
-        shifted = flt.FilterScenario.linear_gaussian(**KB, prior_mean=1.5, prior_var=0.5)
-        calls = []
-        sc.pi0 = self.counted(shifted.pi0, calls)
-        m, P = flt.kalman_bucy_oracle(sc, truth)
-        assert len(calls) == 1
-        assert m[0] == pytest.approx(1.5) and P[0] == pytest.approx(0.5)
-
-    def test_replace_recomputes(self):
-        sc = kb_scenario()
-        truth = kb_truth(n_steps=20)
-        calls = []
-        sc.pi0 = self.counted(sc.pi0, calls)
-        flt.kalman_bucy_oracle(sc, truth)
-        copy = dataclasses.replace(sc, static_coefficients=False)
-        flt.kalman_bucy_oracle(copy, truth)
-        assert len(calls) == 2
-        flt.kalman_bucy_oracle(copy, truth)
-        flt.kalman_bucy_oracle(sc, truth)
-        assert len(calls) == 2
-
-    @pytest.mark.parametrize("prior", [dict(prior_var=900.0), dict(prior_mean=45.0)])
-    def test_prior_outside_the_window_is_refused(self, prior):
-        # window mass 0.818 and 2.9e-7: truncated moments would be biased
-        sc = flt.FilterScenario.linear_gaussian(0.0, 1.0, 1.0, 1.0, **prior)
-        with pytest.raises(OracleNotApplicableError, match="prior mass"):
-            sc.prior_moments()
+    @settings(max_examples=25, deadline=None)
+    @given(params=linear_1d)
+    def test_declared_moments_match_a_quadrature_of_pi0(self, params):
+        sc = flt.FilterScenario.linear_gaussian(**params)
+        xs = np.linspace(-40, 40, 400_001)
+        p0 = sc.pi0(xs[:, None])
+        mass = np.trapezoid(p0, xs)
+        mean = np.trapezoid(p0 * xs, xs) / mass
+        var = np.trapezoid(p0 * (xs - mean) ** 2, xs) / mass
+        assert abs(mass - 1.0) <= 1e-9
+        assert abs(mean - params["prior_mean"]) <= 1e-9
+        assert abs(var - params["prior_var"]) <= 1e-9

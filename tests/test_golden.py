@@ -33,7 +33,7 @@ GOLDEN = {
         "28c3c795705c/moments.csv":
             "c0207f5403e1617703c11cf00ad3c252330c2011f322c4567768f92848cc115e",
         "28c3c795705c/oracle.csv":
-            "d7a8b5e13c198a9fcb9f78e649be065d5d54a7819ef6dd7353037edb3e412593",
+            "1f540be501408965225d4454bd96579a060cd6d62b14104b9427d3128d37ccfe",
         "28c3c795705c/posterior.csv":
             "76d093181fa5e33565c2455dbed6e590e38acc6dec6106bef38941ff900684a9",
     },

@@ -836,7 +836,7 @@ class TestStepperBuilds:
         sc = dataclasses.replace(flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0),
                                  static_coefficients=not time_dependent)
         truth = flt.simulate_truth(sc, 12, N, dt)
-        flt.run_kushner(sc, truth, grid, SolverConfig(dt=dt))
+        flt.run_kushner(sc, truth, Grid.line(-8, 8, 64), SolverConfig(dt=dt))  # holds the prior
         assert builds == {"assemble_generator": per_run, "factor": per_run,
                           "check_stability": guard}
 
@@ -860,8 +860,12 @@ class TestCoefficientEvaluations:
             return wrapped
 
         grid = Grid.line(-4, 4, 64)
+
+        def bump(amp):   # a source the box holds; a constant one reaches its edges
+            return ScalarField("gaussian", 1, amp=amp, width=0.5)
         cs = flagged(CoefficientSet.from_fields(d=1, L=2, a=0.5, b=0.3, sigma=[0.4, 0.3],
-                                                f=0.1, g=[0.05, 0.02]), time_dependent)
+                                                f=bump(0.1), g=[bump(0.05), bump(0.02)]),
+                     time_dependent)
         cs.f, cs.g = counted("f", cs.f), counted("g", cs.g)
         path = noise.generate(5, 2, N, dt)
         traj = solver.solve(cs, gaussian_density(grid), grid,
@@ -902,8 +906,7 @@ class TestCoefficientEvaluations:
 
         counts.clear()
         flt.run_zakai(sc, truth, grid, SolverConfig(dt=dt))
-        # one for the noise operators' build(s), one for the innovations
-        assert counts == {"h": 2 * per_run}
+        assert counts == {"h": per_run}
 
 
 class TestTrajectorySeries:
@@ -979,8 +982,8 @@ class TestBuildPolicyInvariance:
         pis = [flt.run_kushner(s, truth, grid, cfg).full_history for s in scs]
         assert pis[0].tobytes() == pis[1].tobytes()
         wide = Grid.line(-8, 8, 128)  # holds the prior's mass
-        innovations = [flt.run_zakai(s, truth, wide, cfg).innovations for s in scs]
-        assert innovations[0].tobytes() == innovations[1].tobytes()
+        us = [flt.run_zakai(s, truth, wide, cfg).u.full_history for s in scs]
+        assert us[0].tobytes() == us[1].tobytes()
 
 
 class TestWeakResidual:
