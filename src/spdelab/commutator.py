@@ -33,9 +33,12 @@ from .mollifier import MollifierParams, stencil
 _D4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2, divide by h
 
 
-def _apply(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """y_i = sum_j w[m+j] v_{i+j} for an odd offset-kernel w."""
-    return np.convolve(v, w[::-1], mode="same")
+def _apply(w: np.ndarray, v: np.ndarray, rows: slice) -> np.ndarray:
+    """y_i = sum_j w[m+j] v_{i+j} for an odd offset-kernel w and i in ``rows``,
+    which must keep the whole kernel inside v.  Each y_i is one full-length
+    dot product, so its bits do not depend on which rows are asked for."""
+    m = len(w) // 2
+    return np.convolve(v[rows.start - m:rows.stop + m], w[::-1], mode="valid")
 
 
 @dataclass
@@ -48,14 +51,16 @@ class _Workspace:
     t: np.ndarray            # derivative stencil  t = D4 * s
     h: float
 
-    def smooth(self, v):
-        return _apply(self.s, v)
+    def smooth(self, v, rows):
+        return _apply(self.s, v, rows)
 
-    def dsmooth(self, v):
-        return _apply(self.t, v)
+    def dsmooth(self, v, rows):
+        return _apply(self.t, v, rows)
 
     def d4(self, v):
-        return _apply(_D4 / self.h, v)
+        """On the whole lattice; its two-point edges lie outside every
+        smoothing window."""
+        return np.convolve(v, (_D4 / self.h)[::-1], mode="same")
 
 
 def _workspace(grid: Grid, eps: float) -> _Workspace:
@@ -89,44 +94,54 @@ def collar_mask(grid: Grid, eps: float) -> np.ndarray:
     return ok
 
 
-def commutator_direct(b, u, eps: float, grid: Grid) -> np.ndarray:
-    """smooth(b u') - b (smooth u)' on the grid."""
+def _routes(b, u, eps: float, grid: Grid, rows: slice):
+    """Direct and integral commutators at the grid indices ``rows``, from one
+    sampling of b and u and one b dsmooth(u)."""
     ws = _workspace(grid, eps)
     bv, uv = _sample(b, ws.x), _sample(u, ws.x)
-    out = ws.smooth(bv * ws.d4(uv)) - bv * ws.dsmooth(uv)
-    return out[ws.keep]
+    ext = slice(rows.start + ws.keep.start, rows.stop + ws.keep.start)
+    b_dsu = bv[ext] * ws.dsmooth(uv, ext)
+    direct = ws.smooth(bv * ws.d4(uv), ext) - b_dsu
+    integral = ws.dsmooth(bv * uv, ext) - b_dsu - ws.smooth(ws.d4(bv) * uv, ext)
+    return direct, integral
+
+
+def commutator_direct(b, u, eps: float, grid: Grid) -> np.ndarray:
+    """smooth(b u') - b (smooth u)' on the grid."""
+    return _routes(b, u, eps, grid, slice(0, grid.npts))[0]
 
 
 def commutator_integral(b, u, eps: float, grid: Grid) -> np.ndarray:
     """Kernel-difference route, with div b the discrete divergence."""
-    ws = _workspace(grid, eps)
-    bv, uv = _sample(b, ws.x), _sample(u, ws.x)
-    out = ws.dsmooth(bv * uv) - bv * ws.dsmooth(uv) - ws.smooth(ws.d4(bv) * uv)
-    return out[ws.keep]
+    return _routes(b, u, eps, grid, slice(0, grid.npts))[1]
 
 
 def for1_defect(a, u, eps: float, grid: Grid) -> np.ndarray:
     """d[smooth, a](u) - [smooth, da](u) - [smooth, a d](u)  (identity defect)."""
     ws = _workspace(grid, eps)
+    k = ws.keep
+    wide = slice(k.start - 2, k.stop + 2)  # the reach of the outer d4
     av, uv = _sample(a, ws.x), _sample(u, ws.x)
     dav = ws.d4(av)
-    zero_order = ws.smooth(av * uv) - av * ws.smooth(uv)
-    lhs = ws.d4(zero_order)
-    term_da = ws.smooth(dav * uv) - dav * ws.smooth(uv)
-    term_ad = ws.smooth(av * ws.d4(uv)) - av * ws.dsmooth(uv)
-    return (lhs - term_da - term_ad)[ws.keep]
+    zero_order = ws.smooth(av * uv, wide) - av[wide] * ws.smooth(uv, wide)
+    lhs = ws.d4(zero_order)[2:-2]
+    term_da = ws.smooth(dav * uv, k) - dav[k] * ws.smooth(uv, k)
+    term_ad = ws.smooth(av * ws.d4(uv), k) - av[k] * ws.dsmooth(uv, k)
+    return lhs - term_da - term_ad
 
 
 def for2_defect(a, b, u, eps: float, grid: Grid) -> np.ndarray:
     """[smooth, (ab) d](u) - a [smooth, b d](u) - [smooth, a](b u') defect."""
     ws = _workspace(grid, eps)
+    k = ws.keep
     av, bv, uv = _sample(a, ws.x), _sample(b, ws.x), _sample(u, ws.x)
     du = ws.d4(uv)
-    lhs = ws.smooth(av * bv * du) - av * bv * ws.dsmooth(uv)
-    first = av * (ws.smooth(bv * du) - bv * ws.dsmooth(uv))
+    dsu = ws.dsmooth(uv, k)
+    lhs = ws.smooth(av * bv * du, k) - av[k] * bv[k] * dsu
+    first = av[k] * (ws.smooth(bv * du, k) - bv[k] * dsu)
     v = bv * du
-    second = ws.smooth(av * v) - av * ws.smooth(v)
-    return (lhs - first - second)[ws.keep]
+    second = ws.smooth(av * v, k) - av[k] * ws.smooth(v, k)
+    return lhs - first - second
 
 
 @dataclass
@@ -177,18 +192,22 @@ def convergence_sweep(b, u, epsilons, R: float = 3.0, grid: Grid | None = None,
     x = grid.x
     vol = grid.hs[0]
     ball = np.abs(x) <= R
+    # the largest eps has the widest collar, hence the fewest reported points
+    if not np.any(ball & collar_mask(grid, eps_list[0])):
+        raise ConfigurationError(
+            f"no grid point lies in the R={R} ball outside the eps={eps_list[0]} collar")
     pts = grid.points()
     scale = float(np.max(np.abs(np.asarray(b(pts), float).ravel()[ball])))
     l2 = lambda v: np.sqrt(np.sum(v * v) * vol)  # noqa: E731
     scale *= l2(np.asarray(u(pts), float).ravel()[ball])
     norms, gaps = [], []
     for e in eps_list:
-        direct = commutator_direct(b, u, e, grid)
-        integral = commutator_integral(b, u, e, grid)
-        mask = ball & collar_mask(grid, e)
-        lr = float((np.sum(np.abs(direct[mask]) ** r) * vol) ** (1.0 / r))
-        denom = max(l2(direct[mask]), 1e-6 * scale, 1e-300)
-        gaps.append(l2((direct - integral)[mask]) / denom)
+        # the ball minus the collar is one run of grid indices
+        inside = np.flatnonzero(ball & collar_mask(grid, e))
+        direct, integral = _routes(b, u, e, grid, slice(inside[0], inside[-1] + 1))
+        lr = float((np.sum(np.abs(direct) ** r) * vol) ** (1.0 / r))
+        denom = max(l2(direct), 1e-6 * scale, 1e-300)
+        gaps.append(l2(direct - integral) / denom)
         norms.append(lr)
     return CommutatorSweep(epsilons=eps_list, norms=norms, ball_radius=R,
                            consistency_gap=max(gaps), gaps=gaps, r=r,

@@ -249,7 +249,7 @@ class ZakaiResult:
         x = grid.x
         vol = grid.cell_volume
         hist = self.u.full_history
-        mass = hist.sum(axis=1) * vol
+        mass = self.u.mass_series
         mean = (hist @ x) * vol / mass
         second = (hist @ (x * x)) * vol / mass
         return mean, second - mean**2
@@ -295,6 +295,7 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     noise term, which the filter does not have.
     """
     coeffs = zakai_coefficients(sc, truth.y_path, truth.dt)
+    sc.validate(grid, [(0.0, truth.y_path[0])])
     path = _observation_path(sc, truth)
     dt = truth.dt
     stepper = Stepper(coeffs, grid, dt, cfg.theta, True)

@@ -125,6 +125,11 @@ class TestSweep:
             com.convergence_sweep(tri, tri, [0.2, 0.1], b_differentiable=False,
                                   u_differentiable=False)
 
+    def test_grid_without_a_reported_point_rejected(self):
+        grid = Grid.line(3.5, 5.5, 4096)  # misses the R = 3 ball
+        with pytest.raises(ConfigurationError, match="no grid point"):
+            com.convergence_sweep(lambda p: np.sin(p[:, 0]), tri, [0.1], grid=grid)
+
     def test_increasing_epsilons_rejected(self):
         with pytest.raises(ConfigurationError):
             com.convergence_sweep(lambda p: np.sin(p[:, 0]), tri, [0.05, 0.1])

@@ -125,6 +125,16 @@ class TestRunZakai:
         v_exact = np.exp(2 * KB["A"] * t) + (1 - np.exp(2 * KB["A"] * t))
         assert var[-1] == pytest.approx(v_exact, abs=0.02)
 
+    @pytest.mark.parametrize("n, n_steps, dt", [(256, 250, 1e-3), (512, 2000, 5e-4)])
+    def test_moments_divide_by_the_recorded_mass(self, n, n_steps, dt):
+        # posterior_moments reads u.mass_series: the same bits as summing
+        # the history again
+        grid = Grid.line(-8, 8, n)
+        res = flt.run_zakai(kb_scenario(), kb_truth(12, n_steps, dt), grid,
+                            SolverConfig(dt=dt))
+        hist = res.u.full_history
+        assert np.array_equal(hist.sum(axis=1) * grid.cell_volume, res.u.mass_series)
+
     def test_pi_snapshots_normalized(self):
         truth = kb_truth()
         grid = Grid.line(-8, 8, 256)
@@ -345,6 +355,14 @@ class TestScenarioValidation:
         grid = Grid.line(-8, 8, 128)
         with pytest.raises(ValidationError, match="mass"):
             sc.validate(grid, [(0.0, np.zeros(1))])
+
+    @pytest.mark.parametrize("run", [flt.run_zakai, flt.run_kushner],
+                             ids=["zakai", "kushner"])
+    def test_grid_that_cuts_the_prior_is_refused(self, run):
+        # [-2, 2] holds 0.9545 of the N(0, 1) prior's mass
+        truth = kb_truth(n_steps=20)
+        with pytest.raises(ValidationError, match="prior mass 0.954"):
+            run(kb_scenario(), truth, Grid.line(-2, 2, 64), SolverConfig(dt=truth.dt))
 
     def test_singular_sigma_tilde_rejected(self):
         with pytest.raises(ValidationError):

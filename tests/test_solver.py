@@ -716,6 +716,22 @@ class TestImplicitSystem:
         with pytest.raises(SolverError):
             solver._ImplicitSystem(Lop, self.DT, 1.0, grid).solve(rhs)
 
+    @pytest.mark.parametrize("n, boundary, fields", [
+        # the nonlinear-2d workload's coefficients, cross term on
+        (64, "zero-flux", dict(a=(0.6, 0.2, 0.5), b=(0.3, -0.2), sigma=[(0.5, 0.3)])),
+        # degenerate a = sigma sigma^T / 2 under a strong drift
+        (96, "zero-value", dict(a=(0.5, 0.25, 0.125), b=(6.0, -4.0), sigma=[(1.0, 0.5)])),
+        (64, "zero-flux", dict(b=(1.5, -1.0))),
+    ], ids=["nonlinear-2d", "degenerate-zero-value", "pure-drift"])
+    def test_2d_residual_at_round_off(self, n, boundary, fields):
+        grid = Grid.box2d((-4, -4), (4, 4), (n, n), boundary=boundary)
+        cs = CoefficientSet.from_fields(d=2, L=1, **fields)
+        Lop = solver.assemble_generator(cs, grid, 0.0)
+        M = identity(grid.npts, format="csr") - self.DT * Lop
+        rhs = np.random.default_rng(5).standard_normal(grid.npts)
+        out = solver._ImplicitSystem(Lop, self.DT, 1.0, grid).solve(rhs)
+        assert np.linalg.norm(M @ out - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
     def test_non_tridiagonal_1d_operator_rejected(self):
         grid, Lop = self.drift_operator("zero-flux")
         wide = Lop.tolil()
@@ -979,9 +995,9 @@ class TestBuildPolicyInvariance:
         sc = flt.FilterScenario.linear_gaussian(A=A, Q=Q, H=H, R=R)
         truth = flt.simulate_truth(sc, seed, N, dt)
         scs = [dataclasses.replace(sc, static_coefficients=static) for static in (True, False)]
-        pis = [flt.run_kushner(s, truth, grid, cfg).full_history for s in scs]
-        assert pis[0].tobytes() == pis[1].tobytes()
         wide = Grid.line(-8, 8, 128)  # holds the prior's mass
+        pis = [flt.run_kushner(s, truth, wide, cfg).full_history for s in scs]
+        assert pis[0].tobytes() == pis[1].tobytes()
         us = [flt.run_zakai(s, truth, wide, cfg).u.full_history for s in scs]
         assert us[0].tobytes() == us[1].tobytes()
 
