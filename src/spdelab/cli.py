@@ -172,6 +172,15 @@ _RUNS = {
     "sweep-commutator": (_sweep_commutator, set(), set(), False),
 }
 
+# Keys of sections a command reads that the command itself does not read.
+_UNREAD_KEYS = {
+    "run-spde": {"run.particle_seed": "it draws no particles"},
+    "run-filter": {"time.output_times": "its posterior snapshots are at fixed "
+                                        "tenths of t_end"},
+    "picard": {"run.particle_seed": "it draws no particles"},
+    "sweep-commutator": {"run.particle_seed": "it draws no particles"},
+}
+
 
 def cmd_run(args) -> int:
     """Read and parse the config, refuse what the command does not read, and
@@ -189,9 +198,10 @@ def cmd_run(args) -> int:
         raise ParseError(f"{args.subcommand} does not read [{unread[0]}]")
     if missing:
         raise ConfigurationError(f"config lacks a [{missing[0]}] section")
-    if args.subcommand == "run-filter" and "time.output_times" in bundle.raw:
-        raise ParseError("run-filter does not read [time] output_times: its "
-                         "posterior snapshots are at fixed tenths of t_end")
+    for key, why in _UNREAD_KEYS[args.subcommand].items():
+        if key in bundle.raw:
+            section, name = key.split(".")
+            raise ParseError(f"{args.subcommand} does not read [{section}] {name}: {why}")
     grid = {"n": list(bundle.grid.n)}
     if whole_grid:
         grid.update(x_min=list(bundle.grid.x_min), x_max=list(bundle.grid.x_max),

@@ -50,7 +50,10 @@ class FilterScenario:
     ``prior_sampler(rng, n) -> (n, d)`` draws from it.
 
     ``linear = (A, Q, H, R, prior_mean, prior_var)`` declares the d = d1 = 1
-    linear-Gaussian model, prior included, that the Kalman-Bucy oracle reads.
+    linear-Gaussian model, prior included.  The Kalman-Bucy oracle reads it,
+    and with static coefficients so do the truth simulation and the particle
+    step, in place of ``b_hat``, ``sigma_hat`` and ``b_tilde``: a caller that
+    replaces one of those callables must also drop ``linear``.
 
     ``static_coefficients = True`` is a contract: no callable depends on
     ``t`` or ``y``.  The truth simulation, the particle step and the
@@ -139,32 +142,71 @@ class TruthRealization:
 def simulate_truth(sc: FilterScenario, seed: int, n_steps: int,
                    dt: float) -> TruthRealization:
     """Euler-Maruyama on the joint system; dy is materialized from dBbar so
-    the change-of-measure bookkeeping is consistent by construction."""
+    the change-of-measure bookkeeping is consistent by construction.
+
+    A declared linear model with static coefficients steps on Python floats
+    from ``sc.linear``; any other scenario calls its callables every step.
+    Both draw the same stream and give the same bytes for a declared model."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     scale = reuse_if_static(_observation_scale(sc), sc.static_coefficients)
     x = sc.prior_sampler(rng, 1)[0]
-    y = np.zeros(sc.d1)
     dW = rng.standard_normal((n_steps, sc.d)) * np.sqrt(dt)
     dV = rng.standard_normal((n_steps, sc.d1)) * np.sqrt(dt)
+    march = _declared_truth if _declared(sc) else _callable_truth
+    xs, ys, bbar = march(sc, scale, x, dW, dV, dt)
+    return TruthRealization(x_path=xs, y_path=ys, bbar_increments=bbar,
+                            seed=int(seed), dt=float(dt))
+
+
+def _declared(sc: FilterScenario) -> bool:
+    """Whether the truth and the particle step may run from ``sc.linear``."""
+    return sc.linear is not None and sc.static_coefficients
+
+
+def _callable_truth(sc, scale, x, dW, dV, dt):
+    """The Euler loop through the scenario's callables, any d and d1."""
+    n_steps = dW.shape[0]
+    y = np.zeros(sc.d1)
     xs = np.empty((n_steps + 1, sc.d))
     ys = np.empty((n_steps + 1, sc.d1))
     bbar = np.empty((n_steps, sc.d1))
     xs[0], ys[0] = x, y
-    for n in range(n_steps):
-        t = n * dt
-        X = x[None, :]
-        bh = np.asarray(sc.b_hat(t, X, y), float)[0]
-        sh = np.asarray(sc.sigma_hat(t, X, y), float)[0]
-        bt = np.asarray(sc.b_tilde(t, X, y), float)[0]
-        st, st_inv = scale(t, y)
-        bbar[n] = st_inv @ bt * dt + dV[n]
-        y = y + st @ bbar[n]
-        x = x + bh * dt + sh @ dW[n]
-        if not np.all(np.isfinite(x)):
+    # an overflowing drift leaves a non-finite x for the guard to name
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            t = n * dt
+            X = x[None, :]
+            bh = np.asarray(sc.b_hat(t, X, y), float)[0]
+            sh = np.asarray(sc.sigma_hat(t, X, y), float)[0]
+            bt = np.asarray(sc.b_tilde(t, X, y), float)[0]
+            st, st_inv = scale(t, y)
+            bbar[n] = st_inv @ bt * dt + dV[n]
+            y = y + st @ bbar[n]
+            x = x + bh * dt + sh @ dW[n]
+            if not np.all(np.isfinite(x)):
+                raise ScenarioError(f"signal exploded at step {n}")
+            xs[n + 1], ys[n + 1] = x, y
+    return xs, ys, bbar
+
+
+def _declared_truth(sc, scale, x, dW, dV, dt):
+    """The callable loop's operations, in its order, on Python floats."""
+    A, Q, H = (float(v) for v in sc.linear[:3])
+    st, st_inv = scale(0.0, np.zeros(1))
+    R, r_inv = float(st[0, 0]), float(st_inv[0, 0])
+    x, y, dt = float(x[0]), 0.0, float(dt)
+    xs, ys, bbar = [x], [y], []
+    for n, (dw, dv) in enumerate(zip(dW[:, 0].tolist(), dV[:, 0].tolist())):
+        b = r_inv * (H * x) * dt + dv
+        y = y + R * b
+        x = x + A * x * dt + Q * dw
+        if not math.isfinite(x):
             raise ScenarioError(f"signal exploded at step {n}")
-        xs[n + 1], ys[n + 1] = x, y
-    return TruthRealization(x_path=xs, y_path=ys, bbar_increments=bbar,
-                            seed=int(seed), dt=float(dt))
+        xs.append(x)
+        ys.append(y)
+        bbar.append(b)
+    return (np.array(xs).reshape(-1, 1), np.array(ys).reshape(-1, 1),
+            np.array(bbar).reshape(-1, 1))
 
 
 def _observation_scale(sc: FilterScenario):
@@ -330,10 +372,22 @@ def particle_ensemble(sc: FilterScenario, truth: TruthRealization, N: int,
         np.random.SeedSequence(entropy=int(seed), spawn_key=(7,))))
     X = np.array(sc.prior_sampler(rng, N), float)   # (N, d), owned
     logw = np.zeros(N)
-    dW = np.empty((N, sc.d))
+    scale = reuse_if_static(_observation_scale(sc), sc.static_coefficients)
+    march = _declared_particles if _declared(sc) else _callable_particles
+    march(sc, scale, truth, rng, X, logw)
+    with np.errstate(over="ignore"):
+        w = np.exp(logw)
+    bad = np.count_nonzero(~np.isfinite(w))
+    if bad:
+        raise ScenarioError(f"{bad} of {N} particle weights are not finite")
+    return X, w
+
+
+def _callable_particles(sc, scale, truth, rng, X, logw):
+    """Step X and logw in place through the scenario's callables."""
+    dW = np.empty_like(X)
     dt = truth.dt
     sq = np.sqrt(dt)
-    scale = reuse_if_static(_observation_scale(sc), sc.static_coefficients)
     for n in range(truth.n_steps):
         t = n * dt
         y = truth.y_path[n]
@@ -351,12 +405,24 @@ def particle_ensemble(sc: FilterScenario, truth: TruthRealization, N: int,
         diffusion = np.einsum("nij,nj->ni", sh, dW)
         X += drift
         X += diffusion
-    with np.errstate(over="ignore"):
-        w = np.exp(logw)
-    bad = np.count_nonzero(~np.isfinite(w))
-    if bad:
-        raise ScenarioError(f"{bad} of {N} particle weights are not finite")
-    return X, w
+
+
+def _declared_particles(sc, scale, truth, rng, X, logw):
+    """The callable step's operations, in its order, on flat (N,) arrays
+    for the declared d = d1 = 1 model."""
+    A, Q, H = (float(v) for v in sc.linear[:3])
+    r_inv = float(scale(0.0, truth.y_path[0])[1][0, 0])
+    dt = truth.dt
+    sq = np.sqrt(dt)
+    x = X[:, 0]                      # a view: stepping x steps X
+    dW = np.empty_like(x)
+    for bb in truth.bbar_increments[:, 0].tolist():
+        h = (H * x) * r_inv
+        logw += h * bb - 0.5 * (h * h) * dt
+        x += (A * x) * dt
+        rng.standard_normal(out=dW)
+        dW *= sq
+        x += Q * dW
 
 
 def particle_estimate(sc: FilterScenario, truth: TruthRealization, N: int,

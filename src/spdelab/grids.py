@@ -82,14 +82,17 @@ class Grid:
 
     def integrate(self, values: np.ndarray) -> float:
         """Cell-volume quadrature with compensated summation."""
-        return math.fsum(np.asarray(values, float).ravel()) * self.cell_volume
+        # fsum is correctly rounded: over the buffer, which yields Python
+        # floats, it gives the bits it gives over the array, without a numpy
+        # scalar per element
+        return math.fsum(np.asarray(values, float).ravel().data) * self.cell_volume
 
     def l1(self, values) -> float:
         return self.integrate(np.abs(values))
 
     def l2(self, values) -> float:
         v = np.asarray(values, float).ravel()
-        return math.sqrt(math.fsum(v * v) * self.cell_volume)
+        return math.sqrt(math.fsum((v * v).data) * self.cell_volume)
 
 
 @dataclass

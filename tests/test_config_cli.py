@@ -487,6 +487,10 @@ class TestCliErrors:
         pytest.param("run-filter", FILTER_CONFIG.replace(
             "t_end = 0.25", "t_end = 0.25\noutput_times = 0.1 0.25"), "output_times",
             id="run-filter-output_times"),
+        *[pytest.param(sub, base.replace("\n\n[grid]", "\nparticle_seed = 7\n\n[grid]", 1),
+                       "particle_seed", id=f"{sub}-particle_seed")
+          for sub, base in [("run-spde", HEAT), ("picard", PICARD_CONFIG),
+                            ("sweep-commutator", SWEEP_CONFIG)]],
     ])
     def test_input_the_command_does_not_read_is_refused(self, tmp_path, capsys,
                                                          sub, text, section):

@@ -105,10 +105,16 @@ class TestSimulateTruth:
         assert abs(xs.var() - var_target) < 3 * se_var + 2 * dt
 
     def test_explosion_guard(self):
-        sc = kb_scenario()
-        sc.b_hat = lambda t, X, y: np.full_like(X, np.inf)
-        with pytest.raises(flt.ScenarioError, match="exploded at step 0"):
-            flt.simulate_truth(sc, 1, 200, 1e-2)
+        # both paths; in the callable loop numpy's overflow warning must not
+        # preempt the typed error
+        inf_drift = dataclasses.replace(kb_scenario(), linear=None,
+                                        b_hat=lambda t, X, y: np.full_like(X, np.inf))
+        # A x dt is finite at step 0 and overflows at step 1
+        huge = flt.FilterScenario.linear_gaussian(A=1e308, Q=1.0, H=1.0, R=1.0)
+        for sc, step in [(inf_drift, 0), (huge, 1),
+                         (dataclasses.replace(huge, linear=None), 1)]:
+            with pytest.raises(flt.ScenarioError, match=f"exploded at step {step}"):
+                flt.simulate_truth(sc, 1, 200, 1e-2)
 
 
 class TestRunZakai:
@@ -457,6 +463,12 @@ class TestOracleReferences:
     def test_1d_oracles_match_references_bytewise(self, params, seed, n_steps, N):
         sc = flt.FilterScenario.linear_gaussian(**params)
         truth = flt.simulate_truth(sc, seed, n_steps, 1e-3)
+        # the declared model's truth against the callable loop
+        ref = flt.simulate_truth(dataclasses.replace(sc, linear=None), seed, n_steps, 1e-3)
+        for name in ("x_path", "y_path", "bbar_increments"):
+            a, b = getattr(truth, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
         for new, ref in zip(flt.kalman_bucy_oracle(sc, truth),
                             reference_kalman_bucy(sc, truth)):
             assert new.tobytes() == ref.tobytes()

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix, identity
@@ -960,7 +960,10 @@ class TestTrajectorySeries:
 
 
 class TestBuildPolicyInvariance:
-    @settings(max_examples=10, deadline=None)
+    # each example runs the solve, energy, residual, Picard and filter stack,
+    # so a failure is reported as found, without a shrink phase
+    @settings(max_examples=10, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(cs=family_coefficients(), theta=st.sampled_from([1.0, 0.5]),
            seed=st.integers(0, 2**16),
            filt=st.tuples(st.floats(-1.0, 0.5), st.floats(0.5, 1.5),
