@@ -197,7 +197,7 @@ def criterion_6():
              ("heat", heat_run()[3]),
              ("zakai", filter_runs()["res_c"].u)]
     for name, traj in cases:
-        rep = diag.check_positivity(traj, tol=1e-8, hypotheses=hyp)
+        rep = diag.check_positivity(traj, hypotheses=hyp)
         out.append(_report(6, f"positivity-{name}", rep.measured, rep.threshold))
     return out
 
@@ -217,13 +217,13 @@ def criterion_7():
 
 
 def criterion_8():
-    tri = triangle_wave(period=2.0)
+    tri = triangle_wave()
     b_sin = lambda p: np.sin(p[:, 0])  # noqa: E731
     out = []
     flat = com.convergence_sweep(lambda p: np.full(p.shape[0], 1.0), tri,
-                                 [0.2, 0.1, 0.05], R=3.0)
+                                 [0.2, 0.1, 0.05])
     out.append(_report(8, "constant-b-flat", max(flat.norms), 1e-10))
-    sw = com.convergence_sweep(b_sin, tri, [0.2, 0.1, 0.05, 0.025], R=3.0)
+    sw = com.convergence_sweep(b_sin, tri, [0.2, 0.1, 0.05, 0.025])
     out.append(_report(8, "sweep-monotone",
                        max(b / a for a, b in zip(sw.norms, sw.norms[1:])), 0.999,
                        norms=[float(v) for v in sw.norms]))
@@ -245,20 +245,19 @@ def criterion_9():
     n = 512
     h = 6.0 / n
     grid = Grid.line(-3 - h / 2, 3 - h / 2, n)
-    rep = mol.mollified_parabolicity_check(cs, mol.MollifierParams(0.1), grid,
-                                           [0.0], kappa=0.0, n_dirs=2)
+    rep = mol.mollified_parabolicity_check(cs, mol.MollifierParams(0.1), grid, [0.0])
     out.append(_report(9, "mollified-parabolicity", -rep.min_defect, 1e-10))
     p = mol.MollifierParams(0.1)
     sig = np.sin(grid.x)
     chi = mol.cutoff_value(grid.x, p.epsilon)
-    lhs = mol.mollify_field(sig, p, grid, cutoff_power=0) ** 2 * chi**2
-    rhs = mol.mollify_field(sig**2, p, grid, cutoff_power=0) * chi**2
+    lhs = mol.mollify_field(sig, p, grid) ** 2 * chi**2
+    rhs = mol.mollify_field(sig**2, p, grid) * chi**2
     out.append(_report(9, "jensen-pointwise", float(np.max(lhs - rhs)), 1e-12))
     def growth(results):
         sups = [r.sup_div_mollified for r in results]
         return max(b / a for a, b in zip(sups, sups[1:]))
-    lin, _ = mol.div_bound_sweep(lambda q: q[:, 0], [0.2, 0.1, 0.05])
-    quad, _ = mol.div_bound_sweep(lambda q: q[:, 0] ** 2, [0.2, 0.1, 0.05])
+    lin = mol.div_bound_sweep(lambda q: q[:, 0], [0.2, 0.1, 0.05])
+    quad = mol.div_bound_sweep(lambda q: q[:, 0] ** 2, [0.2, 0.1, 0.05])
     out.append(_report(9, "div-bound-uniform-linear", growth(lin), 1.5))
     # negative control: the quadratic drift must GROW; encode as a distance
     out.append(_report(9, "div-bound-quadratic-control", 1.5 - growth(quad), 0.0,
@@ -497,8 +496,9 @@ CRITERIA = {
 }
 
 
-def run(only=None, verbose: bool = True):
-    """Execute the selected criteria; returns (reports, all_passed)."""
+def run(only=None):
+    """Execute the selected criteria, printing one line each; returns
+    (reports, all_passed)."""
     selected = sorted(only) if only else sorted(CRITERIA)
     reports = []
     all_ok = True
@@ -507,9 +507,7 @@ def run(only=None, verbose: bool = True):
         ok = all(r.passed for r in rows)
         all_ok &= ok
         reports.extend(rows)
-        if verbose:
-            detail = "; ".join(f"{r.name.split(':', 1)[1]}="
-                               f"{r.measured:.3g}<={r.threshold:.3g}"
-                               for r in rows)
-            print(f"criterion {k:2d}: {'PASS' if ok else 'FAIL'}  [{detail}]")
+        detail = "; ".join(f"{r.name.split(':', 1)[1]}="
+                           f"{r.measured:.3g}<={r.threshold:.3g}" for r in rows)
+        print(f"criterion {k:2d}: {'PASS' if ok else 'FAIL'}  [{detail}]")
     return reports, all_ok

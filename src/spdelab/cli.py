@@ -147,9 +147,8 @@ def _run_filter(bundle: ScenarioBundle, out: Path) -> None:
 
 
 def _sweep_commutator(bundle: ScenarioBundle, out: Path) -> None:
-    tri = triangle_wave(period=2.0)
-    sweep = com.convergence_sweep(lambda p: np.sin(p[:, 0]), tri,
-                                  [0.2, 0.1, 0.05, 0.025], R=3.0)
+    sweep = com.convergence_sweep(lambda p: np.sin(p[:, 0]), triangle_wave(),
+                                  [0.2, 0.1, 0.05, 0.025])
     write_csv(out / "sweep.csv", ["epsilon", "norm", "consistency_gap"],
               zip(sweep.epsilons, sweep.norms, sweep.gaps))
 

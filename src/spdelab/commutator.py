@@ -15,22 +15,23 @@ The integral route transliterates the kernel-difference representation
 realized with the derivative stencil t = D * s (discrete derivative of the
 smoothing stencil) and the same discrete divergence, so the two routes agree
 up to a Leibniz remainder that vanishes at 4th order on smooth fields and
-cancels in the mean across kinks.  Both are reported on points at distance
-more than eps from the domain boundary; inputs are callables, sampled on an
-extended lattice so no boundary effect enters at all.
+cancels in the mean across kinks.  Inputs are callables, sampled on a
+lattice extended beyond the grid, so no boundary effect enters at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, HypothesisError
+from .errors import ConfigurationError
 from .grids import Grid
 from .mollifier import MollifierParams, stencil
 
 _D4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2, divide by h
+SWEEP_RADIUS = 3.0
+QUADRATURE_TOL = 1e-6     # largest admissible direct/integral gap of a sweep
 
 
 def _apply(w: np.ndarray, v: np.ndarray, rows: slice) -> np.ndarray:
@@ -82,16 +83,6 @@ def _sample(fn, x):
     if vals.shape != x.shape:
         raise ConfigurationError("field callable must return one value per point")
     return vals
-
-
-def collar_mask(grid: Grid, eps: float) -> np.ndarray:
-    """Points further than eps (plus the difference-stencil reach) from a wall."""
-    margin = eps + 2 * max(grid.hs)
-    pts = grid.points()
-    ok = np.ones(grid.npts, dtype=bool)
-    for i in range(grid.d):
-        ok &= (pts[:, i] > grid.x_min[i] + margin) & (pts[:, i] < grid.x_max[i] - margin)
-    return ok
 
 
 def _routes(b, u, eps: float, grid: Grid, rows: slice):
@@ -150,65 +141,45 @@ class CommutatorSweep:
 
     epsilons: list
     norms: list
-    ball_radius: float
     consistency_gap: float
-    gaps: list = field(default_factory=list)
-    r: int = 2
-    quadrature_tol: float = 1e-6
-
-    def __post_init__(self):
-        if any(e2 >= e1 for e1, e2 in zip(self.epsilons, self.epsilons[1:])):
-            raise ConfigurationError("epsilons must be strictly decreasing")
-        if self.consistency_gap > self.quadrature_tol:
-            raise ConfigurationError(
-                f"direct/integral routes disagree: gap {self.consistency_gap:.2e} "
-                f"exceeds the declared quadrature tolerance {self.quadrature_tol:.0e}")
+    gaps: list
 
 
-def convergence_sweep(b, u, epsilons, R: float = 3.0, grid: Grid | None = None,
-                      r: int = 2, b_differentiable: bool = True,
-                      u_differentiable: bool = False,
-                      quadrature_tol: float = 1e-6) -> CommutatorSweep:
+def convergence_sweep(b, u, epsilons) -> CommutatorSweep:
     """Sweep the first-order commutator over decreasing eps.
 
-    One of b, u must be declared differentiable (the shrinkage hypothesis).
-    Norms are L^r over the ball of radius R, excluding an eps-collar; the
-    consistency gap is the worst relative L^2 direct-vs-integral discrepancy.
-    Its denominator is floored at 1e-6 sup|b| ||u||_L2 so that identically
-    vanishing commutators (constant b) do not divide roundoff by roundoff.
+    Norms are L^2 over the ball of radius 3, on a grid of spacing min(eps)/64
+    that reaches 2 max(eps) + 0.5 beyond the ball.  The consistency gap is
+    the worst relative L^2 direct-vs-integral discrepancy and must stay
+    within 1e-6.  Its denominator is floored at 1e-6 sup|b| ||u||_L2 so that
+    identically vanishing commutators (constant b) do not divide roundoff by
+    roundoff.
     """
-    if not (b_differentiable or u_differentiable):
-        raise HypothesisError("commutator shrinkage needs b or u differentiable")
     eps_list = sorted(set(float(e) for e in epsilons), reverse=True)
     if list(epsilons) != eps_list:
         raise ConfigurationError("epsilons must be strictly decreasing")
-    if grid is None:
-        h = min(eps_list) / 64.0
-        half = R + 2 * max(eps_list) + 0.5
-        n = int(np.ceil(2 * half / h / 2)) * 2
-        grid = Grid.line(-half, half, n)
-    for e in eps_list:
-        MollifierParams(e).require_resolved(max(grid.hs))
+    h = min(eps_list) / 64.0
+    half = SWEEP_RADIUS + 2 * max(eps_list) + 0.5
+    n = int(np.ceil(2 * half / h / 2)) * 2
+    grid = Grid.line(-half, half, n)
     x = grid.x
     vol = grid.hs[0]
-    ball = np.abs(x) <= R
-    # the largest eps has the widest collar, hence the fewest reported points
-    if not np.any(ball & collar_mask(grid, eps_list[0])):
-        raise ConfigurationError(
-            f"no grid point lies in the R={R} ball outside the eps={eps_list[0]} collar")
+    ball = np.abs(x) <= SWEEP_RADIUS
+    inside = np.flatnonzero(ball)       # one run of grid indices
+    rows = slice(inside[0], inside[-1] + 1)
     pts = grid.points()
     scale = float(np.max(np.abs(np.asarray(b(pts), float).ravel()[ball])))
     l2 = lambda v: np.sqrt(np.sum(v * v) * vol)  # noqa: E731
     scale *= l2(np.asarray(u(pts), float).ravel()[ball])
     norms, gaps = [], []
     for e in eps_list:
-        # the ball minus the collar is one run of grid indices
-        inside = np.flatnonzero(ball & collar_mask(grid, e))
-        direct, integral = _routes(b, u, e, grid, slice(inside[0], inside[-1] + 1))
-        lr = float((np.sum(np.abs(direct) ** r) * vol) ** (1.0 / r))
+        direct, integral = _routes(b, u, e, grid, rows)
+        norms.append(float((np.sum(np.abs(direct) ** 2) * vol) ** (1.0 / 2)))
         denom = max(l2(direct), 1e-6 * scale, 1e-300)
         gaps.append(l2(direct - integral) / denom)
-        norms.append(lr)
-    return CommutatorSweep(epsilons=eps_list, norms=norms, ball_radius=R,
-                           consistency_gap=max(gaps), gaps=gaps, r=r,
-                           quadrature_tol=quadrature_tol)
+    if max(gaps) > QUADRATURE_TOL:
+        raise ConfigurationError(
+            f"direct/integral routes disagree: gap {max(gaps):.2e} "
+            f"exceeds the declared quadrature tolerance {QUADRATURE_TOL:.0e}")
+    return CommutatorSweep(epsilons=eps_list, norms=norms, consistency_gap=max(gaps),
+                           gaps=gaps)

@@ -177,11 +177,8 @@ def _parse_value(raw, context):
     return vals[0] if len(vals) == 1 else np.asarray(vals)
 
 
-def triangle_wave(period: float = 2.0, x_min: float = -40.0, x_max: float = 40.0) -> ScalarField:
-    """Piecewise-linear triangle wave, unit amplitude, kinks at multiples of period/2."""
-    half = period / 2.0
-    k0 = int(np.floor(x_min / half)) - 1
-    k1 = int(np.ceil(x_max / half)) + 1
-    xs = np.arange(k0, k1 + 1) * half
-    ys = np.array([abs(((k % 2))) for k in range(k0, k1 + 1)], dtype=float)
-    return ScalarField("pwlinear", 1, xs=xs, ys=ys)
+def triangle_wave() -> ScalarField:
+    """Piecewise-linear triangle wave of period 2 and unit amplitude: knots
+    at the integers -41..41, valued 0 at the even ones and 1 at the odd."""
+    k = np.arange(-41, 42)
+    return ScalarField("pwlinear", 1, xs=k * 1.0, ys=(k % 2).astype(float))

@@ -258,8 +258,9 @@ def zakai_coefficients(sc: FilterScenario, y_path: np.ndarray, dt: float) -> Coe
     return cs
 
 
-def _snapshot_times(n_steps: int, dt: float, count: int = 10):
-    ks = sorted(set(int(round(n_steps * k / count)) for k in range(count + 1)))
+def _snapshot_times(n_steps: int, dt: float):
+    """The step boundaries nearest to each tenth of the horizon."""
+    ks = sorted(set(int(round(n_steps * k / 10)) for k in range(11)))
     return [k * dt for k in ks]
 
 
@@ -314,7 +315,7 @@ def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
                               time_index=f.time_index) for f in traj.fields]
     pi_traj = Trajectory(grid=grid, times=traj.times, fields=pi_fields,
                          mass_series=np.ones_like(mass), l2_series=traj.l2_series / mass,
-                         dt=traj.dt, theta=traj.theta, seed=traj.seed)
+                         dt=traj.dt, theta=traj.theta)
     return ZakaiResult(u=traj, pi=pi_traj)
 
 

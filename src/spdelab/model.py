@@ -13,14 +13,14 @@ The central quadratic form is
 
     defect(t, x, xi) = 2 xi'a xi - sum_l (sigma' xi)_l^2,
 
-which must dominate kappa(x)|xi|^2 for the estimates downstream to hold;
-``verify_parabolicity`` samples it over grid x directions and reports the
-exact minimum over the sampled set.
+which must be nonnegative for the estimates downstream to hold;
+``verify_parabolicity`` takes its exact minimum over unit directions, the
+smallest eigenvalue of 2a - sigma sigma', at every sampled (t, x).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,17 +217,13 @@ def _read_only(value):
 
 @dataclass
 class ParabolicityReport:
-    """Outcome of sampling the parabolic quadratic form.
+    """Outcome of the parabolic quadratic form at the sampled (t, x).
 
-    ``min_defect`` is the exact minimum over the sampled (t, x, xi) set of
-    defect(t,x,xi) - kappa(x) (unit directions), ``kappa_floor`` the smallest
-    sampled kappa, and ``witnesses`` the worst few sample points.
+    ``min_defect`` is its exact minimum over unit directions and the sampled
+    points: the smallest eigenvalue of 2a - sigma sigma' found there.
     """
 
     min_defect: float
-    kappa_floor: float
-    witnesses: list = field(default_factory=list)
-    n_sampled: int = 0
     tol: float = PARABOLIC_TOL
 
     @property
@@ -235,66 +231,27 @@ class ParabolicityReport:
         return self.min_defect >= -self.tol
 
 
-def direction_set(d: int, n_dirs: int, seed: int = 0) -> np.ndarray:
-    """d axis directions plus seeded uniform sphere samples, shape (n_dirs, d)."""
-    if n_dirs < 2 * d:
-        raise ConfigurationError(f"n_dirs must be >= {2 * d}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    dirs = [np.eye(d)]
-    extra = rng.standard_normal((n_dirs - d, d))
-    norms = np.linalg.norm(extra, axis=1)
-    # resampling for degenerate draws is astronomically unlikely; just guard
-    extra = extra[norms > 1e-12] / norms[norms > 1e-12, None]
-    dirs.append(extra)
-    return np.concatenate(dirs, axis=0)
-
-
-def _kappa_values(kappa, X):
-    if kappa is None:
-        return np.zeros(X.shape[0])
-    if np.isscalar(kappa):
-        return np.full(X.shape[0], float(kappa))
-    if isinstance(kappa, ScalarField):
-        return kappa(X)
-    return np.asarray(kappa(X), dtype=float)
-
-
-def verify_parabolicity(coeffs: CoefficientSet, grid: Grid, times, kappa=0.0,
-                        n_dirs: int = 8, seed: int = 0) -> ParabolicityReport:
-    """Sample defect - kappa over grid points, times and unit directions.
-
-    Passes when the sampled minimum is >= -1e-12.  Directions are the d axes
-    plus seeded sphere samples so reruns are reproducible.
-    """
+def verify_parabolicity(coeffs: CoefficientSet, grid: Grid, times) -> ParabolicityReport:
+    """Exact minimum of the defect over unit directions at every grid point
+    and time; passes when it is >= -1e-12."""
     times = list(times)
     if grid.npts == 0 or not times:
         raise ConfigurationError("verify_parabolicity needs a nonempty grid and times")
     X = grid.points()
-    kap = _kappa_values(kappa, X)
 
-    def defect_at(t):
-        A = coeffs.a(t, X)
-        S = coeffs.sigma(t, X)
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(S))):
-            bad = "a" if not np.all(np.isfinite(A)) else "sigma"
-            raise EvaluationError(f"field '{bad}' is non-finite at t={t}")
-        return lambda xi: (2.0 * np.einsum("mij,i,j->m", A, xi, xi)
-                           - np.sum(np.einsum("mil,i->ml", S, xi) ** 2, axis=1) - kap)
-    return _sample_defect(defect_at, times, direction_set(coeffs.d, n_dirs, seed), X,
-                          kappa_floor=float(np.min(kap)))
+    def fields(t):
+        A, S = coeffs.a(t, X), coeffs.sigma(t, X)
+        for name, arr in (("a", A), ("sigma", S)):
+            if not np.all(np.isfinite(arr)):
+                raise EvaluationError(f"field '{name}' is non-finite at t={t}")
+        return A, S
+    return _worst_defect(map(fields, times), PARABOLIC_TOL)
 
 
-def _sample_defect(defect_at, times, dirs, X, **report) -> ParabolicityReport:
-    """Minimum of ``defect_at(t)(xi)``, an array over the points X, over all
-    sampled times and directions, with the three worst samples as witnesses."""
-    best = []
-    for t in times:
-        defect = defect_at(t)
-        for xi in dirs:
-            vals = defect(xi)
-            i = int(np.argmin(vals))
-            best.append((float(vals[i]), t, tuple(X[i]), tuple(xi)))
-    best.sort(key=lambda r: r[0])
-    return ParabolicityReport(min_defect=best[0][0],
-                              witnesses=[(t, x, xi, v) for v, t, x, xi in best[:3]],
-                              n_sampled=len(times) * len(dirs) * len(X), **report)
+def _worst_defect(samples, tol: float) -> ParabolicityReport:
+    """Smallest eigenvalue of 2a - sigma sigma' over (a, sigma) samples of
+    shapes (m, d, d) and (m, d, L): per point, the minimum of the defect over
+    unit directions xi."""
+    worst = min(float(np.min(np.linalg.eigvalsh(2.0 * A - np.einsum("mil,mjl->mij", S, S))))
+                for A, S in samples)
+    return ParabolicityReport(min_defect=worst, tol=tol)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigurationError, HypothesisError, UnderResolvedError
 from .grids import Grid
-from .model import (CoefficientSet, ParabolicityReport, _kappa_values,
-                    _sample_defect, direction_set, verify_parabolicity)
+from .model import (CoefficientSet, ParabolicityReport, _worst_defect,
+                    verify_parabolicity)
 
 # unit-mass normalizations of exp(-1/(1-|x|^2)) on the unit ball
 Z_1D = 2.252283621044
@@ -43,7 +43,8 @@ class MollifierParams:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0e6:
-            raise ConfigurationError("epsilon must be positive")
+            raise ConfigurationError(
+                f"epsilon must lie in (0, 1e6), got {self.epsilon!r}")
 
     def require_resolved(self, h: float):
         h = float(np.max(h))
@@ -116,14 +117,6 @@ def stencil(params: MollifierParams, hs, d: int = 1) -> np.ndarray:
     return w / total
 
 
-def convolve_lattice(values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """'Same'-shaped discrete convolution (zero extension outside)."""
-    if values.ndim == 1:
-        return np.convolve(values, w[::-1], mode="same")
-    from scipy.signal import convolve2d
-    return convolve2d(values, w[::-1, ::-1], mode="same")
-
-
 def _extended_lattice(grid: Grid, pad_cells):
     axes = []
     for i in range(grid.d):
@@ -154,13 +147,11 @@ def _smooth(samples, w, grid: Grid, factor=None) -> np.ndarray:
     return out
 
 
-def mollify_callable(fn, params: MollifierParams, grid: Grid,
-                     cutoff_power: int = 1) -> np.ndarray:
-    """(fn * rho_eps) chi_eps^k on the grid, sampling fn beyond the box so the
+def mollify_callable(fn, params: MollifierParams, grid: Grid) -> np.ndarray:
+    """(fn * rho_eps) chi_eps on the grid, sampling fn beyond the box so the
     convolution is collar-free everywhere on the grid."""
     w = stencil(params, grid.hs, grid.d)
-    return _smooth(_padded_samples(fn, grid, w), w, grid,
-                   _chi_grid(grid, params) ** cutoff_power if cutoff_power else None)
+    return _smooth(_padded_samples(fn, grid, w), w, grid, _chi_grid(grid, params))
 
 
 def _convolve_valid(values, w):
@@ -176,20 +167,18 @@ def _chi_grid(grid: Grid, params: MollifierParams) -> np.ndarray:
     return chi if grid.d == 1 else chi.reshape(grid.n)
 
 
-def mollify_field(values: np.ndarray, params: MollifierParams, grid: Grid,
-                  cutoff_power: int = 1) -> np.ndarray:
-    """(v * rho_eps) chi_eps^k for a field already sampled on the grid.
+def mollify_field(values: np.ndarray, params: MollifierParams, grid: Grid) -> np.ndarray:
+    """v * rho_eps for a field already sampled on the grid.
 
     Zero extension applies outside the box; interior points further than eps
     from a wall are unaffected by it.
     """
     values = np.asarray(values, dtype=float)
-    if grid.d == 2:
-        values = values.reshape(grid.n)
     w = stencil(params, grid.hs, grid.d)
-    conv = convolve_lattice(values, w)
-    out = conv * _chi_grid(grid, params) ** cutoff_power if cutoff_power else conv
-    return out.ravel() if grid.d == 2 else out
+    if grid.d == 1:
+        return np.convolve(values, w[::-1], mode="same")
+    from scipy.signal import convolve2d
+    return convolve2d(values.reshape(grid.n), w[::-1, ::-1], mode="same").ravel()
 
 
 # -- coefficient-level mollification and checks ---------------------------
@@ -218,14 +207,14 @@ def mollify_coefficients(coeffs: CoefficientSet, params: MollifierParams,
 
 
 def mollified_coefficient_set(coeffs: CoefficientSet, params: MollifierParams,
-                              grid: Grid, t: float = 0.0) -> CoefficientSet:
+                              grid: Grid) -> CoefficientSet:
     """Freeze mollified coefficient samples into a grid-backed bundle.
 
     The returned callables only answer at the grid's own points (that is all
     the solver ever asks for); time dependence is dropped, matching the
-    omission of time mollification.
+    omission of time mollification: the coefficients are sampled at t = 0.
     """
-    m = mollify_coefficients(coeffs, params, grid, t)
+    m = mollify_coefficients(coeffs, params, grid, 0.0)
     npts = grid.npts
 
     def frozen(name):
@@ -245,38 +234,31 @@ def mollified_coefficient_set(coeffs: CoefficientSet, params: MollifierParams,
 
 
 def mollified_parabolicity_check(coeffs: CoefficientSet, params: MollifierParams,
-                                 grid: Grid, times, kappa=0.0, n_dirs: int = 6,
-                                 seed: int = 0, tol: float = 1e-10) -> ParabolicityReport:
-    """Check the mollified form dominates (kappa * rho_eps) chi_eps^2 |xi|^2.
+                                 grid: Grid, times) -> ParabolicityReport:
+    """Exact minimum over unit directions of the mollified form
+    2 xi'a_eps xi - |sigma_eps'xi|^2 at every grid point and time, the
+    smallest eigenvalue of 2a_eps - sigma_eps sigma_eps'; passes when it is
+    >= -1e-10.
 
-    The raw coefficients must satisfy the parabolic condition with the given
-    kappa first; otherwise the hypothesis is violated and this refuses to run.
+    The raw coefficients must satisfy the parabolic condition first;
+    otherwise the hypothesis is violated and this refuses to run.
     """
-    raw = verify_parabolicity(coeffs, grid, times, kappa=kappa,
-                              n_dirs=n_dirs, seed=seed)
+    times = list(times)
+    raw = verify_parabolicity(coeffs, grid, times)
     if not raw.passes:
         raise HypothesisError(
             f"raw coefficients violate the parabolic condition (min {raw.min_defect:.3e})")
-    X = grid.points()
-    kap = _kappa_values(kappa, X)
-    kap_eps = mollify_field(kap.reshape(grid.n) if grid.d == 2 else kap,
-                            params, grid, cutoff_power=0)
-    floor = np.ravel(kap_eps) * (_chi_grid(grid, params) ** 2).ravel()
 
-    def defect_at(t):
+    def fields(t):
         m = mollify_coefficients(coeffs, params, grid, t)   # grid axis last
-        return lambda xi: (2.0 * np.einsum("ijm,i,j->m", m["a"], xi, xi)
-                           - np.sum(np.einsum("ilm,i->lm", m["sigma"], xi) ** 2, axis=0)
-                           - floor)
-    return _sample_defect(defect_at, times, direction_set(coeffs.d, n_dirs, seed), X,
-                          kappa_floor=float(np.min(kap)), tol=tol)
+        return np.moveaxis(m["a"], -1, 0), np.moveaxis(m["sigma"], -1, 0)
+    return _worst_defect(map(fields, times), 1e-10)
 
 
 # -- divergence bound (drift smoothing keeps div uniformly bounded) --------
 
 @dataclass
 class DivBoundResult:
-    epsilon: float
     sup_div_mollified: float
     bound: float
 
@@ -286,39 +268,35 @@ class DivBoundResult:
 DIV_BOUND_C = max(1.0, 4.0 * PSI_SUP_DERIV)
 
 
-def div_bound_check(b, params: MollifierParams, points_per_eps: int = 8) -> DivBoundResult:
+def div_bound_check(b, params: MollifierParams) -> DivBoundResult:
     """Compare sup |d/dx((b * rho_eps) chi_eps)| against the structural bound
     C (||div b||_inf + ||b/(1+|x|)||_inf) on the shell-covering domain (1-d).
 
     ``b`` is a callable or ScalarField; norms are measured on the working
-    lattice, which spans the full cutoff support [-2/eps - 1, 2/eps + 1].
+    lattice, which spans the full cutoff support [-2/eps - 1, 2/eps + 1] at
+    eight points per eps.
     """
     eps = params.epsilon
-    h = eps / points_per_eps
+    h = eps / 8
     half = 2.0 / eps + 1.0 + 4 * eps
     n = max(16, int(np.ceil(2 * half / h)))
     work = Grid.line(-half, half, n)
     bvals = np.asarray(b(work.points()), dtype=float).ravel()
     x = work.x
     hh = work.hs[0]
-    m = mollify_callable(lambda p: np.asarray(b(p), float).ravel(), params, work,
-                         cutoff_power=0) * cutoff_value(x, eps)
+    m = mollify_callable(lambda p: np.asarray(b(p), float).ravel(), params, work)
     dm = np.gradient(m, hh)
     sup_div = float(np.max(np.abs(dm)))
     div_b = np.gradient(bvals, hh)
     norm_div = float(np.max(np.abs(div_b)))
     norm_ratio = float(np.max(np.abs(bvals) / (1.0 + np.abs(x))))
-    return DivBoundResult(epsilon=eps, sup_div_mollified=sup_div,
+    return DivBoundResult(sup_div_mollified=sup_div,
                           bound=DIV_BOUND_C * (norm_div + norm_ratio))
 
 
-def div_bound_sweep(b, epsilons, growth_tol: float = 1.5):
-    """Run div_bound_check over decreasing eps; uniform iff the measured sup
-    never grows by more than growth_tol between consecutive levels."""
+def div_bound_sweep(b, epsilons) -> list:
+    """div_bound_check over strictly decreasing eps, one result per level."""
     eps_list = list(epsilons)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigurationError("epsilons must be strictly decreasing")
-    results = [div_bound_check(b, MollifierParams(e)) for e in eps_list]
-    sups = [r.sup_div_mollified for r in results]
-    uniform = all(s2 <= growth_tol * s1 for s1, s2 in zip(sups, sups[1:]))
-    return results, uniform
+    return [div_bound_check(b, MollifierParams(e)) for e in eps_list]

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigurationError, SizeError
 
-GENERATOR_ID = "philox4x64-q26"
 _QUANTUM = 2.0 ** -26
 _MAX_ELEMENTS = 200_000_000
 
@@ -32,7 +31,6 @@ class BrownianPath:
     dt: float
     increments: np.ndarray  # (n_steps, L)
     seed: int
-    generator_id: str = GENERATOR_ID
 
     def endpoint(self) -> np.ndarray:
         """B_T per driver (exact under the quantized representation)."""
@@ -70,5 +68,4 @@ def coarsen(path: BrownianPath, k: int) -> BrownianPath:
         return path
     inc = block_sums(path.increments, k)
     return BrownianPath(L=path.L, n_steps=path.n_steps // k, dt=path.dt * k,
-                        increments=inc, seed=path.seed,
-                        generator_id=path.generator_id)
+                        increments=inc, seed=path.seed)

@@ -34,11 +34,11 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import splu
 
-from .errors import (ConfigurationError, SolverError, StabilityError,
+from .errors import (ConfigurationError, SizeError, SolverError, StabilityError,
                      TestFunctionError, ValidationError)
 from .grids import DensityField, Grid
 from .model import CoefficientSet, reuse_if_static
-from .noise import BrownianPath
+from .noise import _MAX_ELEMENTS, BrownianPath
 
 BOUNDARY_MASS_WARN_FRACTION = 1e-6
 
@@ -70,7 +70,6 @@ class Trajectory:
     dt: float
     theta: float
     full_history: np.ndarray | None = None
-    seed: int | None = None
 
     @property
     def step_times(self) -> np.ndarray:
@@ -348,7 +347,8 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
     """Run u_{n+1} = update(n, u_n) from u0 up to the last output time and
     record the per-step mass and L2 series, the snapshots at the output times
     and, with ``keep_history``, every step.  The horizon, the output times,
-    dt and the driver count are checked against ``path`` before any step."""
+    dt and the driver count are checked against ``path``, and a kept history
+    against ``check_history_size``, before any step."""
     if isinstance(u0, DensityField):
         u = u0.values.copy()
     else:
@@ -379,6 +379,8 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
             raise ConfigurationError(f"output time {t} is listed twice")
         snap_steps.add(k)
 
+    if keep_history:
+        check_history_size(n_steps, grid.npts)
     mass = np.empty(n_steps + 1)
     l2 = np.empty(n_steps + 1)
     vol = grid.cell_volume
@@ -397,7 +399,15 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
     _boundary_mass_guard(grid, u)
     return Trajectory(grid=grid, times=np.asarray(output_times), fields=fields,
                       mass_series=mass, l2_series=l2, dt=cfg.dt, theta=cfg.theta,
-                      full_history=history, seed=path.seed)
+                      full_history=history)
+
+
+def check_history_size(n_steps: int, npts: int) -> None:
+    """Refuse a kept history of (n_steps + 1) x npts values above the
+    element limit that driver paths also obey."""
+    if (n_steps + 1) * npts > _MAX_ELEMENTS:
+        raise SizeError(f"a history of {n_steps + 1} steps x {npts} points exceeds "
+                        f"the safety limit of {_MAX_ELEMENTS} values")
 
 
 def _boundary_mass_guard(grid: Grid, u: np.ndarray):

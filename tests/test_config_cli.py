@@ -380,9 +380,24 @@ class TestCliSettings:
             np.loadtxt(plain / "posterior.csv", delimiter=",", skiprows=1), written)
 
 
+# a (1e6 + 1) x 1e5 history, 745 GiB, refused before it is allocated
+OVERSIZED = (HEAT.replace("n = 128", "n = 100000").replace("dt = 1e-3", "dt = 1e-6")
+             .replace("t_end = 0.05", "t_end = 1"))
+MOLLIFY_2E6 = HEAT.replace("a = constant:0.5", "a = constant:0.5\nmollify = 2e6")
+
+
 class TestCliErrors:
     """Bad input exits 1 with one 'error:' line and no traceback, and a run
     that fails leaves nothing under --out."""
+
+    # the message of the cases that name their limit, by case id
+    MESSAGES = {
+        "run-spde-history-too-large": "error: a history of 1000001 steps x 100000 points "
+                                      "exceeds the safety limit of 200000000 values",
+        "picard-history-too-large": "error: a history of 1000001 steps x 100000 points "
+                                    "exceeds the safety limit of 200000000 values",
+        "mollify-2e6": "error: epsilon must lie in (0, 1e6), got 2000000.0",
+    }
 
     @staticmethod
     def run(tmp_path, capsys, sub, text):
@@ -433,6 +448,9 @@ class TestCliErrors:
         ("picard", PICARD_CONFIG.replace("tol = 1e-8", "tol = 1e-8\nmax_iter = 0")),
         ("picard", PICARD_CONFIG.replace("scale=0.1", "scale=nan")),
         ("picard", PICARD_CONFIG.replace("sin_of_u:scale=0.1", "linear_in_u:coeff=inf")),
+        ("run-spde", OVERSIZED),
+        ("picard", OVERSIZED),
+        ("run-spde", MOLLIFY_2E6),
     ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc",
             "picard-independent-width-abc", "field-unknown-parameter",
             "constant-unknown-parameter", "pwlinear-missing-knots",
@@ -446,11 +464,16 @@ class TestCliErrors:
             "filter-prior-var-negative",
             "run-filter-t_end-negative", "run-filter-2d", "n_particles-5",
             "n_particles-negative", "picard-tol-0", "picard-tol-negative",
-            "picard-max_iter-0", "picard-scale-nan", "picard-coeff-inf"])
-    def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, sub, text):
+            "picard-max_iter-0", "picard-scale-nan", "picard-coeff-inf",
+            "run-spde-history-too-large", "picard-history-too-large", "mollify-2e6"])
+    def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, request,
+                                                  sub, text):
         rc, err, out = self.run(tmp_path, capsys, sub, text)
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+        case = request.node.callspec.id
+        if case in self.MESSAGES:
+            assert err == self.MESSAGES[case] + "\n"
         assert "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
 

@@ -45,8 +45,8 @@ class TestPositivity:
         path = noise.generate(3, 1, 2500, 1e-4)
         traj = solver.solve(cs, gaussian(grid), grid,
                             SolverConfig(dt=1e-4, store_every=1), path, [0.25])
-        rep = diag.check_positivity(traj, tol=1e-10, hypotheses=HYP_CLEAN)
-        assert rep.passed
+        rep = diag.check_positivity(traj, hypotheses=HYP_CLEAN)
+        assert rep.passed and rep.measured <= 1e-10
 
     def test_drift_dominated_coarse_run_fails(self):
         # negative control: central drift stencil undershoots at coarse h
@@ -170,8 +170,7 @@ class TestContinuityModulus:
         res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=5e-4))
         rep = diag.continuity_modulus(res.u,
                                       [TestFunction.gaussian((0.0,), 0.8),
-                                       TestFunction.gaussian((0.5,), 0.6)],
-                                      n_levels=4)
+                                       TestFunction.gaussian((0.5,), 0.6)])
         assert rep.passed
         lv = rep.extra["moduli"]["phi0"]
         ratios = [a / b for a, b in zip(lv, lv[1:])]

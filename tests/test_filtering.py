@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from spdelab import filtering as flt
@@ -457,7 +457,10 @@ linear_1d = st.fixed_dictionaries({
 
 
 class TestOracleReferences:
-    @settings(max_examples=25, deadline=None)
+    # no shrink phase: a failing example is reported as found, not after
+    # minutes of shrinking whole truth and particle runs
+    @settings(max_examples=25, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(params=linear_1d, seed=st.integers(0, 2**32 - 1),
            n_steps=st.integers(0, 300), N=st.integers(100, 400))
     def test_1d_oracles_match_references_bytewise(self, params, seed, n_steps, N):
@@ -479,7 +482,8 @@ class TestOracleReferences:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 200),
            N=st.integers(100, 300))
     def test_2d_particles_match_reference(self, seed, n_steps, N):
