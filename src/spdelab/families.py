@@ -78,6 +78,10 @@ class ScalarField:
                 raise ParseError("pwlinear needs matching xs/ys with >= 2 knots")
             if np.any(np.diff(xs) <= 0):
                 raise ParseError("pwlinear knots must be strictly increasing")
+            with np.errstate(over="ignore"):
+                slopes = np.diff(ys) / np.diff(xs)
+            if not np.all(np.isfinite(slopes)):
+                raise ParseError("pwlinear knots are too close: a slope overflows")
             p["xs"], p["ys"] = xs, ys
         elif self.family == "gaussian":
             p.setdefault("amp", 1.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdelab.errors import ConfigurationError, EvaluationError, ValidationError
+from spdelab.errors import ConfigurationError, EvaluationError, ParseError, ValidationError
 from spdelab.families import ScalarField, parse_field
 from spdelab.grids import Grid
 from spdelab.model import CoefficientSet, verify_parabolicity
@@ -147,6 +147,13 @@ class TestFamilies:
         assert fld.grad(np.array([0.5]))[0, 0] == pytest.approx(1.0)
         assert fld.grad(np.array([5.0]))[0, 0] == pytest.approx(0.0)
 
+    def test_pwlinear_refuses_an_overflowing_slope(self):
+        # a subnormal knot spacing makes 1 / 2.2e-309 overflow to inf
+        with pytest.raises(ParseError, match="slope overflows"):
+            ScalarField("pwlinear", 1, xs=[0.0, 2.225073858507203e-309], ys=[0.0, 1.0])
+        fld = ScalarField("pwlinear", 1, xs=[0.0, 1e-300], ys=[0.0, 1.0])
+        assert np.all(np.isfinite(fld.grad(np.array([[0.5e-300]]))))
+
 
 # -- the coefficient layer against its former closure-per-coefficient form --
 
@@ -288,7 +295,9 @@ def family_fields(d):
                   finite, vec, st.floats(0.2, 2.0)),
     ]
     if d == 1:
-        knots = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5, unique=True)
+        # ScalarField refuses knots so close that a slope overflows
+        knots = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5, unique=True).filter(
+            lambda xs: np.min(np.diff(sorted(xs))) >= 1e-300)
         options.append(st.builds(
             lambda xs, ys: ScalarField("pwlinear", 1, xs=sorted(xs), ys=ys[:len(xs)]),
             knots, st.lists(finite, min_size=5, max_size=5)))
