@@ -338,7 +338,7 @@ def criterion_11():
                                        seed=FILTER_SEED, dt=5e-4), fine):
         cfg = SolverConfig(dt=truth.dt, store_every=1)
         res = flt.run_zakai(sc, truth, grid, cfg)
-        cs_z = flt.zakai_coefficients(sc, truth.y_path, truth.dt)
+        cs_z = flt.zakai_coefficients(sc)
         path = noise.BrownianPath(L=1, n_steps=truth.n_steps, dt=truth.dt,
                                   increments=truth.bbar_increments,
                                   seed=FILTER_SEED)

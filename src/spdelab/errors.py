@@ -70,10 +70,6 @@ class DegenerateMassError(ScenarioError):
     """Unnormalized filtering mass became non-positive (under-resolved run)."""
 
 
-class OracleNotApplicableError(SpdelabError):
-    """A closed-form oracle was requested for a scenario outside its class."""
-
-
 class TestFunctionError(SpdelabError):
     """Weak-form test function unusable (support touches the boundary)."""
 

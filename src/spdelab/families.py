@@ -5,7 +5,7 @@ members of a small set of named families (constant, affine, sinusoidal,
 piecewise-linear, gaussian).  Every family knows its own spatial gradient,
 which is what the operator assembly and the adjoint computations consume.
 Fields are functions of space only; time dependence enters elsewhere (e.g.
-filtering coefficients close over the observation path).
+the Picard iteration's frozen sources close over the previous sweep).
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ the noise term explicitly (left-point in time):
     (I - theta dt L) u_{n+1} = u_n + (1-theta) dt L u_n + dt f_n
                                + sum_l (M^l u_n + g^l_n) dB^l_n.
 
-The stability guard, on in ``solve`` and the filters, enforces
-dt sum_l ||sigma^{.l}||_inf^2 <= h^2 together with a nonnegative face margin
-2a - |sigma|^2, which is exactly the mean-square stability budget of the
-explicit noise term.
+The stability guard, on in ``solve`` and the filters, enforces the
+mean-square stability budget of the explicit noise term,
+dt sum_l ||sigma^{.l}||_inf^2 <= h^2, together with the paper's degenerate
+parabolic condition 2a - sigma sigma^T >= 0 at every grid point.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from scipy.sparse.linalg import splu
 from .errors import (ConfigurationError, SizeError, SolverError, StabilityError,
                      TestFunctionError, ValidationError)
 from .grids import DensityField, Grid
-from .model import CoefficientSet, reuse_if_static
+from .model import PARABOLIC_TOL, CoefficientSet, _worst_defect, reuse_if_static
 from .noise import _MAX_ELEMENTS, BrownianPath
 
 BOUNDARY_MASS_WARN_FRACTION = 1e-6
@@ -195,7 +195,8 @@ def assemble_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> c
 
 
 def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
-    """Explicit-noise mean-square budget and discrete degeneracy margin."""
+    """Explicit-noise mean-square budget and the parabolic condition: the
+    smallest eigenvalue of 2a - sigma sigma^T at the grid points is >= -1e-12."""
     pts = grid.points()
     S = coeffs.sigma(t, pts)
     A = coeffs.a(t, pts)
@@ -205,21 +206,12 @@ def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
         raise StabilityError(
             f"dt={dt} violates the noise stability budget",
             suggested_dt=0.95 * hmin**2 / sig_sq)
-    # face margin along each axis: 2 a_face - |sigma_face|^2 >= -1e-12
-    if grid.d == 1:
-        a = A[:, 0, 0]
-        s2 = np.sum(S[:, 0, :] ** 2, axis=1)
-        margin = 2 * 0.5 * (a[:-1] + a[1:]) - 0.5 * (s2[:-1] + s2[1:])
-        if margin.size and margin.min() < -1e-12:
-            raise StabilityError(
-                f"degeneracy margin 2a - |sigma|^2 = {margin.min():.3e} < 0 at faces")
-    else:
-        diag = np.einsum("mii->mi", A)
-        s2 = np.sum(S**2, axis=2)
-        margin = 2 * diag - s2
-        if margin.min() < -1e-12:
-            raise StabilityError(
-                f"degeneracy margin 2a - |sigma|^2 = {margin.min():.3e} < 0")
+    # a non-finite field gives a nan defect, which passes here and fails,
+    # named as non-finite, in assembly
+    defect = _worst_defect([(A, S)], PARABOLIC_TOL).min_defect
+    if defect < -PARABOLIC_TOL:
+        raise StabilityError(f"coefficients are not parabolic at t={t}: the smallest "
+                             f"eigenvalue of 2a - sigma sigma^T is {defect:.3e} < 0")
 
 
 class _ImplicitSystem:

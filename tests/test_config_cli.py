@@ -384,6 +384,11 @@ class TestCliSettings:
 OVERSIZED = (HEAT.replace("n = 128", "n = 100000").replace("dt = 1e-3", "dt = 1e-6")
              .replace("t_end = 0.05", "t_end = 1"))
 MOLLIFY_2E6 = HEAT.replace("a = constant:0.5", "a = constant:0.5\nmollify = 2e6")
+# 2a - sigma sigma^T = [[0, -1], [-1, 0]] has the eigenvalue -1, while each
+# diagonal entry 2a_ii - |sigma_i|^2 is 0
+NOT_PARABOLIC_2D = (HEAT.replace("dim = 1", "dim = 2").replace("n = 128", "n = 32")
+                    .replace("a = constant:0.5", "a11 = constant:0.5\na22 = constant:0.5\n"
+                             "sigma0_1 = constant:1\nsigma0_2 = constant:1"))
 
 
 class TestCliErrors:
@@ -397,6 +402,8 @@ class TestCliErrors:
         "picard-history-too-large": "error: a history of 1000001 steps x 100000 points "
                                     "exceeds the safety limit of 200000000 values",
         "mollify-2e6": "error: epsilon must lie in (0, 1e6), got 2000000.0",
+        "not-parabolic-2d": "error: coefficients are not parabolic at t=0.0: the smallest "
+                            "eigenvalue of 2a - sigma sigma^T is -1.000e+00 < 0",
     }
 
     @staticmethod
@@ -451,6 +458,7 @@ class TestCliErrors:
         ("run-spde", OVERSIZED),
         ("picard", OVERSIZED),
         ("run-spde", MOLLIFY_2E6),
+        ("run-spde", NOT_PARABOLIC_2D),
     ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc",
             "picard-independent-width-abc", "field-unknown-parameter",
             "constant-unknown-parameter", "pwlinear-missing-knots",
@@ -465,7 +473,8 @@ class TestCliErrors:
             "run-filter-t_end-negative", "run-filter-2d", "n_particles-5",
             "n_particles-negative", "picard-tol-0", "picard-tol-negative",
             "picard-max_iter-0", "picard-scale-nan", "picard-coeff-inf",
-            "run-spde-history-too-large", "picard-history-too-large", "mollify-2e6"])
+            "run-spde-history-too-large", "picard-history-too-large", "mollify-2e6",
+            "not-parabolic-2d"])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, request,
                                                   sub, text):
         rc, err, out = self.run(tmp_path, capsys, sub, text)

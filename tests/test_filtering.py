@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -7,8 +5,7 @@ from hypothesis import strategies as st
 
 from spdelab import filtering as flt
 from spdelab import solver
-from spdelab.errors import (ConfigurationError, OracleNotApplicableError,
-                            ScenarioError, StabilityError, ValidationError)
+from spdelab.errors import ConfigurationError, ScenarioError, StabilityError, ValidationError
 from spdelab.grids import Grid
 from spdelab.solver import SolverConfig
 
@@ -24,40 +21,40 @@ def kb_truth(seed=42, n_steps=400, dt=1e-3):
 
 
 class TestZakaiCoefficients:
-    def test_unit_sigma_hat(self):
-        sc = kb_scenario()
-        truth = kb_truth(n_steps=10)
-        cs = flt.zakai_coefficients(sc, truth.y_path, truth.dt)
+    def test_unit_diffusion(self):
+        cs = flt.zakai_coefficients(kb_scenario())
         X = np.linspace(-2, 2, 7)[:, None]
         assert np.allclose(cs.a(0.0, X)[:, 0, 0], 0.5)
         # divergence-form drift slot carries d_j a - b_hat = -A x
         assert np.allclose(cs.b(0.0, X)[:, 0], -KB["A"] * X[:, 0])
-        # the forward-form drift b_hat - d_j a^{ij} is -b
+        # the forward-form drift A x - d_x a is -b
         assert np.allclose(-cs.b(0.0, X)[:, 0], KB["A"] * X[:, 0])
 
     def test_h_is_scaled_observation_drift(self):
-        sc = flt.FilterScenario.linear_gaussian(A=0.0, Q=1.0, H=1.0, R=2.0)
-
-        def b_tilde(t, X, y):
-            return X  # b_tilde(x) = x
-        sc.b_tilde = b_tilde
-        truth = flt.simulate_truth(sc, 1, 5, 1e-3)
-        cs = flt.zakai_coefficients(sc, truth.y_path, truth.dt)
+        cs = flt.zakai_coefficients(
+            flt.FilterScenario.linear_gaussian(A=0.0, Q=1.0, H=1.0, R=2.0))
         X = np.linspace(-1, 1, 5)[:, None]
         assert np.allclose(cs.h(0.0, X)[:, 0], X[:, 0] / 2.0)
 
-    def test_state_dependent_diffusion_drift_correction(self):
-        # sigma_hat = x: a = x^2/2, d_x a = x, so the paper-sign drift is
-        # b_hat - x
-        sc = kb_scenario()
-        sc.sigma_hat = lambda t, X, y: X[:, :, None] * np.ones((1, 1, 1))
-        sc.da_hook = None
-        sc.static_coefficients = True
-        truth = kb_truth(n_steps=5)
-        X = np.linspace(0.5, 2, 7)[:, None]
-        cs = flt.zakai_coefficients(sc, truth.y_path, truth.dt)
-        assert np.allclose(cs.a(0.0, X)[:, 0, 0], X[:, 0] ** 2 / 2, atol=1e-12)
-        assert np.allclose(-cs.b(0.0, X)[:, 0], KB["A"] * X[:, 0] - X[:, 0], atol=1e-8)
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    @pytest.mark.parametrize("A, Q, H", [(-0.5, 1.0, 1.0), (0.3, 0.7, -1.3),
+                                         (-1.7, 1e-3, 2.9), (0.0, 0.0, 0.0)])
+    def test_declared_fields_give_the_closure_bytes(self, A, Q, H, R):
+        # the callable model's formulas: a = sigma_hat sigma_hat^T / 2,
+        # b = d_x a - b_hat and h = b_tilde sigma_tilde^{-1}
+        cs = flt.zakai_coefficients(flt.FilterScenario.linear_gaussian(A, Q, H, R))
+        X = np.linspace(-8, 8, 257)[:, None]
+        zeros = np.zeros(len(X))
+        sh = np.full((len(X), 1, 1), Q)
+        closures = {"a": 0.5 * np.einsum("mik,mjk->mij", sh, sh),
+                    "b": np.zeros_like(X) - A * X,
+                    "h": (H * X) @ np.linalg.inv([[R]]).T,
+                    "c": zeros, "f": zeros, "sigma": np.zeros((len(X), 1, 1)),
+                    "g": np.zeros((len(X), 1)), "da": np.zeros_like(X)}
+        for name, ref in closures.items():
+            got = getattr(cs, name)(0.0, X)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+        assert not cs.time_dependent
 
 
 class TestSimulateTruth:
@@ -74,7 +71,7 @@ class TestSimulateTruth:
         assert np.allclose(truth.x_path[:, 0], truth.x_path[0, 0], atol=0)
 
     def test_girsanov_bookkeeping_round_trip(self):
-        # power-of-two sigma_tilde: reconstruction is floating-point exact
+        # power-of-two R: reconstruction is floating-point exact
         sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=2.0)
         truth = flt.simulate_truth(sc, 9, 64, 1e-3)
         y = np.zeros(65)
@@ -105,16 +102,10 @@ class TestSimulateTruth:
         assert abs(xs.var() - var_target) < 3 * se_var + 2 * dt
 
     def test_explosion_guard(self):
-        # both paths; in the callable loop numpy's overflow warning must not
-        # preempt the typed error
-        inf_drift = dataclasses.replace(kb_scenario(), linear=None,
-                                        b_hat=lambda t, X, y: np.full_like(X, np.inf))
         # A x dt is finite at step 0 and overflows at step 1
         huge = flt.FilterScenario.linear_gaussian(A=1e308, Q=1.0, H=1.0, R=1.0)
-        for sc, step in [(inf_drift, 0), (huge, 1),
-                         (dataclasses.replace(huge, linear=None), 1)]:
-            with pytest.raises(flt.ScenarioError, match=f"exploded at step {step}"):
-                flt.simulate_truth(sc, 1, 200, 1e-2)
+        with pytest.raises(flt.ScenarioError, match="exploded at step 1"):
+            flt.simulate_truth(huge, 1, 200, 1e-2)
 
 
 class TestRunZakai:
@@ -153,7 +144,7 @@ class TestRunZakai:
         grid = Grid.line(-8, 8, 256)
         sc = kb_scenario()
         res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=1e-3))
-        cs = flt.zakai_coefficients(sc, truth.y_path, truth.dt)
+        cs = flt.zakai_coefficients(sc)
         pts = grid.points()
         vol = grid.cell_volume
         hv = cs.h(0.0, pts)[:, 0]
@@ -265,17 +256,16 @@ class TestKushner:
 
 
 class TestKushnerStabilityGuard:
-    """The Zakai coefficients carry sigma = 0 and a = sigma_hat sigma_hat^T / 2,
-    so check_stability cannot fail on a filter scenario; stand-in guards pin
+    """The Zakai coefficients carry sigma = 0 and a = Q^2 / 2, so
+    check_stability cannot fail on a filter scenario; stand-in guards pin
     that the Kushner filter consults it where the Zakai path does."""
 
     @staticmethod
     def install(monkeypatch, guard):
         monkeypatch.setattr(solver, "check_stability", guard)
 
-    @pytest.mark.parametrize("static", [True, False])
-    def test_guard_runs_where_zakai_runs_it(self, monkeypatch, static):
-        sc = dataclasses.replace(kb_scenario(), static_coefficients=static)
+    def test_guard_runs_where_zakai_runs_it(self, monkeypatch):
+        sc = kb_scenario()
         truth = kb_truth(n_steps=20)
         grid = Grid.line(-8, 8, 64)
         calls = {}
@@ -284,15 +274,14 @@ class TestKushnerStabilityGuard:
             self.install(monkeypatch, lambda cs, g, t, dt, seen=seen: seen.append((g, t, dt)))
             run(sc, truth, grid, SolverConfig(dt=truth.dt))
         assert calls["kushner"] == calls["zakai"]
-        assert len(calls["zakai"]) == (1 if static else 1 + truth.n_steps)
+        assert len(calls["zakai"]) == 1
 
-    @pytest.mark.parametrize("static", [True, False])
-    def test_dt_rejected_by_zakai_is_rejected_by_kushner(self, monkeypatch, static):
+    def test_dt_rejected_by_zakai_is_rejected_by_kushner(self, monkeypatch):
         def guard(cs, g, t, dt):
             if dt > 5e-4:
                 raise StabilityError(f"dt={dt} violates the budget", suggested_dt=5e-4)
         self.install(monkeypatch, guard)
-        sc = dataclasses.replace(kb_scenario(), static_coefficients=static)
+        sc = kb_scenario()
         grid = Grid.line(-8, 8, 64)
         coarse = flt.simulate_truth(sc, 42, 20, 1e-3)
         fine = flt.simulate_truth(sc, 42, 20, 5e-4)
@@ -334,13 +323,6 @@ class TestKalmanBucy:
         ts = np.arange(truth.n_steps + 1) * truth.dt
         assert np.allclose(P, 1.0 / (1.0 + ts), atol=1e-9)
 
-    def test_nonlinear_scenario_rejected(self):
-        sc = kb_scenario()
-        sc.linear = None
-        truth = kb_truth(n_steps=5)
-        with pytest.raises(OracleNotApplicableError):
-            flt.kalman_bucy_oracle(sc, truth)
-
     def test_pde_tracks_oracle(self):
         # pathwise O(dt) agreement; the constant is seed-dependent, this is
         # the shipped-scenario realization
@@ -356,11 +338,10 @@ class TestKalmanBucy:
 
 class TestScenarioValidation:
     def test_prior_must_be_normalized(self):
-        sc = kb_scenario()
-        sc.pi0 = lambda X: 2.0 * np.exp(-X[:, 0] ** 2 / 2) / np.sqrt(2 * np.pi)
-        grid = Grid.line(-8, 8, 128)
+        # the prior N(45, 1) has no mass on [-8, 8]
+        sc = flt.FilterScenario.linear_gaussian(**KB, prior_mean=45.0)
         with pytest.raises(ValidationError, match="mass"):
-            sc.validate(grid, [(0.0, np.zeros(1))])
+            sc.validate(Grid.line(-8, 8, 128))
 
     @pytest.mark.parametrize("run", [flt.run_zakai, flt.run_kushner],
                              ids=["zakai", "kushner"])
@@ -370,9 +351,15 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError, match="prior mass 0.954"):
             run(kb_scenario(), truth, Grid.line(-2, 2, 64), SolverConfig(dt=truth.dt))
 
-    def test_singular_sigma_tilde_rejected(self):
-        with pytest.raises(ValidationError):
+    def test_zero_observation_noise_rejected(self):
+        with pytest.raises(ValidationError, match="R must be nonzero"):
             flt.FilterScenario.linear_gaussian(A=0.0, Q=1.0, H=1.0, R=0.0)
+
+    @pytest.mark.parametrize("name", ["A", "Q", "H", "R"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, name, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            flt.FilterScenario.linear_gaussian(**{**KB, name: bad})
 
     @pytest.mark.parametrize("prior", [
         dict(prior_mean=np.nan), dict(prior_mean=np.inf), dict(prior_var=-1.0),
@@ -384,32 +371,52 @@ class TestScenarioValidation:
 
 
 # -- reference oracles ---------------------------------------------------------
-# The particle step with plain matmuls and a fresh noise array per step, and
-# the Kalman-Bucy loop on numpy scalars: the forms the production oracles
-# must reproduce.
+# The truth and particle loops with (A, Q, H, R) as 1 x 1 matrices, plain
+# matmuls and a fresh noise array per step, and the Kalman-Bucy loop on numpy
+# scalars: the forms the production loops must reproduce.
+
+def matrices(sc):
+    return [np.array([[float(v)]]) for v in (sc.A, sc.Q, sc.H, sc.R)]
+
+
+def reference_truth(sc, seed, n_steps, dt):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    A, Q, H, R = matrices(sc)
+    R_inv = np.linalg.inv(R)
+    x = sc.prior_mean + np.sqrt(sc.prior_var) * rng.standard_normal((1, 1))[0]
+    dW = rng.standard_normal((n_steps, 1)) * np.sqrt(dt)
+    dV = rng.standard_normal((n_steps, 1)) * np.sqrt(dt)
+    y = np.zeros(1)
+    xs, ys = np.empty((n_steps + 1, 1)), np.empty((n_steps + 1, 1))
+    bbar = np.empty((n_steps, 1))
+    xs[0], ys[0] = x, y
+    for n in range(n_steps):
+        bbar[n] = R_inv @ (H @ x) * dt + dV[n]
+        y = y + R @ bbar[n]
+        x = x + (A @ x) * dt + Q @ dW[n]
+        xs[n + 1], ys[n + 1] = x, y
+    return xs, ys, bbar
+
 
 def reference_particle_ensemble(sc, truth, N, seed):
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(7,))))
-    X = sc.prior_sampler(rng, N)
+    A, Q, H, R = matrices(sc)
+    R_inv = np.linalg.inv(R)
+    X = sc.prior_mean + np.sqrt(sc.prior_var) * rng.standard_normal((N, 1))
     logw = np.zeros(N)
     dt = truth.dt
     sq = np.sqrt(dt)
     for n in range(truth.n_steps):
-        t = n * dt
-        y = truth.y_path[n]
-        st_inv = np.linalg.inv(np.asarray(sc.sigma_tilde(t, y), float))
-        hX = np.asarray(sc.b_tilde(t, X, y), float) @ st_inv.T
+        hX = (X @ H.T) @ R_inv.T
         logw += hX @ truth.bbar_increments[n] - 0.5 * np.sum(hX**2, axis=1) * dt
-        bh = np.asarray(sc.b_hat(t, X, y), float)
-        sh = np.asarray(sc.sigma_hat(t, X, y), float)
-        dW = rng.standard_normal((N, sc.d)) * sq
-        X = X + bh * dt + np.einsum("nij,nj->ni", sh, dW)
+        dW = rng.standard_normal((N, 1)) * sq
+        X = X + (X @ A.T) * dt + dW @ Q.T
     return X, np.exp(logw)
 
 
 def reference_kalman_bucy(sc, truth):
-    A, Q, H, R, m0, P0 = sc.linear
+    A, Q, H, R, m0, P0 = sc.A, sc.Q, sc.H, sc.R, sc.prior_mean, sc.prior_var
     dt = truth.dt
     n = truth.n_steps
     m = np.empty(n + 1)
@@ -431,25 +438,6 @@ def reference_kalman_bucy(sc, truth):
     return m, P
 
 
-def scenario_2d(a_drift, q, h_obs, r_obs, mean, chol):
-    """Linear-Gaussian d = d1 = 2 scenario with full matrices."""
-    A, Qm, H, R = (np.asarray(v, float) for v in (a_drift, q, h_obs, r_obs))
-    mean, chol = np.asarray(mean, float), np.asarray(chol, float)
-    cov_inv = np.linalg.inv(chol @ chol.T)
-
-    def pi0(X):
-        z = X - mean
-        quad = np.einsum("ni,ij,nj->n", z, cov_inv, z)
-        return np.exp(-0.5 * quad) / (2 * np.pi * abs(np.linalg.det(chol)))
-
-    return flt.FilterScenario(
-        d=2, d1=2, b_hat=lambda t, X, y: X @ A.T,
-        sigma_hat=lambda t, X, y: np.broadcast_to(Qm, (X.shape[0], 2, 2)),
-        b_tilde=lambda t, X, y: X @ H.T,
-        sigma_tilde=lambda t, y: R + 0.1 * np.tanh(y[0]) * np.eye(2),
-        pi0=pi0, prior_sampler=lambda rng, n: mean + rng.standard_normal((n, 2)) @ chol.T)
-
-
 linear_1d = st.fixed_dictionaries({
     "A": st.floats(-2, 2), "Q": st.floats(0, 2), "H": st.floats(-2, 2),
     "R": st.floats(0.2, 2) | st.floats(-2, -0.2),
@@ -466,10 +454,9 @@ class TestOracleReferences:
     def test_1d_oracles_match_references_bytewise(self, params, seed, n_steps, N):
         sc = flt.FilterScenario.linear_gaussian(**params)
         truth = flt.simulate_truth(sc, seed, n_steps, 1e-3)
-        # the declared model's truth against the callable loop
-        ref = flt.simulate_truth(dataclasses.replace(sc, linear=None), seed, n_steps, 1e-3)
-        for name in ("x_path", "y_path", "bbar_increments"):
-            a, b = getattr(truth, name), getattr(ref, name)
+        ref = reference_truth(sc, seed, n_steps, 1e-3)
+        for name, b in zip(("x_path", "y_path", "bbar_increments"), ref):
+            a = getattr(truth, name)
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
         for new, ref in zip(flt.kalman_bucy_oracle(sc, truth),
@@ -481,33 +468,6 @@ class TestOracleReferences:
         for a, b in zip(new, ref):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
-
-    @settings(max_examples=10, deadline=None,
-              phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 200),
-           N=st.integers(100, 300))
-    def test_2d_particles_match_reference(self, seed, n_steps, N):
-        sc = scenario_2d([[-0.5, 0.3], [0.1, -1.0]], [[1.0, 0.0], [0.4, 0.6]],
-                         [[1.0, 0.5], [-0.3, 2.0]], [[1.0, 0.2], [0.0, 0.7]],
-                         [0.5, -1.0], [[1.0, 0.0], [0.3, 0.5]])
-        truth = flt.simulate_truth(sc, seed, n_steps, 1e-3)
-        X, w = flt.particle_ensemble(sc, truth, N, seed)
-        X_ref, w_ref = reference_particle_ensemble(sc, truth, N, seed)
-        np.testing.assert_allclose(X, X_ref, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0)
-
-    def test_sampler_output_is_not_mutated(self):
-        sc = kb_scenario()
-        drawn = []
-
-        def sampler(rng, n):
-            drawn.append(rng.standard_normal((n, 1)))
-            return drawn[-1]
-        sc.prior_sampler = sampler
-        flt.particle_ensemble(sc, kb_truth(n_steps=5), 100, 3)
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=3, spawn_key=(7,))))
-        assert drawn[0].tobytes() == rng.standard_normal((100, 1)).tobytes()
 
 
 class TestDeclaredPrior:

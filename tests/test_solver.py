@@ -1,6 +1,5 @@
 import collections
 import copy
-import dataclasses
 import math
 
 import numpy as np
@@ -791,6 +790,14 @@ def flagged(cs, time_dependent):
     return out
 
 
+def flag_zakai(monkeypatch, time_dependent, wrap=lambda cs: cs):
+    """Give the filters their Zakai set under the given build policy, passed
+    through ``wrap``."""
+    declared = flt.zakai_coefficients
+    monkeypatch.setattr(flt, "zakai_coefficients",
+                        lambda sc: wrap(flagged(declared(sc), time_dependent)))
+
+
 class TestStepperBuilds:
     """Static coefficients build the generator, its factorization and the
     noise operators once per run; time-dependent ones build them every step.
@@ -820,7 +827,7 @@ class TestStepperBuilds:
         return counts
 
     @pytest.mark.parametrize("time_dependent", [False, True])
-    def test_build_counts(self, builds, time_dependent):
+    def test_build_counts(self, builds, monkeypatch, time_dependent):
         N, dt = self.N, 1e-3
         per_run = N if time_dependent else 1
         guard = N + 1 if time_dependent else 1
@@ -849,8 +856,8 @@ class TestStepperBuilds:
                           "assemble_noise_op": 2 * sweeps * per_run}
 
         builds.clear()
-        sc = dataclasses.replace(flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0),
-                                 static_coefficients=not time_dependent)
+        flag_zakai(monkeypatch, time_dependent)
+        sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
         truth = flt.simulate_truth(sc, 12, N, dt)
         flt.run_kushner(sc, truth, Grid.line(-8, 8, 64), SolverConfig(dt=dt))  # holds the prior
         assert builds == {"assemble_generator": per_run, "factor": per_run,
@@ -858,8 +865,8 @@ class TestStepperBuilds:
 
 
 class TestCoefficientEvaluations:
-    """Static coefficients evaluate f, g, h and sigma_tilde once per run on
-    every path that reads them; time-dependent ones once per step."""
+    """Static coefficients evaluate f, g and h once per run on every path
+    that reads them; time-dependent ones once per step."""
 
     N = 12
 
@@ -896,25 +903,12 @@ class TestCoefficientEvaluations:
         solver.weak_residual(traj, TestFunction.gaussian(0.0, 0.3), cs, path)
         assert counts == {"f": per_run, "g": per_run}
 
-        zakai = flt.zakai_coefficients
-
-        def counting_zakai(*args):
-            out = zakai(*args)
-            out.h = counted("h", out.h)
-            return out
-        monkeypatch.setattr(flt, "zakai_coefficients", counting_zakai)
-        sc = dataclasses.replace(flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0),
-                                 static_coefficients=not time_dependent)
-        sc.sigma_tilde = counted("sigma_tilde", sc.sigma_tilde)
-        counts.clear()
+        def count_h(cs):
+            cs.h = counted("h", cs.h)
+            return cs
+        flag_zakai(monkeypatch, time_dependent, count_h)
+        sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
         truth = flt.simulate_truth(sc, 12, N, dt)
-        assert counts == {"sigma_tilde": per_run}
-
-        counts.clear()
-        flt.particle_ensemble(sc, truth, 100, 7)
-        assert counts == {"sigma_tilde": per_run}
-
-        sc.sigma_tilde = lambda t, y: np.array([[1.0]])  # h evaluates it too
         grid = Grid.line(-8, 8, 64)  # holds the prior's mass
         counts.clear()
         flt.run_kushner(sc, truth, grid, SolverConfig(dt=dt))
@@ -997,11 +991,14 @@ class TestBuildPolicyInvariance:
         A, Q, H, R = filt
         sc = flt.FilterScenario.linear_gaussian(A=A, Q=Q, H=H, R=R)
         truth = flt.simulate_truth(sc, seed, N, dt)
-        scs = [dataclasses.replace(sc, static_coefficients=static) for static in (True, False)]
         wide = Grid.line(-8, 8, 128)  # holds the prior's mass
-        pis = [flt.run_kushner(s, truth, wide, cfg).full_history for s in scs]
+        pis, us = [], []
+        for time_dependent in (False, True):
+            with pytest.MonkeyPatch.context() as mp:   # not a fixture under @given
+                flag_zakai(mp, time_dependent)
+                pis.append(flt.run_kushner(sc, truth, wide, cfg).full_history)
+                us.append(flt.run_zakai(sc, truth, wide, cfg).u.full_history)
         assert pis[0].tobytes() == pis[1].tobytes()
-        us = [flt.run_zakai(s, truth, wide, cfg).u.full_history for s in scs]
         assert us[0].tobytes() == us[1].tobytes()
 
 
