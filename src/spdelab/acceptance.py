@@ -99,7 +99,8 @@ def filter_runs():
             seed=FILTER_SEED, dt=5e-4)
         grid_c = Grid.line(-8, 8, 512)
         grid_f = Grid.line(-8, 8, 1024)
-        res_c = flt.run_zakai(sc, coarse, grid_c, SolverConfig(dt=5e-4))
+        # c6 checks positivity at every step of the coarse run
+        res_c = flt.run_zakai(sc, coarse, grid_c, SolverConfig(dt=5e-4, store_every=1))
         res_f = flt.run_zakai(sc, fine, grid_f, SolverConfig(dt=2.5e-4))
         return {"sc": sc, "fine": fine, "coarse": coarse,
                 "grid_c": grid_c, "grid_f": grid_f,
@@ -147,8 +148,8 @@ def criterion_4():
     runs = filter_runs()
     sc, coarse = runs["sc"], runs["coarse"]
     grid_c, grid_f = runs["grid_c"], runs["grid_f"]
-    uT_c = runs["res_c"].u.full_history[-1]
-    uT_f = runs["res_f"].u.full_history[-1]
+    uT_c = runs["res_c"].u.fields[-1].values
+    uT_f = runs["res_f"].u.fields[-1].values
     X, w = _cached("particles", lambda: flt.particle_ensemble(
         sc, coarse, 100_000, PARTICLE_SEED))
     phis = {

@@ -150,12 +150,15 @@ def continuity_modulus(traj: Trajectory, phi_set) -> CheckReport:
     ratios = []
     moduli = {}
     for j, phi in enumerate(phi_set):
-        proj = (hist @ phi.value(pts)) * vol
+        phiv = phi.value(pts)
         levels = []
         m = m0
         for _ in range(MODULUS_LEVELS):
-            deltas = np.abs(proj[m::m] - proj[:-m:m])
-            levels.append(float(np.max(deltas)))
+            # <u_n, phi> only at the rows the level reads, as einsum row
+            # loops: no copy of the history, and the same bits at any BLAS
+            # thread count
+            proj = np.einsum("ij,j->i", hist[::m], phiv) * vol
+            levels.append(float(np.max(np.abs(np.diff(proj)))))
             m //= 2
         moduli[f"phi{j}"] = levels
         ratios.extend(s2 / s1 for s1, s2 in zip(levels, levels[1:]) if s1 > 0)

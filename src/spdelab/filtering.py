@@ -175,28 +175,36 @@ def normalize(values: np.ndarray, grid: Grid) -> np.ndarray:
 class ZakaiResult:
     u: Trajectory
     pi: Trajectory
+    x_sums: np.ndarray    # (n_steps + 1, 2): sum_i u_i x_i and sum_i u_i x_i^2
 
     def posterior_moments(self):
         """Per-step mean and variance of the normalized density (d = 1)."""
-        grid = self.u.grid
-        x = grid.x
-        vol = grid.cell_volume
-        hist = self.u.full_history
+        vol = self.u.grid.cell_volume
         mass = self.u.mass_series
-        mean = (hist @ x) * vol / mass
-        second = (hist @ (x * x)) * vol / mass
+        mean = self.x_sums[:, 0] * vol / mass
+        second = self.x_sums[:, 1] * vol / mass
         return mean, second - mean**2
 
 
 def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
               cfg: SolverConfig) -> ZakaiResult:
-    """Solve the driven linear SPDE and normalize its snapshots."""
+    """Solve the driven linear SPDE and normalize its snapshots.
+
+    The first two x-moments of u are summed at every step as the solve
+    runs, so no step history is kept unless ``cfg.store_every`` asks for
+    one.  The sums are einsum loops, not BLAS, so their bits do not depend
+    on the BLAS thread count."""
     coeffs = zakai_coefficients(sc)
     sc.validate(grid)
     p0 = normalize(sc.pi0(grid.points()), grid)
-    cfg_full = SolverConfig(dt=cfg.dt, theta=cfg.theta, store_every=1)
-    traj = solve(coeffs, p0, grid, cfg_full, _observation_path(truth),
-                 _snapshot_times(truth.n_steps, truth.dt))
+    x = grid.x
+    xs = np.stack([x, x * x])
+    sums = np.empty((truth.n_steps + 1, 2))
+
+    def observe(n, u):
+        np.einsum("ji,i->j", xs, u, out=sums[n])
+    traj = solve(coeffs, p0, grid, cfg, _observation_path(truth),
+                 _snapshot_times(truth.n_steps, truth.dt), observe)
     mass = traj.mass_series
     if np.any(mass <= 0):
         raise DegenerateMassError(
@@ -206,7 +214,7 @@ def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     pi_traj = Trajectory(grid=grid, times=traj.times, fields=pi_fields,
                          mass_series=np.ones_like(mass), l2_series=traj.l2_series / mass,
                          dt=traj.dt, theta=traj.theta)
-    return ZakaiResult(u=traj, pi=pi_traj)
+    return ZakaiResult(u=traj, pi=pi_traj, x_sums=sums)
 
 
 def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
@@ -268,14 +276,26 @@ def particle_ensemble(sc: FilterScenario, truth: TruthRealization, N: int,
     dt = truth.dt
     sq = np.sqrt(dt)
     x = X[:, 0]                      # a view: stepping x steps X
-    dW = np.empty_like(x)
+    h, t, dW = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    # in place, the IEEE operations of h = (H x) R^-1, logw += h bb -
+    # (0.5 (h h)) dt, x += (A x) dt and x += Q (sq dW), in that order
+    # (swapping a product's operands does not change its bits)
     for bb in truth.bbar_increments[:, 0].tolist():
-        h = (H * x) * r_inv
-        logw += h * bb - 0.5 * (h * h) * dt
-        x += (A * x) * dt
+        np.multiply(x, H, out=h)
+        h *= r_inv
+        np.multiply(h, h, out=t)
+        t *= 0.5
+        t *= dt
+        h *= bb
+        h -= t
+        logw += h
+        np.multiply(x, A, out=t)
+        t *= dt
+        x += t
         rng.standard_normal(out=dW)
         dW *= sq
-        x += Q * dW
+        dW *= Q
+        x += dW
     with np.errstate(over="ignore"):
         w = np.exp(logw)
     bad = np.count_nonzero(~np.isfinite(w))

@@ -211,19 +211,22 @@ def mollified_coefficient_set(coeffs: CoefficientSet, params: MollifierParams,
     """Freeze mollified coefficient samples into a grid-backed bundle.
 
     The returned callables only answer at the grid's own points (that is all
-    the solver ever asks for); time dependence is dropped, matching the
-    omission of time mollification: the coefficients are sampled at t = 0.
+    the solver ever asks for) and refuse any other points, so the
+    finite-difference derivative hooks, which shift the points, raise
+    instead of reading the unshifted samples; time dependence is dropped,
+    matching the omission of time mollification: the coefficients are
+    sampled at t = 0.
     """
     m = mollify_coefficients(coeffs, params, grid, 0.0)
-    npts = grid.npts
+    pts = grid.points()
 
     def frozen(name):
         points_first = np.moveaxis(m[name], -1, 0)
 
         def fn(tt, X):
-            if X.shape[0] != npts:
+            if not np.array_equal(X, pts):
                 raise ConfigurationError(
-                    "mollified coefficients are grid samples; evaluate on the same grid")
+                    "mollified coefficients are grid samples; evaluate at the grid's points")
             return points_first
         return fn
 

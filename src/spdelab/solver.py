@@ -327,18 +327,22 @@ class Stepper:
 
 
 def solve(coeffs: CoefficientSet, u0, grid: Grid, cfg: SolverConfig,
-          path: BrownianPath, output_times) -> Trajectory:
-    """March the scheme along the driver path and record snapshots."""
+          path: BrownianPath, output_times, observe=None) -> Trajectory:
+    """March the scheme along the driver path and record snapshots; see
+    ``_march`` for ``observe``."""
     stepper = Stepper(coeffs, grid, cfg.dt, cfg.theta, True)
     return _march(lambda n, u: stepper.advance(u, n, path.increments[n]), u0,
-                  grid, cfg, path, coeffs.L, output_times, cfg.store_every == 1)
+                  grid, cfg, path, coeffs.L, output_times, cfg.store_every == 1,
+                  observe)
 
 
 def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int,
-           output_times, keep_history: bool) -> Trajectory:
+           output_times, keep_history: bool, observe=None) -> Trajectory:
     """Run u_{n+1} = update(n, u_n) from u0 up to the last output time and
     record the per-step mass and L2 series, the snapshots at the output times
-    and, with ``keep_history``, every step.  The horizon, the output times,
+    and, with ``keep_history``, every step.  ``observe(n, u)``, if given, is
+    called at every step boundary n = 0..n_steps after the mass and L2
+    records; it must not write to ``u``.  The horizon, the output times,
     dt and the driver count are checked against ``path``, and a kept history
     against ``check_history_size``, before any step."""
     if isinstance(u0, DensityField):
@@ -383,6 +387,8 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
             u = update(n - 1, u)
         mass[n] = np.sum(u) * vol
         l2[n] = math.sqrt((u @ u) * vol)
+        if observe is not None:
+            observe(n, u)
         if history is not None:
             history[n] = u
         if n in snap_steps:

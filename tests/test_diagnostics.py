@@ -167,7 +167,7 @@ class TestContinuityModulus:
         sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
         truth = flt.simulate_truth(sc, 12, 2048, 5e-4)
         grid = Grid.line(-8, 8, 256)
-        res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=5e-4))
+        res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=5e-4, store_every=1))
         rep = diag.continuity_modulus(res.u,
                                       [TestFunction.gaussian((0.0,), 0.8),
                                        TestFunction.gaussian((0.5,), 0.6)])

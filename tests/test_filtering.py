@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -124,13 +126,41 @@ class TestRunZakai:
 
     @pytest.mark.parametrize("n, n_steps, dt", [(256, 250, 1e-3), (512, 2000, 5e-4)])
     def test_moments_divide_by_the_recorded_mass(self, n, n_steps, dt):
-        # posterior_moments reads u.mass_series: the same bits as summing
-        # the history again
+        # posterior_moments reads u.mass_series, the same bits as summing
+        # the history again, and the x-sums taken as the solve runs, the
+        # same bits as the einsum reductions over the history, with or
+        # without a kept history
         grid = Grid.line(-8, 8, n)
         res = flt.run_zakai(kb_scenario(), kb_truth(12, n_steps, dt), grid,
-                            SolverConfig(dt=dt))
+                            SolverConfig(dt=dt, store_every=1))
         hist = res.u.full_history
-        assert np.array_equal(hist.sum(axis=1) * grid.cell_volume, res.u.mass_series)
+        x, vol, mass = grid.x, grid.cell_volume, res.u.mass_series
+        assert np.array_equal(hist.sum(axis=1) * vol, mass)
+        sums = np.array([(np.einsum("i,i->", u, x), np.einsum("i,i->", u, x * x))
+                         for u in hist])
+        assert res.x_sums.tobytes() == sums.tobytes()
+        mean = sums[:, 0] * vol / mass
+        var = sums[:, 1] * vol / mass - mean**2
+        got = res.posterior_moments()
+        assert got[0].tobytes() == mean.tobytes() and got[1].tobytes() == var.tobytes()
+        streamed = flt.run_zakai(kb_scenario(), kb_truth(12, n_steps, dt), grid,
+                                 SolverConfig(dt=dt))
+        assert streamed.x_sums.tobytes() == sums.tobytes()
+
+    def test_default_run_keeps_no_history(self):
+        # 4001 steps x 1024 points would be a 33 MB history
+        sc = kb_scenario()
+        truth = flt.simulate_truth(sc, 12, 4000, 2.5e-4)
+        grid = Grid.line(-8, 8, 1024)
+        tracemalloc.start()
+        try:
+            res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=2.5e-4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.u.full_history is None
+        assert res.x_sums.shape == (4001, 2)
+        assert peak < 4 * 2**20
 
     def test_pi_snapshots_normalized(self):
         truth = kb_truth()
@@ -143,7 +173,7 @@ class TestRunZakai:
         truth = kb_truth(n_steps=200)
         grid = Grid.line(-8, 8, 256)
         sc = kb_scenario()
-        res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=1e-3))
+        res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=1e-3, store_every=1))
         cs = flt.zakai_coefficients(sc)
         pts = grid.points()
         vol = grid.cell_volume
@@ -192,7 +222,7 @@ class TestParticle:
         res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=1e-3))
         x = grid.x
         vol = grid.cell_volume
-        uT = res.u.full_history[-1]
+        uT = res.u.fields[-1].values
         for phi_grid, phi_part in [
                 (np.ones_like(x), lambda X: np.ones(len(X))),
                 (x, lambda X: X[:, 0])]:

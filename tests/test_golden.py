@@ -31,9 +31,9 @@ GOLDEN = {
         "28c3c795705c/manifest.json":
             "fc18e7ddc618d5b7deb907606d8064f38f3422e573c2245e74f4fdb37e8e286d",
         "28c3c795705c/moments.csv":
-            "c0207f5403e1617703c11cf00ad3c252330c2011f322c4567768f92848cc115e",
+            "36455160d1076c535f2030e7d6fadb76beca4b9f5190942db3afb65e78221824",
         "28c3c795705c/oracle.csv":
-            "1f540be501408965225d4454bd96579a060cd6d62b14104b9427d3128d37ccfe",
+            "766406615597fc1a99fceb08f7b5ab613766af6fb11d65ef920a6aec35a93310",
         "28c3c795705c/posterior.csv":
             "76d093181fa5e33565c2455dbed6e590e38acc6dec6106bef38941ff900684a9",
     },

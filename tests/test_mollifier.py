@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spdelab import mollifier as mol
-from spdelab.errors import HypothesisError, UnderResolvedError
+from spdelab.errors import ConfigurationError, HypothesisError, UnderResolvedError
 from spdelab.families import ScalarField
 from spdelab.grids import Grid
 from spdelab.mollifier import MollifierParams
@@ -190,6 +190,24 @@ class TestMollifiedParabolicity:
         grid = centered_grid(half=2.0, n=256)
         with pytest.raises(HypothesisError):
             mol.mollified_parabolicity_check(cs, MollifierParams(0.1), grid, [0.0])
+
+
+class TestMollifiedCoefficientSet:
+    def test_answers_only_at_the_grid_points(self):
+        # the finite-difference derivative hooks shift the points; the
+        # grid-backed samples must refuse them rather than read dsigma = 0
+        cs = CoefficientSet.from_fields(
+            d=1, L=1, a=0.5, sigma=ScalarField("sinusoidal", 1, amp=0.3))
+        grid = Grid.line(-4, 4, 128)
+        frozen = mol.mollified_coefficient_set(cs, MollifierParams(0.2), grid)
+        pts = grid.points()
+        sig = frozen.sigma(0.0, pts)[:, 0, 0]
+        assert np.array_equal(
+            sig, mol.mollify_coefficients(cs, MollifierParams(0.2), grid, 0.0)["sigma"][0, 0])
+        with pytest.raises(ConfigurationError, match="grid's points"):
+            frozen.div_sigma(0.0, pts)
+        with pytest.raises(ConfigurationError, match="grid's points"):
+            frozen.sigma(0.0, pts + 1e-3)
 
 
 class TestDivBound:

@@ -1,0 +1,60 @@
+"""Results that must not depend on the BLAS thread count.
+
+OpenBLAS splits a gemv or a dot product across threads above a size
+threshold, and the split changes the summation order.  Each case runs in
+a fresh interpreter at OPENBLAS_NUM_THREADS=1 and 2 and prints the sha256
+of its result bytes.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import spdelab
+
+CASES = {
+    # the per-step moments of a Zakai run on more than 10 000 points
+    "zakai-moments": """
+from spdelab import filtering as flt
+from spdelab.grids import Grid
+from spdelab.solver import SolverConfig
+sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
+truth = flt.simulate_truth(sc, 12, 50, 1e-3)
+res = flt.run_zakai(sc, truth, Grid.line(-8, 8, 12000), SolverConfig(dt=1e-3))
+mean, var = res.posterior_moments()
+out = mean.tobytes() + var.tobytes()
+""",
+    # the modulus of a 5001 x 2048 history
+    "continuity-modulus": """
+import numpy as np
+from spdelab import diagnostics
+from spdelab.grids import Grid
+from spdelab.solver import TestFunction, Trajectory
+grid = Grid.line(-8, 8, 2048)
+hist = np.random.default_rng(3).standard_normal((5001, grid.npts))
+traj = Trajectory(grid=grid, times=np.array([0.25]), fields=[],
+                  mass_series=np.zeros(5001), l2_series=np.zeros(5001), dt=5e-5,
+                  theta=1.0, full_history=hist)
+rep = diagnostics.continuity_modulus(
+    traj, [TestFunction.bump((0.0,), 4.0), TestFunction.bump((1.0,), 3.0)])
+out = repr((rep.measured, rep.extra["moduli"])).encode()
+""",
+}
+
+
+def _digest(script: str, threads: int) -> str:
+    src = str(Path(spdelab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = script + "\nimport hashlib\nprint(hashlib.sha256(out).hexdigest())\n"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_same_bytes_at_one_and_two_blas_threads(case):
+    assert _digest(CASES[case], 1) == _digest(CASES[case], 2)
