@@ -52,15 +52,14 @@ def _coefficient_keys(dim: int, L: int) -> dict:
     """The [coefficients] field keys for ``dim`` and ``L``, laid out as the
     arguments of ``CoefficientSet.from_fields``: a key per scalar, a tuple
     per vector, a list over the drivers l < L.  dim 1: a b c f, sigma<l>
-    h<l> g<l> sigma_hat<l>; dim 2: a11 a12 a22 b1 b2 c f, sigma<l>_1
-    sigma<l>_2 h<l> g<l> sigma_hat<l>_1 sigma_hat<l>_2."""
+    h<l> g<l>; dim 2: a11 a12 a22 b1 b2 c f, sigma<l>_1 sigma<l>_2 h<l>
+    g<l>."""
     def pair(name, sep):
         return name if dim == 1 else (f"{name}{sep}1", f"{name}{sep}2")
     return {"a": "a" if dim == 1 else ("a11", "a12", "a22"), "b": pair("b", ""),
             "c": "c", "f": "f",
             "sigma": [pair(f"sigma{l}", "_") for l in range(L)],
-            "h": [f"h{l}" for l in range(L)], "g": [f"g{l}" for l in range(L)],
-            "sigma_hat": [pair(f"sigma_hat{l}", "_") for l in range(L)]}
+            "h": [f"h{l}" for l in range(L)], "g": [f"g{l}" for l in range(L)]}
 
 
 def _leaves(keys) -> set:
@@ -176,11 +175,8 @@ def parse_config(text: str) -> ScenarioBundle:
                 return parse_field(get("coefficients", keys), dim) if keys in given else None
             return type(keys)(map(fields, keys))
 
-        shat = layout.pop("sigma_hat")      # absent means none, not a zero one
         coeffs = CoefficientSet.from_fields(
-            d=dim, L=L, label=get("run", "name", "scenario"),
-            sigma_hat=fields(shat) if given & _leaves(shat) else None,
-            **{name: fields(keys) for name, keys in layout.items()})
+            d=dim, L=L, **{name: fields(keys) for name, keys in layout.items()})
         times_probe = [0.0, t_end / 2 if t_end else 0.0]
         probe = Grid(dim, grid.x_min, grid.x_max,
                      tuple(max(16, n // 8) for n in grid.n), boundary)

@@ -145,7 +145,7 @@ def zakai_coefficients(sc: FilterScenario) -> CoefficientSet:
     multiplication by h = (H / R) x along the one observation driver."""
     return CoefficientSet.from_fields(
         d=1, L=1, a=0.5 * sc.Q * sc.Q, b=ScalarField("affine", 1, slope=-sc.A),
-        h=ScalarField("affine", 1, slope=sc.H / sc.R), label="zakai")
+        h=ScalarField("affine", 1, slope=sc.H / sc.R))
 
 
 def _snapshot_times(n_steps: int, dt: float):

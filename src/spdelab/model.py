@@ -28,20 +28,7 @@ from .errors import ConfigurationError, EvaluationError, ValidationError
 from .families import ScalarField
 from .grids import Grid
 
-SIGMA_HAT_RTOL = 1e-12
 PARABOLIC_TOL = 1e-12
-_FD_STEP = 1e-3  # 4th-order central differences for missing derivative hooks
-
-
-def _fd_grad(fn, t, x, dim):
-    """4th-order central difference gradient of a scalar-valued field callable."""
-    g = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = _FD_STEP
-        g.append((fn(t, x - 2 * e) - 8 * fn(t, x - e)
-                  + 8 * fn(t, x + e) - fn(t, x + 2 * e)) / (12 * _FD_STEP))
-    return np.stack(g, axis=-1)
 
 
 class CoefficientSet:
@@ -51,11 +38,11 @@ class CoefficientSet:
 
         a -> (m, d, d)    b -> (m, d)    c -> (m,)
         sigma -> (m, d, L)    h -> (m, L)
-        f -> (m,)    g -> (m, L)    sigma_hat -> (m, d, L') (optional)
+        f -> (m,)    g -> (m, L)
 
-    Derivative hooks (``da`` = d_j a^{ij} as (m, d), ``div_b`` as (m,),
-    ``div_sigma`` = d_i sigma^{il} as (m, L), ``grad_h`` as (m, d, L)) default
-    to 4th-order central differences of the primary callables.
+    Derivative hooks (``da`` = d_j a^{ij} as (m, d), ``div_sigma`` =
+    d_i sigma^{il} as (m, L)) are the ones ``solver.weak_residual`` reads;
+    a set built without them has them as None.
 
     ``time_dependent = False`` is a contract: no callable depends on ``t``.
     The solve paths then build the operators and evaluate ``f``, ``g`` and
@@ -63,40 +50,18 @@ class CoefficientSet:
     fields do vary in time must be flagged ``time_dependent = True``.
     """
 
-    def __init__(self, d, L, a, b, c, sigma, h, f, g, sigma_hat=None,
-                 da=None, div_b=None, div_sigma=None, grad_h=None,
-                 time_dependent=False, label=""):
+    # perfbench's tracer wraps these names on every set; nothing else reads them
+    sigma_hat = div_b = grad_h = None
+
+    def __init__(self, d, L, a, b, c, sigma, h, f, g, da=None, div_sigma=None,
+                 time_dependent=False):
         self.d = int(d)
         self.L = int(L)
         self.a, self.b, self.c = a, b, c
         self.sigma, self.h = sigma, h
         self.f, self.g = f, g
-        self.sigma_hat = sigma_hat
+        self.da, self.div_sigma = da, div_sigma
         self.time_dependent = bool(time_dependent)
-        self.label = label
-        self.da = da or (lambda t, x: self._fd_da(t, x))
-        self.div_b = div_b or (lambda t, x: self._fd_div_b(t, x))
-        self.div_sigma = div_sigma or (lambda t, x: self._fd_div_sigma(t, x))
-        self.grad_h = grad_h or (lambda t, x: self._fd_grad_h(t, x))
-
-    # fallback finite-difference derivative hooks
-    def _fd_da(self, t, x):
-        cols = [_fd_grad(lambda tt, xx, j=j: self.a(tt, xx)[:, :, j], t, x, self.d)
-                for j in range(self.d)]
-        # cols[j][:, i, k] = d_k a^{ij}; want sum_j d_j a^{ij}
-        return sum(cols[j][:, :, j] for j in range(self.d))
-
-    def _fd_div_b(self, t, x):
-        g = _fd_grad(lambda tt, xx: self.b(tt, xx), t, x, self.d)  # (m, d_comp, d_dir)
-        return np.einsum("mii->m", g)
-
-    def _fd_div_sigma(self, t, x):
-        g = _fd_grad(lambda tt, xx: self.sigma(tt, xx), t, x, self.d)  # (m, d, L, d)
-        return np.einsum("mili->ml", g)
-
-    def _fd_grad_h(self, t, x):
-        g = _fd_grad(lambda tt, xx: self.h(tt, xx), t, x, self.d)  # (m, L, d)
-        return np.transpose(g, (0, 2, 1))
 
     def validate(self, grid: Grid, times) -> None:
         """Run the structural invariants on grid x times samples."""
@@ -105,36 +70,26 @@ class CoefficientSet:
             names = [("a", self.a(t, X)), ("b", self.b(t, X)), ("c", self.c(t, X)),
                      ("sigma", self.sigma(t, X)), ("h", self.h(t, X)),
                      ("f", self.f(t, X)), ("g", self.g(t, X))]
-            if self.sigma_hat is not None:
-                names.append(("sigma_hat", self.sigma_hat(t, X)))
             for name, arr in names:
                 if not np.all(np.isfinite(arr)):
                     raise EvaluationError(f"field '{name}' is non-finite at t={t}")
             A = dict(names)["a"]
             if not np.allclose(A, np.transpose(A, (0, 2, 1)), rtol=0, atol=1e-14):
                 raise ValidationError("a(t,x) must be symmetric at all sampled points")
-            if self.sigma_hat is not None:
-                S = dict(names)["sigma_hat"]
-                AA = np.einsum("mik,mjk->mij", S, S)  # sigma_hat sigma_hat^T
-                scale = np.maximum(np.max(np.abs(A)), 1e-300)
-                if np.max(np.abs(AA - A)) > SIGMA_HAT_RTOL * scale:
-                    raise ValidationError(
-                        "sigma_hat inconsistent: a != sigma_hat sigma_hat^T "
-                        f"(max deviation {np.max(np.abs(AA - A)):.3e})")
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_fields(cls, d=1, L=1, a=None, b=None, c=None, sigma=None, h=None,
-                    f=None, g=None, sigma_hat=None, label=""):
+                    f=None, g=None):
         """Build from ScalarFields (or plain numbers for constants; None is 0).
 
-        For d = 1, ``a``..``g`` are single fields and ``sigma``/``h``/``g``/
-        ``sigma_hat`` may be lists over the driver index.  For d = 2, ``a`` is
-        given as (a11, a12, a22), ``b`` as (b1, b2), and each sigma^l (and
-        sigma_hat^l) as a pair.  Driver lists are padded with zeros to L.
-        Internally every coefficient is one nested list of fields: a is d x d,
-        b is d, sigma and sigma_hat are d x L, h and g are L, c and f scalars.
+        For d = 1, ``a``..``g`` are single fields and ``sigma``/``h``/``g``
+        may be lists over the driver index.  For d = 2, ``a`` is given as
+        (a11, a12, a22), ``b`` as (b1, b2), and each sigma^l as a pair.
+        Driver lists are padded with zeros to L.  Internally every
+        coefficient is one nested list of fields: a is d x d, b is d, sigma
+        is d x L, h and g are L, c and f scalars.
         """
         def F(v):
             if isinstance(v, ScalarField):
@@ -145,17 +100,13 @@ class CoefficientSet:
             v = list(v) if isinstance(v, (list, tuple)) else [] if v is None else [v]
             return (v + [None] * L)[:L]
 
-        def columns(v):                       # d x L, driver l in column l
-            cols = [(e,) if d == 1 else e or (None,) * d for e in drivers(v)]
-            return [[F(col[i]) for col in cols] for i in range(d)]
-
         if d == 1:
             A, B = [[F(a)]], [F(b)]
         else:
             a11, a12, a22 = (F(v) for v in (a or (None,) * 3))
             A, B = [[a11, a12], [a12, a22]], [F(v) for v in (b or (None,) * 2)]
-        S = columns(sigma)
-        H = [F(v) for v in drivers(h)]
+        cols = [(e,) if d == 1 else e or (None,) * d for e in drivers(sigma)]
+        S = [[F(col[i]) for col in cols] for i in range(d)]   # driver l in column l
 
         def values(tree):
             return lambda t, x: _evaluate(tree, lambda fld: fld(x))
@@ -163,13 +114,11 @@ class CoefficientSet:
         def divergence(rows):
             return lambda t, x: _divergence(rows, x)
 
-        return cls(d, L, values(A), values(B), values(F(c)), values(S), values(H),
+        return cls(d, L, values(A), values(B), values(F(c)), values(S),
+                   values([F(v) for v in drivers(h)]),
                    values(F(f)), values([F(v) for v in drivers(g)]),
-                   sigma_hat=None if sigma_hat is None else values(columns(sigma_hat)),
                    da=divergence([list(col) for col in zip(*A)]),
-                   div_b=divergence(B), div_sigma=divergence(S),
-                   grad_h=lambda t, x: np.stack([fld.grad(x) for fld in H], axis=2),
-                   time_dependent=False, label=label)
+                   div_sigma=divergence(S))
 
 
 def _evaluate(tree, leaf):

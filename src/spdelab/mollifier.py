@@ -211,11 +211,10 @@ def mollified_coefficient_set(coeffs: CoefficientSet, params: MollifierParams,
     """Freeze mollified coefficient samples into a grid-backed bundle.
 
     The returned callables only answer at the grid's own points (that is all
-    the solver ever asks for) and refuse any other points, so the
-    finite-difference derivative hooks, which shift the points, raise
-    instead of reading the unshifted samples; time dependence is dropped,
-    matching the omission of time mollification: the coefficients are
-    sampled at t = 0.
+    the solver ever asks for) and refuse any other points.  The set has no
+    derivative hooks, so ``weak_residual`` refuses it; time dependence is
+    dropped, matching the omission of time mollification: the coefficients
+    are sampled at t = 0.
     """
     m = mollify_coefficients(coeffs, params, grid, 0.0)
     pts = grid.points()
@@ -231,9 +230,7 @@ def mollified_coefficient_set(coeffs: CoefficientSet, params: MollifierParams,
         return fn
 
     return CoefficientSet(coeffs.d, coeffs.L,
-                          *map(frozen, ("a", "b", "c", "sigma", "h", "f", "g")),
-                          time_dependent=False,
-                          label=f"{coeffs.label or 'coeffs'}-mollified-{params.epsilon}")
+                          *map(frozen, ("a", "b", "c", "sigma", "h", "f", "g")))
 
 
 def mollified_parabolicity_check(coeffs: CoefficientSet, params: MollifierParams,

@@ -206,6 +206,5 @@ def frozen_source_coefficients(coeffs: CoefficientSet, sources: NonlinearSources
 
     return CoefficientSet(coeffs.d, coeffs.L, coeffs.a, coeffs.b, coeffs.c,
                           coeffs.sigma, coeffs.h, f_fn, g_fn,
-                          da=coeffs.da, div_b=coeffs.div_b,
-                          div_sigma=coeffs.div_sigma, grad_h=coeffs.grad_h,
-                          time_dependent=True, label="picard-frozen")
+                          da=coeffs.da, div_sigma=coeffs.div_sigma,
+                          time_dependent=True)

@@ -386,7 +386,7 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
         if n > 0:
             u = update(n - 1, u)
         mass[n] = np.sum(u) * vol
-        l2[n] = math.sqrt((u @ u) * vol)
+        l2[n] = math.sqrt(np.einsum("i,i->", u, u) * vol)   # no BLAS thread split
         if observe is not None:
             observe(n, u)
         if history is not None:
@@ -525,6 +525,9 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
     """
     if traj.full_history is None:
         raise ConfigurationError("weak_residual needs a store_every=1 trajectory")
+    for name in ("da", "div_sigma"):
+        if getattr(coeffs, name) is None:
+            raise ConfigurationError(f"weak_residual needs the derivative hook '{name}'")
     grid = traj.grid
     for lo, hi, ci in zip(grid.x_min, grid.x_max, phi.center):
         if ci - phi.support_radius <= lo or ci + phi.support_radius >= hi:

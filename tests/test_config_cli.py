@@ -62,12 +62,6 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="turbo"):
             parse_config(HEAT + "\n[turbo]\nx = 1\n")
 
-    def test_inconsistent_sigma_hat_rejected(self):
-        bad = HEAT.replace("a = constant:0.5",
-                           "a = constant:0.5\nsigma_hat0 = constant:1.0")
-        with pytest.raises(ValidationError, match="sigma_hat"):
-            parse_config(bad)
-
     def test_output_times_must_hit_steps(self):
         with pytest.raises(ValidationError, match="output time"):
             parse_config(HEAT.replace("t_end = 0.05",
@@ -102,8 +96,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("dim, L, key", [
         (1, 1, "a11"), (1, 1, "b1"), (1, 1, "sigma0_1"),
         (2, 1, "a"), (2, 1, "b"), (2, 1, "sigma0"), (2, 1, "sigma1_1"),
-        (1, 1, "sigma1"), (1, 1, "h1"), (1, 1, "g1"), (1, 1, "sigma_hat1"),
-        (1, 2, "sigma2"), (2, 2, "sigma_hat0"),
+        (1, 1, "sigma1"), (1, 1, "h1"), (1, 1, "g1"), (1, 1, "sigma_hat0"),
+        (1, 1, "sigma_hat1"), (1, 2, "sigma2"), (2, 2, "sigma_hat0"),
     ])
     def test_key_the_layout_does_not_define_is_named(self, dim, L, key):
         text = (HEAT.replace("dim = 1", f"dim = {dim}").replace("L = 1", f"L = {L}")
@@ -115,9 +109,9 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("dim, L, keys", [
         (1, 1, "a b c f sigma0 h0 g0"),
-        (1, 3, "a b c f sigma2 h1 g0 sigma_hat0 sigma_hat1 sigma_hat2"),
+        (1, 3, "a b c f sigma2 h1 g0"),
         (2, 1, "a11 a12 a22 b1 b2 c f sigma0_1 sigma0_2 h0 g0"),
-        (2, 2, "a11 a22 sigma1_2 h1 g1 sigma_hat0_1 sigma_hat1_2"),
+        (2, 2, "a11 a22 sigma1_2 h1 g1"),
     ])
     def test_every_key_the_layout_defines_is_read(self, dim, L, keys):
         lines = "\n".join(f"{k} = constant:0" for k in keys.split())
@@ -125,7 +119,6 @@ class TestParseConfig:
                          .replace("L = 1", f"L = {L}\nmollify = 0.5")
                          .replace("a = constant:0.5", lines))
         assert b.coeffs.L == L and b.mollify_epsilon == 0.5
-        assert (b.coeffs.sigma_hat is None) == ("sigma_hat" not in keys)
 
 
     @pytest.mark.parametrize("old, new", [
@@ -402,6 +395,8 @@ class TestCliErrors:
         "picard-history-too-large": "error: a history of 1000001 steps x 100000 points "
                                     "exceeds the safety limit of 200000000 values",
         "mollify-2e6": "error: epsilon must lie in (0, 1e6), got 2000000.0",
+        "sigma_hat-key": "error: key 'sigma_hat0' in [coefficients] is not defined "
+                         "for dim = 1 and L = 1",
         "not-parabolic-2d": "error: coefficients are not parabolic at t=0.0: the smallest "
                             "eigenvalue of 2a - sigma sigma^T is -1.000e+00 < 0",
     }
@@ -440,6 +435,8 @@ class TestCliErrors:
         ("run-spde", HEAT.replace("[coefficients]\nL = 1\na = constant:0.5\n", "")),
         ("picard", PICARD_CONFIG.replace("[coefficients]\nL = 1\na = constant:0.5\n", "")),
         ("run-spde", HEAT.replace("a = constant:0.5", "a = constant:0.5\na11 = constant:1")),
+        ("run-spde", HEAT.replace("a = constant:0.5",
+                                  "a = constant:0.5\nsigma_hat0 = constant:1")),
         ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = -0.01 0.05")),
         ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = 0.05 0.05")),
         ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\noutput_times = 0.01 0.06")),
@@ -466,7 +463,7 @@ class TestCliErrors:
             "field-parameter-named-dim", "picard-output-time-past-path",
             "output-times-abc", "dt-nan", "t_end-inf", "L-0", "L-negative",
             "seed-negative", "no-initial-u0", "run-spde-no-coefficients",
-            "picard-no-coefficients", "a11-in-1d", "output-time-negative",
+            "picard-no-coefficients", "a11-in-1d", "sigma_hat-key", "output-time-negative",
             "output-time-repeated", "output-time-past-t_end",
             "last-output-time-before-t_end", "filter-t_end-negative",
             "filter-prior-var-negative",

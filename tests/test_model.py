@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdelab.errors import ConfigurationError, EvaluationError, ParseError, ValidationError
+from spdelab.errors import ConfigurationError, EvaluationError, ParseError
 from spdelab.families import ScalarField, parse_field
 from spdelab.grids import Grid
 from spdelab.model import CoefficientSet, verify_parabolicity
@@ -98,25 +98,6 @@ class TestVerifyParabolicity:
             verify_parabolicity(heat_coeffs(), Grid.line(-1, 1, 16), [])
 
 
-class TestCoefficientSetInvariants:
-    def test_sigma_hat_consistency_enforced(self):
-        cs = CoefficientSet.from_fields(d=1, L=1, a=1.0, sigma_hat=1.0)
-        grid = Grid.line(-1, 1, 16)
-        cs.validate(grid, [0.0])
-        bad = CoefficientSet.from_fields(d=1, L=1, a=1.5, sigma_hat=1.0)
-        with pytest.raises(ValidationError, match="sigma_hat"):
-            bad.validate(grid, [0.0])
-
-    def test_fd_derivative_hooks_match_analytic(self):
-        fld = ScalarField("sinusoidal", 1, amp=0.7, freq=1.3)
-        cs = CoefficientSet.from_fields(d=1, L=1, a=1.0, b=fld, sigma=fld, h=fld)
-        generic = CoefficientSet(1, 1, cs.a, cs.b, cs.c, cs.sigma, cs.h, cs.f, cs.g)
-        X = np.linspace(-2, 2, 9)[:, None]
-        assert np.allclose(generic.div_b(0.0, X), cs.div_b(0.0, X), atol=1e-9)
-        assert np.allclose(generic.div_sigma(0.0, X), cs.div_sigma(0.0, X), atol=1e-9)
-        assert np.allclose(generic.grad_h(0.0, X), cs.grad_h(0.0, X), atol=1e-9)
-
-
 class TestFamilies:
     def test_parse_round_trip(self):
         fld = parse_field("gaussian:amp=2,center=0.5,width=0.7", 1)
@@ -157,14 +138,13 @@ class TestFamilies:
 
 # -- the coefficient layer against its former closure-per-coefficient form --
 
-CALLABLES = ("a", "b", "c", "sigma", "h", "f", "g", "sigma_hat",
-             "da", "div_b", "div_sigma", "grad_h")
+CALLABLES = ("a", "b", "c", "sigma", "h", "f", "g", "da", "div_sigma")
 
 
 # ``CoefficientSet.from_fields`` as it was before the nested-list layout, one
 # closure per coefficient; the new form must reproduce its bytes.
 def reference_from_fields(cls, d=1, L=1, a=None, b=None, c=None, sigma=None,
-                          h=None, f=None, g=None, sigma_hat=None, label=""):
+                          h=None, f=None, g=None):
     """Build from ScalarFields (or plain numbers for constants).
 
     For d = 1, ``a``..``g`` are single fields and ``sigma``/``h``/``g``
@@ -190,7 +170,6 @@ def reference_from_fields(cls, d=1, L=1, a=None, b=None, c=None, sigma=None,
         a_f = [[F(a)]]
         b_f = [F(b)]
         sig_f = [[fld] for fld in per_driver(sigma)]       # [l][i]
-        shat_f = None if sigma_hat is None else [[fld] for fld in per_driver(sigma_hat)]
     else:
         a11, a12, a22 = (F(t) for t in (a or (0.0, 0.0, 0.0)))
         a_f = [[a11, a12], [a12, a22]]
@@ -198,9 +177,6 @@ def reference_from_fields(cls, d=1, L=1, a=None, b=None, c=None, sigma=None,
         sig_raw = sigma or []
         sig_f = [[F(ci) for ci in pair] for pair in sig_raw]
         sig_f += [[F(0.0), F(0.0)] for _ in range(L - len(sig_f))]
-        shat_f = None
-        if sigma_hat is not None:
-            shat_f = [[F(ci) for ci in pair] for pair in sigma_hat]
     c_f, f_f = F(c), F(f)
     h_f = per_driver(h)
     g_f = per_driver(g)
@@ -224,9 +200,6 @@ def reference_from_fields(cls, d=1, L=1, a=None, b=None, c=None, sigma=None,
     def b_fn(t, x):
         return np.stack([fld(x) for fld in b_f], axis=1)
 
-    def div_b_fn(t, x):
-        return sum(b_f[i].grad(x)[:, i] for i in range(d))
-
     def sigma_fn(t, x):
         m = x.shape[0]
         out = np.zeros((m, d, L))
@@ -246,9 +219,6 @@ def reference_from_fields(cls, d=1, L=1, a=None, b=None, c=None, sigma=None,
     def h_fn(t, x):
         return np.stack([fld(x) for fld in h_f], axis=1)
 
-    def grad_h_fn(t, x):
-        return np.stack([fld.grad(x) for fld in h_f], axis=2)
-
     def c_fn(t, x):
         return c_f(x)
 
@@ -258,23 +228,10 @@ def reference_from_fields(cls, d=1, L=1, a=None, b=None, c=None, sigma=None,
     def g_fn(t, x):
         return np.stack([fld(x) for fld in g_f], axis=1)
 
-    shat_fn = None
-    if shat_f is not None:
-        def shat_fn(t, x):
-            m = x.shape[0]
-            Lp = len(shat_f)
-            out = np.zeros((m, d, Lp))
-            for l, comps in enumerate(shat_f):
-                for i in range(d):
-                    out[:, i, l] = comps[i](x)
-            return out
-
     obj = cls(d, L, a_fn, b_fn, c_fn, sigma_fn, h_fn, f_fn, g_fn,
-              sigma_hat=shat_fn, da=da_fn, div_b=div_b_fn,
-              div_sigma=div_sigma_fn, grad_h=grad_h_fn,
-              time_dependent=False, label=label)
+              da=da_fn, div_sigma=div_sigma_fn, time_dependent=False)
     obj.fields = {"a": a_f, "b": b_f, "c": c_f, "sigma": sig_f, "h": h_f,
-                  "f": f_f, "g": g_f, "sigma_hat": shat_f}
+                  "f": f_f, "g": g_f}
     return obj
 
 
@@ -315,15 +272,11 @@ def field_arguments(draw):
     for name in ("h", "g"):
         kw[name] = draw(st.one_of(fld, st.lists(fld, max_size=L)))
     if d == 1:
-        kw.update(a=draw(fld), b=draw(fld), sigma=draw(st.one_of(fld, shorter)),
-                  sigma_hat=draw(st.one_of(st.none(), fld, shorter)))
+        kw.update(a=draw(fld), b=draw(fld), sigma=draw(st.one_of(fld, shorter)))
     else:
         kw.update(a=draw(st.one_of(st.none(), st.tuples(fld, fld, fld))),
                   b=draw(st.one_of(st.none(), st.tuples(fld, fld))),
-                  sigma=draw(st.one_of(st.none(), shorter)),
-                  # the former form left a short 2-d sigma_hat list unpadded
-                  sigma_hat=draw(st.one_of(
-                      st.none(), st.lists(vector, min_size=L, max_size=L))))
+                  sigma=draw(st.one_of(st.none(), shorter)))
     return d, L, kw
 
 
@@ -336,18 +289,6 @@ class TestFromFieldsLayout:
         ref = reference_from_fields(CoefficientSet, d=d, L=L, **kw)
         X = np.random.default_rng(seed).uniform(-3, 3, (7, d))
         for name in CALLABLES:
-            fn, ref_fn = getattr(new, name), getattr(ref, name)
-            if ref_fn is None:
-                assert fn is None, name
-                continue
-            got, want = fn(0.3, X), ref_fn(0.3, X)
+            got, want = getattr(new, name)(0.3, X), getattr(ref, name)(0.3, X)
             assert (got.shape, got.dtype) == (want.shape, want.dtype), name
             assert got.tobytes() == want.tobytes(), name
-
-    def test_short_sigma_hat_is_padded_in_2d(self):
-        pair = (ScalarField("affine", 2, slope=(1.0, 0.5)), 0.3)
-        cs = CoefficientSet.from_fields(d=2, L=3, sigma_hat=[pair])
-        X = np.random.default_rng(0).uniform(-1, 1, (5, 2))
-        Sh = cs.sigma_hat(0.0, X)
-        assert Sh.shape == (5, 2, 3) and not np.any(Sh[:, :, 1:])
-        assert np.array_equal(Sh[:, 0, 0], pair[0](X)) and np.all(Sh[:, 1, 0] == 0.3)

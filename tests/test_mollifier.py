@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from spdelab import mollifier as mol
+from spdelab import noise, solver
 from spdelab.errors import ConfigurationError, HypothesisError, UnderResolvedError
 from spdelab.families import ScalarField
 from spdelab.grids import Grid
 from spdelab.mollifier import MollifierParams
 from spdelab.model import CoefficientSet
+from spdelab.solver import SolverConfig, TestFunction
 
 
 def centered_grid(half=2.0, n=512):
@@ -194,8 +196,8 @@ class TestMollifiedParabolicity:
 
 class TestMollifiedCoefficientSet:
     def test_answers_only_at_the_grid_points(self):
-        # the finite-difference derivative hooks shift the points; the
-        # grid-backed samples must refuse them rather than read dsigma = 0
+        # grid samples have no derivative hooks, so the weak form refuses
+        # them by name rather than reading dsigma = 0
         cs = CoefficientSet.from_fields(
             d=1, L=1, a=0.5, sigma=ScalarField("sinusoidal", 1, amp=0.3))
         grid = Grid.line(-4, 4, 128)
@@ -204,8 +206,13 @@ class TestMollifiedCoefficientSet:
         sig = frozen.sigma(0.0, pts)[:, 0, 0]
         assert np.array_equal(
             sig, mol.mollify_coefficients(cs, MollifierParams(0.2), grid, 0.0)["sigma"][0, 0])
-        with pytest.raises(ConfigurationError, match="grid's points"):
-            frozen.div_sigma(0.0, pts)
+        assert frozen.da is None and frozen.div_sigma is None
+        path = noise.generate(0, 1, 2, 1e-3)
+        u0 = np.exp(-pts[:, 0] ** 2)
+        traj = solver.solve(frozen, u0, grid, SolverConfig(dt=1e-3, store_every=1), path,
+                            [2e-3])
+        with pytest.raises(ConfigurationError, match="derivative hook 'da'"):
+            solver.weak_residual(traj, TestFunction.gaussian((0.0,), 0.5), frozen, path)
         with pytest.raises(ConfigurationError, match="grid's points"):
             frozen.sigma(0.0, pts + 1e-3)
 

@@ -27,6 +27,16 @@ res = flt.run_zakai(sc, truth, Grid.line(-8, 8, 12000), SolverConfig(dt=1e-3))
 mean, var = res.posterior_moments()
 out = mean.tobytes() + var.tobytes()
 """,
+    # the per-step L2 series of a solve on more than 10 000 points
+    "l2-series": """
+from spdelab import filtering as flt
+from spdelab.grids import Grid
+from spdelab.solver import SolverConfig
+sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
+truth = flt.simulate_truth(sc, 12, 50, 1e-3)
+res = flt.run_zakai(sc, truth, Grid.line(-8, 8, 12000), SolverConfig(dt=1e-3))
+out = res.u.l2_series.tobytes()
+""",
     # the modulus of a 5001 x 2048 history
     "continuity-modulus": """
 import numpy as np
