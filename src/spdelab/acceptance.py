@@ -276,9 +276,10 @@ def criterion_10():
     u0 = _gauss(grid)
     out = []
 
-    src0 = NonlinearSources.independent(
-        f_field=ScalarField("gaussian", 1, amp=0.2, width=0.5))
-    _, log0 = picard.picard_solve(cs, src0, u0, grid, cfg, path, tol=1e-12)
+    forced = CoefficientSet.from_fields(d=1, L=1, a=0.5,
+                                        f=ScalarField("gaussian", 1, amp=0.2, width=0.5))
+    _, log0 = picard.picard_solve(forced, NonlinearSources("none", 0.0), u0, grid, cfg,
+                                  path, tol=1e-12)
     out.append(_report(10, "independent-source-one-correction",
                        log0[-1][1], 1e-12, iterations=len(log0)))
 
@@ -437,17 +438,6 @@ tol = 1e-8
 SWEEP_CONFIG = """\
 [run]
 name = sweep-acceptance
-seed = 0
-
-[grid]
-dim = 1
-x_min = -4
-x_max = 4
-n = 4096
-
-[time]
-dt = 1e-3
-t_end = 0.0
 """
 
 

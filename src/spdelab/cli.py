@@ -132,9 +132,9 @@ def _run_filter(bundle: ScenarioBundle, out: Path) -> None:
               zip(ts, mean, var, res.u.mass_series))
     part_est, part_se = (np.nan, np.nan)
     if bundle.n_particles:
-        part_est, part_se = flt.particle_estimate(
-            sc, truth, bundle.n_particles, lambda X: np.ones(len(X)),
-            bundle.seeds["particles"])
+        X, w = flt.particle_ensemble(sc, truth, bundle.n_particles,
+                                     bundle.seeds["particles"])
+        part_est, part_se = flt.weighted_estimate(X, w, lambda p: np.ones(len(p)))
     oracle_rows = []
     for k, t in enumerate(ts):
         last = k == len(ts) - 1
@@ -162,13 +162,13 @@ def _picard(bundle: ScenarioBundle, out: Path) -> None:
 
 
 # Per run command: its body, the sections it needs and the ones it may also
-# take beyond [run], [grid] and [time], and whether its manifest records the
-# whole grid or only n.
+# take, and whether its manifest records the whole grid or only n.
 _RUNS = {
-    "run-spde": (_run_spde, {"coefficients", "initial"}, set(), True),
-    "run-filter": (_run_filter, {"filter"}, set(), True),
-    "picard": (_picard, {"coefficients", "initial"}, {"picard"}, False),
-    "sweep-commutator": (_sweep_commutator, set(), set(), False),
+    "run-spde": (_run_spde, {"coefficients", "initial"}, {"run", "grid", "time"}, True),
+    "run-filter": (_run_filter, {"filter"}, {"run", "grid", "time"}, True),
+    "picard": (_picard, {"coefficients", "initial"}, {"run", "grid", "time", "picard"},
+               False),
+    "sweep-commutator": (_sweep_commutator, set(), {"run"}, False),
 }
 
 # Keys of sections a command reads that the command itself does not read.
@@ -177,7 +177,8 @@ _UNREAD_KEYS = {
     "run-filter": {"time.output_times": "its posterior snapshots are at fixed "
                                         "tenths of t_end"},
     "picard": {"run.particle_seed": "it draws no particles"},
-    "sweep-commutator": {"run.particle_seed": "it draws no particles"},
+    "sweep-commutator": {"run.seed": "it draws no driver path",
+                         "run.particle_seed": "it draws no particles"},
 }
 
 
@@ -191,7 +192,7 @@ def cmd_run(args) -> int:
         raise ConfigurationError(f"cannot read config {args.config}: "
                                  f"{getattr(exc, 'strerror', None) or exc}") from None
     bundle = parse_config(text)
-    given = set(bundle.sections) - {"run", "grid", "time"}
+    given = set(bundle.sections)
     unread, missing = sorted(given - needs - takes), sorted(needs - given)
     if unread:
         raise ParseError(f"{args.subcommand} does not read [{unread[0]}]")

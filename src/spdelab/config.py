@@ -9,18 +9,20 @@ field specs 'family:key=val,...'):
     [coefficients]  L, mollify and the field keys of _coefficient_keys(dim, L)
     [initial]       u0
     [filter]        kind, A, Q, H, R, prior_mean, prior_var, n_particles
-    [picard]        f, tol, max_iter
+    [picard]        f (none, sin_of_u:scale=.. or linear_in_u:coeff=..), tol, max_iter
 
 ``parse_config`` is the one reader of this text: it returns the run's inputs
 as objects (a ``CoefficientSet``, the ``u0`` field, a linear-Gaussian
-``FilterScenario`` on the ``[time]`` step and horizon, ``NonlinearSources``),
-so a command only picks the ones it runs.  Unknown sections or keys, and
-coefficient keys that the file's dim and L do not define, are rejected at
-parse time; numbers must be finite, and output_times must end at t_end.  The
-model invariants and the range checks run immediately so a bad scenario
-never reaches a solver.  The CLI reads the file and refuses a section that
-its command does not read; ``theta`` means the same to run-spde, picard and
-run-filter, and ``mollify`` to run-spde and picard.
+``FilterScenario`` on the ``[time]`` step and horizon, the Picard source
+f(u) as a ``NonlinearSources`` kind and number), so a command only picks the
+ones it runs.  A source that does not depend on u is ``[coefficients] f``.
+Unknown sections or keys, and coefficient keys that the file's dim and L do
+not define, are rejected at parse time; numbers must be finite, and
+output_times must end at t_end.  The model invariants and the range checks
+run immediately so a bad scenario never reaches a solver.  The CLI reads the
+file and refuses a section or key that its command does not read; ``theta``
+means the same to run-spde, picard and run-filter, and ``mollify`` to
+run-spde and picard.
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ def parse_config(text: str) -> ScenarioBundle:
             prior_mean=number("filter", "prior_mean", 0.0),
             prior_var=number("filter", "prior_var", 1.0))
 
-    sources = NonlinearSources.from_spec(get("picard", "f", "none"), L, dim)
+    sources = NonlinearSources.from_spec(get("picard", "f", "none"))
     tol = number("picard", "tol", 1e-8)
     max_iter = number("picard", "max_iter", 50, int)
     if tol <= 0 or max_iter < 1:

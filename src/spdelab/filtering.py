@@ -304,15 +304,9 @@ def particle_ensemble(sc: FilterScenario, truth: TruthRealization, N: int,
     return X, w
 
 
-def particle_estimate(sc: FilterScenario, truth: TruthRealization, N: int,
-                      phi, seed: int):
-    """Weighted Monte Carlo estimate (value, standard error) of int u_T phi;
-    phi = 1 recovers the unnormalized mass."""
-    X, w = particle_ensemble(sc, truth, N, seed)
-    return weighted_estimate(X, w, phi)
-
-
 def weighted_estimate(X: np.ndarray, w: np.ndarray, phi):
+    """Weighted Monte Carlo estimate (value, standard error) of int u_T phi
+    from a ``particle_ensemble`` cloud; phi = 1 recovers the unnormalized mass."""
     vals = np.asarray(phi(X), float).ravel() * w
     est = float(np.mean(vals))
     stderr = float(np.std(vals) / math.sqrt(len(vals)))

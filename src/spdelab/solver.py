@@ -308,9 +308,9 @@ class Stepper:
             rhs += (1.0 - self.theta) * self.dt * (self.Lop @ u)
         return rhs
 
-    def advance(self, u: np.ndarray, n: int, dB, f=None, g=None) -> np.ndarray:
-        """u_{n+1} from u_n along driver increments dB; ``f`` (m,) and ``g``
-        (m, L) are extra sources added to the coefficients' f and g."""
+    def advance(self, u: np.ndarray, n: int, dB, f=None) -> np.ndarray:
+        """u_{n+1} from u_n along driver increments dB; ``f`` (m,) is an
+        extra drift source added to the coefficients' f."""
         self.at(n)
         rhs = self.explicit(u)
         fv, gv, f_nonzero = self.sources(n)
@@ -318,8 +318,6 @@ class Stepper:
             fv = fv + f
         if f is not None or f_nonzero:
             rhs += self.dt * fv
-        if g is not None:
-            gv = g + gv
         for l in range(self.coeffs.L):
             if dB[l] != 0.0:
                 rhs += (self.noise_op(l) @ u + gv[:, l]) * dB[l]

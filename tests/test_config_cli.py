@@ -147,21 +147,20 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("spec", ["sin_of_u:scale=abc", "sin_of_u:scale",
                                       "sin_of_u:scael=0.2", "linear_in_u:coeff=x",
-                                      "quadratic:scale=1",
+                                      "quadratic:scale=1", "none:coeff=1",
+                                      "sin_of_u:scale=0.1,coeff=2",
                                       "independent:f=gaussian:amp=1,width=abc",
                                       "independent:f=gaussian:amp=1,width=0",
                                       "independent:f=", "independent:g=constant:1"])
     def test_bad_picard_source_is_parse_error(self, spec):
         with pytest.raises(ParseError):
-            NonlinearSources.from_spec(spec, 1, 1)
+            NonlinearSources.from_spec(spec)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_independent_source_takes_a_multi_parameter_field(self, d):
-        # the field spec keeps its commas and takes the grid's dimension
-        src = NonlinearSources.from_spec("independent:f=gaussian:amp=2,width=0.5", 1, d)
-        X = np.zeros((3, d))
-        X[1, 0] = X[2, d - 1] = 0.5
-        assert np.allclose(src.f(0.0, X, None), 2 * np.exp([0.0, -0.5, -0.5]))
+    @pytest.mark.parametrize("spec, kind, coeff", [
+        ("none", "none", 0.0), ("", "none", 0.0), ("sin_of_u", "sin_of_u", 0.1),
+        (" sin_of_u:scale = 0.3 ", "sin_of_u", 0.3), ("linear_in_u:coeff=-2", "linear_in_u", -2.0)])
+    def test_picard_source_spec(self, spec, kind, coeff):
+        assert NonlinearSources.from_spec(spec) == NonlinearSources(kind, coeff)
 
 
 class TestManifest:
@@ -283,22 +282,24 @@ n_particles = 200
         assert np.all(np.isfinite(rows[-1, 5:])) and rows[-1, 6] > 0
         assert np.all(np.isnan(rows[:-1, 5:]))
 
-    @pytest.mark.parametrize("source", ["independent:f=constant:0.1",
-                                        "independent:f=gaussian:amp=1,width=0.5"])
-    def test_picard_2d_with_independent_source(self, tmp_path, source):
+    @pytest.mark.parametrize("source", ["constant:0.1", "gaussian:amp=1,width=0.5"])
+    def test_picard_2d_with_coefficient_source(self, tmp_path, source):
         cfg = tmp_path / "p2.cfg"
         cfg.write_text(PICARD_CONFIG.replace("dim = 1", "dim = 2")
                        .replace("x_min = -8", "x_min = -5").replace("x_max = 8", "x_max = 5")
                        .replace("n = 128", "n = 24")
-                       .replace("a = constant:0.5", "a11 = constant:0.5\na22 = constant:0.5")
-                       .replace("sin_of_u:scale=0.1", source))
+                       .replace("a = constant:0.5", "a11 = constant:0.5\na22 = constant:0.5\n"
+                                f"f = {source}")
+                       .replace("sin_of_u:scale=0.1", "none"))
         # a source constant on the whole box feeds its boundary cells on any box
         with (pytest.warns(UserWarning, match="boundary cells hold") if "constant" in source
               else contextlib.nullcontext()):
             rc = cli.main(["picard", "--config", str(cfg), "--out", str(tmp_path / "runs")])
         assert rc == 0
         (run_dir,) = (tmp_path / "runs").iterdir()
-        assert (run_dir / "iterates.csv").exists()
+        rows = np.loadtxt(run_dir / "iterates.csv", delimiter=",", skiprows=1)
+        # the second sweep repeats the first: one correction
+        assert rows.shape == (2, 3) and rows[1, 1] < 1e-8
 
     def test_mollified_solve_option(self, tmp_path):
         cfg = tmp_path / "m.cfg"
@@ -312,7 +313,8 @@ n_particles = 200
 SECTIONS = {"coefficients": "\n[coefficients]\nL = 1\na = constant:0.5\n",
             "initial": "\n[initial]\nu0 = gaussian:amp=1,width=0.5\n",
             "filter": "\n[filter]\nA = -0.5\n",
-            "picard": "\n[picard]\nf = sin_of_u:scale=0.1\n"}
+            "picard": "\n[picard]\nf = sin_of_u:scale=0.1\n",
+            "grid": "\n[grid]\nn = 64\n", "time": "\n[time]\ndt = 1e-3\n"}
 
 
 def run_dir_of(tmp_path, sub, text):
@@ -395,6 +397,10 @@ class TestCliErrors:
         "picard-history-too-large": "error: a history of 1000001 steps x 100000 points "
                                     "exceeds the safety limit of 200000000 values",
         "mollify-2e6": "error: epsilon must lie in (0, 1e6), got 2000000.0",
+        "picard-independent-width-abc": "error: picard source 'independent:f=gaussian:"
+                                        "amp=1,width=abc': a source that does not depend "
+                                        "on u is the field [coefficients] f, with "
+                                        "[picard] f = none",
         "sigma_hat-key": "error: key 'sigma_hat0' in [coefficients] is not defined "
                          "for dim = 1 and L = 1",
         "not-parabolic-2d": "error: coefficients are not parabolic at t=0.0: the smallest "
@@ -516,10 +522,12 @@ class TestCliErrors:
         pytest.param("run-filter", FILTER_CONFIG.replace(
             "t_end = 0.25", "t_end = 0.25\noutput_times = 0.1 0.25"), "output_times",
             id="run-filter-output_times"),
-        *[pytest.param(sub, base.replace("\n\n[grid]", "\nparticle_seed = 7\n\n[grid]", 1),
+        *[pytest.param(sub, base.replace("[run]\n", "[run]\nparticle_seed = 7\n", 1),
                        "particle_seed", id=f"{sub}-particle_seed")
           for sub, base in [("run-spde", HEAT), ("picard", PICARD_CONFIG),
                             ("sweep-commutator", SWEEP_CONFIG)]],
+        pytest.param("sweep-commutator", SWEEP_CONFIG.replace("[run]\n", "[run]\nseed = 0\n"),
+                     "seed", id="sweep-commutator-seed"),
     ])
     def test_input_the_command_does_not_read_is_refused(self, tmp_path, capsys,
                                                          sub, text, section):

@@ -198,14 +198,15 @@ class TestParticle:
     def test_unit_weights_without_observation(self):
         sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=0.0, R=1.0)
         truth = flt.simulate_truth(sc, 2, 50, 1e-3)
-        est, se = flt.particle_estimate(sc, truth, 500, lambda X: np.ones(len(X)), 123)
+        X, w = flt.particle_ensemble(sc, truth, 500, 123)
+        est, se = flt.weighted_estimate(X, w, lambda X: np.ones(len(X)))
         assert est == 1.0
         assert se == 0.0
 
     def test_minimum_population(self):
         truth = kb_truth(n_steps=5)
         with pytest.raises(ConfigurationError):
-            flt.particle_estimate(kb_scenario(), truth, 50, lambda X: X[:, 0], 1)
+            flt.particle_ensemble(kb_scenario(), truth, 50, 1)
 
     def test_weight_overflow_raises(self):
         sc = flt.FilterScenario.linear_gaussian(A=-1, Q=2, H=3, R=0.2,
@@ -223,11 +224,12 @@ class TestParticle:
         x = grid.x
         vol = grid.cell_volume
         uT = res.u.fields[-1].values
+        X, w = flt.particle_ensemble(sc, truth, 40_000, 7)
         for phi_grid, phi_part in [
                 (np.ones_like(x), lambda X: np.ones(len(X))),
                 (x, lambda X: X[:, 0])]:
             pde = float(uT @ phi_grid) * vol
-            est, se = flt.particle_estimate(sc, truth, 40_000, phi_part, 7)
+            est, se = flt.weighted_estimate(X, w, phi_part)
             assert abs(pde - est) < 3 * se + 0.01
 
 

@@ -46,9 +46,9 @@ GOLDEN = {
             "035fa72d2a3f55c2627aec8ebc9c07dad344eb40c0d97fab7cd6121fd01b7d20",
     },
     "sweep-commutator": {
-        "d2609b66b625/manifest.json":
-            "8fde3df5ffeb499fa3e4c94f8067f16cd725073659604949332c3114e8f71083",
-        "d2609b66b625/sweep.csv":
+        "9d6b1ce7cb57/manifest.json":
+            "7ab21bff5793d047a22722692ccbceef17731401cf9c0463a0664e5ae33a0722",
+        "9d6b1ce7cb57/sweep.csv":
             "25ca1b145c297d0a3d85b367f53b15e2cce210475deadd4f9c0d5d7642fde28f",
     },
 }

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from spdelab import noise, picard, solver
-from spdelab.errors import (ConfigurationError, NonConvergenceError,
+from spdelab.errors import (ConfigurationError, NonConvergenceError, ParseError,
                             ValidationError)
 from spdelab.families import ScalarField
 from spdelab.grids import Grid
@@ -24,15 +26,19 @@ def heat_setup(n=256, dt=1e-3, T=0.25, sigma=None, seed=5):
 
 
 class TestSources:
-    def test_lipschitz_check_passes_for_declared(self):
-        grid = Grid.line(-2, 2, 32)
-        NonlinearSources.sin_of_u(0.1).lipschitz_check(grid, [0.0])
+    @pytest.mark.parametrize("kind, coeff, message", [
+        ("quadratic", 0.1, "unknown picard source kind 'quadratic'"),
+        ("independent", 0.1, "unknown picard source kind 'independent'"),
+        ("sin_of_u", math.nan, "picard source sin_of_u takes a finite coeff, got nan"),
+        ("linear_in_u", -math.inf, "picard source linear_in_u takes a finite coeff"),
+    ], ids=["unknown-kind", "independent-kind", "coeff-nan", "coeff-inf"])
+    def test_refused_by_name(self, kind, coeff, message):
+        with pytest.raises(ValidationError, match=message):
+            NonlinearSources(kind, coeff)
 
-    def test_lipschitz_check_catches_underdeclared(self):
-        src = NonlinearSources.linear_in_u(0.5)
-        src.K = 0.1
-        with pytest.raises(ValidationError, match="Lipschitz"):
-            src.lipschitz_check(Grid.line(-2, 2, 32), [0.0])
+    def test_independent_spec_names_the_coefficient_field(self):
+        with pytest.raises(ParseError, match=r"\[coefficients\] f, with \[picard\] f = none"):
+            NonlinearSources.from_spec("independent:f=gaussian:amp=1,width=0.5")
 
 
 class TestPicardInputs:
@@ -55,14 +61,16 @@ class TestPicardInputs:
 
 
 class TestPicardSolve:
-    def test_state_independent_sources_need_one_correction(self):
-        grid, cs, path, u0 = heat_setup()
-        src = NonlinearSources.independent(
-            f_field=ScalarField("gaussian", 1, amp=0.2, width=0.5))
-        traj, log = picard.picard_solve(cs, src, u0, grid, SolverConfig(dt=1e-3),
-                                        path, tol=1e-12)
+    def test_coefficient_source_needs_one_correction(self):
+        grid, _, path, u0 = heat_setup()
+        cs = CoefficientSet.from_fields(d=1, L=1, a=0.5,
+                                        f=ScalarField("gaussian", 1, amp=0.2, width=0.5))
+        traj, log = picard.picard_solve(cs, NonlinearSources("none", 0.0), u0, grid,
+                                        SolverConfig(dt=1e-3), path, tol=1e-12)
         assert len(log) == 2
         assert log[1][1] <= 1e-12  # iterate 2 equals iterate 1
+        lin = solver.solve(cs, u0, grid, SolverConfig(dt=1e-3, store_every=1), path, [0.25])
+        assert np.array_equal(traj.full_history, lin.full_history)
 
     def test_sin_source_contracts(self):
         grid, cs, path, u0 = heat_setup()

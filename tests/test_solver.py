@@ -848,7 +848,7 @@ class TestStepperBuilds:
                           "assemble_noise_op": 2 * per_run}
 
         builds.clear()
-        _, log = picard.picard_solve(cs, picard.NonlinearSources.sin_of_u(0.1, L=2),
+        _, log = picard.picard_solve(cs, picard.NonlinearSources.sin_of_u(0.1),
                                      u0, grid, SolverConfig(dt=dt), path)
         sweeps = len(log)
         assert builds == {"assemble_generator": sweeps * per_run,
