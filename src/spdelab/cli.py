@@ -93,17 +93,19 @@ def _spde_inputs(bundle: ScenarioBundle):
 def _run_spde(bundle: ScenarioBundle, out: Path) -> None:
     coeffs, u0, path, cfg = _spde_inputs(bundle)
     traj = solver.solve(coeffs, u0, bundle.grid, cfg, path, bundle.output_times)
-    rows = []
-    for t, fld in zip(traj.times, traj.fields):
-        for x, u in zip(bundle.grid.points(), fld.values):
-            rows.append((t, *x, u))
     write_csv(out / "trajectory.csv",
-              ["t"] + [f"x{i+1}" for i in range(bundle.grid.d)] + ["u"], rows)
-    defect_series = _energy_defect_series(traj, coeffs, path)
+              ["t"] + [f"x{i+1}" for i in range(bundle.grid.d)] + ["u"],
+              _snapshot_columns(traj, bundle.grid.points()))
     write_csv(out / "series.csv", ["t", "mass", "l2", "energy_defect"],
-              [(t, m, l2, d) for t, m, l2, d in
-               zip(traj.step_times, traj.mass_series, traj.l2_series,
-                   defect_series)])
+              [traj.step_times, traj.mass_series, traj.l2_series,
+               _energy_defect_series(traj, coeffs, path)])
+
+
+def _snapshot_columns(traj, pts):
+    """t, the point coordinates and the value, one row per snapshot and point."""
+    n = len(traj.fields)
+    return [np.repeat(traj.times, len(pts)), *np.tile(pts, (n, 1)).T,
+            np.concatenate([fld.values for fld in traj.fields])]
 
 
 def _energy_defect_series(traj, coeffs, path):
@@ -122,35 +124,28 @@ def _run_filter(bundle: ScenarioBundle, out: Path) -> None:
     res = flt.run_zakai(sc, truth, bundle.grid, cfg)
     mean, var = res.posterior_moments()
     m_kb, P_kb = flt.kalman_bucy_oracle(sc, truth)
-    rows = []
-    for t, fld in zip(res.pi.times, res.pi.fields):
-        for x, v in zip(bundle.grid.x, fld.values):
-            rows.append((t, x, v))
-    write_csv(out / "posterior.csv", ["t", "x", "pi"], rows)
+    write_csv(out / "posterior.csv", ["t", "x", "pi"],
+              _snapshot_columns(res.pi, bundle.grid.points()))
     ts = res.u.step_times
     write_csv(out / "moments.csv", ["t", "mean", "var", "mass"],
-              zip(ts, mean, var, res.u.mass_series))
+              [ts, mean, var, res.u.mass_series])
     part_est, part_se = (np.nan, np.nan)
     if bundle.n_particles:
         X, w = flt.particle_ensemble(sc, truth, bundle.n_particles,
                                      bundle.seeds["particles"])
         part_est, part_se = flt.weighted_estimate(X, w, lambda p: np.ones(len(p)))
-    oracle_rows = []
-    for k, t in enumerate(ts):
-        last = k == len(ts) - 1
-        oracle_rows.append((t, mean[k], m_kb[k], var[k], P_kb[k],
-                            part_est if last else np.nan,
-                            part_se if last else np.nan))
+    particle = np.full((2, len(ts)), np.nan)
+    particle[:, -1] = part_est, part_se    # the particle estimate is of the last step
     write_csv(out / "oracle.csv",
               ["t", "pde_mean", "kb_mean", "pde_var", "kb_var",
-               "particle_phi", "stderr"], oracle_rows)
+               "particle_phi", "stderr"], [ts, mean, m_kb, var, P_kb, *particle])
 
 
 def _sweep_commutator(bundle: ScenarioBundle, out: Path) -> None:
     sweep = com.convergence_sweep(lambda p: np.sin(p[:, 0]), triangle_wave(),
                                   [0.2, 0.1, 0.05, 0.025])
     write_csv(out / "sweep.csv", ["epsilon", "norm", "consistency_gap"],
-              zip(sweep.epsilons, sweep.norms, sweep.gaps))
+              [sweep.epsilons, sweep.norms, sweep.gaps])
 
 
 def _picard(bundle: ScenarioBundle, out: Path) -> None:
@@ -158,17 +153,18 @@ def _picard(bundle: ScenarioBundle, out: Path) -> None:
     _, log = picard.picard_solve(coeffs, bundle.sources, u0, bundle.grid, cfg, path,
                                  tol=bundle.tol, max_iter=bundle.max_iter,
                                  output_times=bundle.output_times)
-    write_csv(out / "iterates.csv", ["iter", "sup_diff", "ratio"], log)
+    write_csv(out / "iterates.csv", ["iter", "sup_diff", "ratio"], zip(*log))
 
 
 # Per run command: its body, the sections it needs and the ones it may also
-# take, and whether its manifest records the whole grid or only n.
+# take, and what of the grid its manifest records: all of it, only n, or
+# (a command that reads no grid, time step or seeds) nothing.
 _RUNS = {
-    "run-spde": (_run_spde, {"coefficients", "initial"}, {"run", "grid", "time"}, True),
-    "run-filter": (_run_filter, {"filter"}, {"run", "grid", "time"}, True),
+    "run-spde": (_run_spde, {"coefficients", "initial"}, {"run", "grid", "time"}, "whole"),
+    "run-filter": (_run_filter, {"filter"}, {"run", "grid", "time"}, "whole"),
     "picard": (_picard, {"coefficients", "initial"}, {"run", "grid", "time", "picard"},
-               False),
-    "sweep-commutator": (_sweep_commutator, set(), {"run"}, False),
+               "n"),
+    "sweep-commutator": (_sweep_commutator, set(), {"run"}, None),
 }
 
 # Keys of sections a command reads that the command itself does not read.
@@ -185,7 +181,7 @@ _UNREAD_KEYS = {
 def cmd_run(args) -> int:
     """Read and parse the config, refuse what the command does not read, and
     run the command's body in the run directory its manifest names."""
-    body, needs, takes, whole_grid = _RUNS[args.subcommand]
+    body, needs, takes, grid_record = _RUNS[args.subcommand]
     try:
         text = Path(args.config).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -202,14 +198,16 @@ def cmd_run(args) -> int:
         if key in bundle.raw:
             section, name = key.split(".")
             raise ParseError(f"{args.subcommand} does not read [{section}] {name}: {why}")
-    grid = {"n": list(bundle.grid.n)}
-    if whole_grid:
-        grid.update(x_min=list(bundle.grid.x_min), x_max=list(bundle.grid.x_max),
-                    boundary=bundle.grid.boundary)
+    read = dict(grid=None, dt=None, L=None, seeds=None)
+    if grid_record:
+        grid = {"n": list(bundle.grid.n)}
+        if grid_record == "whole":
+            grid.update(x_min=list(bundle.grid.x_min), x_max=list(bundle.grid.x_max),
+                        boundary=bundle.grid.boundary)
+        read = dict(grid=grid, dt=bundle.dt, L=bundle.coeffs.L if bundle.coeffs else 1,
+                    seeds=bundle.seeds)
     manifest = RunManifest(scenario=bundle.name, subcommand=args.subcommand,
-                           parameters=dict(bundle.raw), grid=grid, dt=bundle.dt,
-                           L=bundle.coeffs.L if bundle.coeffs else 1,
-                           seeds=bundle.seeds)
+                           parameters=dict(bundle.raw), **read)
     with _run_dir(args.out, manifest) as out:
         body(bundle, out)
     print(Path(args.out) / manifest.hash)

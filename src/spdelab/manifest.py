@@ -1,7 +1,8 @@
 """Run manifests and deterministic output writers.
 
-A manifest captures everything needed to reproduce a run bit-for-bit:
-scenario parameters, grid and time discretization, driver counts and every
+A manifest captures everything needed to reproduce a run bit-for-bit, and
+only what the command read: scenario parameters and, for a command that
+solves on a grid, the grid and time discretization, driver counts and every
 seed.  Run directories are named by the manifest hash, so identical inputs
 collide onto identical outputs and nothing else ever does.  All floats are
 serialized with repr (shortest round-trip form) to keep files byte-stable
@@ -14,18 +15,22 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import __version__
 
 
 @dataclass
 class RunManifest:
+    """A field set to None is left out: the command does not read it."""
+
     scenario: str
     subcommand: str
     parameters: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=dict)
-    dt: float = 0.0
-    L: int = 1
-    seeds: dict = field(default_factory=dict)
+    grid: dict | None = field(default_factory=dict)
+    dt: float | None = 0.0
+    L: int | None = 1
+    seeds: dict | None = field(default_factory=dict)
     tool_version: str = __version__
 
     def canonical_json(self) -> str:
@@ -39,7 +44,8 @@ class RunManifest:
             if hasattr(v, "item"):
                 return repr(v.item())
             return v
-        return json.dumps(clean(asdict(self)), sort_keys=True, separators=(",", ":"))
+        recorded = {k: v for k, v in asdict(self).items() if v is not None}
+        return json.dumps(clean(recorded), sort_keys=True, separators=(",", ":"))
 
     @property
     def hash(self) -> str:
@@ -57,11 +63,12 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_csv(path, header, rows) -> None:
-    """Deterministic CSV: repr-formatted floats, LF endings, no quoting."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+def write_csv(path, header, columns) -> None:
+    """Deterministic CSV of equal-length columns, one per header name:
+    repr-formatted floats, LF endings, no quoting."""
+    cells = [map(repr if col.dtype.kind == "f" else str, col.tolist())
+             for col in map(np.asarray, columns)]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,19 +96,81 @@ def _neighbours(idx: np.ndarray, axis: int, boundary: str):
     return out
 
 
-def _entries(rows, cols, vals, keep):
-    """COO triplets from per-site entry lists: each list is stacked on a last
-    axis and raveled in C order, so the triplets come site by site and, within
-    a site, in list order; ``keep`` masks entries out."""
-    keep = np.stack([np.broadcast_to(k, np.shape(rows[0])) for k in keep], axis=-1).ravel()
-    return tuple(np.stack(part, axis=-1).ravel()[keep] for part in (rows, cols, vals))
+def _stacked(lists, vals):
+    """One per-site entry list per block, each broadcast to the shape of its
+    block's values, stacked on a last axis and raveled in C order, so the
+    triplets come block by block, site by site and, within a site, in list
+    order."""
+    return np.concatenate([
+        np.stack([np.broadcast_to(e, np.shape(v[0])) for e in entries], axis=-1).ravel()
+        for entries, v in zip(lists, vals)])
 
 
-def _to_csr(blocks, N: int) -> csr_matrix:
-    # csr_matrix sums duplicate entries in triplet order, so the same triplet
-    # sequence gives the same bits
-    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks))
-    return csr_matrix((vals, (rows, cols)), shape=(N, N))
+# Patterns of the most recent operators; a time-dependent run builds the same
+# operator on the same grid, with the same entries kept, every step.
+_PATTERN_CACHE_SIZE = 8
+_patterns: OrderedDict = OrderedDict()
+
+
+class _Pattern:
+    """Where the kept triplets of one operator land in its csr matrix.
+
+    csr_matrix((vals, (rows, cols))) orders the triplets by row, keeping
+    triplet order within a row (coo_tocsr), sorts each row by column
+    (csr_sort_indices, which is not stable) and sums each run of duplicates
+    left to right (csr_sum_duplicates).  The two orders depend only on the
+    indices, so they are recorded once, by sorting the triplet numbers as
+    the data; ``matrix`` then gathers and sums the values in that order.
+    """
+
+    def __init__(self, rows, cols, keep, N: int):
+        src = np.flatnonzero(keep)
+        rows, cols = rows[src], cols[src]
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=N))])
+        m = csr_matrix((by_row.astype(float), cols[by_row], indptr), shape=(N, N))
+        m.sort_indices()
+        trip = src[m.data.astype(np.intp)]
+        first = np.ones(m.nnz, bool)
+        first[1:] = m.indices[1:] != m.indices[:-1]
+        first[m.indptr[:-1][np.diff(m.indptr) > 0]] = True
+        starts = np.flatnonzero(first)
+        runs = np.diff(np.append(starts, m.nnz))
+        m.sum_duplicates()
+        self.indptr, self.indices, self.shape = m.indptr, m.indices, m.shape
+        # runs longest first, so the runs that have a k-th triplet are a prefix
+        longest = np.argsort(-runs, kind="stable")
+        self.unsort = np.argsort(longest)
+        heads, runs = starts[longest], runs[longest]
+        self.kth = [trip[heads[:np.count_nonzero(runs > k)] + k]
+                    for k in range(runs.max(initial=1))]
+
+    def matrix(self, vals: np.ndarray) -> csr_matrix:
+        data = vals[self.kth[0]]
+        for kth in self.kth[1:]:
+            data[:len(kth)] += vals[kth]
+        out = csr_matrix((data[self.unsort], self.indices.copy(), self.indptr.copy()),
+                         shape=self.shape)
+        out.has_canonical_format = True     # as sum_duplicates leaves it
+        return out
+
+
+def _to_csr(op: str, grid: Grid, blocks) -> csr_matrix:
+    """The csr matrix of ``blocks``' kept (row, col, val) triplets, bit for
+    bit csr_matrix((vals, (rows, cols))): duplicates summed in triplet order.
+    Each block is (rows, cols, vals, keep), each a list of per-site entries;
+    the indices are stacked only when no pattern is cached for the operator,
+    the grid's shape and boundary, and the keep mask."""
+    rows, cols, vals, keep = zip(*blocks)
+    keep = _stacked(keep, vals)
+    key = (op, tuple(grid.n), grid.boundary, np.packbits(keep).tobytes())
+    pattern = _patterns.pop(key, None)
+    if pattern is None:
+        pattern = _Pattern(_stacked(rows, vals), _stacked(cols, vals), keep, grid.npts)
+    _patterns[key] = pattern
+    if len(_patterns) > _PATTERN_CACHE_SIZE:
+        _patterns.popitem(last=False)
+    return pattern.matrix(_stacked(vals, vals))
 
 
 def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matrix:
@@ -156,16 +219,14 @@ def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matr
                 cols += [col, col]
                 vals += [cf * w / h, -cf * w / h]
                 keep += [cf != 0.0] * 2
-        blocks.append(_entries(rows, cols, vals, keep))
+        blocks.append((rows, cols, vals, keep))
         if grid.boundary == "zero-value":
             # ghost = -u across the wall: diffusion doubles, drift cancels to O(h^2)
             walls = [(slice(None),) * ax + (w,) for w in (0, -1)]
             ends = [idx[w] for w in walls]
-            ghosts.append(_entries(ends, ends, [-2 * a[w] / h**2 for w in walls],
-                                   [True, True]))
-    cflat = np.asarray(cvec, float).ravel()
-    nz = np.flatnonzero(cflat)
-    return _to_csr(blocks + ghosts + [(nz, nz, cflat[nz])], grid.npts)
+            ghosts.append((ends, ends, [-2 * a[w] / h**2 for w in walls], [True, True]))
+    c = np.asarray(cvec, float).reshape(shape)
+    return _to_csr("generator", grid, blocks + ghosts + [([idx], [idx], [c], [c != 0.0])])
 
 
 def assemble_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> csr_matrix:
@@ -191,7 +252,7 @@ def assemble_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> c
     cols.append(idx)
     vals.append(hv.reshape(shape))
     keep = [v != 0.0 for v in vals]
-    return _to_csr([_entries([idx] * len(cols), cols, vals, keep)], grid.npts)
+    return _to_csr("noise", grid, [([idx] * len(cols), cols, vals, keep)])
 
 
 def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
@@ -255,9 +316,11 @@ class Stepper:
     its factored implicit system, and the noise operators at t, each built
     on first use.  Static coefficients build them once (at n = 0), and
     ``sources`` evaluates their f and g once; time-dependent ones rebuild
-    and re-evaluate every step.  With ``guard`` the stability check runs at
-    t = 0 and, for time-dependent coefficients, again at the start of every
-    step.
+    and re-evaluate every step, releasing the previous step's operators
+    first, so one factorization is alive at a time.  With ``guard`` the
+    stability check runs at t = 0 and, for time-dependent coefficients,
+    again at the start of every step.  The stepper holds no reference to
+    itself, so reference counting frees it and its factorization.
     """
 
     def __init__(self, coeffs: CoefficientSet, grid: Grid, dt: float,
@@ -268,7 +331,15 @@ class Stepper:
         self._guard = guard
         self._n = None
         self._check(0.0)
-        self.sources = reuse_if_static(self._sources, self._static)
+        f, g, pts = coeffs.f, coeffs.g, self.pts
+
+        def sources(n: int):
+            """f at the midpoint of step n, g at its left point, and whether
+            f is nonzero."""
+            t = n * dt
+            fv = f(t + 0.5 * dt, pts)
+            return fv, g(t, pts), bool(np.any(fv))
+        self.sources = reuse_if_static(sources, self._static)
 
     def _check(self, t: float):
         if self._guard:
@@ -282,17 +353,11 @@ class Stepper:
             t = n * self.dt
             if not self._static:
                 self._check(t)
+            self.Lop = self.system = self._noise = self._n = None
             self.Lop = assemble_generator(self.coeffs, self.grid, t + 0.5 * self.dt)
             self.system = _ImplicitSystem(self.Lop, self.dt, self.theta, self.grid)
             self._noise = [None] * self.coeffs.L
             self._n = n
-
-    def _sources(self, n: int):
-        """f at the midpoint of step n, g at its left point, and whether f
-        is nonzero."""
-        t = n * self.dt
-        fv = self.coeffs.f(t + 0.5 * self.dt, self.pts)
-        return fv, self.coeffs.g(t, self.pts), bool(np.any(fv))
 
     def noise_op(self, l: int) -> csr_matrix:
         """M^l of the current step."""

@@ -353,7 +353,7 @@ class TestCliSettings:
         cfg = SolverConfig(dt=1e-3, theta=0.5 if "theta" in new else 1.0)
         _, log = picard_solve(coeffs, NonlinearSources.sin_of_u(0.1), b.u0_field(b.grid.points()),
                               b.grid, cfg, path, tol=1e-8)
-        write_csv(tmp_path / "direct.csv", ["iter", "sup_diff", "ratio"], log)
+        write_csv(tmp_path / "direct.csv", ["iter", "sup_diff", "ratio"], zip(*log))
         direct = (tmp_path / "direct.csv").read_bytes()
         assert (run_dir / "iterates.csv").read_bytes() == direct
         plain = run_dir_of(tmp_path / "plain", "picard", PICARD_CONFIG)

@@ -46,9 +46,9 @@ GOLDEN = {
             "035fa72d2a3f55c2627aec8ebc9c07dad344eb40c0d97fab7cd6121fd01b7d20",
     },
     "sweep-commutator": {
-        "9d6b1ce7cb57/manifest.json":
-            "7ab21bff5793d047a22722692ccbceef17731401cf9c0463a0664e5ae33a0722",
-        "9d6b1ce7cb57/sweep.csv":
+        "6682d0f5b72f/manifest.json":
+            "ad2987a3f4085e2c267ce7408fd532ffddd698a9ad0e0ae9df48cbc432654957",
+        "6682d0f5b72f/sweep.csv":
             "25ca1b145c297d0a3d85b367f53b15e2cce210475deadd4f9c0d5d7642fde28f",
     },
 }

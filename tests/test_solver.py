@@ -1,6 +1,8 @@
 import collections
 import copy
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -441,6 +443,38 @@ class TestIndexArrayBuilders:
         for l in range(cs.L):
             assert_same_csr(solver.assemble_noise_op(cs, grid, 0.0, l),
                             reference_noise_op(cs, grid, 0.0, l))
+
+    @BOUNDARIES
+    def test_pattern_cache_hits_misses_and_evictions(self, boundary, monkeypatch):
+        # the kept entries change with the half-space a, c, sigma and h are
+        # cut to zero on; None leaves them whole
+        cuts = [None, -1.0, None, 0.0, 1.0, -1.5, 0.5, -0.5, None, -1.0]
+        assert 2 * len(set(cuts)) > solver._PATTERN_CACHE_SIZE
+        monkeypatch.setattr(solver, "_patterns", collections.OrderedDict())
+        built = []
+
+        class Counted(solver._Pattern):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+        monkeypatch.setattr(solver, "_Pattern", Counted)
+        grid = Grid.box2d((-2, -1.5), (2, 1.5), (16, 19), boundary=boundary)
+        whole = CoefficientSet.from_fields(d=2, L=1, a=(1.0, 0.3, 0.8), b=(0.2, -0.1),
+                                           c=0.5, sigma=[(0.4, 0.2)], h=[0.3])
+        for cut in cuts:
+            cs = copy.copy(whole)
+            if cut is not None:
+                cs.a, cs.c, cs.sigma, cs.h = (cut_to_zero(fn, cut)
+                                              for fn in (whole.a, whole.c, whole.sigma,
+                                                         whole.h))
+            assert_same_csr(solver.assemble_generator(cs, grid, 0.0),
+                            reference_generator(cs, grid, 0.0))
+            assert_same_csr(solver.assemble_noise_op(cs, grid, 0.0, 0),
+                            reference_noise_op(cs, grid, 0.0, 0))
+        calls = 2 * len(cuts)
+        assert len(built) < calls                     # hits
+        assert len(built) > 2 * len(set(cuts))        # evicted patterns built again
+        assert len(solver._patterns) == solver._PATTERN_CACHE_SIZE
 
     @LAYOUTS
     @settings(max_examples=15, deadline=None)
@@ -917,6 +951,52 @@ class TestCoefficientEvaluations:
         counts.clear()
         flt.run_zakai(sc, truth, grid, SolverConfig(dt=dt))
         assert counts == {"h": per_run}
+
+
+@pytest.fixture
+def no_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestStepperMemory:
+    """Reference counting alone frees a finished stepper, and a
+    time-dependent run holds one factorization at a time."""
+
+    grid = Grid.box2d((-4, -4), (4, 4), (16, 16))
+    cs = CoefficientSet.from_fields(d=2, L=1, a=(0.6, 0.2, 0.5), b=(0.3, -0.2),
+                                    sigma=[(0.5, 0.3)])
+
+    def test_finished_stepper_is_freed_without_the_cycle_collector(self,
+                                                                    no_cycle_collector):
+        stepper = solver.Stepper(self.cs, self.grid, 1e-3, 1.0, True)
+        stepper.at(0)
+        alive, system = weakref.ref(stepper), weakref.ref(stepper.system)
+        del stepper
+        assert alive() is None and system() is None
+
+    def test_time_dependent_run_holds_one_factorization_at_a_time(self, monkeypatch,
+                                                                  no_cycle_collector):
+        N, dt = 6, 1e-3
+        u0 = np.exp(-np.sum(self.grid.points() ** 2, axis=1) / 0.5)
+        path = noise.generate(3, 1, N, dt)
+        src = picard.NonlinearSources.sin_of_u(0.1)
+        traj, _ = picard.picard_solve(self.cs, src, u0, self.grid, SolverConfig(dt=dt),
+                                      path)
+        frozen = picard.frozen_source_coefficients(self.cs, src, traj)
+        systems, alive_at_build = weakref.WeakSet(), []
+        init = solver._ImplicitSystem.__init__
+
+        def tracked(system, *args):
+            alive_at_build.append(len(systems))
+            init(system, *args)
+            systems.add(system)
+        monkeypatch.setattr(solver._ImplicitSystem, "__init__", tracked)
+        solver.solve(frozen, u0, self.grid, SolverConfig(dt=dt), path, [N * dt])
+        assert alive_at_build == [0] * N
 
 
 class TestTrajectorySeries:
