@@ -93,10 +93,7 @@ def filter_runs():
     def build():
         sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
         fine = flt.simulate_truth(sc, FILTER_SEED, 4000, 2.5e-4)
-        coarse = flt.TruthRealization(
-            x_path=fine.x_path[::2], y_path=fine.y_path[::2],
-            bbar_increments=noise.block_sums(fine.bbar_increments, 2),
-            seed=FILTER_SEED, dt=5e-4)
+        coarse = flt.coarsen_truth(fine, 2)
         grid_c = Grid.line(-8, 8, 512)
         grid_f = Grid.line(-8, 8, 1024)
         # c6 checks positivity at every step of the coarse run
@@ -333,18 +330,10 @@ def criterion_11():
     fine = flt.simulate_truth(sc, FILTER_SEED, 1000, 2.5e-4)
     grid = Grid.line(-8, 8, 256)
     vals = []
-    for truth in (flt.TruthRealization(x_path=fine.x_path[::2],
-                                       y_path=fine.y_path[::2],
-                                       bbar_increments=noise.block_sums(
-                                           fine.bbar_increments, 2),
-                                       seed=FILTER_SEED, dt=5e-4), fine):
-        cfg = SolverConfig(dt=truth.dt, store_every=1)
-        res = flt.run_zakai(sc, truth, grid, cfg)
-        cs_z = flt.zakai_coefficients(sc)
-        path = noise.BrownianPath(L=1, n_steps=truth.n_steps, dt=truth.dt,
-                                  increments=truth.bbar_increments,
-                                  seed=FILTER_SEED)
-        vals.append(diag.energy_report(res.u, cs_z, path).measured)
+    for truth in (flt.coarsen_truth(fine, 2), fine):
+        res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=truth.dt, store_every=1))
+        vals.append(diag.energy_report(res.u, flt.zakai_coefficients(sc),
+                                       flt._observation_path(truth)).measured)
     zr = vals[0] / vals[1]
     out.append(_report(11, "zakai-energy-halving", abs(zr - 2.0), 0.4, ratio=zr))
     # degenerate transport ensemble-mean energy drift

@@ -27,122 +27,105 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import Grid
-from .mollifier import MollifierParams, stencil
+from .mollifier import MollifierParams, _correlate, _sample, stencil
 
 _D4 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # offsets -2..2, divide by h
 SWEEP_RADIUS = 3.0
 QUADRATURE_TOL = 1e-6     # largest admissible direct/integral gap of a sweep
 
 
-def _apply(w: np.ndarray, v: np.ndarray, rows: slice) -> np.ndarray:
-    """y_i = sum_j w[m+j] v_{i+j} for an odd offset-kernel w and i in ``rows``,
-    which must keep the whole kernel inside v.  Each y_i is one full-length
-    dot product, so its bits do not depend on which rows are asked for."""
-    m = len(w) // 2
-    return np.convolve(v[rows.start - m:rows.stop + m], w[::-1], mode="valid")
-
-
-@dataclass
 class _Workspace:
-    """Shared lattice data for one (grid, eps) pair (1-d)."""
+    """The smoothing stencil s and its derivative stencil t = D4 * s for one
+    (grid, eps) pair (1-d), on the grid's lattice padded far enough that
+    every window of t, and the D4 under it, stays on the lattice.  Lattice
+    index ``keep.start + i`` is grid point i."""
 
-    x: np.ndarray            # extended lattice
-    keep: slice              # restriction back to the requested window
-    s: np.ndarray            # smoothing stencil
-    t: np.ndarray            # derivative stencil  t = D4 * s
-    h: float
+    def __init__(self, grid: Grid, eps: float):
+        if grid.d != 1:
+            raise ConfigurationError("commutator fields are 1-d (see module docs)")
+        self.grid = grid
+        self.h = grid.hs[0]
+        self.s = stencil(MollifierParams(eps), self.h)
+        self.t = np.convolve(self.s, _D4 / self.h)
+        self.pad = (len(self.t) - 1) // 2 + 4
+        self.keep = slice(self.pad, self.pad + grid.npts)
 
-    def smooth(self, v, rows):
-        return _apply(self.s, v, rows)
+    def sample(self, fn):
+        """The scalar field fn on the padded lattice; an (m, 1) result, as
+        a 1-d drift gives, is read as (m,)."""
+        v = _sample(fn, self.grid, [self.pad])
+        if v.size != v.shape[-1]:
+            raise ConfigurationError("field callable must return one value per point")
+        return v.reshape(-1)
 
-    def dsmooth(self, v, rows):
-        return _apply(self.t, v, rows)
+    def apply(self, w, v, rows):
+        """y_i = sum_j w[m+j] v_{i+j} for an odd offset-kernel w and the
+        lattice indices ``rows``, which must keep the whole kernel inside v.
+        Each y_i is one full-length dot product, so its bits do not depend
+        on which rows are asked for."""
+        m = len(w) // 2
+        return _correlate(v[rows.start - m:rows.stop + m], w, "valid")
 
     def d4(self, v):
         """On the whole lattice; its two-point edges lie outside every
         smoothing window."""
-        return np.convolve(v, (_D4 / self.h)[::-1], mode="same")
-
-
-def _workspace(grid: Grid, eps: float) -> _Workspace:
-    if grid.d != 1:
-        raise ConfigurationError("commutator fields are 1-d (see module docs)")
-    h = grid.hs[0]
-    p = MollifierParams(eps)
-    s = stencil(p, h)
-    t = np.convolve(s, _D4 / h)
-    pad = (len(t) - 1) // 2 + 4
-    x = grid.x
-    ext = np.concatenate([x[0] + np.arange(-pad, 0) * h, x,
-                          x[-1] + np.arange(1, pad + 1) * h])
-    return _Workspace(x=ext, keep=slice(pad, pad + len(x)), s=s, t=t, h=h)
-
-
-def _sample(fn, x):
-    vals = np.asarray(fn(x[:, None]), dtype=float).ravel()
-    if vals.shape != x.shape:
-        raise ConfigurationError("field callable must return one value per point")
-    return vals
+        return _correlate(v, _D4 / self.h, "same")
 
 
 def _routes(b, u, eps: float, grid: Grid, rows: slice):
     """Direct and integral commutators at the grid indices ``rows``, from one
     sampling of b and u and one b dsmooth(u)."""
-    ws = _workspace(grid, eps)
-    bv, uv = _sample(b, ws.x), _sample(u, ws.x)
-    ext = slice(rows.start + ws.keep.start, rows.stop + ws.keep.start)
-    b_dsu = bv[ext] * ws.dsmooth(uv, ext)
-    direct = ws.smooth(bv * ws.d4(uv), ext) - b_dsu
-    integral = ws.dsmooth(bv * uv, ext) - b_dsu - ws.smooth(ws.d4(bv) * uv, ext)
+    ws = _Workspace(grid, eps)
+    s, t = ws.s, ws.t
+    bv, uv = ws.sample(b), ws.sample(u)
+    ext = slice(rows.start + ws.pad, rows.stop + ws.pad)
+    b_dsu = bv[ext] * ws.apply(t, uv, ext)
+    direct = ws.apply(s, bv * ws.d4(uv), ext) - b_dsu
+    integral = ws.apply(t, bv * uv, ext) - b_dsu - ws.apply(s, ws.d4(bv) * uv, ext)
     return direct, integral
-
-
-def commutator_direct(b, u, eps: float, grid: Grid) -> np.ndarray:
-    """smooth(b u') - b (smooth u)' on the grid."""
-    return _routes(b, u, eps, grid, slice(0, grid.npts))[0]
-
-
-def commutator_integral(b, u, eps: float, grid: Grid) -> np.ndarray:
-    """Kernel-difference route, with div b the discrete divergence."""
-    return _routes(b, u, eps, grid, slice(0, grid.npts))[1]
 
 
 def for1_defect(a, u, eps: float, grid: Grid) -> np.ndarray:
     """d[smooth, a](u) - [smooth, da](u) - [smooth, a d](u)  (identity defect)."""
-    ws = _workspace(grid, eps)
-    k = ws.keep
+    ws = _Workspace(grid, eps)
+    s, t, k = ws.s, ws.t, ws.keep
     wide = slice(k.start - 2, k.stop + 2)  # the reach of the outer d4
-    av, uv = _sample(a, ws.x), _sample(u, ws.x)
+    av, uv = ws.sample(a), ws.sample(u)
     dav = ws.d4(av)
-    zero_order = ws.smooth(av * uv, wide) - av[wide] * ws.smooth(uv, wide)
+    zero_order = ws.apply(s, av * uv, wide) - av[wide] * ws.apply(s, uv, wide)
     lhs = ws.d4(zero_order)[2:-2]
-    term_da = ws.smooth(dav * uv, k) - dav[k] * ws.smooth(uv, k)
-    term_ad = ws.smooth(av * ws.d4(uv), k) - av[k] * ws.dsmooth(uv, k)
+    term_da = ws.apply(s, dav * uv, k) - dav[k] * ws.apply(s, uv, k)
+    term_ad = ws.apply(s, av * ws.d4(uv), k) - av[k] * ws.apply(t, uv, k)
     return lhs - term_da - term_ad
 
 
 def for2_defect(a, b, u, eps: float, grid: Grid) -> np.ndarray:
     """[smooth, (ab) d](u) - a [smooth, b d](u) - [smooth, a](b u') defect."""
-    ws = _workspace(grid, eps)
-    k = ws.keep
-    av, bv, uv = _sample(a, ws.x), _sample(b, ws.x), _sample(u, ws.x)
+    ws = _Workspace(grid, eps)
+    s, k = ws.s, ws.keep
+    av, bv, uv = ws.sample(a), ws.sample(b), ws.sample(u)
     du = ws.d4(uv)
-    dsu = ws.dsmooth(uv, k)
-    lhs = ws.smooth(av * bv * du, k) - av[k] * bv[k] * dsu
-    first = av[k] * (ws.smooth(bv * du, k) - bv[k] * dsu)
+    dsu = ws.apply(ws.t, uv, k)
+    lhs = ws.apply(s, av * bv * du, k) - av[k] * bv[k] * dsu
+    first = av[k] * (ws.apply(s, bv * du, k) - bv[k] * dsu)
     v = bv * du
-    second = ws.smooth(av * v, k) - av[k] * ws.smooth(v, k)
+    second = ws.apply(s, av * v, k) - av[k] * ws.apply(s, v, k)
     return lhs - first - second
 
 
 @dataclass
 class CommutatorSweep:
-    """Shrinkage record of commutator norms over decreasing eps."""
+    """Shrinkage record of commutator norms over decreasing eps, with the
+    relative direct-vs-integral gap at each eps."""
 
     epsilons: list
     norms: list
-    consistency_gap: float
     gaps: list
+
+    @property
+    def consistency_gap(self) -> float:
+        """The worst gap of the sweep."""
+        return max(self.gaps)
 
 
 def convergence_sweep(b, u, epsilons) -> CommutatorSweep:
@@ -181,5 +164,4 @@ def convergence_sweep(b, u, epsilons) -> CommutatorSweep:
         raise ConfigurationError(
             f"direct/integral routes disagree: gap {max(gaps):.2e} "
             f"exceeds the declared quadrature tolerance {QUADRATURE_TOL:.0e}")
-    return CommutatorSweep(epsilons=eps_list, norms=norms, consistency_gap=max(gaps),
-                           gaps=gaps)
+    return CommutatorSweep(epsilons=eps_list, norms=norms, gaps=gaps)

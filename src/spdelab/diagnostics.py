@@ -55,15 +55,14 @@ class Hypotheses:
     g_zero: bool = False
 
 
-def check_positivity(traj: Trajectory, hypotheses: Hypotheses | None = None) -> CheckReport:
+def check_positivity(traj: Trajectory, hypotheses: Hypotheses) -> CheckReport:
     """Undershoot of the nonnegativity principle: max (-u)+ / sup|u|, which
     passes at most 1e-8.
 
     Requires the scenario to declare u0 >= 0, f >= 0 and g = 0; refuses to
     run otherwise so the claim is never vacuous.
     """
-    hyp = hypotheses or Hypotheses()
-    if not (hyp.u0_nonneg and hyp.f_nonneg and hyp.g_zero):
+    if not (hypotheses.u0_nonneg and hypotheses.f_nonneg and hypotheses.g_zero):
         raise HypothesisError(
             "positivity requires declared u0 >= 0, f >= 0 and g = 0")
     data = traj.full_history if traj.full_history is not None \
@@ -75,6 +74,11 @@ def check_positivity(traj: Trajectory, hypotheses: Hypotheses | None = None) -> 
     measured = float(max(0.0, -lo) / sup) if sup > 0 else 0.0
     return CheckReport(name="positivity", passed=measured <= POSITIVITY_TOL,
                        measured=measured, threshold=POSITIVITY_TOL)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """<x, y> as an einsum loop: the same bits at any BLAS thread count."""
+    return float(np.einsum("i,i->", x, y))
 
 
 def energy_report(traj: Trajectory, coeffs: CoefficientSet,
@@ -105,20 +109,25 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet,
     stepper = Stepper(coeffs, grid, dt, 1.0, False)
     net = 0.0
     per_step = np.zeros(n_steps)
+    sq_next = _dot(hist[0], hist[0])
     for n in range(n_steps):
         stepper.at(n)
         u = hist[n]
-        fv, gv, _ = stepper.sources(n)
+        fv, gv, forced = stepper.sources(n)
         w = np.zeros_like(u)
         for l in range(coeffs.L):
             dB = path.increments[n, l]
             if dB != 0.0:
                 w += (stepper.noise_op(l) @ u + gv[:, l]) * dB
         ubar = stepper.system.solve(u + dt * fv)
-        gen = 2.0 * dt * (float((stepper.Lop @ ubar) @ ubar) + float(fv @ ubar)) * vol
-        mart = 2.0 * float(u @ w) * vol
-        ito = float(w @ w) * vol
-        d = (float(hist[n + 1] @ hist[n + 1]) - float(u @ u)) * vol - gen - mart - ito
+        inner = _dot(stepper.Lop @ ubar, ubar)
+        if forced:
+            inner += _dot(fv, ubar)
+        gen = 2.0 * dt * inner * vol
+        mart = 2.0 * _dot(u, w) * vol
+        ito = _dot(w, w) * vol
+        sq, sq_next = sq_next, _dot(hist[n + 1], hist[n + 1])
+        d = (sq_next - sq) * vol - gen - mart - ito
         net += d
         per_step[n] = d
     return CheckReport(name="energy-balance", passed=True, measured=abs(net),

@@ -38,7 +38,7 @@ from .errors import ConfigurationError, DegenerateMassError, ScenarioError, Vali
 from .families import ScalarField
 from .grids import DensityField, Grid
 from .model import CoefficientSet, reuse_if_static
-from .noise import BrownianPath
+from .noise import BrownianPath, coarsen
 from .solver import SolverConfig, Stepper, Trajectory, _march, solve
 # bound here for perfbench's tracer test, which reads this name
 from .solver import assemble_generator  # noqa: F401
@@ -136,6 +136,15 @@ def simulate_truth(sc: FilterScenario, seed: int, n_steps: int,
                             y_path=np.array(ys).reshape(-1, 1),
                             bbar_increments=np.array(bbar).reshape(-1, 1),
                             seed=int(seed), dt=dt)
+
+
+def coarsen_truth(truth: TruthRealization, k: int) -> TruthRealization:
+    """The record read every k steps: the signal and the observation at
+    every k-th step boundary and dBbar summed over blocks of k steps.  As
+    ``noise.coarsen`` does, refuses a k that does not divide the steps."""
+    obs = coarsen(_observation_path(truth), k)
+    return TruthRealization(x_path=truth.x_path[::k], y_path=truth.y_path[::k],
+                            bbar_increments=obs.increments, seed=truth.seed, dt=obs.dt)
 
 
 def zakai_coefficients(sc: FilterScenario) -> CoefficientSet:

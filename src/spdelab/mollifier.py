@@ -55,17 +55,18 @@ class MollifierParams:
                 required_epsilon=MIN_POINTS_PER_RADIUS * h)
 
 
-def kernel_value(x, epsilon: float, d: int = 1) -> np.ndarray:
-    """Pointwise rho_eps(x) = eps^-d rho(x/eps)."""
+def kernel_value(x, epsilon: float) -> np.ndarray:
+    """Pointwise rho_eps(x) = eps^-d rho(x/eps).  As in ``cutoff_value``,
+    x holds 1-d coordinates when it has at most one axis, and otherwise the
+    d coordinates of each point on its last axis."""
     x = np.asarray(x, dtype=float)
-    if d == 1:
-        r2 = (x / epsilon) ** 2
-        Z = Z_1D
-    else:
-        r2 = np.sum((x / epsilon) ** 2, axis=-1)
-        Z = Z_2D
+    if x.ndim <= 1:
+        x = x[..., None]
+    d = x.shape[-1]
+    r2 = np.sum((x / epsilon) ** 2, axis=-1)
     out = np.zeros_like(r2)
     inside = r2 < 1.0
+    Z = Z_1D if d == 1 else Z_2D
     out[inside] = Z * np.exp(-1.0 / (1.0 - r2[inside])) / epsilon ** d
     return out
 
@@ -89,27 +90,19 @@ def _psi(r):
     return out
 
 
-# -- discrete stencils ----------------------------------------------------
+# -- discrete stencils, lattices and convolution ---------------------------
 
-def stencil(params: MollifierParams, hs, d: int = 1) -> np.ndarray:
-    """Sampled unit-mass convolution stencil over the kernel support.
-
-    1-d: returns offsets -m..m as a vector.  2-d: an (2m1+1, 2m2+1) array.
-    """
+def stencil(params: MollifierParams, hs) -> np.ndarray:
+    """Sampled unit-mass convolution stencil over the kernel support, with
+    one axis of offsets -m..m per cell size in ``hs``: a vector in 1-d, an
+    (2m1+1, 2m2+1) array in 2-d."""
     hs = np.atleast_1d(np.asarray(hs, dtype=float))
     params.require_resolved(np.max(hs))
     eps = params.epsilon
-    if d == 1:
-        m = int(np.floor(eps / hs[0]))
-        k = np.arange(-m, m + 1)
-        w = kernel_value(k * hs[0], eps) * hs[0]
-    else:
-        m1 = int(np.floor(eps / hs[0]))
-        m2 = int(np.floor(eps / hs[1]))
-        k1 = np.arange(-m1, m1 + 1) * hs[0]
-        k2 = np.arange(-m2, m2 + 1) * hs[1]
-        pts = np.stack(np.meshgrid(k1, k2, indexing="ij"), axis=-1)
-        w = kernel_value(pts, eps, d=2) * hs[0] * hs[1]
+    offsets = [np.arange(-m, m + 1) * h for h, m in zip(hs, np.floor(eps / hs).astype(int))]
+    w = kernel_value(np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1), eps)
+    for h in hs:    # one cell size at a time, in axis order
+        w = w * h
     total = w.sum()
     if total <= 0:
         raise UnderResolvedError("stencil has no interior samples",
@@ -118,53 +111,56 @@ def stencil(params: MollifierParams, hs, d: int = 1) -> np.ndarray:
 
 
 def _extended_lattice(grid: Grid, pad_cells):
-    axes = []
-    for i in range(grid.d):
-        h = grid.hs[i]
-        n = grid.n[i]
-        p = pad_cells[i]
-        axes.append(grid.x_min[i] + (np.arange(-p, n + p) + 0.5) * h)
-    return axes
+    """The grid's cell centers along each axis, extended by ``pad_cells[i]``
+    cells beyond both ends of axis i."""
+    return [grid.x_min[i] + (np.arange(-p, n + p) + 0.5) * h
+            for i, (h, n, p) in enumerate(zip(grid.hs, grid.n, pad_cells))]
 
 
-def _padded_samples(fn, grid: Grid, w) -> np.ndarray:
-    """fn sampled once on the grid's lattice padded by the stencil's
-    half-width: fn's component axes first, the lattice axes last."""
-    axes = _extended_lattice(grid, [(s - 1) // 2 for s in np.shape(w)])
+def _sample(fn, grid: Grid, pad_cells) -> np.ndarray:
+    """fn sampled once on ``_extended_lattice(grid, pad_cells)``: fn's
+    component axes first, the lattice axes last."""
+    axes = _extended_lattice(grid, pad_cells)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.d)
     vals = np.asarray(fn(pts), dtype=float)
+    if vals.shape[:1] != (len(pts),):
+        raise ConfigurationError("field callable must return one value per point")
     return np.moveaxis(vals, 0, -1).reshape(vals.shape[1:] + tuple(map(len, axes)))
 
 
-def _smooth(samples, w, grid: Grid, factor=None) -> np.ndarray:
-    """Collar-free convolution of each component of ``_padded_samples``
-    with w, times ``factor`` if given; 2-d lattices come out flat."""
+def _correlate(v, w, mode: str) -> np.ndarray:
+    """y_i = sum_j w[j] v[i + j], with w's axes matching v's: over every
+    window inside v for mode "valid"; centered on each point of v, with v
+    zero beyond its edges, for "same"."""
+    if v.ndim == 1:
+        return np.convolve(v, w[::-1], mode=mode)
+    from scipy.signal import convolve2d
+    return convolve2d(v, w[::-1, ::-1], mode=mode)
+
+
+def _smooth(fn, params: MollifierParams, grid: Grid, factor) -> np.ndarray:
+    """Each component of fn, sampled on the grid's lattice padded by the
+    stencil's half-widths, convolved collar-free with the stencil and
+    multiplied by ``factor``; component axes first, the grid's points (flat)
+    last."""
+    w = stencil(params, grid.hs)
+    samples = _sample(fn, grid, [(s - 1) // 2 for s in w.shape])
     comps = samples.shape[:samples.ndim - grid.d]
-    out = np.empty(comps + ((grid.npts,) if grid.d == 2 else grid.n))
+    out = np.empty(comps + (grid.npts,))
     for idx in np.ndindex(*comps):
-        conv = _convolve_valid(samples[idx], w)
-        out[idx] = (conv if factor is None else conv * factor).ravel()
+        out[idx] = (_correlate(samples[idx], w, "valid") * factor).ravel()
     return out
 
 
 def mollify_callable(fn, params: MollifierParams, grid: Grid) -> np.ndarray:
     """(fn * rho_eps) chi_eps on the grid, sampling fn beyond the box so the
     convolution is collar-free everywhere on the grid."""
-    w = stencil(params, grid.hs, grid.d)
-    return _smooth(_padded_samples(fn, grid, w), w, grid, _chi_grid(grid, params))
-
-
-def _convolve_valid(values, w):
-    if values.ndim == 1:
-        return np.convolve(values, w[::-1], mode="valid")
-    from scipy.signal import convolve2d
-    return convolve2d(values, w[::-1, ::-1], mode="valid")
+    return _smooth(fn, params, grid, _chi_grid(grid, params))
 
 
 def _chi_grid(grid: Grid, params: MollifierParams) -> np.ndarray:
     pts = grid.points()
-    chi = cutoff_value(pts if grid.d > 1 else pts[:, 0], params.epsilon)
-    return chi if grid.d == 1 else chi.reshape(grid.n)
+    return cutoff_value(pts if grid.d > 1 else pts[:, 0], params.epsilon).reshape(grid.n)
 
 
 def mollify_field(values: np.ndarray, params: MollifierParams, grid: Grid) -> np.ndarray:
@@ -173,37 +169,24 @@ def mollify_field(values: np.ndarray, params: MollifierParams, grid: Grid) -> np
     Zero extension applies outside the box; interior points further than eps
     from a wall are unaffected by it.
     """
-    values = np.asarray(values, dtype=float)
-    w = stencil(params, grid.hs, grid.d)
-    if grid.d == 1:
-        return np.convolve(values, w[::-1], mode="same")
-    from scipy.signal import convolve2d
-    return convolve2d(values.reshape(grid.n), w[::-1, ::-1], mode="same").ravel()
+    values = np.asarray(values, dtype=float).reshape(grid.n)
+    return _correlate(values, stencil(params, grid.hs), "same").ravel()
 
 
 # -- coefficient-level mollification and checks ---------------------------
 
-def mollify_coefficients(coeffs: CoefficientSet, params: MollifierParams,
-                         grid: Grid, t: float):
-    """Mollified coefficient samples on the grid at time t.
-
-    a picks up chi^2, sigma/c/h/f/g pick up chi, and b is truncated at 1/eps
-    before smoothing (no cutoff).  Returns a dict of arrays, each with the
-    coefficient's component axes first and the grid last.  Every coefficient
-    is evaluated once on the padded lattice.
-    """
-    w = stencil(params, grid.hs, grid.d)
+def _mollify(coeffs: CoefficientSet, name: str, params: MollifierParams,
+             grid: Grid, t: float) -> np.ndarray:
+    """One coefficient mollified on the grid at time t, its component axes
+    first and the grid last, from one evaluation on the padded lattice: a
+    picks up chi^2, sigma/c/h/f/g pick up chi, and b is truncated at 1/eps
+    before smoothing (no cutoff)."""
+    fn = getattr(coeffs, name)
+    if name == "b":
+        cap = 1.0 / params.epsilon
+        return _smooth(lambda x: np.clip(fn(t, x), -cap, cap), params, grid, 1.0)
     chi = _chi_grid(grid, params)
-    cap = 1.0 / params.epsilon
-
-    def mol(name, factor):
-        return _smooth(_padded_samples(lambda x: getattr(coeffs, name)(t, x), grid, w),
-                       w, grid, factor)
-    out = {"a": mol("a", chi ** 2)}
-    out.update((name, mol(name, chi)) for name in ("sigma", "c", "h", "f", "g"))
-    out["b"] = _smooth(np.clip(_padded_samples(lambda x: coeffs.b(t, x), grid, w),
-                               -cap, cap), w, grid)
-    return out
+    return _smooth(lambda x: fn(t, x), params, grid, chi ** 2 if name == "a" else chi)
 
 
 def mollified_coefficient_set(coeffs: CoefficientSet, params: MollifierParams,
@@ -216,11 +199,10 @@ def mollified_coefficient_set(coeffs: CoefficientSet, params: MollifierParams,
     dropped, matching the omission of time mollification: the coefficients
     are sampled at t = 0.
     """
-    m = mollify_coefficients(coeffs, params, grid, 0.0)
     pts = grid.points()
 
     def frozen(name):
-        points_first = np.moveaxis(m[name], -1, 0)
+        points_first = np.moveaxis(_mollify(coeffs, name, params, grid, 0.0), -1, 0)
 
         def fn(tt, X):
             if not np.array_equal(X, pts):
@@ -249,9 +231,9 @@ def mollified_parabolicity_check(coeffs: CoefficientSet, params: MollifierParams
         raise HypothesisError(
             f"raw coefficients violate the parabolic condition (min {raw.min_defect:.3e})")
 
-    def fields(t):
-        m = mollify_coefficients(coeffs, params, grid, t)   # grid axis last
-        return np.moveaxis(m["a"], -1, 0), np.moveaxis(m["sigma"], -1, 0)
+    def fields(t):   # grid axis first
+        return [np.moveaxis(_mollify(coeffs, name, params, grid, t), -1, 0)
+                for name in ("a", "sigma")]
     return _worst_defect(map(fields, times), 1e-10)
 
 

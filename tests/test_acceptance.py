@@ -29,7 +29,7 @@ GOLDEN = {
     8: 'b92dbc42a3e49e80f8fff7bea460106813d5a8e7b9ef4172befee4368c8a42fa',
     9: '7d6b19aa760b8eb447d4eaf168e83dea8b6c6cd21d6a3a81200df379d9f8e8e0',
     10: '9868632cb444880e0364da7d5825b530920225c9476439be88407a7a82808698',
-    11: '87b40357bd10e6859ccf09119062c5e74d0257eadc9f43eeec111eb147ce137f',
+    11: '836a29033d2b4b085f2a59b320c1c63df7bd2540e81c88c42e14a59dbbe36515',
     12: '513d93d6d71a399571bfc2d3760b40ee1794818c127746c1524641a1257d70c0',
 }
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from spdelab import commutator as com
+from spdelab import mollifier as mol
 from spdelab.errors import ConfigurationError
 from spdelab.families import triangle_wave
 from spdelab.grids import Grid
+from spdelab.mollifier import MollifierParams
 
 
 def sweep_grid(eps_min, R=3.0, ppr=64):
@@ -31,15 +33,25 @@ def gauss(p, c=0.0, w=0.8):
     return np.exp(-(p[:, 0] - c) ** 2 / (2 * w * w))
 
 
+def routes(b, u, eps, grid):
+    """The direct and the integral commutator at every grid point, from the
+    code that convergence_sweep (and so c8) runs."""
+    return com._routes(b, u, eps, grid, slice(0, grid.npts))
+
+
+def direct(b, u, eps, grid):
+    return routes(b, u, eps, grid)[0]
+
+
 class TestDirect:
     def test_constant_b_vanishes(self):
         grid = sweep_grid(0.1)
-        out = com.commutator_direct(lambda p: np.full(p.shape[0], 0.7), tri, 0.1, grid)
+        out = direct(lambda p: np.full(p.shape[0], 0.7), tri, 0.1, grid)
         assert np.max(np.abs(out)) < 1e-10
 
     def test_affine_pair_vanishes(self):
         grid = sweep_grid(0.1)
-        out = com.commutator_direct(lambda p: p[:, 0], lambda p: p[:, 0], 0.1, grid)
+        out = direct(lambda p: p[:, 0], lambda p: p[:, 0], 0.1, grid)
         assert np.max(np.abs(out)) < 1e-10
 
     def test_norm_matches_fine_grid_oracle(self):
@@ -47,9 +59,9 @@ class TestDirect:
         coarse = sweep_grid(eps, ppr=64)
         fine = sweep_grid(eps, ppr=640)
         b = lambda p: np.sin(p[:, 0])  # noqa: E731
-        nc = l2(coarse, com.commutator_direct(b, tri, eps, coarse),
+        nc = l2(coarse, direct(b, tri, eps, coarse),
                 np.abs(coarse.x) <= 3.0)
-        nf = l2(fine, com.commutator_direct(b, tri, eps, fine),
+        nf = l2(fine, direct(b, tri, eps, fine),
                 np.abs(fine.x) <= 3.0)
         assert abs(nc - nf) / nf < 0.01
 
@@ -58,37 +70,56 @@ class TestDirect:
         b1 = lambda p: np.sin(p[:, 0])       # noqa: E731
         b2 = lambda p: np.cos(0.5 * p[:, 0])  # noqa: E731
         al = 1.37
-        combo = com.commutator_direct(lambda p: al * b1(p) + b2(p), gauss, 0.1, grid)
-        parts = al * com.commutator_direct(b1, gauss, 0.1, grid) \
-            + com.commutator_direct(b2, gauss, 0.1, grid)
+        combo = direct(lambda p: al * b1(p) + b2(p), gauss, 0.1, grid)
+        parts = al * direct(b1, gauss, 0.1, grid) \
+            + direct(b2, gauss, 0.1, grid)
         assert np.max(np.abs(combo - parts)) < 1e-12
-        combo_u = com.commutator_direct(b1, lambda p: al * gauss(p) + tri(p), 0.1, grid)
-        parts_u = al * com.commutator_direct(b1, gauss, 0.1, grid) \
-            + com.commutator_direct(b1, tri, 0.1, grid)
+        combo_u = direct(b1, lambda p: al * gauss(p) + tri(p), 0.1, grid)
+        parts_u = al * direct(b1, gauss, 0.1, grid) \
+            + direct(b1, tri, 0.1, grid)
         assert np.max(np.abs(combo_u - parts_u)) < 1e-12
 
 
 class TestIntegral:
     def test_constant_b_reduces_to_zero(self):
         grid = sweep_grid(0.1)
-        out = com.commutator_integral(lambda p: np.full(p.shape[0], 2.0), tri, 0.1, grid)
+        out = routes(lambda p: np.full(p.shape[0], 2.0), tri, 0.1, grid)[1]
         assert np.max(np.abs(out)) < 1e-10
 
     def test_matches_direct_linear_b_gaussian_u(self):
         grid = sweep_grid(0.1)
         b = lambda p: p[:, 0]  # noqa: E731
-        d = com.commutator_direct(b, gauss, 0.1, grid)
-        i = com.commutator_integral(b, gauss, 0.1, grid)
+        d, i = routes(b, gauss, 0.1, grid)
         mask = np.abs(grid.x) <= 3.0
         assert l2(grid, d - i, mask) / l2(grid, d, mask) < 1e-8
 
     def test_matches_direct_sin_triangle(self):
         grid = sweep_grid(0.1)
         b = lambda p: np.sin(p[:, 0])  # noqa: E731
-        d = com.commutator_direct(b, tri, 0.1, grid)
-        i = com.commutator_integral(b, tri, 0.1, grid)
+        d, i = routes(b, tri, 0.1, grid)
         mask = np.abs(grid.x) <= 3.0
         assert l2(grid, d - i, mask) / l2(grid, d, mask) < 1e-6
+
+
+class TestSampling:
+    @pytest.mark.parametrize("field", [lambda p: 0.7, lambda p: np.ones((p.shape[0] + 1,))])
+    def test_field_must_give_one_value_per_point(self, field):
+        # the mollifier samples through the same lattice and sampler
+        grid = sweep_grid(0.1, ppr=16)
+        with pytest.raises(ConfigurationError, match="one value per point"):
+            routes(field, tri, 0.1, grid)
+        with pytest.raises(ConfigurationError, match="one value per point"):
+            mol.mollify_callable(field, MollifierParams(0.1), grid)
+
+    def test_commutator_fields_are_scalar(self):
+        # a 1-d drift comes as (m, 1) and is read as (m,); two components
+        # per point are refused
+        grid = sweep_grid(0.1, ppr=16)
+        column = routes(lambda p: np.sin(p), tri, 0.1, grid)
+        flat = routes(lambda p: np.sin(p[:, 0]), tri, 0.1, grid)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(column, flat))
+        with pytest.raises(ConfigurationError, match="one value per point"):
+            routes(lambda p: np.hstack([p, p]), tri, 0.1, grid)
 
 
 class TestIdentities:

@@ -110,6 +110,22 @@ class TestSimulateTruth:
             flt.simulate_truth(huge, 1, 200, 1e-2)
 
 
+class TestCoarsenTruth:
+    def test_keeps_every_kth_state_and_sums_the_drivers(self):
+        truth = kb_truth(n_steps=400, dt=2.5e-4)
+        coarse = flt.coarsen_truth(truth, 2)
+        assert coarse.x_path.tobytes() == truth.x_path[::2].tobytes()
+        assert coarse.y_path.tobytes() == truth.y_path[::2].tobytes()
+        pairs = truth.bbar_increments[0::2] + truth.bbar_increments[1::2]
+        assert coarse.bbar_increments.tobytes() == pairs.tobytes()
+        assert (coarse.n_steps, coarse.dt, coarse.seed) == (200, 5e-4, truth.seed)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_factor_must_divide_the_steps(self, k):
+        with pytest.raises(ConfigurationError, match="does not divide 400"):
+            flt.coarsen_truth(kb_truth(n_steps=400), k)
+
+
 class TestRunZakai:
     def test_no_observation_reduces_to_fokker_planck(self):
         sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=0.0, R=1.0)

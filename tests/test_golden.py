@@ -41,7 +41,7 @@ GOLDEN = {
         "2f18a25a13c4/manifest.json":
             "08b5156c5a441a2d4a7f5a0e88127d667c908a389f35f6116c5a068c23b09571",
         "2f18a25a13c4/series.csv":
-            "502059ea52339b5f6d8b5e54499521eb4952e1341577ea8ea20ecd2cabccb810",
+            "ec1fac34f721ca08fe625667bfdb69822ce2490a745bc35781df31a92e78d60c",
         "2f18a25a13c4/trajectory.csv":
             "035fa72d2a3f55c2627aec8ebc9c07dad344eb40c0d97fab7cd6121fd01b7d20",
     },

@@ -23,6 +23,27 @@ class TestKernelAndCutoff:
             w = mol.stencil(MollifierParams(eps), h)
             assert abs(w.sum() - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("eps", [0.2, 0.5])
+    @pytest.mark.parametrize("hs", [0.1, 0.03, (0.1, 0.05), (0.05, 0.1)])
+    def test_stencil_bits_match_the_per_dimension_formula(self, hs, eps):
+        # reference: the stencil's former 1-d and 2-d branches, before it
+        # was one loop over the axes of hs; no golden row covers the 2-d one
+        def rho(r2, Z, d):
+            out = np.zeros_like(r2)
+            inside = r2 < 1.0
+            out[inside] = Z * np.exp(-1.0 / (1.0 - r2[inside])) / eps ** d
+            return out
+        h = np.atleast_1d(hs)
+        k = [np.arange(-m, m + 1) * hi for hi, m in zip(h, np.floor(eps / h).astype(int))]
+        if len(h) == 1:
+            raw = rho((k[0] / eps) ** 2, mol.Z_1D, 1) * h[0]
+        else:
+            pts = np.stack(np.meshgrid(*k, indexing="ij"), axis=-1)
+            raw = rho(np.sum((pts / eps) ** 2, axis=-1), mol.Z_2D, 2) * h[0] * h[1]
+        w = mol.stencil(MollifierParams(eps), hs)
+        assert w.shape == raw.shape
+        assert w.tobytes() == (raw / raw.sum()).tobytes()
+
     def test_raw_quadrature_mass_close_to_one(self):
         # the analytic normalization is good on its own; the stencil
         # renormalization only removes the residual quadrature error
@@ -117,12 +138,12 @@ class TestMollifyField:
 
 
 class TestTruncateDrift:
-    """mollify_coefficients clips b at 1/eps, then smooths it with no cutoff."""
+    """Mollification clips b at 1/eps, then smooths it with no cutoff."""
 
     @staticmethod
     def drift(b, eps, grid):
         cs = CoefficientSet.from_fields(d=1, L=1, b=b)
-        return mol.mollify_coefficients(cs, MollifierParams(eps), grid, 0.0)["b"][0]
+        return mol._mollify(cs, "b", MollifierParams(eps), grid, 0.0)[0]
 
     def test_clip_at_inverse_epsilon(self):
         grid = centered_grid()
@@ -172,8 +193,7 @@ class TestMollifiedParabolicity:
         p = MollifierParams(0.1)
         cs = CoefficientSet.from_fields(d=1, L=1, a=1.0,
                                         sigma=ScalarField("sinusoidal", 1))
-        m = mol.mollify_coefficients(cs, p, grid, 0.0)
-        sig_eps = m["sigma"][0, 0]
+        sig_eps = mol._mollify(cs, "sigma", p, grid, 0.0)[0, 0]
         h = grid.hs[0]
         mhalf = int(np.floor(p.epsilon / h))
         offs = np.arange(-mhalf, mhalf + 1) * h
@@ -205,7 +225,7 @@ class TestMollifiedCoefficientSet:
         pts = grid.points()
         sig = frozen.sigma(0.0, pts)[:, 0, 0]
         assert np.array_equal(
-            sig, mol.mollify_coefficients(cs, MollifierParams(0.2), grid, 0.0)["sigma"][0, 0])
+            sig, mol._mollify(cs, "sigma", MollifierParams(0.2), grid, 0.0)[0, 0])
         assert frozen.da is None and frozen.div_sigma is None
         path = noise.generate(0, 1, 2, 1e-3)
         u0 = np.exp(-pts[:, 0] ** 2)

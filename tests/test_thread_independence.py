@@ -37,6 +37,21 @@ truth = flt.simulate_truth(sc, 12, 50, 1e-3)
 res = flt.run_zakai(sc, truth, Grid.line(-8, 8, 12000), SolverConfig(dt=1e-3))
 out = res.u.l2_series.tobytes()
 """,
+    # the energy defect of a 20-step solve on more than 10 000 points
+    "energy-defect": """
+import numpy as np
+from spdelab import diagnostics, noise, solver
+from spdelab.grids import Grid
+from spdelab.model import CoefficientSet
+from spdelab.solver import SolverConfig
+grid = Grid.line(-8, 8, 12000)
+cs = CoefficientSet.from_fields(d=1, L=1, a=0.5, sigma=0.03)
+path = noise.generate(5, 1, 20, 1e-3)
+traj = solver.solve(cs, np.exp(-grid.x ** 2 / 0.5), grid,
+                    SolverConfig(dt=1e-3, store_every=1), path, [0.02])
+rep = diagnostics.energy_report(traj, cs, path)
+out = repr(rep.measured).encode() + rep.extra["per_step"].tobytes()
+""",
     # the modulus of a 5001 x 2048 history
     "continuity-modulus": """
 import numpy as np
