@@ -86,7 +86,7 @@ def _spde_inputs(bundle: ScenarioBundle):
             coeffs, MollifierParams(bundle.mollify_epsilon), bundle.grid)
     n_steps = int(round(bundle.t_end / bundle.dt))
     path = noise.generate(bundle.seeds["path"], coeffs.L, max(n_steps, 1), bundle.dt)
-    cfg = SolverConfig(dt=bundle.dt, theta=bundle.theta, store_every=1)
+    cfg = SolverConfig(dt=bundle.dt, store_every=1)
     return coeffs, bundle.u0_field(bundle.grid.points()), path, cfg
 
 
@@ -96,9 +96,10 @@ def _run_spde(bundle: ScenarioBundle, out: Path) -> None:
     write_csv(out / "trajectory.csv",
               ["t"] + [f"x{i+1}" for i in range(bundle.grid.d)] + ["u"],
               _snapshot_columns(traj, bundle.grid.points()))
+    defects = diag.energy_report(traj, coeffs, path).extra["per_step"]
     write_csv(out / "series.csv", ["t", "mass", "l2", "energy_defect"],
               [traj.step_times, traj.mass_series, traj.l2_series,
-               _energy_defect_series(traj, coeffs, path)])
+               np.concatenate([[0.0], defects])])   # 0 at t = 0
 
 
 def _snapshot_columns(traj, pts):
@@ -108,17 +109,8 @@ def _snapshot_columns(traj, pts):
             np.concatenate([fld.values for fld in traj.fields])]
 
 
-def _energy_defect_series(traj, coeffs, path):
-    """Per-step energy-balance defect aligned with the step grid (0 at t=0);
-    NaN throughout when theta != 1, where the balance is not defined."""
-    if traj.theta != 1.0:
-        return np.full(len(traj.step_times), np.nan)
-    rep = diag.energy_report(traj, coeffs, path)
-    return np.concatenate([[0.0], rep.extra["per_step"]])
-
-
 def _run_filter(bundle: ScenarioBundle, out: Path) -> None:
-    sc, cfg = bundle.filter, SolverConfig(dt=bundle.dt, theta=bundle.theta)
+    sc, cfg = bundle.filter, SolverConfig(dt=bundle.dt)
     n_steps = int(round(bundle.t_end / bundle.dt))
     truth = flt.simulate_truth(sc, bundle.seeds["path"], n_steps, bundle.dt)
     res = flt.run_zakai(sc, truth, bundle.grid, cfg)
@@ -203,7 +195,7 @@ def cmd_run(args) -> int:
         grid = {"n": list(bundle.grid.n)}
         if grid_record == "whole":
             grid.update(x_min=list(bundle.grid.x_min), x_max=list(bundle.grid.x_max),
-                        boundary=bundle.grid.boundary)
+                        boundary="zero-flux")
         read = dict(grid=grid, dt=bundle.dt, L=bundle.coeffs.L if bundle.coeffs else 1,
                     seeds=bundle.seeds)
     manifest = RunManifest(scenario=bundle.name, subcommand=args.subcommand,

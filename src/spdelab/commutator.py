@@ -72,12 +72,14 @@ class _Workspace:
         return _correlate(v, _D4 / self.h, "same")
 
 
-def _routes(b, u, eps: float, grid: Grid, rows: slice):
+def _routes(ws: _Workspace, bv, uv, rows: slice):
     """Direct and integral commutators at the grid indices ``rows``, from one
-    sampling of b and u and one b dsmooth(u)."""
-    ws = _Workspace(grid, eps)
+    b dsmooth(u) and b and u sampled by the workspace of any eps >= ws's.
+    Grid point i sits at x_min + (i + 1/2) h at every padding, so the
+    lattice of ``ws`` is the sample's centered slice."""
+    c = (len(bv) - ws.grid.npts) // 2 - ws.pad
+    bv, uv = bv[c:len(bv) - c], uv[c:len(uv) - c]
     s, t = ws.s, ws.t
-    bv, uv = ws.sample(b), ws.sample(u)
     ext = slice(rows.start + ws.pad, rows.stop + ws.pad)
     b_dsu = bv[ext] * ws.apply(t, uv, ext)
     direct = ws.apply(s, bv * ws.d4(uv), ext) - b_dsu
@@ -131,6 +133,7 @@ class CommutatorSweep:
 def convergence_sweep(b, u, epsilons) -> CommutatorSweep:
     """Sweep the first-order commutator over decreasing eps.
 
+    b and u are sampled once, on the lattice padded for the largest eps.
     Norms are L^2 over the ball of radius 3, on a grid of spacing min(eps)/64
     that reaches 2 max(eps) + 0.5 beyond the ball.  The consistency gap is
     the worst relative L^2 direct-vs-integral discrepancy and must stay
@@ -150,13 +153,15 @@ def convergence_sweep(b, u, epsilons) -> CommutatorSweep:
     ball = np.abs(x) <= SWEEP_RADIUS
     inside = np.flatnonzero(ball)       # one run of grid indices
     rows = slice(inside[0], inside[-1] + 1)
-    pts = grid.points()
-    scale = float(np.max(np.abs(np.asarray(b(pts), float).ravel()[ball])))
+    spaces = [_Workspace(grid, e) for e in eps_list]
+    widest = spaces[0]          # the largest eps has the widest stencil
+    bv, uv = widest.sample(b), widest.sample(u)
+    scale = float(np.max(np.abs(bv[widest.keep][ball])))
     l2 = lambda v: np.sqrt(np.sum(v * v) * vol)  # noqa: E731
-    scale *= l2(np.asarray(u(pts), float).ravel()[ball])
+    scale *= l2(uv[widest.keep][ball])
     norms, gaps = [], []
-    for e in eps_list:
-        direct, integral = _routes(b, u, e, grid, rows)
+    for ws in spaces:
+        direct, integral = _routes(ws, bv, uv, rows)
         norms.append(float((np.sum(np.abs(direct) ** 2) * vol) ** (1.0 / 2)))
         denom = max(l2(direct), 1e-6 * scale, 1e-300)
         gaps.append(l2(direct - integral) / denom)

@@ -4,8 +4,8 @@ Sections and keys (all values are plain scalars, space-separated vectors, or
 field specs 'family:key=val,...'):
 
     [run]           name, seed, particle_seed
-    [grid]          dim, x_min, x_max, n, boundary
-    [time]          dt, t_end, output_times, theta
+    [grid]          dim, x_min, x_max, n
+    [time]          dt, t_end, output_times
     [coefficients]  L, mollify and the field keys of _coefficient_keys(dim, L)
     [initial]       u0
     [filter]        kind, A, Q, H, R, prior_mean, prior_var, n_particles
@@ -20,9 +20,9 @@ Unknown sections or keys, and coefficient keys that the file's dim and L do
 not define, are rejected at parse time; numbers must be finite, and
 output_times must end at t_end.  The model invariants and the range checks
 run immediately so a bad scenario never reaches a solver.  The CLI reads the
-file and refuses a section or key that its command does not read; ``theta``
-means the same to run-spde, picard and run-filter, and ``mollify`` to
-run-spde and picard.
+file and refuses a section or key that its command does not read;
+``mollify`` means the same to run-spde and picard.  There is no key for the
+scheme or the walls: every run steps backward Euler on zero-flux walls.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .picard import NonlinearSources
 
 _SECTION_KEYS = {
     "run": {"name", "seed", "particle_seed"},
-    "grid": {"dim", "x_min", "x_max", "n", "boundary"},
-    "time": {"dt", "t_end", "output_times", "theta"},
+    "grid": {"dim", "x_min", "x_max", "n"},
+    "time": {"dt", "t_end", "output_times"},
     "coefficients": None,  # the keys of _coefficient_keys(dim, L)
     "initial": {"u0"},
     "filter": {"kind", "A", "Q", "H", "R", "prior_mean", "prior_var",
@@ -78,7 +78,6 @@ class ScenarioBundle:
     dt: float
     t_end: float
     output_times: list
-    theta: float
     coeffs: CoefficientSet | None
     u0_field: object
     seeds: dict
@@ -148,13 +147,11 @@ def parse_config(text: str) -> ScenarioBundle:
         parts = tuple(numbers("grid", key, conv))
         return parts * dim if len(parts) == 1 else parts  # Grid checks the length
 
-    boundary = get("grid", "boundary", "zero-flux")
-    grid = Grid(dim, vec("x_min", -8.0), vec("x_max", 8.0), vec("n", 64, int), boundary)
+    grid = Grid(dim, vec("x_min", -8.0), vec("x_max", 8.0), vec("n", 64, int))
 
     # time
     dt = number("time", "dt", 1e-3)
     t_end = number("time", "t_end", 0.25)
-    theta = number("time", "theta", 1.0)
     output_times = (numbers("time", "output_times")
                     if get("time", "output_times") else [t_end])
 
@@ -181,7 +178,7 @@ def parse_config(text: str) -> ScenarioBundle:
             d=dim, L=L, **{name: fields(keys) for name, keys in layout.items()})
         times_probe = [0.0, t_end / 2 if t_end else 0.0]
         probe = Grid(dim, grid.x_min, grid.x_max,
-                     tuple(max(16, n // 8) for n in grid.n), boundary)
+                     tuple(max(16, n // 8) for n in grid.n))
         coeffs.validate(probe, times_probe)
 
     u0_field = None
@@ -237,7 +234,7 @@ def parse_config(text: str) -> ScenarioBundle:
                               f"t_end = {t_end}")
 
     return ScenarioBundle(name=name, grid=grid, dt=dt, t_end=t_end,
-                          output_times=output_times, theta=theta, coeffs=coeffs,
+                          output_times=output_times, coeffs=coeffs,
                           u0_field=u0_field, seeds=seeds, sources=sources,
                           tol=tol, max_iter=max_iter, filter=filter_scenario,
                           n_particles=n_particles,

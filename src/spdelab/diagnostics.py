@@ -99,14 +99,12 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet,
     """
     if traj.full_history is None:
         raise ConfigurationError("energy_report needs a store_every=1 trajectory")
-    if traj.theta != 1.0:
-        raise ConfigurationError("energy accounting is defined for theta = 1")
     grid = traj.grid
     vol = grid.cell_volume
     hist = traj.full_history
     n_steps = hist.shape[0] - 1
     dt = traj.dt
-    stepper = Stepper(coeffs, grid, dt, 1.0, False)
+    stepper = Stepper(coeffs, grid, dt, False)
     net = 0.0
     per_step = np.zeros(n_steps)
     sq_next = _dot(hist[0], hist[0])

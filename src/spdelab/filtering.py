@@ -24,7 +24,8 @@ nonlinear drift or sensor would enter the same way, as a declared field
 family, not as a callable.
 
 Everything is driven by precomputed dBbar increments; the observation path
-is never regenerated inside a solve.
+is never regenerated inside a solve.  Both density equations step with the
+solver's one scheme, backward Euler in the generator on zero-flux walls.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
                               time_index=f.time_index) for f in traj.fields]
     pi_traj = Trajectory(grid=grid, times=traj.times, fields=pi_fields,
                          mass_series=np.ones_like(mass), l2_series=traj.l2_series / mass,
-                         dt=traj.dt, theta=traj.theta)
+                         dt=traj.dt)
     return ZakaiResult(u=traj, pi=pi_traj, x_sums=sums)
 
 
@@ -233,9 +234,9 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     Each step is the ``solve`` step with the explicit noise source
     h pi - pi(h) pi against dBcheck = dBbar - pi(h) dt in place of the
     Zakai noise term, followed by renormalization (the source moves no mass,
-    so this is bit-level hygiene).  The generator, its theta split and the
-    stability guard come from the same ``Stepper``, and the march and its
-    records from the same loop, as in ``solve``.
+    so this is bit-level hygiene).  The factored backward-Euler system and
+    the stability guard come from the same ``Stepper``, and the march and
+    its records from the same loop, as in ``solve``.
 
     The explicit innovation source needs no dt-h bound of its own.  It
     multiplies pi pointwise by the bounded h - pi(h) and takes no spatial
@@ -248,7 +249,7 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     sc.validate(grid)
     path = _observation_path(truth)
     dt = truth.dt
-    stepper = Stepper(coeffs, grid, dt, cfg.theta, True)
+    stepper = Stepper(coeffs, grid, dt, True)
     pts = stepper.pts
     vol = grid.cell_volume
     h = reuse_if_static(coeffs.h, not coeffs.time_dependent)
@@ -259,7 +260,7 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
         pi_h = (pi @ hv) * vol                      # (1,)
         dBcheck = path.increments[n] - pi_h * dt
         src = (hv - pi_h[None, :]) * pi[:, None]    # (m, 1)
-        return normalize(stepper.system.solve(stepper.explicit(pi) + src @ dBcheck), grid)
+        return normalize(stepper.system.solve(pi + src @ dBcheck), grid)
     pi0 = normalize(sc.pi0(pts), grid)
     return _march(update, pi0, grid, cfg, path, coeffs.L,
                   _snapshot_times(truth.n_steps, dt), cfg.store_every == 1)

@@ -9,22 +9,20 @@ import numpy as np
 
 from .errors import ValidationError
 
-BOUNDARIES = ("zero-flux", "zero-value")
-
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform lattice of cell centers x_i = x_min + (i + 1/2) h on a box.
 
-    The box realizes the compactly-supported setting: scenarios must keep
-    mass away from the walls (see the boundary-mass guard in the solver).
+    The box realizes the compactly-supported setting: its walls are
+    zero-flux, and scenarios must keep mass away from them (see the
+    boundary-mass guard in the solver).
     """
 
     d: int
     x_min: tuple
     x_max: tuple
     n: tuple
-    boundary: str = "zero-flux"
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -33,8 +31,6 @@ class Grid:
             v = getattr(self, name)
             if len(v) != self.d:
                 raise ValidationError(f"grid.{name} must have {self.d} entries")
-        if self.boundary not in BOUNDARIES:
-            raise ValidationError(f"grid.boundary must be one of {BOUNDARIES}")
         for lo, hi, n in zip(self.x_min, self.x_max, self.n):
             if n < 16:
                 raise ValidationError(f"grid.n must be >= 16, got {n}")
@@ -42,13 +38,12 @@ class Grid:
                 raise ValidationError("grid needs x_max > x_min")
 
     @classmethod
-    def line(cls, x_min: float, x_max: float, n: int, boundary: str = "zero-flux") -> "Grid":
-        return cls(1, (float(x_min),), (float(x_max),), (int(n),), boundary)
+    def line(cls, x_min: float, x_max: float, n: int) -> "Grid":
+        return cls(1, (float(x_min),), (float(x_max),), (int(n),))
 
     @classmethod
-    def box2d(cls, x_min, x_max, n, boundary: str = "zero-flux") -> "Grid":
-        return cls(2, tuple(map(float, x_min)), tuple(map(float, x_max)),
-                   tuple(map(int, n)), boundary)
+    def box2d(cls, x_min, x_max, n) -> "Grid":
+        return cls(2, tuple(map(float, x_min)), tuple(map(float, x_max)), tuple(map(int, n)))
 
     @property
     def hs(self) -> tuple:

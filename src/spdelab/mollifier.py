@@ -152,12 +152,6 @@ def _smooth(fn, params: MollifierParams, grid: Grid, factor) -> np.ndarray:
     return out
 
 
-def mollify_callable(fn, params: MollifierParams, grid: Grid) -> np.ndarray:
-    """(fn * rho_eps) chi_eps on the grid, sampling fn beyond the box so the
-    convolution is collar-free everywhere on the grid."""
-    return _smooth(fn, params, grid, _chi_grid(grid, params))
-
-
 def _chi_grid(grid: Grid, params: MollifierParams) -> np.ndarray:
     pts = grid.points()
     return cutoff_value(pts if grid.d > 1 else pts[:, 0], params.epsilon).reshape(grid.n)
@@ -256,17 +250,23 @@ def div_bound_check(b, params: MollifierParams) -> DivBoundResult:
 
     ``b`` is a callable or ScalarField; norms are measured on the working
     lattice, which spans the full cutoff support [-2/eps - 1, 2/eps + 1] at
-    eight points per eps.
+    eight points per eps.  b is sampled once, on that lattice padded by the
+    stencil's half-width; (b * rho_eps) chi_eps is the collar-free
+    convolution of that sample, and the norms read its interior, which is b
+    at the lattice's own points.
     """
     eps = params.epsilon
     h = eps / 8
     half = 2.0 / eps + 1.0 + 4 * eps
     n = max(16, int(np.ceil(2 * half / h)))
     work = Grid.line(-half, half, n)
-    bvals = np.asarray(b(work.points()), dtype=float).ravel()
+    w = stencil(params, work.hs)
+    pad = (len(w) - 1) // 2
+    padded = _sample(lambda p: np.asarray(b(p), float).ravel(), work, [pad])
+    bvals = padded[pad:pad + n]
     x = work.x
     hh = work.hs[0]
-    m = mollify_callable(lambda p: np.asarray(b(p), float).ravel(), params, work)
+    m = _correlate(padded, w, "valid") * _chi_grid(work, params)
     dm = np.gradient(m, hh)
     sup_div = float(np.max(np.abs(dm)))
     div_b = np.gradient(bvals, hh)

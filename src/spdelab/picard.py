@@ -91,7 +91,7 @@ class NonlinearSources:
 
 def _linear_sweep(coeffs, grid, cfg, path, output_times, u0_vals, prev_hist, sources):
     """One linear solve with the source frozen at prev_hist, keeping every step."""
-    stepper = Stepper(coeffs, grid, cfg.dt, cfg.theta, False)
+    stepper = Stepper(coeffs, grid, cfg.dt, False)
 
     def update(n, u):
         return stepper.advance(u, n, path.increments[n], f=sources.f(prev_hist[n + 1]))

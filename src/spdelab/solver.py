@@ -9,11 +9,10 @@ property is what several acceptance checks assert at the 1e-12 level, and it
 is why face averaging is arithmetic (harmonic averaging kills fluxes wherever
 the diffusion degenerates).
 
-Time stepping treats the generator with implicitness theta in [1/2, 1] and
-the noise term explicitly (left-point in time):
+Time stepping is backward Euler in the generator and explicit (left-point
+in time) in the noise term:
 
-    (I - theta dt L) u_{n+1} = u_n + (1-theta) dt L u_n + dt f_n
-                               + sum_l (M^l u_n + g^l_n) dB^l_n.
+    (I - dt L) u_{n+1} = u_n + dt f_n + sum_l (M^l u_n + g^l_n) dB^l_n.
 
 The stability guard, on in ``solve`` and the filters, enforces the
 mean-square stability budget of the explicit noise term,
@@ -47,14 +46,11 @@ BOUNDARY_MASS_WARN_FRACTION = 1e-6
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
-    theta: float = 1.0
     store_every: int = 0  # 0: snapshots only; 1: keep the full step history
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ValidationError("theta must lie in [1/2, 1]")
         if self.store_every not in (0, 1):
             raise ValidationError("store_every must be 0 (snapshots) or 1 (every step)")
 
@@ -69,7 +65,6 @@ class Trajectory:
     mass_series: np.ndarray      # one entry per step boundary, 0..n_steps
     l2_series: np.ndarray
     dt: float
-    theta: float
     full_history: np.ndarray | None = None
 
     @property
@@ -81,18 +76,15 @@ class Trajectory:
         return self.l2_series ** 2
 
 
-def _neighbours(idx: np.ndarray, axis: int, boundary: str):
-    """Flat index of each cell's +1 and -1 neighbour along ``axis``, each with
-    its ghost factor: 1 inside the box; at a wall the ghost is the cell itself
-    times +1 (zero-flux mirror) or -1 (negated mirror for a wall zero)."""
+def _neighbours(idx: np.ndarray, axis: int):
+    """Flat index of each cell's +1 and -1 neighbour along ``axis``; at a
+    wall the neighbour is the cell itself (the zero-flux mirror ghost)."""
     out = []
     for step, wall in ((1, -1), (-1, 0)):
         edge = (slice(None),) * axis + (wall,)
         nb = np.roll(idx, -step, axis)
         nb[edge] = idx[edge]
-        factor = np.ones(idx.shape)
-        factor[edge] = 1.0 if boundary == "zero-flux" else -1.0
-        out += [nb, factor]
+        out.append(nb)
     return out
 
 
@@ -160,10 +152,10 @@ def _to_csr(op: str, grid: Grid, blocks) -> csr_matrix:
     bit csr_matrix((vals, (rows, cols))): duplicates summed in triplet order.
     Each block is (rows, cols, vals, keep), each a list of per-site entries;
     the indices are stacked only when no pattern is cached for the operator,
-    the grid's shape and boundary, and the keep mask."""
+    the grid's shape and the keep mask."""
     rows, cols, vals, keep = zip(*blocks)
     keep = _stacked(keep, vals)
-    key = (op, tuple(grid.n), grid.boundary, np.packbits(keep).tobytes())
+    key = (op, tuple(grid.n), np.packbits(keep).tobytes())
     pattern = _patterns.pop(key, None)
     if pattern is None:
         pattern = _Pattern(_stacked(rows, vals), _stacked(cols, vals), keep, grid.npts)
@@ -179,8 +171,8 @@ def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matr
     Per face, in face order along each axis: the diffusive and drift fluxes
     (8 entries), then in 2-d the a12 cross flux with the 4-point corner
     average for the transverse gradient (8 entries, only where the face
-    value of a12 is nonzero).  Then the zero-value ghost terms, axis by
-    axis, and the nonzero entries of c on the diagonal.
+    value of a12 is nonzero).  Then the nonzero entries of c on the
+    diagonal.
     """
     pts = grid.points()
     A = coeffs.a(t, pts)
@@ -193,7 +185,7 @@ def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matr
         raise ValidationError("a(t,x) sample is not symmetric")
     shape = tuple(grid.n)
     idx = np.arange(grid.npts).reshape(shape)
-    blocks, ghosts = [], []
+    blocks = []
     for ax, h in enumerate(grid.hs):
         lo = (slice(None),) * ax + (slice(None, -1),)
         hi = (slice(None),) * ax + (slice(1, None),)
@@ -212,29 +204,23 @@ def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matr
             a12 = A[:, 0, 1].reshape(shape)
             cf = 0.5 * (a12[lo] + a12[hi])
             q = 1.0 / (4 * grid.hs[1 - ax])
-            nbp, fp, nbm, fm = _neighbours(idx, 1 - ax, grid.boundary)
-            for col, w in ((nbp[lo], fp[lo] * q), (nbp[hi], fp[hi] * q),
-                           (nbm[lo], -fm[lo] * q), (nbm[hi], -fm[hi] * q)):
+            nbp, nbm = _neighbours(idx, 1 - ax)
+            for col, w in ((nbp[lo], q), (nbp[hi], q), (nbm[lo], -q), (nbm[hi], -q)):
                 rows += [r0, r1]
                 cols += [col, col]
                 vals += [cf * w / h, -cf * w / h]
                 keep += [cf != 0.0] * 2
         blocks.append((rows, cols, vals, keep))
-        if grid.boundary == "zero-value":
-            # ghost = -u across the wall: diffusion doubles, drift cancels to O(h^2)
-            walls = [(slice(None),) * ax + (w,) for w in (0, -1)]
-            ends = [idx[w] for w in walls]
-            ghosts.append((ends, ends, [-2 * a[w] / h**2 for w in walls], [True, True]))
     c = np.asarray(cvec, float).reshape(shape)
-    return _to_csr("generator", grid, blocks + ghosts + [([idx], [idx], [c], [c != 0.0])])
+    return _to_csr("generator", grid, blocks + [([idx], [idx], [c], [c != 0.0])])
 
 
 def assemble_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> csr_matrix:
     """M^l u = sigma^{il} d_i u + h^l u with central differences.
 
     Per cell, in cell order: the +1 and -1 neighbours along each axis (the
-    cell itself times the ghost factor at a wall), then h^l on the
-    diagonal; zero entries are left out.
+    cell itself at a wall), then h^l on the diagonal; zero entries are left
+    out.
     """
     if not 0 <= l < coeffs.L:
         raise ConfigurationError(f"driver index {l} outside [0, {coeffs.L})")
@@ -246,9 +232,8 @@ def assemble_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> c
     cols, vals = [], []
     for ax, h in enumerate(grid.hs):
         s = S[:, ax].reshape(shape)
-        nbp, fp, nbm, fm = _neighbours(idx, ax, grid.boundary)
-        cols += [nbp, nbm]
-        vals += [fp * s / (2 * h), -fm * s / (2 * h)]
+        cols += _neighbours(idx, ax)
+        vals += [s / (2 * h), -s / (2 * h)]
     cols.append(idx)
     vals.append(hv.reshape(shape))
     keep = [v != 0.0 for v in vals]
@@ -276,20 +261,19 @@ def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
 
 
 class _ImplicitSystem:
-    """I - theta dt L, factored once; ``solve`` is the per-step solve.
+    """I - dt L, factored once; ``solve`` is the per-step solve.
 
     In 1-d the flux-form operator is tridiagonal by construction, so the
     matrix is factored with LAPACK gttrf (LU with partial pivoting) and each
     step is one gttrs call.  In 2-d it is a sparse LU (splu, partial
     pivoting as SuperLU's default) on a minimum-degree ordering of A + A^T:
     every face flux couples its two cells both ways, so the pattern of
-    I - theta dt L is symmetric and that ordering fills less than the
+    I - dt L is symmetric and that ordering fills less than the
     default COLAMD, which orders A^T A.
     """
 
-    def __init__(self, Lop: csr_matrix, dt: float, theta: float, grid: Grid):
-        self.Lop = Lop
-        M = identity(Lop.shape[0], format="csr") - theta * dt * Lop
+    def __init__(self, Lop: csr_matrix, dt: float, grid: Grid):
+        M = identity(Lop.shape[0], format="csr") - dt * Lop
         if grid.d == 1:
             coo = M.tocoo()
             if np.any(np.abs(coo.row - coo.col) > 1):
@@ -323,9 +307,8 @@ class Stepper:
     itself, so reference counting frees it and its factorization.
     """
 
-    def __init__(self, coeffs: CoefficientSet, grid: Grid, dt: float,
-                 theta: float, guard: bool):
-        self.coeffs, self.grid, self.dt, self.theta = coeffs, grid, dt, theta
+    def __init__(self, coeffs: CoefficientSet, grid: Grid, dt: float, guard: bool):
+        self.coeffs, self.grid, self.dt = coeffs, grid, dt
         self.pts = grid.points()
         self._static = not coeffs.time_dependent
         self._guard = guard
@@ -355,7 +338,7 @@ class Stepper:
                 self._check(t)
             self.Lop = self.system = self._noise = self._n = None
             self.Lop = assemble_generator(self.coeffs, self.grid, t + 0.5 * self.dt)
-            self.system = _ImplicitSystem(self.Lop, self.dt, self.theta, self.grid)
+            self.system = _ImplicitSystem(self.Lop, self.dt, self.grid)
             self._noise = [None] * self.coeffs.L
             self._n = n
 
@@ -366,18 +349,11 @@ class Stepper:
                                                self._n * self.dt, l)
         return self._noise[l]
 
-    def explicit(self, u: np.ndarray) -> np.ndarray:
-        """u + (1 - theta) dt L u with the current step's generator."""
-        rhs = u.copy()
-        if self.theta < 1.0:
-            rhs += (1.0 - self.theta) * self.dt * (self.Lop @ u)
-        return rhs
-
     def advance(self, u: np.ndarray, n: int, dB, f=None) -> np.ndarray:
         """u_{n+1} from u_n along driver increments dB; ``f`` (m,) is an
         extra drift source added to the coefficients' f."""
         self.at(n)
-        rhs = self.explicit(u)
+        rhs = u.copy()
         fv, gv, f_nonzero = self.sources(n)
         if f is not None:
             fv = fv + f
@@ -393,7 +369,7 @@ def solve(coeffs: CoefficientSet, u0, grid: Grid, cfg: SolverConfig,
           path: BrownianPath, output_times, observe=None) -> Trajectory:
     """March the scheme along the driver path and record snapshots; see
     ``_march`` for ``observe``."""
-    stepper = Stepper(coeffs, grid, cfg.dt, cfg.theta, True)
+    stepper = Stepper(coeffs, grid, cfg.dt, True)
     return _march(lambda n, u: stepper.advance(u, n, path.increments[n]), u0,
                   grid, cfg, path, coeffs.L, output_times, cfg.store_every == 1,
                   observe)
@@ -459,8 +435,7 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
 
     _boundary_mass_guard(grid, u)
     return Trajectory(grid=grid, times=np.asarray(output_times), fields=fields,
-                      mass_series=mass, l2_series=l2, dt=cfg.dt, theta=cfg.theta,
-                      full_history=history)
+                      mass_series=mass, l2_series=l2, dt=cfg.dt, full_history=history)
 
 
 def check_history_size(n_steps: int, npts: int) -> None:

@@ -36,7 +36,8 @@ def gauss(p, c=0.0, w=0.8):
 def routes(b, u, eps, grid):
     """The direct and the integral commutator at every grid point, from the
     code that convergence_sweep (and so c8) runs."""
-    return com._routes(b, u, eps, grid, slice(0, grid.npts))
+    ws = com._Workspace(grid, eps)
+    return com._routes(ws, ws.sample(b), ws.sample(u), slice(0, grid.npts))
 
 
 def direct(b, u, eps, grid):
@@ -109,7 +110,7 @@ class TestSampling:
         with pytest.raises(ConfigurationError, match="one value per point"):
             routes(field, tri, 0.1, grid)
         with pytest.raises(ConfigurationError, match="one value per point"):
-            mol.mollify_callable(field, MollifierParams(0.1), grid)
+            mol.div_bound_check(field, MollifierParams(0.1))
 
     def test_commutator_fields_are_scalar(self):
         # a 1-d drift comes as (m, 1) and is read as (m,); two components
@@ -120,6 +121,18 @@ class TestSampling:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(column, flat))
         with pytest.raises(ConfigurationError, match="one value per point"):
             routes(lambda p: np.hstack([p, p]), tri, 0.1, grid)
+
+    def test_a_wider_sample_gives_the_same_bytes(self):
+        # convergence_sweep samples once, padded for its largest eps, and
+        # each smaller eps reads a centered slice of that sample
+        grid = sweep_grid(0.05, ppr=16)
+        ws, widest = com._Workspace(grid, 0.05), com._Workspace(grid, 0.2)
+        assert widest.pad > ws.pad
+        b = lambda p: np.sin(p[:, 0])  # noqa: E731
+        rows = slice(0, grid.npts)
+        own = com._routes(ws, ws.sample(b), ws.sample(tri), rows)
+        sliced = com._routes(ws, widest.sample(b), widest.sample(tri), rows)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(own, sliced))
 
 
 class TestIdentities:

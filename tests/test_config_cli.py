@@ -1,12 +1,13 @@
 import contextlib
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdelab import acceptance, cli, filtering, noise
+from spdelab import acceptance, cli, config, noise
 from spdelab.acceptance import FILTER_CONFIG, PICARD_CONFIG, SWEEP_CONFIG
 from spdelab.config import _SECTION_KEYS, _coefficient_keys, _leaves, parse_config
 from spdelab.errors import ParseError, SpdelabError, ValidationError
@@ -44,8 +45,6 @@ class TestParseConfig:
         b = parse_config(HEAT)
         assert b.name == "heat-demo"
         assert b.grid.n == (128,)
-        assert b.theta == 1.0
-        assert b.grid.boundary == "zero-flux"
         assert b.coeffs.L == 1
         X = b.grid.points()
         assert np.allclose(b.coeffs.a(0.0, X)[:, 0, 0], 0.5)
@@ -75,10 +74,28 @@ class TestParseConfig:
         ("t_end = 0.05", "t_end = 0.05\nstore_every = 1", "store_every"),
         ("seed = 0", "seed = 0\ndirection_seed = 2", "direction_seed"),
         ("[grid]", "[checks]\npositivity_tol = 1e-8\n\n[grid]", "checks"),
+        # every run steps backward Euler on zero-flux walls, so no key names
+        # either, not even the value every run uses
+        ("t_end = 0.05", "t_end = 0.05\ntheta = 1.0", r"unknown key 'theta' in \[time\]"),
+        ("n = 128", "n = 128\nboundary = zero-flux", r"unknown key 'boundary' in \[grid\]"),
     ])
     def test_removed_keys_rejected(self, old, new, match):
         with pytest.raises(ParseError, match=match):
             parse_config(HEAT.replace(old, new))
+
+    def test_module_docstring_lists_the_parsed_keys(self):
+        # the [coefficients] field keys are computed from dim and L, so only
+        # that section's name is compared
+        documented = {}
+        for line in config.__doc__.splitlines():
+            m = re.fullmatch(r"\s+\[(\w+)\]\s+(.*)", line)
+            if m:
+                keys = re.sub(r"\([^)]*\)", "", m.group(2)).split(",")
+                documented[m.group(1)] = {k.strip() for k in keys}
+        assert documented.keys() == _SECTION_KEYS.keys()
+        for section, keys in _SECTION_KEYS.items():
+            if keys is not None:
+                assert documented[section] == keys, section
 
     @pytest.mark.parametrize("text, match", [
         (FILTER_CONFIG.replace("dim = 1", "dim = 2"), "grid.dim"),
@@ -189,22 +206,17 @@ class TestCli:
         assert series[0] == "t,mass,l2,energy_defect"
         assert len(series) == 52  # header + 51 step boundaries
 
-    @pytest.mark.parametrize("theta", ["1.0", "0.5"])
-    def test_energy_defect_column(self, tmp_path, theta):
-        # theta = 1 writes the per-step defects; elsewhere the balance is
-        # undefined and the column is NaN, never silent zeros
+    def test_energy_defect_column(self, tmp_path):
+        # the per-step defects, never silent zeros, after a 0 at t = 0
         cfg = tmp_path / "heat.cfg"
-        cfg.write_text(HEAT.replace("t_end = 0.05", f"t_end = 0.05\ntheta = {theta}"))
+        cfg.write_text(HEAT)
         assert cli.main(["run-spde", "--config", str(cfg), "--out",
                          str(tmp_path / "runs")]) == 0
         (run_dir,) = (tmp_path / "runs").iterdir()
         rows = np.loadtxt(run_dir / "series.csv", delimiter=",", skiprows=1)
         defects = rows[1:, 3]
-        if theta == "0.5":
-            assert np.all(np.isnan(rows[:, 3]))
-        else:
-            assert rows[0, 3] == 0.0
-            assert np.all(np.isfinite(defects)) and np.all(defects != 0.0)
+        assert rows[0, 3] == 0.0
+        assert np.all(np.isfinite(defects)) and np.all(defects != 0.0)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = tmp_path / "heat.cfg"
@@ -329,8 +341,8 @@ def run_dir_of(tmp_path, sub, text):
 
 
 class TestCliSettings:
-    """theta and mollify mean the same to every command that can use them,
-    and a zero horizon runs wherever the solve does."""
+    """mollify means the same to every command that can use it, and a zero
+    horizon runs wherever the solve does."""
 
     @pytest.mark.parametrize("sub, text", [
         ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.0")),
@@ -339,40 +351,19 @@ class TestCliSettings:
     def test_zero_horizon_runs(self, tmp_path, capsys, sub, text):
         run_dir_of(tmp_path, sub, text)
 
-    @pytest.mark.parametrize("old, new", [
-        ("t_end = 0.1", "t_end = 0.1\ntheta = 0.5"),
-        ("L = 1", "L = 1\nmollify = 0.5"),
-    ], ids=["theta", "mollify"])
-    def test_picard_reads_theta_and_mollify(self, tmp_path, capsys, old, new):
-        run_dir = run_dir_of(tmp_path, "picard", PICARD_CONFIG.replace(old, new))
+    def test_picard_reads_mollify(self, tmp_path, capsys):
+        run_dir = run_dir_of(tmp_path, "picard",
+                             PICARD_CONFIG.replace("L = 1", "L = 1\nmollify = 0.5"))
         b = parse_config(PICARD_CONFIG)
-        coeffs = b.coeffs
-        if "mollify" in new:
-            coeffs = mollified_coefficient_set(coeffs, MollifierParams(0.5), b.grid)
+        coeffs = mollified_coefficient_set(b.coeffs, MollifierParams(0.5), b.grid)
         path = noise.generate(3, 1, 100, 1e-3)
-        cfg = SolverConfig(dt=1e-3, theta=0.5 if "theta" in new else 1.0)
         _, log = picard_solve(coeffs, NonlinearSources.sin_of_u(0.1), b.u0_field(b.grid.points()),
-                              b.grid, cfg, path, tol=1e-8)
+                              b.grid, SolverConfig(dt=1e-3), path, tol=1e-8)
         write_csv(tmp_path / "direct.csv", ["iter", "sup_diff", "ratio"], zip(*log))
         direct = (tmp_path / "direct.csv").read_bytes()
         assert (run_dir / "iterates.csv").read_bytes() == direct
         plain = run_dir_of(tmp_path / "plain", "picard", PICARD_CONFIG)
         assert (plain / "iterates.csv").read_bytes() != direct
-
-    def test_run_filter_reads_theta(self, tmp_path, capsys):
-        run_dir = run_dir_of(tmp_path, "run-filter",
-                             FILTER_CONFIG.replace("t_end = 0.25", "t_end = 0.25\ntheta = 0.5"))
-        b = parse_config(FILTER_CONFIG)
-        sc = filtering.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
-        truth = filtering.simulate_truth(sc, 12, 250, 1e-3)
-        res = filtering.run_zakai(sc, truth, b.grid, SolverConfig(dt=1e-3, theta=0.5))
-        written = np.loadtxt(run_dir / "posterior.csv", delimiter=",", skiprows=1)
-        direct = [(t, x, v) for t, fld in zip(res.pi.times, res.pi.fields)
-                  for x, v in zip(b.grid.x, fld.values)]
-        assert np.array_equal(written, np.array(direct))
-        plain = run_dir_of(tmp_path / "plain", "run-filter", FILTER_CONFIG)
-        assert not np.array_equal(
-            np.loadtxt(plain / "posterior.csv", delimiter=",", skiprows=1), written)
 
 
 # a (1e6 + 1) x 1e5 history, 745 GiB, refused before it is allocated
@@ -405,6 +396,11 @@ class TestCliErrors:
                          "for dim = 1 and L = 1",
         "not-parabolic-2d": "error: coefficients are not parabolic at t=0.0: the smallest "
                             "eigenvalue of 2a - sigma sigma^T is -1.000e+00 < 0",
+        "run-spde-theta": "error: unknown key 'theta' in [time]",
+        "picard-theta": "error: unknown key 'theta' in [time]",
+        "run-filter-theta": "error: unknown key 'theta' in [time]",
+        "run-spde-boundary": "error: unknown key 'boundary' in [grid]",
+        "run-filter-boundary": "error: unknown key 'boundary' in [grid]",
     }
 
     @staticmethod
@@ -462,6 +458,11 @@ class TestCliErrors:
         ("picard", OVERSIZED),
         ("run-spde", MOLLIFY_2E6),
         ("run-spde", NOT_PARABOLIC_2D),
+        ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\ntheta = 1.0")),
+        ("picard", PICARD_CONFIG.replace("t_end = 0.1", "t_end = 0.1\ntheta = 0.5")),
+        ("run-filter", FILTER_CONFIG.replace("t_end = 0.25", "t_end = 0.25\ntheta = 0.5")),
+        ("run-spde", HEAT.replace("n = 128", "n = 128\nboundary = zero-flux")),
+        ("run-filter", FILTER_CONFIG.replace("dim = 1", "dim = 1\nboundary = zero-value")),
     ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc",
             "picard-independent-width-abc", "field-unknown-parameter",
             "constant-unknown-parameter", "pwlinear-missing-knots",
@@ -477,7 +478,8 @@ class TestCliErrors:
             "n_particles-negative", "picard-tol-0", "picard-tol-negative",
             "picard-max_iter-0", "picard-scale-nan", "picard-coeff-inf",
             "run-spde-history-too-large", "picard-history-too-large", "mollify-2e6",
-            "not-parabolic-2d"])
+            "not-parabolic-2d", "run-spde-theta", "picard-theta", "run-filter-theta",
+            "run-spde-boundary", "run-filter-boundary"])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, request,
                                                   sub, text):
         rc, err, out = self.run(tmp_path, capsys, sub, text)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import identity
+from scipy.sparse.linalg import splu
 
 from spdelab import filtering as flt
 from spdelab import solver
@@ -280,20 +282,25 @@ class TestKushner:
         assert gaps[0] < 5 * (1e-3 + grid.hs[0] ** 2) * 10
         assert gaps[0] > 0
 
-    def test_theta_half_keeps_explicit_generator_term(self):
-        # without (1 - theta) dt L pi on the right-hand side the theta = 1/2
-        # gap to normalized Zakai is 7.0e-3 against 1.4e-3 at theta = 1
+    def test_step_is_backward_euler_with_the_innovation_source(self):
+        # pi_{n+1} = normalize((I - dt L)^-1 (pi_n + (h - pi_n(h)) pi_n dBcheck_n)):
+        # the generator is all implicit, the innovation source all explicit
         sc = kb_scenario()
-        truth = flt.simulate_truth(sc, 12, 250, 1e-3)
-        grid = Grid.line(-8, 8, 256)
-        gaps = {}
-        for theta in (1.0, 0.5):
-            cfg = SolverConfig(dt=1e-3, theta=theta)
-            pi_traj = flt.run_kushner(sc, truth, grid, cfg)
-            res = flt.run_zakai(sc, truth, grid, cfg)
-            gaps[theta] = max(grid.l1(a.values - b.values)
-                              for a, b in zip(pi_traj.fields, res.pi.fields))
-        assert gaps[0.5] <= 1.2 * gaps[1.0]
+        truth = kb_truth(n_steps=5)
+        grid = Grid.line(-8, 8, 128)
+        hist = flt.run_kushner(sc, truth, grid,
+                               SolverConfig(dt=truth.dt, store_every=1)).full_history
+        cs = flt.zakai_coefficients(sc)
+        pts = grid.points()
+        lu = splu((identity(grid.npts, format="csc")
+                    - truth.dt * solver.assemble_generator(cs, grid, 0.0)).tocsc())
+        hv = cs.h(0.0, pts)[:, 0]
+        pi = flt.normalize(sc.pi0(pts), grid)
+        assert hist[0].tobytes() == pi.tobytes()
+        for n, dB in enumerate(truth.bbar_increments[:, 0]):
+            pi_h = grid.integrate(hv * pi)
+            pi = flt.normalize(lu.solve(pi + (hv - pi_h) * pi * (dB - pi_h * truth.dt)), grid)
+            assert np.max(np.abs(hist[n + 1] - pi)) <= 1e-12 * np.max(pi)
 
     def test_mass_exactly_one(self):
         truth = kb_truth(n_steps=150)

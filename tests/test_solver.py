@@ -159,11 +159,6 @@ def reference_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_mat
     return _assemble_2d(A, bvec, cvec, grid)
 
 
-def _ghost_sign(boundary: str) -> float:
-    # mirror value for zero-flux, negated mirror for a wall zero
-    return 1.0 if boundary == "zero-flux" else -1.0
-
-
 def _assemble_1d(a, b, c, grid: Grid) -> csr_matrix:
     n = grid.n[0]
     h = grid.hs[0]
@@ -185,10 +180,6 @@ def _assemble_1d(a, b, c, grid: Grid) -> csr_matrix:
         add(k, k + 1, b[k + 1] / (2 * h))
         add(k + 1, k, -b[k] / (2 * h))
         add(k + 1, k + 1, -b[k + 1] / (2 * h))
-    if grid.boundary == "zero-value":
-        # ghost = -u across the wall: diffusion doubles, drift cancels to O(h^2)
-        add(0, 0, -2.0 * a[0] / h**2)
-        add(n - 1, n - 1, -2.0 * a[-1] / h**2)
     for i in range(n):
         if c[i] != 0.0:
             add(i, i, c[i])
@@ -199,7 +190,6 @@ def _assemble_2d(A, b, c, grid: Grid) -> csr_matrix:
     n1, n2 = grid.n
     h1, h2 = grid.hs
     N = n1 * n2
-    sgn = _ghost_sign(grid.boundary)
 
     def idx(i, j):
         return i * n2 + j
@@ -219,7 +209,8 @@ def _assemble_2d(A, b, c, grid: Grid) -> csr_matrix:
 
     def corner_avg_terms(i, j, axis):
         """Transverse-gradient stencil at the face (i+1/2, j) (axis 0) or
-        (i, j+1/2) (axis 1), with ghost mirroring at the box walls."""
+        (i, j+1/2) (axis 1), with the zero-flux mirror ghost at the box
+        walls."""
         out = []
         if axis == 0:
             hT, nT = h2, n2
@@ -236,13 +227,13 @@ def _assemble_2d(A, b, c, grid: Grid) -> csr_matrix:
             if 0 <= tr < nT:
                 out.append((idx(pi, pj), 1.0 / (4 * hT)))
             else:
-                out.append((idx(ci, cj), sgn / (4 * hT)))
+                out.append((idx(ci, cj), 1.0 / (4 * hT)))
         for (mi, mj), (ci, cj) in zip(minus, cells):
             tr = mi if axis == 1 else mj
             if 0 <= tr < nT:
                 out.append((idx(mi, mj), -1.0 / (4 * hT)))
             else:
-                out.append((idx(ci, cj), -sgn / (4 * hT)))
+                out.append((idx(ci, cj), -1.0 / (4 * hT)))
         return out
 
     # axis-0 faces
@@ -281,13 +272,6 @@ def _assemble_2d(A, b, c, grid: Grid) -> csr_matrix:
                 for col, w in corner_avg_terms(i, j, axis=1):
                     add(r0, col, cf * w / h2)
                     add(r1, col, -cf * w / h2)
-    if grid.boundary == "zero-value":
-        for j in range(n2):
-            add(idx(0, j), idx(0, j), -2 * a11[0, j] / h1**2)
-            add(idx(n1 - 1, j), idx(n1 - 1, j), -2 * a11[n1 - 1, j] / h1**2)
-        for i in range(n1):
-            add(idx(i, 0), idx(i, 0), -2 * a22[i, 0] / h2**2)
-            add(idx(i, n2 - 1), idx(i, n2 - 1), -2 * a22[i, n2 - 1] / h2**2)
     cflat = np.asarray(c, float).ravel()
     for r in np.nonzero(cflat)[0]:
         add(int(r), int(r), cflat[r])
@@ -301,7 +285,6 @@ def reference_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> 
     pts = grid.points()
     S = coeffs.sigma(t, pts)[:, :, l]
     hv = coeffs.h(t, pts)[:, l]
-    sgn = _ghost_sign(grid.boundary)
     rows, cols, vals = [], [], []
 
     def add(i, j, v):
@@ -319,11 +302,11 @@ def reference_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> 
             if ip < n:
                 add(i, ip, s[i] / (2 * h))
             else:
-                add(i, i, sgn * s[i] / (2 * h))
+                add(i, i, s[i] / (2 * h))
             if im >= 0:
                 add(i, im, -s[i] / (2 * h))
             else:
-                add(i, i, -sgn * s[i] / (2 * h))
+                add(i, i, -s[i] / (2 * h))
             add(i, i, hv[i])
         return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
@@ -342,19 +325,19 @@ def reference_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> 
             if i + 1 < n1:
                 add(r, idx(i + 1, j), s1[i, j] / (2 * h1))
             else:
-                add(r, r, sgn * s1[i, j] / (2 * h1))
+                add(r, r, s1[i, j] / (2 * h1))
             if i - 1 >= 0:
                 add(r, idx(i - 1, j), -s1[i, j] / (2 * h1))
             else:
-                add(r, r, -sgn * s1[i, j] / (2 * h1))
+                add(r, r, -s1[i, j] / (2 * h1))
             if j + 1 < n2:
                 add(r, idx(i, j + 1), s2[i, j] / (2 * h2))
             else:
-                add(r, r, sgn * s2[i, j] / (2 * h2))
+                add(r, r, s2[i, j] / (2 * h2))
             if j - 1 >= 0:
                 add(r, idx(i, j - 1), -s2[i, j] / (2 * h2))
             else:
-                add(r, r, -sgn * s2[i, j] / (2 * h2))
+                add(r, r, -s2[i, j] / (2 * h2))
             add(r, r, hv2[i, j])
     return csr_matrix((vals, (rows, cols)), shape=(n1 * n2, n1 * n2))
 
@@ -385,7 +368,7 @@ def cut_to_zero(fn, cut):
 
 
 @st.composite
-def operator_cases(draw, d, boundary, cross, with_c=True):
+def operator_cases(draw, d, cross, with_c=True):
     """(coefficients, grid) from random family fields on a 1-d or a
     non-square 2-d grid, with the a12 field when ``cross``; in half of the
     cases a, c, sigma and h are cut to zero on a random half-space."""
@@ -395,13 +378,12 @@ def operator_cases(draw, d, boundary, cross, with_c=True):
              (family_field(draw, d), family_field(draw, d)) for _ in range(L)]
     h = [family_field(draw, d) for _ in range(L)]
     if d == 1:
-        grid = Grid.line(-2, 2, draw(st.integers(16, 40)), boundary=boundary)
+        grid = Grid.line(-2, 2, draw(st.integers(16, 40)))
         cs = CoefficientSet.from_fields(d=1, L=L, a=family_field(draw, 1),
                                         b=family_field(draw, 1), c=c, sigma=sigma, h=h)
     else:
         n1 = draw(st.integers(16, 24))
-        grid = Grid.box2d((-2, -1.5), (2, 1.5), (n1, n1 + draw(st.integers(1, 6))),
-                          boundary=boundary)
+        grid = Grid.box2d((-2, -1.5), (2, 1.5), (n1, n1 + draw(st.integers(1, 6))))
         a12 = family_field(draw, 2) if cross else 0.0
         cs = CoefficientSet.from_fields(
             d=2, L=L, a=(family_field(draw, 2), a12, family_field(draw, 2)),
@@ -421,31 +403,27 @@ def assert_same_csr(new, ref):
 
 
 LAYOUTS = pytest.mark.parametrize("d, cross", [(1, False), (2, False), (2, True)])
-BOUNDARIES = pytest.mark.parametrize("boundary", ["zero-flux", "zero-value"])
 
 
 class TestIndexArrayBuilders:
     @LAYOUTS
-    @BOUNDARIES
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_generator_matches_face_loops_bytewise(self, d, cross, boundary, data):
-        cs, grid = data.draw(operator_cases(d, boundary, cross))
+    def test_generator_matches_face_loops_bytewise(self, d, cross, data):
+        cs, grid = data.draw(operator_cases(d, cross))
         assert_same_csr(solver.assemble_generator(cs, grid, 0.0),
                         reference_generator(cs, grid, 0.0))
 
     @LAYOUTS
-    @BOUNDARIES
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_noise_op_matches_cell_loops_bytewise(self, d, cross, boundary, data):
-        cs, grid = data.draw(operator_cases(d, boundary, cross))
+    def test_noise_op_matches_cell_loops_bytewise(self, d, cross, data):
+        cs, grid = data.draw(operator_cases(d, cross))
         for l in range(cs.L):
             assert_same_csr(solver.assemble_noise_op(cs, grid, 0.0, l),
                             reference_noise_op(cs, grid, 0.0, l))
 
-    @BOUNDARIES
-    def test_pattern_cache_hits_misses_and_evictions(self, boundary, monkeypatch):
+    def test_pattern_cache_hits_misses_and_evictions(self, monkeypatch):
         # the kept entries change with the half-space a, c, sigma and h are
         # cut to zero on; None leaves them whole
         cuts = [None, -1.0, None, 0.0, 1.0, -1.5, 0.5, -0.5, None, -1.0]
@@ -458,7 +436,7 @@ class TestIndexArrayBuilders:
                 built.append(1)
                 super().__init__(*args)
         monkeypatch.setattr(solver, "_Pattern", Counted)
-        grid = Grid.box2d((-2, -1.5), (2, 1.5), (16, 19), boundary=boundary)
+        grid = Grid.box2d((-2, -1.5), (2, 1.5), (16, 19))
         whole = CoefficientSet.from_fields(d=2, L=1, a=(1.0, 0.3, 0.8), b=(0.2, -0.1),
                                            c=0.5, sigma=[(0.4, 0.2)], h=[0.3])
         for cut in cuts:
@@ -481,7 +459,7 @@ class TestIndexArrayBuilders:
     @given(data=st.data())
     def test_column_sums_vanish(self, d, cross, data):
         # zero flux and c = 0: every column telescopes, so mass is conserved
-        cs, grid = data.draw(operator_cases(d, "zero-flux", cross, with_c=False))
+        cs, grid = data.draw(operator_cases(d, cross, with_c=False))
         L = solver.assemble_generator(cs, grid, 0.0)
         assert np.max(np.abs(np.asarray(L.sum(axis=0)))) <= 1e-12
 
@@ -545,7 +523,7 @@ class TestDuality:
 
 def advance(u, cfg, dB, cs):
     """One step from t = 0 through the shared stepping core."""
-    stepper = solver.Stepper(cs, u.grid, cfg.dt, cfg.theta, True)
+    stepper = solver.Stepper(cs, u.grid, cfg.dt, True)
     return DensityField(grid=u.grid, values=stepper.advance(u.values, 0, dB),
                         time_index=1)
 
@@ -701,31 +679,44 @@ class TestImplicitSystem:
     DT = 2e-3
 
     @staticmethod
-    def drift_operator(boundary):
-        grid = Grid.line(-3, 3, 128, boundary=boundary)
+    def drift_operator():
+        grid = Grid.line(-3, 3, 128)
         cs = CoefficientSet.from_fields(
             d=1, L=1, a=ScalarField("sinusoidal", 1, amp=0.2, offset=0.5),
             b=ScalarField("sinusoidal", 1, amp=1.5, freq=1.7), c=-0.3)
         return grid, solver.assemble_generator(cs, grid, 0.0)
 
-    @pytest.mark.parametrize("boundary", ["zero-flux", "zero-value"])
-    @pytest.mark.parametrize("theta", [1.0, 0.5])
-    def test_1d_matches_banded_and_sparse_lu(self, boundary, theta):
-        grid, Lop = self.drift_operator(boundary)
-        M = (identity(grid.npts, format="csr") - theta * self.DT * Lop).tocsc()
+    @pytest.mark.parametrize("fields, dt", [
+        (None, DT),
+        # diffusion that vanishes away from the origin under a strong drift
+        (dict(a=ScalarField("gaussian", 1, amp=0.5, width=0.3),
+              b=ScalarField("sinusoidal", 1, amp=4.0, freq=0.9)), DT),
+        # no diffusion at all: the central drift stencil alone
+        (dict(b=ScalarField("sinusoidal", 1, amp=1.5, freq=1.7)), DT),
+        # a step long enough that the off-diagonals outweigh the identity
+        (None, 0.5),
+    ], ids=["drift", "degenerate", "pure-drift", "long-step"])
+    def test_1d_matches_banded_and_sparse_lu(self, fields, dt):
+        if fields is None:
+            grid, Lop = self.drift_operator()
+        else:
+            grid = Grid.line(-3, 3, 128)
+            Lop = solver.assemble_generator(CoefficientSet.from_fields(d=1, L=1, **fields),
+                                            grid, 0.0)
+        M = (identity(grid.npts, format="csr") - dt * Lop).tocsc()
         ab = np.zeros((3, grid.npts))
         ab[0, 1:] = M.diagonal(1)
         ab[1] = M.diagonal(0)
         ab[2, :-1] = M.diagonal(-1)
         rhs = gaussian_density(grid) + np.sin(3 * grid.x)
-        out = solver._ImplicitSystem(Lop, self.DT, theta, grid).solve(rhs)
+        out = solver._ImplicitSystem(Lop, dt, grid).solve(rhs)
         assert out.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
         ref = splu(M).solve(rhs)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_1d_rhs_left_untouched_and_system_reusable(self):
-        grid, Lop = self.drift_operator("zero-flux")
-        sys_ = solver._ImplicitSystem(Lop, self.DT, 1.0, grid)
+        grid, Lop = self.drift_operator()
+        sys_ = solver._ImplicitSystem(Lop, self.DT, grid)
         rhs = gaussian_density(grid)
         keep = rhs.copy()
         first = sys_.solve(rhs)
@@ -734,11 +725,11 @@ class TestImplicitSystem:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_raises_solver_error_1d(self, bad):
-        grid, Lop = self.drift_operator("zero-flux")
+        grid, Lop = self.drift_operator()
         rhs = gaussian_density(grid)
         rhs[40] = bad
         with pytest.raises(SolverError):
-            solver._ImplicitSystem(Lop, self.DT, 1.0, grid).solve(rhs)
+            solver._ImplicitSystem(Lop, self.DT, grid).solve(rhs)
 
     def test_non_finite_rhs_raises_solver_error_2d(self):
         grid = Grid.box2d((-1, -1), (1, 1), (16, 16))
@@ -747,37 +738,37 @@ class TestImplicitSystem:
         rhs = np.ones(grid.npts)
         rhs[7] = np.nan
         with pytest.raises(SolverError):
-            solver._ImplicitSystem(Lop, self.DT, 1.0, grid).solve(rhs)
+            solver._ImplicitSystem(Lop, self.DT, grid).solve(rhs)
 
-    @pytest.mark.parametrize("n, boundary, fields", [
+    @pytest.mark.parametrize("n, fields", [
         # the nonlinear-2d workload's coefficients, cross term on
-        (64, "zero-flux", dict(a=(0.6, 0.2, 0.5), b=(0.3, -0.2), sigma=[(0.5, 0.3)])),
+        (64, dict(a=(0.6, 0.2, 0.5), b=(0.3, -0.2), sigma=[(0.5, 0.3)])),
         # degenerate a = sigma sigma^T / 2 under a strong drift
-        (96, "zero-value", dict(a=(0.5, 0.25, 0.125), b=(6.0, -4.0), sigma=[(1.0, 0.5)])),
-        (64, "zero-flux", dict(b=(1.5, -1.0))),
-    ], ids=["nonlinear-2d", "degenerate-zero-value", "pure-drift"])
-    def test_2d_residual_at_round_off(self, n, boundary, fields):
-        grid = Grid.box2d((-4, -4), (4, 4), (n, n), boundary=boundary)
+        (96, dict(a=(0.5, 0.25, 0.125), b=(6.0, -4.0), sigma=[(1.0, 0.5)])),
+        (64, dict(b=(1.5, -1.0))),
+    ], ids=["nonlinear-2d", "degenerate", "pure-drift"])
+    def test_2d_residual_at_round_off(self, n, fields):
+        grid = Grid.box2d((-4, -4), (4, 4), (n, n))
         cs = CoefficientSet.from_fields(d=2, L=1, **fields)
         Lop = solver.assemble_generator(cs, grid, 0.0)
         M = identity(grid.npts, format="csr") - self.DT * Lop
         rhs = np.random.default_rng(5).standard_normal(grid.npts)
-        out = solver._ImplicitSystem(Lop, self.DT, 1.0, grid).solve(rhs)
+        out = solver._ImplicitSystem(Lop, self.DT, grid).solve(rhs)
         assert np.linalg.norm(M @ out - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
     def test_non_tridiagonal_1d_operator_rejected(self):
-        grid, Lop = self.drift_operator("zero-flux")
+        grid, Lop = self.drift_operator()
         wide = Lop.tolil()
         wide[0, 2] = 1.0
         with pytest.raises(SolverError, match="tridiagonal"):
-            solver._ImplicitSystem(csr_matrix(wide), self.DT, 1.0, grid)
+            solver._ImplicitSystem(csr_matrix(wide), self.DT, grid)
 
     def test_singular_1d_system_rejected(self):
-        # theta dt L = I makes I - theta dt L the zero matrix
+        # dt L = I makes I - dt L the zero matrix
         grid = Grid.line(-1, 1, 16)
         Lop = identity(grid.npts, format="csr") / self.DT
         with pytest.raises(SolverError, match="factorization"):
-            solver._ImplicitSystem(Lop, self.DT, 1.0, grid)
+            solver._ImplicitSystem(Lop, self.DT, grid)
 
 
 @st.composite
@@ -799,12 +790,11 @@ def family_coefficients(draw):
 
 class TestSeriesSums:
     @settings(max_examples=25, deadline=None)
-    @given(cs=family_coefficients(),
-           boundary=st.sampled_from(["zero-flux", "zero-value"]),
-           seed=st.integers(0, 2**16), width=st.floats(0.05, 0.5))
-    def test_series_match_compensated_sums(self, cs, boundary, seed, width):
+    @given(cs=family_coefficients(), seed=st.integers(0, 2**16),
+           width=st.floats(0.05, 0.5))
+    def test_series_match_compensated_sums(self, cs, seed, width):
         # floating sums stay within a few eps of the correctly rounded sums
-        grid = Grid.line(-6, 6, 96, boundary=boundary)
+        grid = Grid.line(-6, 6, 96)
         dt = 1e-3
         path = noise.generate(seed, 1, 60, dt)
         traj = solver.solve(cs, gaussian_density(grid, var=width), grid,
@@ -972,7 +962,7 @@ class TestStepperMemory:
 
     def test_finished_stepper_is_freed_without_the_cycle_collector(self,
                                                                     no_cycle_collector):
-        stepper = solver.Stepper(self.cs, self.grid, 1e-3, 1.0, True)
+        stepper = solver.Stepper(self.cs, self.grid, 1e-3, True)
         stepper.at(0)
         alive, system = weakref.ref(stepper), weakref.ref(stepper.system)
         del stepper
@@ -1038,24 +1028,23 @@ class TestBuildPolicyInvariance:
     # so a failure is reported as found, without a shrink phase
     @settings(max_examples=10, deadline=None,
               phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    @given(cs=family_coefficients(), theta=st.sampled_from([1.0, 0.5]),
-           seed=st.integers(0, 2**16),
+    @given(cs=family_coefficients(), seed=st.integers(0, 2**16),
            filt=st.tuples(st.floats(-1.0, 0.5), st.floats(0.5, 1.5),
                           st.floats(-1.0, 1.0), st.floats(0.5, 2.0)))
-    def test_static_and_time_dependent_builds_agree(self, cs, theta, seed, filt):
+    def test_static_and_time_dependent_builds_agree(self, cs, seed, filt):
         # t-independent fields give the same bits whether the operators are
         # built once or rebuilt every step
         grid = Grid.line(-6, 6, 96)
         dt, N = 1e-3, 30
         path = noise.generate(seed, 1, N, dt)
         u0 = gaussian_density(grid)
-        cfg = SolverConfig(dt=dt, theta=theta, store_every=1)
+        cfg = SolverConfig(dt=dt, store_every=1)
         runs = [flagged(cs, False), flagged(cs, True)]
 
         hists = [solver.solve(c, u0, grid, cfg, path, [N * dt]).full_history for c in runs]
         assert hists[0].tobytes() == hists[1].tobytes()
 
-        traj = solver.solve(cs, u0, grid, SolverConfig(dt=dt, store_every=1), path, [N * dt])
+        traj = solver.solve(cs, u0, grid, cfg, path, [N * dt])
         reps = [diagnostics.energy_report(traj, c, path) for c in runs]
         assert reps[0].measured == reps[1].measured
         assert reps[0].extra["per_step"].tobytes() == reps[1].extra["per_step"].tobytes()
@@ -1202,25 +1191,28 @@ class TestTrajectoryAndMisc:
         with pytest.warns(UserWarning, match=r"boundary cells hold 1\.00e\+00 "):
             solver._boundary_mass_guard(grid, u.ravel())
 
-    def test_theta_range_validated(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(dt=1e-3, theta=0.3)
-
     @pytest.mark.parametrize("store_every", [2, -1])
     def test_store_every_is_zero_or_one(self, store_every):
         with pytest.raises(ValidationError, match="store_every"):
             SolverConfig(dt=1e-3, store_every=store_every)
 
-    @pytest.mark.filterwarnings("ignore:boundary cells")
-    def test_zero_value_boundary_absorbs_mass(self):
-        # comparison boundary: a wall zero drains mass while zero-flux holds it
+    @pytest.mark.parametrize("build", [
+        lambda: SolverConfig(dt=1e-3, theta=1.0),
+        lambda: Grid.line(-2, 2, 64, boundary="zero-flux"),
+        lambda: Grid.box2d((-2, -1), (2, 1), (16, 8), boundary="zero-flux"),
+    ], ids=["SolverConfig-theta", "Grid.line-boundary", "Grid.box2d-boundary"])
+    def test_scheme_and_wall_are_not_options(self, build):
+        # backward Euler on zero-flux walls is the only discretization, so
+        # neither can be named, not even as the value every run uses
+        with pytest.raises(TypeError, match="theta|boundary"):
+            build()
+
+    def test_zero_flux_wall_holds_mass_that_reaches_it(self):
+        # the density spreads onto the walls, and what reaches them stays
         cs = CoefficientSet.from_fields(d=1, L=1, a=0.5)
-        path = zero_path(1, 200, 1e-3)
-        masses = {}
-        for boundary in ("zero-flux", "zero-value"):
-            grid = Grid.line(-2, 2, 64, boundary=boundary)
-            u0 = gaussian_density(grid, var=0.3)
-            traj = solver.solve(cs, u0, grid, SolverConfig(dt=1e-3), path, [0.2])
-            masses[boundary] = traj.mass_series[-1] / traj.mass_series[0]
-        assert masses["zero-flux"] == pytest.approx(1.0, abs=1e-12)
-        assert masses["zero-value"] < 0.995
+        grid = Grid.line(-2, 2, 64)
+        u0 = gaussian_density(grid, var=0.3)
+        with pytest.warns(UserWarning, match="boundary cells"):
+            traj = solver.solve(cs, u0, grid, SolverConfig(dt=1e-3),
+                                zero_path(1, 200, 1e-3), [0.2])
+        assert traj.mass_series[-1] / traj.mass_series[0] == pytest.approx(1.0, abs=1e-12)

@@ -62,7 +62,7 @@ grid = Grid.line(-8, 8, 2048)
 hist = np.random.default_rng(3).standard_normal((5001, grid.npts))
 traj = Trajectory(grid=grid, times=np.array([0.25]), fields=[],
                   mass_series=np.zeros(5001), l2_series=np.zeros(5001), dt=5e-5,
-                  theta=1.0, full_history=hist)
+                  full_history=hist)
 rep = diagnostics.continuity_modulus(
     traj, [TestFunction.bump((0.0,), 4.0), TestFunction.bump((1.0,), 3.0)])
 out = repr((rep.measured, rep.extra["moduli"])).encode()

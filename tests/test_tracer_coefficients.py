@@ -37,7 +37,7 @@ def _frozen_source():
     grid = Grid.line(-4, 4, 32)
     traj = Trajectory(grid=grid, times=np.array([2e-3]), fields=[],
                       mass_series=np.zeros(3), l2_series=np.zeros(3), dt=1e-3,
-                      theta=1.0, full_history=np.zeros((3, grid.npts)))
+                      full_history=np.zeros((3, grid.npts)))
     return frozen_source_coefficients(_from_fields_1d(), NonlinearSources.sin_of_u(0.1),
                                       traj)
 
