@@ -377,7 +377,6 @@ FILTER_CONFIG = """\
 [run]
 name = filter-acceptance
 seed = 12
-particle_seed = 7
 
 [grid]
 dim = 1
@@ -390,7 +389,6 @@ dt = 1e-3
 t_end = 0.25
 
 [filter]
-kind = linear-gaussian
 A = -0.5
 Q = 1.0
 H = 1.0

@@ -121,16 +121,8 @@ def _run_filter(bundle: ScenarioBundle, out: Path) -> None:
     ts = res.u.step_times
     write_csv(out / "moments.csv", ["t", "mean", "var", "mass"],
               [ts, mean, var, res.u.mass_series])
-    part_est, part_se = (np.nan, np.nan)
-    if bundle.n_particles:
-        X, w = flt.particle_ensemble(sc, truth, bundle.n_particles,
-                                     bundle.seeds["particles"])
-        part_est, part_se = flt.weighted_estimate(X, w, lambda p: np.ones(len(p)))
-    particle = np.full((2, len(ts)), np.nan)
-    particle[:, -1] = part_est, part_se    # the particle estimate is of the last step
-    write_csv(out / "oracle.csv",
-              ["t", "pde_mean", "kb_mean", "pde_var", "kb_var",
-               "particle_phi", "stderr"], [ts, mean, m_kb, var, P_kb, *particle])
+    write_csv(out / "oracle.csv", ["t", "pde_mean", "kb_mean", "pde_var", "kb_var"],
+              [ts, mean, m_kb, var, P_kb])
 
 
 def _sweep_commutator(bundle: ScenarioBundle, out: Path) -> None:
@@ -161,12 +153,9 @@ _RUNS = {
 
 # Keys of sections a command reads that the command itself does not read.
 _UNREAD_KEYS = {
-    "run-spde": {"run.particle_seed": "it draws no particles"},
     "run-filter": {"time.output_times": "its posterior snapshots are at fixed "
                                         "tenths of t_end"},
-    "picard": {"run.particle_seed": "it draws no particles"},
-    "sweep-commutator": {"run.seed": "it draws no driver path",
-                         "run.particle_seed": "it draws no particles"},
+    "sweep-commutator": {"run.seed": "it draws no driver path"},
 }
 
 
@@ -186,10 +175,12 @@ def cmd_run(args) -> int:
         raise ParseError(f"{args.subcommand} does not read [{unread[0]}]")
     if missing:
         raise ConfigurationError(f"config lacks a [{missing[0]}] section")
-    for key, why in _UNREAD_KEYS[args.subcommand].items():
+    for key, why in _UNREAD_KEYS.get(args.subcommand, {}).items():
         if key in bundle.raw:
             section, name = key.split(".")
             raise ParseError(f"{args.subcommand} does not read [{section}] {name}: {why}")
+    if body in (_run_spde, _picard):    # both keep every step of the solve
+        solver.check_history_size(round(bundle.t_end / bundle.dt), bundle.grid.npts)
     read = dict(grid=None, dt=None, L=None, seeds=None)
     if grid_record:
         grid = {"n": list(bundle.grid.n)}

@@ -3,12 +3,12 @@
 Sections and keys (all values are plain scalars, space-separated vectors, or
 field specs 'family:key=val,...'):
 
-    [run]           name, seed, particle_seed
+    [run]           name, seed
     [grid]          dim, x_min, x_max, n
     [time]          dt, t_end, output_times
     [coefficients]  L, mollify and the field keys of _coefficient_keys(dim, L)
     [initial]       u0
-    [filter]        kind, A, Q, H, R, prior_mean, prior_var, n_particles
+    [filter]        A, Q, H, R, prior_mean, prior_var
     [picard]        f (none, sin_of_u:scale=.. or linear_in_u:coeff=..), tol, max_iter
 
 ``parse_config`` is the one reader of this text: it returns the run's inputs
@@ -18,7 +18,8 @@ f(u) as a ``NonlinearSources`` kind and number), so a command only picks the
 ones it runs.  A source that does not depend on u is ``[coefficients] f``.
 Unknown sections or keys, and coefficient keys that the file's dim and L do
 not define, are rejected at parse time; numbers must be finite, and
-output_times must end at t_end.  The model invariants and the range checks
+output_times must end at t_end.  A grid of more than 2e8 points is refused
+before any grid-sized work.  The model invariants and the range checks
 run immediately so a bad scenario never reaches a solver.  The CLI reads the
 file and refuses a section or key that its command does not read;
 ``mollify`` means the same to run-spde and picard.  There is no key for the
@@ -31,21 +32,21 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, SizeError, ValidationError
 from .families import parse_field
 from .filtering import FilterScenario
 from .grids import Grid
 from .model import CoefficientSet
+from .noise import _MAX_ELEMENTS
 from .picard import NonlinearSources
 
 _SECTION_KEYS = {
-    "run": {"name", "seed", "particle_seed"},
+    "run": {"name", "seed"},
     "grid": {"dim", "x_min", "x_max", "n"},
     "time": {"dt", "t_end", "output_times"},
     "coefficients": None,  # the keys of _coefficient_keys(dim, L)
     "initial": {"u0"},
-    "filter": {"kind", "A", "Q", "H", "R", "prior_mean", "prior_var",
-               "n_particles"},
+    "filter": {"A", "Q", "H", "R", "prior_mean", "prior_var"},
     "picard": {"f", "tol", "max_iter"},
 }
 
@@ -85,7 +86,6 @@ class ScenarioBundle:
     tol: float
     max_iter: int
     filter: FilterScenario | None = None
-    n_particles: int = 0
     mollify_epsilon: float | None = None
     sections: tuple = ()
     raw: dict = field(default_factory=dict)  # section.key -> text, hashed
@@ -148,6 +148,9 @@ def parse_config(text: str) -> ScenarioBundle:
         return parts * dim if len(parts) == 1 else parts  # Grid checks the length
 
     grid = Grid(dim, vec("x_min", -8.0), vec("x_max", 8.0), vec("n", 64, int))
+    if grid.npts > _MAX_ELEMENTS:
+        raise SizeError(f"a grid of {' x '.join(map(str, grid.n))} points exceeds "
+                        f"the safety limit of {_MAX_ELEMENTS} points")
 
     # time
     dt = number("time", "dt", 1e-3)
@@ -187,22 +190,14 @@ def parse_config(text: str) -> ScenarioBundle:
             raise ParseError("[initial] lacks u0")
         u0_field = parse_field(get("initial", "u0"), dim)
 
-    seeds = {"path": number("run", "seed", 0, int),
-             "particles": number("run", "particle_seed", 1, int)}
-    if min(seeds.values()) < 0:
-        raise ValidationError("run.seed and run.particle_seed must be nonnegative")
+    seeds = {"path": number("run", "seed", 0, int)}
+    if seeds["path"] < 0:
+        raise ValidationError("run.seed must be nonnegative")
 
     filter_scenario = None
-    n_particles = number("filter", "n_particles", 0, int)
     if cp.has_section("filter"):
         if dim != 1:
             raise ValidationError(f"the linear-Gaussian [filter] is 1-d, got grid.dim = {dim}")
-        kind = get("filter", "kind", "linear-gaussian")
-        if kind != "linear-gaussian":
-            raise ParseError(f"unsupported filter kind {kind!r}")
-        if n_particles != 0 and n_particles < 100:
-            raise ValidationError(f"filter.n_particles must be 0 or at least 100, "
-                                  f"got {n_particles}")
         filter_scenario = FilterScenario.linear_gaussian(
             A=number("filter", "A", -0.5), Q=number("filter", "Q", 1.0),
             H=number("filter", "H", 1.0), R=number("filter", "R", 1.0),
@@ -237,6 +232,5 @@ def parse_config(text: str) -> ScenarioBundle:
                           output_times=output_times, coeffs=coeffs,
                           u0_field=u0_field, seeds=seeds, sources=sources,
                           tol=tol, max_iter=max_iter, filter=filter_scenario,
-                          n_particles=n_particles,
                           mollify_epsilon=mollify_epsilon,
                           sections=tuple(cp.sections()), raw=raw)

@@ -137,15 +137,9 @@ class ScalarField:
         return -(x - p["center"]) / p["width"] ** 2 * val[:, None]
 
 
-def zero(dim: int = 1) -> ScalarField:
-    return ScalarField("constant", dim, value=0.0)
-
-
 def parse_field(text: str, dim: int) -> ScalarField:
-    """Parse 'family:key=val,key=val' (or 'constant:0.5', or 'zero')."""
+    """Parse 'family:key=val,key=val' (or 'constant:0.5')."""
     text = text.strip()
-    if text in ("zero", "0"):
-        return zero(dim)
     name, _, body = text.partition(":")
     name = name.strip()
     if name not in FAMILY_NAMES:

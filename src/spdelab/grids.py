@@ -55,7 +55,7 @@ class Grid:
 
     @property
     def npts(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(map(int, self.n))    # exact, where an int64 product wraps
 
     def axis(self, i: int) -> np.ndarray:
         h = self.hs[i]

@@ -124,7 +124,9 @@ def picard_solve(coeffs: CoefficientSet, sources: NonlinearSources, u0,
     for it in range(1, max_iter + 1):
         traj = _linear_sweep(coeffs, grid, cfg, path, output_times, u0_vals, prev,
                              sources)
-        diffs = np.sqrt(np.sum((traj.full_history - prev) ** 2, axis=1) * vol)
+        diff = traj.full_history - prev
+        diffs = np.sqrt(np.sum(np.square(diff, out=diff), axis=1) * vol)
+        del diff    # not held through the next sweep
         sup_diff = float(np.max(diffs))
         ratio = sup_diff / log[-1][1] if log and log[-1][1] > 0 else math.nan
         log.append((it, sup_diff, ratio))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csr_matrix, get_index_dtype, identity
 from scipy.sparse.linalg import splu
 
 from .errors import (ConfigurationError, SizeError, SolverError, StabilityError,
@@ -88,14 +88,20 @@ def _neighbours(idx: np.ndarray, axis: int):
     return out
 
 
-def _stacked(lists, vals):
+def _stacked(lists, vals, dtype):
     """One per-site entry list per block, each broadcast to the shape of its
     block's values, stacked on a last axis and raveled in C order, so the
     triplets come block by block, site by site and, within a site, in list
-    order."""
-    return np.concatenate([
-        np.stack([np.broadcast_to(e, np.shape(v[0])) for e in entries], axis=-1).ravel()
-        for entries, v in zip(lists, vals)])
+    order; written as ``dtype`` into one array."""
+    shapes = [(*np.shape(v[0]), len(entries)) for entries, v in zip(lists, vals)]
+    out = np.empty(sum(map(math.prod, shapes)), dtype)
+    start = 0
+    for entries, shape in zip(lists, shapes):
+        block = out[start:start + math.prod(shape)].reshape(shape)
+        for k, e in enumerate(entries):
+            block[..., k] = e
+        start += block.size
+    return out
 
 
 # Patterns of the most recent operators; a time-dependent run builds the same
@@ -116,20 +122,27 @@ class _Pattern:
     """
 
     def __init__(self, rows, cols, keep, N: int):
-        src = np.flatnonzero(keep)
+        # rows and cols come in the smallest index dtype that holds the
+        # triplet count, and each intermediate is dropped once it is used
+        src = np.flatnonzero(keep).astype(rows.dtype)
         rows, cols = rows[src], cols[src]
-        by_row = np.argsort(rows, kind="stable")
+        by_row = np.argsort(rows, kind="stable").astype(rows.dtype)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=N))])
-        m = csr_matrix((by_row.astype(float), cols[by_row], indptr), shape=(N, N))
+        del rows
+        m = csr_matrix((by_row, cols[by_row], indptr), shape=(N, N))
+        del by_row, cols, indptr
         m.sort_indices()
-        trip = src[m.data.astype(np.intp)]
+        trip = src[m.data].astype(np.intp)
+        del src
         first = np.ones(m.nnz, bool)
         first[1:] = m.indices[1:] != m.indices[:-1]
         first[m.indptr[:-1][np.diff(m.indptr) > 0]] = True
         starts = np.flatnonzero(first)
+        del first
         runs = np.diff(np.append(starts, m.nnz))
         m.sum_duplicates()
         self.indptr, self.indices, self.shape = m.indptr, m.indices, m.shape
+        del m
         # runs longest first, so the runs that have a k-th triplet are a prefix
         longest = np.argsort(-runs, kind="stable")
         self.unsort = np.argsort(longest)
@@ -154,15 +167,17 @@ def _to_csr(op: str, grid: Grid, blocks) -> csr_matrix:
     the indices are stacked only when no pattern is cached for the operator,
     the grid's shape and the keep mask."""
     rows, cols, vals, keep = zip(*blocks)
-    keep = _stacked(keep, vals)
+    keep = _stacked(keep, vals, bool)
     key = (op, tuple(grid.n), np.packbits(keep).tobytes())
     pattern = _patterns.pop(key, None)
     if pattern is None:
-        pattern = _Pattern(_stacked(rows, vals), _stacked(cols, vals), keep, grid.npts)
+        index = get_index_dtype(maxval=keep.size)
+        pattern = _Pattern(_stacked(rows, vals, index), _stacked(cols, vals, index), keep,
+                           grid.npts)
     _patterns[key] = pattern
     if len(_patterns) > _PATTERN_CACHE_SIZE:
         _patterns.popitem(last=False)
-    return pattern.matrix(_stacked(vals, vals))
+    return pattern.matrix(_stacked(vals, vals, float))
 
 
 def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matrix:
@@ -475,32 +490,20 @@ def _caller_stacklevel() -> int:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Analytic test function: gaussian or compactly supported bump."""
+    """Compactly supported bump exp(-s / (1 - s)) with s = |x - center|^2 /
+    width^2, zero outside the ball of radius ``width``."""
 
     __test__ = False  # not a pytest case, despite the name
 
-    kind: str
     center: tuple
     width: float
 
     @classmethod
-    def gaussian(cls, center, width):
-        c = tuple(np.atleast_1d(np.asarray(center, float)))
-        return cls("gaussian", c, float(width))
-
-    @classmethod
     def bump(cls, center, width):
-        c = tuple(np.atleast_1d(np.asarray(center, float)))
-        return cls("bump", c, float(width))
-
-    @property
-    def support_radius(self) -> float:
-        return self.width if self.kind == "bump" else 8.5 * self.width
+        return cls(tuple(np.atleast_1d(np.asarray(center, float))), float(width))
 
     def value(self, X):
         s = self._s(X)
-        if self.kind == "gaussian":
-            return np.exp(-0.5 * s)
         out = np.zeros(s.shape)
         inside = s < 1.0
         out[inside] = np.exp(-s[inside] / (1.0 - s[inside]))
@@ -510,8 +513,6 @@ class TestFunction:
         X = np.asarray(X, float)
         diff = X - np.asarray(self.center)
         s = self._s(X)
-        if self.kind == "gaussian":
-            return -diff / self.width**2 * np.exp(-0.5 * s)[:, None]
         out = np.zeros_like(diff)
         inside = s < 1.0
         phi = np.exp(-s[inside] / (1.0 - s[inside]))
@@ -526,11 +527,6 @@ class TestFunction:
         s = self._s(X)
         out = np.zeros((m, d, d))
         eye = np.eye(d)
-        if self.kind == "gaussian":
-            phi = np.exp(-0.5 * s)
-            out = (np.einsum("mi,mj->mij", diff, diff) / self.width**4
-                   - eye[None, :, :] / self.width**2) * phi[:, None, None]
-            return out
         inside = s < 1.0
         si = s[inside]
         phi = np.exp(-si / (1.0 - si))
@@ -568,7 +564,7 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
             raise ConfigurationError(f"weak_residual needs the derivative hook '{name}'")
     grid = traj.grid
     for lo, hi, ci in zip(grid.x_min, grid.x_max, phi.center):
-        if ci - phi.support_radius <= lo or ci + phi.support_radius >= hi:
+        if ci - phi.width <= lo or ci + phi.width >= hi:
             raise TestFunctionError("test function support touches the boundary")
     pts = grid.points()
     vol = grid.cell_volume

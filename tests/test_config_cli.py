@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from spdelab import acceptance, cli, config, noise
 from spdelab.acceptance import FILTER_CONFIG, PICARD_CONFIG, SWEEP_CONFIG
 from spdelab.config import _SECTION_KEYS, _coefficient_keys, _leaves, parse_config
-from spdelab.errors import ParseError, SpdelabError, ValidationError
+from spdelab.errors import ParseError, SizeError, SpdelabError, ValidationError
 from spdelab.manifest import RunManifest, write_csv
+from spdelab.model import CoefficientSet
 from spdelab.mollifier import MollifierParams, mollified_coefficient_set
 from spdelab.picard import NonlinearSources, picard_solve
 from spdelab.solver import SolverConfig
@@ -78,6 +79,12 @@ class TestParseConfig:
         # either, not even the value every run uses
         ("t_end = 0.05", "t_end = 0.05\ntheta = 1.0", r"unknown key 'theta' in \[time\]"),
         ("n = 128", "n = 128\nboundary = zero-flux", r"unknown key 'boundary' in \[grid\]"),
+        # no claim reads a particle estimate, and the one filter is linear-Gaussian
+        ("seed = 0", "seed = 0\nparticle_seed = 7", r"unknown key 'particle_seed' in \[run\]"),
+        ("[initial]", "[filter]\nn_particles = 200\n\n[initial]",
+         r"unknown key 'n_particles' in \[filter\]"),
+        ("[initial]", "[filter]\nkind = linear-gaussian\n\n[initial]",
+         r"unknown key 'kind' in \[filter\]"),
     ])
     def test_removed_keys_rejected(self, old, new, match):
         with pytest.raises(ParseError, match=match):
@@ -99,16 +106,22 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text, match", [
         (FILTER_CONFIG.replace("dim = 1", "dim = 2"), "grid.dim"),
-        (FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nn_particles = 99"), "n_particles"),
         (PICARD_CONFIG.replace("tol = 1e-8", "tol = 0"), "tol"),
         (PICARD_CONFIG.replace("tol = 1e-8", "max_iter = 0"), "max_iter"),
-    ], ids=["filter-2d", "n_particles-99", "picard-tol-0", "picard-max_iter-0"])
+    ], ids=["filter-2d", "picard-tol-0", "picard-max_iter-0"])
     def test_range_checks_run_at_parse_time(self, text, match):
         with pytest.raises(ValidationError, match=match):
             parse_config(text)
 
-    def test_seeds_are_path_and_particles(self):
-        assert parse_config(HEAT).seeds == {"path": 0, "particles": 1}
+    def test_oversized_grid_is_refused_before_the_probe(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("an oversized grid was probed")
+        monkeypatch.setattr(CoefficientSet, "validate", reached)
+        with pytest.raises(SizeError, match="20000 x 20000 points"):
+            parse_config(OVERSIZED_GRID)
+
+    def test_seeds_are_the_path_seed(self):
+        assert parse_config(HEAT).seeds == {"path": 0}
 
     @pytest.mark.parametrize("dim, L, key", [
         (1, 1, "a11"), (1, 1, "b1"), (1, 1, "sigma0_1"),
@@ -273,12 +286,10 @@ dt = 2e-3
 t_end = 0.1
 
 [filter]
-kind = linear-gaussian
 A = -0.5
 Q = 1.0
 H = 1.0
 R = 1.0
-n_particles = 200
 """)
         rc = cli.main(["run-filter", "--config", str(cfg), "--out",
                        str(tmp_path / "runs")])
@@ -288,11 +299,9 @@ n_particles = 200
         assert names == ["manifest.json", "moments.csv", "oracle.csv",
                          "posterior.csv"]
         header = (run_dir / "oracle.csv").read_text().splitlines()[0]
-        assert header == "t,pde_mean,kb_mean,pde_var,kb_var,particle_phi,stderr"
-        # n_particles > 0: the particle estimate fills the last row only
+        assert header == "t,pde_mean,kb_mean,pde_var,kb_var"
         rows = np.loadtxt(run_dir / "oracle.csv", delimiter=",", skiprows=1)
-        assert np.all(np.isfinite(rows[-1, 5:])) and rows[-1, 6] > 0
-        assert np.all(np.isnan(rows[:-1, 5:]))
+        assert rows.shape == (51, 5) and np.all(np.isfinite(rows))
 
     @pytest.mark.parametrize("source", ["constant:0.1", "gaussian:amp=1,width=0.5"])
     def test_picard_2d_with_coefficient_source(self, tmp_path, source):
@@ -369,6 +378,9 @@ class TestCliSettings:
 # a (1e6 + 1) x 1e5 history, 745 GiB, refused before it is allocated
 OVERSIZED = (HEAT.replace("n = 128", "n = 100000").replace("dt = 1e-3", "dt = 1e-6")
              .replace("t_end = 0.05", "t_end = 1"))
+# 4e8 points, refused before the coefficients are probed on any grid
+OVERSIZED_GRID = (HEAT.replace("dim = 1", "dim = 2").replace("n = 128", "n = 20000")
+                  .replace("a = constant:0.5", "a11 = constant:0.5"))
 MOLLIFY_2E6 = HEAT.replace("a = constant:0.5", "a = constant:0.5\nmollify = 2e6")
 # 2a - sigma sigma^T = [[0, -1], [-1, 0]] has the eigenvalue -1, while each
 # diagonal entry 2a_ii - |sigma_i|^2 is 0
@@ -401,6 +413,14 @@ class TestCliErrors:
         "run-filter-theta": "error: unknown key 'theta' in [time]",
         "run-spde-boundary": "error: unknown key 'boundary' in [grid]",
         "run-filter-boundary": "error: unknown key 'boundary' in [grid]",
+        "run-spde-particle_seed": "error: unknown key 'particle_seed' in [run]",
+        "picard-particle_seed": "error: unknown key 'particle_seed' in [run]",
+        "sweep-commutator-particle_seed": "error: unknown key 'particle_seed' in [run]",
+        "run-filter-particle_seed": "error: unknown key 'particle_seed' in [run]",
+        "run-filter-n_particles": "error: unknown key 'n_particles' in [filter]",
+        "run-filter-kind": "error: unknown key 'kind' in [filter]",
+        "grid-too-large": "error: a grid of 20000 x 20000 points exceeds the safety "
+                          "limit of 200000000 points",
     }
 
     @staticmethod
@@ -447,8 +467,6 @@ class TestCliErrors:
         ("run-filter", acceptance.FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nprior_var = -1")),
         ("run-filter", FILTER_CONFIG.replace("t_end = 0.25", "t_end = -1")),
         ("run-filter", FILTER_CONFIG.replace("dim = 1", "dim = 2")),
-        ("run-filter", FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nn_particles = 5")),
-        ("run-filter", FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nn_particles = -5")),
         ("picard", PICARD_CONFIG.replace("tol = 1e-8", "tol = 0")),
         ("picard", PICARD_CONFIG.replace("tol = 1e-8", "tol = -1e-8")),
         ("picard", PICARD_CONFIG.replace("tol = 1e-8", "tol = 1e-8\nmax_iter = 0")),
@@ -463,6 +481,12 @@ class TestCliErrors:
         ("run-filter", FILTER_CONFIG.replace("t_end = 0.25", "t_end = 0.25\ntheta = 0.5")),
         ("run-spde", HEAT.replace("n = 128", "n = 128\nboundary = zero-flux")),
         ("run-filter", FILTER_CONFIG.replace("dim = 1", "dim = 1\nboundary = zero-value")),
+        *[(sub, base.replace("[run]\n", "[run]\nparticle_seed = 7\n", 1))
+          for sub, base in [("run-spde", HEAT), ("picard", PICARD_CONFIG),
+                            ("sweep-commutator", SWEEP_CONFIG), ("run-filter", FILTER_CONFIG)]],
+        ("run-filter", FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nn_particles = 200")),
+        ("run-filter", FILTER_CONFIG.replace("[filter]\n", "[filter]\nkind = linear-gaussian\n")),
+        ("run-spde", OVERSIZED_GRID),
     ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc",
             "picard-independent-width-abc", "field-unknown-parameter",
             "constant-unknown-parameter", "pwlinear-missing-knots",
@@ -474,12 +498,14 @@ class TestCliErrors:
             "output-time-repeated", "output-time-past-t_end",
             "last-output-time-before-t_end", "filter-t_end-negative",
             "filter-prior-var-negative",
-            "run-filter-t_end-negative", "run-filter-2d", "n_particles-5",
-            "n_particles-negative", "picard-tol-0", "picard-tol-negative",
+            "run-filter-t_end-negative", "run-filter-2d", "picard-tol-0", "picard-tol-negative",
             "picard-max_iter-0", "picard-scale-nan", "picard-coeff-inf",
             "run-spde-history-too-large", "picard-history-too-large", "mollify-2e6",
             "not-parabolic-2d", "run-spde-theta", "picard-theta", "run-filter-theta",
-            "run-spde-boundary", "run-filter-boundary"])
+            "run-spde-boundary", "run-filter-boundary", "run-spde-particle_seed",
+            "picard-particle_seed", "sweep-commutator-particle_seed",
+            "run-filter-particle_seed", "run-filter-n_particles", "run-filter-kind",
+            "grid-too-large"])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, request,
                                                   sub, text):
         rc, err, out = self.run(tmp_path, capsys, sub, text)
@@ -490,6 +516,16 @@ class TestCliErrors:
             assert err == self.MESSAGES[case] + "\n"
         assert "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("sub", ["run-spde", "picard"])
+    def test_oversized_history_is_refused_before_grid_sized_work(self, tmp_path, capsys,
+                                                                 monkeypatch, sub):
+        def reached(bundle):
+            raise AssertionError("an oversized run built its inputs")
+        monkeypatch.setattr(cli, "_spde_inputs", reached)
+        rc, err, out = self.run(tmp_path, capsys, sub, OVERSIZED)
+        assert rc == 1 and err == self.MESSAGES[f"{sub}-history-too-large"] + "\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["missing.cfg", "a-directory", "binary.cfg"])
     def test_unreadable_config_exits_1_naming_the_path(self, tmp_path, capsys, name):
@@ -524,10 +560,6 @@ class TestCliErrors:
         pytest.param("run-filter", FILTER_CONFIG.replace(
             "t_end = 0.25", "t_end = 0.25\noutput_times = 0.1 0.25"), "output_times",
             id="run-filter-output_times"),
-        *[pytest.param(sub, base.replace("[run]\n", "[run]\nparticle_seed = 7\n", 1),
-                       "particle_seed", id=f"{sub}-particle_seed")
-          for sub, base in [("run-spde", HEAT), ("picard", PICARD_CONFIG),
-                            ("sweep-commutator", SWEEP_CONFIG)]],
         pytest.param("sweep-commutator", SWEEP_CONFIG.replace("[run]\n", "[run]\nseed = 0\n"),
                      "seed", id="sweep-commutator-seed"),
     ])

@@ -152,13 +152,13 @@ class TestContinuityModulus:
         path = still_path(64, 1e-3)
         traj = solver.solve(cs, gaussian(grid), grid,
                             SolverConfig(dt=1e-3, store_every=1), path, [0.064])
-        rep = diag.continuity_modulus(traj, [TestFunction.gaussian((0.0,), 0.5)])
+        rep = diag.continuity_modulus(traj, [TestFunction.bump((0.0,), 2.0)])
         assert rep.measured == 0.0
         assert rep.passed
 
     def test_heat_is_linear_in_spacing(self):
         _, _, _, traj = heat_run(n=256, dt=5e-4, T=0.256)
-        rep = diag.continuity_modulus(traj, [TestFunction.gaussian((0.0,), 0.8)])
+        rep = diag.continuity_modulus(traj, [TestFunction.bump((0.0,), 4.0)])
         assert rep.passed
         lv = rep.extra["moduli"]["phi0"]
         assert 1.6 < lv[0] / lv[1] < 2.4 and 1.6 < lv[1] / lv[2] < 2.4
@@ -169,8 +169,8 @@ class TestContinuityModulus:
         grid = Grid.line(-8, 8, 256)
         res = flt.run_zakai(sc, truth, grid, SolverConfig(dt=5e-4, store_every=1))
         rep = diag.continuity_modulus(res.u,
-                                      [TestFunction.gaussian((0.0,), 0.8),
-                                       TestFunction.gaussian((0.5,), 0.6)])
+                                      [TestFunction.bump((0.0,), 4.0),
+                                       TestFunction.bump((0.5,), 3.0)])
         assert rep.passed
         lv = rep.extra["moduli"]["phi0"]
         ratios = [a / b for a, b in zip(lv, lv[1:])]

@@ -22,27 +22,27 @@ CONFIGS = {"run-spde": acceptance.HEAT_CONFIG, "run-filter": acceptance.FILTER_C
 # subcommand -> {path relative to the output root: sha256}
 GOLDEN = {
     "picard": {
-        "4ffdcbca5a45/iterates.csv":
+        "5097be096a90/iterates.csv":
             "10cf59e8e9621209e9131a81a65fb32627faabb6214250823626c994ed5765ad",
-        "4ffdcbca5a45/manifest.json":
-            "bfd6596990f21f36989d01a7e4231a2375bf013f04a4e0df80b8074a7c6fcc04",
+        "5097be096a90/manifest.json":
+            "5fb3626c013acebf23254cfccf740cbe655f08fefa4fbd1e328e58c30bb35e83",
     },
     "run-filter": {
-        "28c3c795705c/manifest.json":
-            "fc18e7ddc618d5b7deb907606d8064f38f3422e573c2245e74f4fdb37e8e286d",
-        "28c3c795705c/moments.csv":
+        "722c65c03f0c/manifest.json":
+            "315f841d26bfa6a73509a9096857ed31409817ea7b2f29dce71d7ecd67d33589",
+        "722c65c03f0c/moments.csv":
             "36455160d1076c535f2030e7d6fadb76beca4b9f5190942db3afb65e78221824",
-        "28c3c795705c/oracle.csv":
-            "766406615597fc1a99fceb08f7b5ab613766af6fb11d65ef920a6aec35a93310",
-        "28c3c795705c/posterior.csv":
+        "722c65c03f0c/oracle.csv":
+            "d867678b8976c4c7ab09620a7541cc1a20fc3d5732e82d64db062dd9c093282e",
+        "722c65c03f0c/posterior.csv":
             "76d093181fa5e33565c2455dbed6e590e38acc6dec6106bef38941ff900684a9",
     },
     "run-spde": {
-        "2f18a25a13c4/manifest.json":
-            "08b5156c5a441a2d4a7f5a0e88127d667c908a389f35f6116c5a068c23b09571",
-        "2f18a25a13c4/series.csv":
+        "213b12a0375c/manifest.json":
+            "b7091c4ab67f372a3759328c5444d32f67cb01cdcbfdf6dd5657b942d236e6dd",
+        "213b12a0375c/series.csv":
             "ec1fac34f721ca08fe625667bfdb69822ce2490a745bc35781df31a92e78d60c",
-        "2f18a25a13c4/trajectory.csv":
+        "213b12a0375c/trajectory.csv":
             "035fa72d2a3f55c2627aec8ebc9c07dad344eb40c0d97fab7cd6121fd01b7d20",
     },
     "sweep-commutator": {

@@ -107,6 +107,12 @@ class TestFamilies:
         xs = np.linspace(-2, 2, 11)
         assert np.array_equal(fld(xs), direct(xs))
 
+    @pytest.mark.parametrize("text", ["zero", "0"])
+    def test_zero_is_not_a_family(self, text):
+        # the zero field is the default of an absent key, or constant:0
+        with pytest.raises(ParseError, match="unknown field family"):
+            parse_field(text, 1)
+
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(0)
         fields = [

@@ -232,7 +232,7 @@ class TestMollifiedCoefficientSet:
         traj = solver.solve(frozen, u0, grid, SolverConfig(dt=1e-3, store_every=1), path,
                             [2e-3])
         with pytest.raises(ConfigurationError, match="derivative hook 'da'"):
-            solver.weak_residual(traj, TestFunction.gaussian((0.0,), 0.5), frozen, path)
+            solver.weak_residual(traj, TestFunction.bump((0.0,), 2.0), frozen, path)
         with pytest.raises(ConfigurationError, match="grid's points"):
             frozen.sigma(0.0, pts + 1e-3)
 

@@ -147,6 +147,6 @@ class TestPicardSolve:
         traj, _ = picard.picard_solve(cs, src, u0, grid, SolverConfig(dt=5e-4),
                                       path, tol=1e-10, output_times=[0.125, 0.25])
         frozen = picard.frozen_source_coefficients(cs, src, traj)
-        phi = TestFunction.gaussian((0.0,), 0.8)
+        phi = TestFunction.bump((0.0,), 4.0)
         res = solver.weak_residual(traj, phi, frozen, path)
         assert res < 5e-3

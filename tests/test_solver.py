@@ -14,7 +14,7 @@ from scipy.sparse.linalg import splu
 
 from spdelab import diagnostics, noise, picard, solver
 from spdelab import filtering as flt
-from spdelab.errors import (ConfigurationError, SolverError, StabilityError,
+from spdelab.errors import (ConfigurationError, SizeError, SolverError, StabilityError,
                             TestFunctionError, ValidationError)
 from spdelab.families import ScalarField
 from spdelab.grids import DensityField, Grid
@@ -511,12 +511,14 @@ class TestDuality:
         else:
             cs = CoefficientSet.from_fields(d=2, L=1, a=(F(), F() if cross else 0.0, F()),
                                             b=(F(), F()), c=F())
-        # support radius 8.5 * 0.45 < 4.2: the walls at +-5 stay outside it
+        # support radius 5 + 0.8 < 6: the walls at +-6 stay outside it
         center = data.draw(st.lists(st.floats(-0.8, 0.8), min_size=d, max_size=d))
-        phi = TestFunction.gaussian(center, 0.45)
-        n = 64 if d == 2 else 128
-        coarse, scale = self.gap(cs, phi, Grid(d, (-5.0,) * d, (5.0,) * d, (n,) * d))
-        fine, _ = self.gap(cs, phi, Grid(d, (-5.0,) * d, (5.0,) * d, (2 * n,) * d))
+        phi = TestFunction.bump(center, 5.0)
+        # the bump's steep edge needs about 50 cells across its radius before
+        # the h^2 term leads
+        n = 128 if d == 2 else 160
+        coarse, scale = self.gap(cs, phi, Grid(d, (-6.0,) * d, (6.0,) * d, (n,) * d))
+        fine, _ = self.gap(cs, phi, Grid(d, (-6.0,) * d, (6.0,) * d, (2 * n,) * d))
         if coarse > 1e-11 * scale:
             assert fine <= coarse / 3
 
@@ -924,7 +926,7 @@ class TestCoefficientEvaluations:
         assert counts == {"f": per_run, "g": per_run}
 
         counts.clear()
-        solver.weak_residual(traj, TestFunction.gaussian(0.0, 0.3), cs, path)
+        solver.weak_residual(traj, TestFunction.bump(0.0, 2.0), cs, path)
         assert counts == {"f": per_run, "g": per_run}
 
         def count_h(cs):
@@ -1048,7 +1050,7 @@ class TestBuildPolicyInvariance:
         reps = [diagnostics.energy_report(traj, c, path) for c in runs]
         assert reps[0].measured == reps[1].measured
         assert reps[0].extra["per_step"].tobytes() == reps[1].extra["per_step"].tobytes()
-        phi = TestFunction.gaussian(0.5, 0.4)
+        phi = TestFunction.bump(0.5, 3.0)
         residuals = [solver.weak_residual(traj, phi, c, path) for c in runs]
         assert residuals[0] == residuals[1]
 
@@ -1078,7 +1080,7 @@ class TestWeakResidual:
         path = zero_path(1, 50, 1e-3)
         traj = solver.solve(cs, gaussian_density(grid), grid,
                             SolverConfig(dt=1e-3, store_every=1), path, [0.05])
-        phi = TestFunction.gaussian((0.0,), 0.4)
+        phi = TestFunction.bump((0.0,), 3.0)
         assert solver.weak_residual(traj, phi, cs, path) <= 1e-12
 
     def test_heat_run_residual_small(self):
@@ -1088,7 +1090,7 @@ class TestWeakResidual:
         path = zero_path(1, n_steps, 1e-4)
         traj = solver.solve(cs, gaussian_density(grid), grid,
                             SolverConfig(dt=1e-4, store_every=1), path, [0.125, 0.25])
-        phi = TestFunction.gaussian((0.0,), 0.8)
+        phi = TestFunction.bump((0.0,), 4.0)
         assert solver.weak_residual(traj, phi, cs, path) <= 5e-3
 
     def test_wrong_drift_sign_is_flagged(self):
@@ -1100,7 +1102,7 @@ class TestWeakResidual:
         path = zero_path(1, 500, 5e-4)
         traj = solver.solve(good, gaussian_density(grid), grid,
                             SolverConfig(dt=5e-4, store_every=1), path, [0.25])
-        phi = TestFunction.gaussian((0.0,), 0.8)
+        phi = TestFunction.bump((0.0,), 4.0)
         r_good = solver.weak_residual(traj, phi, good, path)
         r_bad = solver.weak_residual(traj, phi, bad, path)
         assert r_bad > 10 * r_good
@@ -1112,7 +1114,7 @@ class TestWeakResidual:
         traj = solver.solve(cs, gaussian_density(grid, var=0.04), grid,
                             SolverConfig(dt=1e-3, store_every=1), path, [0.01])
         with pytest.raises(TestFunctionError):
-            solver.weak_residual(traj, TestFunction.gaussian((0.0,), 1.0), cs, path)
+            solver.weak_residual(traj, TestFunction.bump((0.0,), 3.0), cs, path)
 
     def test_stochastic_run_residual(self):
         grid = Grid.line(-8, 8, 256)
@@ -1120,7 +1122,7 @@ class TestWeakResidual:
         path = noise.generate(4, 1, 1000, 2.5e-4)
         traj = solver.solve(cs, gaussian_density(grid), grid,
                             SolverConfig(dt=2.5e-4, store_every=1), path, [0.25])
-        phi = TestFunction.gaussian((0.0,), 0.8)
+        phi = TestFunction.bump((0.0,), 4.0)
         assert solver.weak_residual(traj, phi, cs, path) <= 2e-2
 
     def test_stochastic_source_residual(self):
@@ -1131,11 +1133,18 @@ class TestWeakResidual:
         path = noise.generate(21, 1, 500, 5e-4)
         traj = solver.solve(cs, gaussian_density(grid), grid,
                             SolverConfig(dt=5e-4, store_every=1), path, [0.25])
-        phi = TestFunction.gaussian((0.0,), 0.8)
+        phi = TestFunction.bump((0.0,), 4.0)
         assert solver.weak_residual(traj, phi, cs, path) <= 5e-3
 
 
 class TestTrajectoryAndMisc:
+    def test_history_limit_counts_every_point(self):
+        # 2^32 x 2^32 points: an int64 product of n wraps to 0
+        grid = Grid.box2d((-1, -1), (1, 1), (2**32, 2**32))
+        assert grid.npts == 2**64
+        with pytest.raises(SizeError, match="safety limit"):
+            solver.check_history_size(1, grid.npts)
+
     def test_snapshot_lookup(self):
         grid = Grid.line(-2, 2, 32)
         cs = CoefficientSet.from_fields(d=1, L=1, a=0.1)
