@@ -20,7 +20,8 @@ Unknown sections or keys, and coefficient keys that the file's dim and L do
 not define, are rejected at parse time; numbers must be finite, and
 output_times must end at t_end.  A grid of more than 2e8 points is refused
 before any grid-sized work.  The model invariants and the range checks
-run immediately so a bad scenario never reaches a solver.  The CLI reads the
+run immediately, on a probe grid of at most ``PROBE_MAX_N`` points per axis,
+so a bad scenario never reaches a solver.  The CLI reads the
 file and refuses a section or key that its command does not read;
 ``mollify`` means the same to run-spde and picard.  There is no key for the
 scheme or the walls: every run steps backward Euler on zero-flux walls.
@@ -39,6 +40,11 @@ from .grids import Grid
 from .model import CoefficientSet
 from .noise import _MAX_ELEMENTS
 from .picard import NonlinearSources
+
+# points per axis of the grid the coefficients are validated on at parse
+# time: n // 8, at least 16 and at most this, so the probe stays small
+# however large the run's grid is
+PROBE_MAX_N = 256
 
 _SECTION_KEYS = {
     "run": {"name", "seed"},
@@ -181,7 +187,7 @@ def parse_config(text: str) -> ScenarioBundle:
             d=dim, L=L, **{name: fields(keys) for name, keys in layout.items()})
         times_probe = [0.0, t_end / 2 if t_end else 0.0]
         probe = Grid(dim, grid.x_min, grid.x_max,
-                     tuple(max(16, n // 8) for n in grid.n))
+                     tuple(min(max(16, n // 8), PROBE_MAX_N) for n in grid.n))
         coeffs.validate(probe, times_probe)
 
     u0_field = None

@@ -30,9 +30,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.sparse import csr_matrix, get_index_dtype, identity
-from scipy.sparse.linalg import splu
 
 from .errors import (ConfigurationError, SizeError, SolverError, StabilityError,
                      TestFunctionError, ValidationError)
@@ -41,6 +41,7 @@ from .model import PARABOLIC_TOL, CoefficientSet, _worst_defect, reuse_if_static
 from .noise import _MAX_ELEMENTS, BrownianPath
 
 BOUNDARY_MASS_WARN_FRACTION = 1e-6
+BANDED_MAX_K = 80  # widest 2-d half-bandwidth factored as a band; see _ImplicitSystem
 
 
 @dataclass(frozen=True)
@@ -280,25 +281,56 @@ class _ImplicitSystem:
 
     In 1-d the flux-form operator is tridiagonal by construction, so the
     matrix is factored with LAPACK gttrf (LU with partial pivoting) and each
-    step is one gttrs call.  In 2-d it is a sparse LU (splu, partial
-    pivoting as SuperLU's default) on a minimum-degree ordering of A + A^T:
-    every face flux couples its two cells both ways, so the pattern of
-    I - dt L is symmetric and that ordering fills less than the
-    default COLAMD, which orders A^T A.
+    step is one gttrs call.  In 2-d, cells are numbered along the last axis
+    first, so every entry lies within a half-bandwidth k of the diagonal:
+    k = n[1] without the cross term, n[1] + 1 with it.  Up to
+    ``BANDED_MAX_K`` the matrix is factored with LAPACK gbtrf (banded LU with
+    partial pivoting).  When no row was interchanged, L and U are band
+    triangles of half-bandwidth k and each step is two tbsv calls; otherwise
+    it is one gbtrs call, which also sweeps the k rows of pivoting fill.
+    ``BANDED_MAX_K`` is about where the banded solve stops being faster than
+    the sparse LU's.  Wider bands use that sparse LU (splu, partial pivoting
+    as SuperLU's default) on a minimum-degree ordering of A + A^T: every
+    face flux couples its two cells both ways, so the pattern of I - dt L is
+    symmetric and that ordering fills less than the default COLAMD, which
+    orders A^T A.  scipy.sparse.linalg is imported on first use of that path.
     """
 
     def __init__(self, Lop: csr_matrix, dt: float, grid: Grid):
         M = identity(Lop.shape[0], format="csr") - dt * Lop
+        coo = M.tocoo()
+        k = int(np.max(np.abs(coo.row - coo.col), initial=0))
         if grid.d == 1:
-            coo = M.tocoo()
-            if np.any(np.abs(coo.row - coo.col) > 1):
+            if k > 1:
                 raise SolverError("1-d implicit system is not tridiagonal")
             dl, d, du, du2, ipiv, info = dgttrf(M.diagonal(-1), M.diagonal(0),
                                                 M.diagonal(1))
             if info != 0:
                 raise SolverError(f"tridiagonal factorization failed (info={info})")
             self._solve = lambda r: dgttrs(dl, d, du, du2, ipiv, r)[0]
+        elif k <= BANDED_MAX_K:
+            # LAPACK band storage, rows [0, k) left for the pivoting fill:
+            # ab[2k + i - j, j] = M[i, j].  The buffer runs 2k past the band,
+            # so ``band(r)``, the same layout started r rows down, is a view;
+            # tbsv reads the first k + 1 rows of band(k) (U) and band(2k) (L)
+            rows, n = 3 * k + 1, M.shape[0]
+            buf = np.zeros(rows * n + 2 * k)
+
+            def band(r):
+                return buf[r:r + rows * n].reshape((rows, n), order="F")
+            ab = band(0)
+            ab[2 * k + coo.row - coo.col, coo.col] = coo.data
+            lu, ipiv, info = dgbtrf(ab, k, k, overwrite_ab=1)
+            if info != 0:
+                raise SolverError(f"banded factorization failed (info={info})")
+            if np.array_equal(ipiv, np.arange(n)):
+                up, lo = band(k), band(2 * k)
+                self._solve = lambda r: dtbsv(k, up, dtbsv(k, lo, r, lower=1, diag=1),
+                                              overwrite_x=1)
+            else:
+                self._solve = lambda r: dgbtrs(lu, k, k, r, ipiv)[0]
         else:
+            from scipy.sparse.linalg import splu
             self._solve = splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

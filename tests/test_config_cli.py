@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdelab import acceptance, cli, config, noise
+from spdelab import ScalarField, acceptance, cli, config, noise
 from spdelab.acceptance import FILTER_CONFIG, PICARD_CONFIG, SWEEP_CONFIG
 from spdelab.config import _SECTION_KEYS, _coefficient_keys, _leaves, parse_config
 from spdelab.errors import ParseError, SizeError, SpdelabError, ValidationError
@@ -378,6 +378,9 @@ class TestCliSettings:
 # a (1e6 + 1) x 1e5 history, 745 GiB, refused before it is allocated
 OVERSIZED = (HEAT.replace("n = 128", "n = 100000").replace("dt = 1e-3", "dt = 1e-6")
              .replace("t_end = 0.05", "t_end = 1"))
+# a 13 x 2^24 history, refused after a probe of at most PROBE_MAX_N points
+OVERSIZED_LINE = (HEAT.replace("n = 128", f"n = {2**24}")
+                  .replace("t_end = 0.05", "t_end = 0.012"))
 # 4e8 points, refused before the coefficients are probed on any grid
 OVERSIZED_GRID = (HEAT.replace("dim = 1", "dim = 2").replace("n = 128", "n = 20000")
                   .replace("a = constant:0.5", "a11 = constant:0.5"))
@@ -525,6 +528,21 @@ class TestCliErrors:
         monkeypatch.setattr(cli, "_spde_inputs", reached)
         rc, err, out = self.run(tmp_path, capsys, sub, OVERSIZED)
         assert rc == 1 and err == self.MESSAGES[f"{sub}-history-too-large"] + "\n"
+        assert not out.exists()
+
+    def test_oversized_run_probes_no_more_than_the_capped_grid(self, tmp_path, capsys,
+                                                               monkeypatch):
+        seen = []
+        evaluate = ScalarField.__call__
+
+        def counted(field, x):
+            seen.append(np.shape(x)[0])
+            return evaluate(field, x)
+        monkeypatch.setattr(ScalarField, "__call__", counted)
+        rc, err, out = self.run(tmp_path, capsys, "run-spde", OVERSIZED_LINE)
+        assert rc == 1 and err == ("error: a history of 13 steps x 16777216 points exceeds "
+                                   "the safety limit of 200000000 values\n")
+        assert seen and max(seen) <= config.PROBE_MAX_N
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["missing.cfg", "a-directory", "binary.cfg"])

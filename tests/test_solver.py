@@ -2,7 +2,11 @@ import collections
 import copy
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -757,6 +761,101 @@ class TestImplicitSystem:
         rhs = np.random.default_rng(5).standard_normal(grid.npts)
         out = solver._ImplicitSystem(Lop, self.DT, grid).solve(rhs)
         assert np.linalg.norm(M @ out - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n0=st.sampled_from([16, 24]),
+           n1=st.sampled_from([16, 33, solver.BANDED_MAX_K - 1, solver.BANDED_MAX_K,
+                               solver.BANDED_MAX_K + 1, 100]),
+           a12=st.sampled_from([0.0, 0.2, -0.15]),
+           b=st.tuples(st.floats(-6, 6), st.floats(-6, 6)),
+           c=st.floats(-1, 1), dt=st.sampled_from([DT, 0.05, 0.5]))
+    def test_2d_matches_sparse_lu_on_both_sides_of_the_cutoff(self, n0, n1, a12, b, c,
+                                                               dt):
+        # k is n1, plus one with the cross term: the sampled n1 put it on
+        # both sides of BANDED_MAX_K
+        from scipy.sparse.linalg import SuperLU
+        grid = Grid.box2d((-4, -4), (4, 4), (n0, n1))
+        a11 = ScalarField("sinusoidal", 2, amp=0.2, offset=0.5, freq=(0.7, 1.3))
+        cs = CoefficientSet.from_fields(d=2, L=1, a=(a11, a12, 0.4), b=b, c=c)
+        Lop = solver.assemble_generator(cs, grid, 0.0)
+        M = (identity(grid.npts, format="csr") - dt * Lop).tocsc()
+        rhs = np.random.default_rng(n0 * n1).standard_normal(grid.npts)
+        system = solver._ImplicitSystem(Lop, dt, grid)
+        k = n1 + (a12 != 0.0)
+        assert isinstance(getattr(system._solve, "__self__", None), SuperLU) == (
+            k > solver.BANDED_MAX_K)
+        out = system.solve(rhs)
+        ref = splu(M).solve(rhs)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("b, dt, routines", [
+        # no row interchange: the two band triangles
+        ((0.3, -0.2), DT, {"dtbsv": 2}),
+        # a drift that outweighs the diagonal forces row interchanges
+        ((6.0, -4.0), 0.5, {"dgbtrs": 1}),
+    ], ids=["triangles", "interchanges"])
+    def test_2d_banded_solve_routines(self, monkeypatch, b, dt, routines):
+        calls = collections.Counter()
+        for name in ("dtbsv", "dgbtrs"):
+            def counted(*args, _name=name, _fn=getattr(solver, name), **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(solver, name, counted)
+        grid = Grid.box2d((-4, -4), (4, 4), (16, 16))
+        cs = CoefficientSet.from_fields(d=2, L=1, a=(0.01, 0.005, 0.01), b=b)
+        Lop = solver.assemble_generator(cs, grid, 0.0)
+        rhs = np.random.default_rng(2).standard_normal(grid.npts)
+        out = solver._ImplicitSystem(Lop, dt, grid).solve(rhs)
+        assert calls == routines
+        ref = splu((identity(grid.npts, format="csr") - dt * Lop).tocsc()).solve(rhs)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_non_finite_rhs_raises_solver_error_after_interchanges(self):
+        grid = Grid.box2d((-4, -4), (4, 4), (16, 16))
+        cs = CoefficientSet.from_fields(d=2, L=1, a=(0.01, 0.005, 0.01), b=(6.0, -4.0))
+        system = solver._ImplicitSystem(solver.assemble_generator(cs, grid, 0.0), 0.5, grid)
+        rhs = np.ones(grid.npts)
+        rhs[100] = np.inf
+        with pytest.raises(SolverError, match="non-finite"):
+            system.solve(rhs)
+
+    def test_singular_2d_band_rejected(self):
+        # an all-zero column j of I - dt L leaves U[j, j] exactly zero
+        grid = Grid.box2d((-1, -1), (1, 1), (16, 16))
+        cs = CoefficientSet.from_fields(d=2, L=1, a=(0.5, 0.1, 0.4), b=(0.3, 0.0))
+        M = (identity(grid.npts, format="csr")
+             - self.DT * solver.assemble_generator(cs, grid, 0.0)).tolil()
+        M[:, 40] = 0.0
+        Lop = identity(grid.npts, format="csr") - csr_matrix(M)
+        with pytest.raises(SolverError, match=r"banded factorization failed \(info=41\)"):
+            solver._ImplicitSystem(Lop, 1.0, grid)
+
+    def test_sparse_lu_is_imported_only_for_wide_bands(self):
+        src = str(Path(solver.__file__).resolve().parents[1])
+        code = """
+import sys
+import numpy as np
+from spdelab import noise, solver
+from spdelab.grids import Grid
+from spdelab.model import CoefficientSet
+from spdelab.solver import SolverConfig
+
+def run(grid, cs):
+    path = noise.generate(1, 1, 3, 1e-3)
+    solver.solve(cs, np.ones(grid.npts), grid, SolverConfig(dt=1e-3), path, [3e-3])
+    return "scipy.sparse.linalg" in sys.modules
+
+print(run(Grid.line(-4, 4, 256), CoefficientSet.from_fields(d=1, L=1, a=0.5, b=0.3)))
+cs = CoefficientSet.from_fields(d=2, L=1, a=(0.6, 0.2, 0.5), b=(0.3, -0.2),
+                                sigma=[(0.5, 0.3)])
+print(run(Grid.box2d((-4, -4), (4, 4), (64, 64)), cs))
+print(run(Grid.box2d((-4, -4), (4, 4), (16, solver.BANDED_MAX_K)), cs))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == ["False", "False", "True"]
 
     def test_non_tridiagonal_1d_operator_rejected(self):
         grid, Lop = self.drift_operator()

@@ -67,6 +67,25 @@ rep = diagnostics.continuity_modulus(
     traj, [TestFunction.bump((0.0,), 4.0), TestFunction.bump((1.0,), 3.0)])
 out = repr((rep.measured, rep.extra["moduli"])).encode()
 """,
+    # a time-dependent 2-d solve at the widest band factored as one: gbtrf
+    # updates the band with BLAS-3 calls every step
+    "banded-2d": """
+import numpy as np
+from spdelab import noise, solver
+from spdelab.grids import Grid
+from spdelab.model import CoefficientSet
+from spdelab.solver import SolverConfig
+k = solver.BANDED_MAX_K
+grid = Grid.box2d((-4, -4), (4, 4), (64, k - 1))
+base = CoefficientSet.from_fields(d=2, L=1, a=(0.6, 0.2, 0.5), b=(0.3, -0.2),
+                                  sigma=[(0.5, 0.3)])
+cs = CoefficientSet(2, 1, lambda t, x: base.a(t, x) * (1 + 10 * t), base.b, base.c,
+                    base.sigma, base.h, base.f, base.g, time_dependent=True)
+u0 = np.exp(-np.sum(grid.points() ** 2, axis=1) / 0.5)
+traj = solver.solve(cs, u0, grid, SolverConfig(dt=1e-3, store_every=1),
+                    noise.generate(4, 1, 6, 1e-3), [6e-3])
+out = traj.full_history.tobytes()
+""",
 }
 
 
