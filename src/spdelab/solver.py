@@ -279,11 +279,20 @@ def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
 class _ImplicitSystem:
     """I - dt L, factored once; ``solve`` is the per-step solve.
 
+    ``last`` is the caller's record of its most recent factorization: empty,
+    or the indptr, indices and data bytes of that I - dt L with its solve.
+    A matrix with the same bytes takes that solve over and is not factored
+    again.  Any other matrix empties ``last`` before it is factored and
+    leaves its own record there once the factorization succeeds, so the old
+    factorization is released first and a failed one is never reused.
+
     In 1-d the flux-form operator is tridiagonal by construction, so the
     matrix is factored with LAPACK gttrf (LU with partial pivoting) and each
-    step is one gttrs call.  In 2-d, cells are numbered along the last axis
-    first, so every entry lies within a half-bandwidth k of the diagonal:
-    k = n[1] without the cross term, n[1] + 1 with it.  Up to
+    step is one gttrs call.  In 2-d, cells are numbered along the shorter
+    axis first (the last axis of a square box; on an n0 x n1 box with
+    n0 < n1, cell (i, j) takes number j n0 + i here, while the operators
+    keep i n1 + j), so every entry lies within a half-bandwidth k of the
+    diagonal: k = min(n) without the cross term, min(n) + 1 with it.  Up to
     ``BANDED_MAX_K`` the matrix is factored with LAPACK gbtrf (banded LU with
     partial pivoting).  When no row was interchanged, L and U are band
     triangles of half-bandwidth k and each step is two tbsv calls; otherwise
@@ -296,10 +305,20 @@ class _ImplicitSystem:
     orders A^T A.  scipy.sparse.linalg is imported on first use of that path.
     """
 
-    def __init__(self, Lop: csr_matrix, dt: float, grid: Grid):
+    def __init__(self, Lop: csr_matrix, dt: float, grid: Grid, last: list):
         M = identity(Lop.shape[0], format="csr") - dt * Lop
+        key = (M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes())
+        if last and last[0] == key:
+            self._solve = last[1]
+            return
+        last.clear()
         coo = M.tocoo()
-        k = int(np.max(np.abs(coo.row - coo.col), initial=0))
+        row, col = coo.row, coo.col
+        transposed = grid.d == 2 and grid.n[0] < grid.n[1]
+        if transposed:
+            n0, n1 = grid.n
+            row, col = row % n1 * n0 + row // n1, col % n1 * n0 + col // n1
+        k = int(np.max(np.abs(row - col), initial=0))
         if grid.d == 1:
             if k > 1:
                 raise SolverError("1-d implicit system is not tridiagonal")
@@ -319,7 +338,7 @@ class _ImplicitSystem:
             def band(r):
                 return buf[r:r + rows * n].reshape((rows, n), order="F")
             ab = band(0)
-            ab[2 * k + coo.row - coo.col, coo.col] = coo.data
+            ab[2 * k + row - col, col] = coo.data
             lu, ipiv, info = dgbtrf(ab, k, k, overwrite_ab=1)
             if info != 0:
                 raise SolverError(f"banded factorization failed (info={info})")
@@ -329,9 +348,14 @@ class _ImplicitSystem:
                                               overwrite_x=1)
             else:
                 self._solve = lambda r: dgbtrs(lu, k, k, r, ipiv)[0]
+            if transposed:
+                banded = self._solve
+                self._solve = lambda r: banded(r.reshape(n0, n1).T.ravel()).reshape(
+                    n1, n0).T.ravel()
         else:
             from scipy.sparse.linalg import splu
             self._solve = splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+        last[:] = key, self._solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         out = self._solve(rhs)
@@ -348,7 +372,10 @@ class Stepper:
     on first use.  Static coefficients build them once (at n = 0), and
     ``sources`` evaluates their f and g once; time-dependent ones rebuild
     and re-evaluate every step, releasing the previous step's operators
-    first, so one factorization is alive at a time.  With ``guard`` the
+    first.  The previous factorization goes with them unless the new
+    I - dt L has the same bytes, in which case it is reused: a set whose
+    operators do not move, such as the frozen-source set of a Picard solve,
+    factors once.  One factorization is alive at a time.  With ``guard`` the
     stability check runs at t = 0 and, for time-dependent coefficients,
     again at the start of every step.  The stepper holds no reference to
     itself, so reference counting frees it and its factorization.
@@ -360,6 +387,7 @@ class Stepper:
         self._static = not coeffs.time_dependent
         self._guard = guard
         self._n = None
+        self._factored = []   # the last factorization; see _ImplicitSystem
         self._check(0.0)
         f, g, pts = coeffs.f, coeffs.g, self.pts
 
@@ -385,7 +413,7 @@ class Stepper:
                 self._check(t)
             self.Lop = self.system = self._noise = self._n = None
             self.Lop = assemble_generator(self.coeffs, self.grid, t + 0.5 * self.dt)
-            self.system = _ImplicitSystem(self.Lop, self.dt, self.grid)
+            self.system = _ImplicitSystem(self.Lop, self.dt, self.grid, self._factored)
             self._noise = [None] * self.coeffs.L
             self._n = n
 

@@ -715,14 +715,14 @@ class TestImplicitSystem:
         ab[1] = M.diagonal(0)
         ab[2, :-1] = M.diagonal(-1)
         rhs = gaussian_density(grid) + np.sin(3 * grid.x)
-        out = solver._ImplicitSystem(Lop, dt, grid).solve(rhs)
+        out = solver._ImplicitSystem(Lop, dt, grid, []).solve(rhs)
         assert out.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
         ref = splu(M).solve(rhs)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_1d_rhs_left_untouched_and_system_reusable(self):
         grid, Lop = self.drift_operator()
-        sys_ = solver._ImplicitSystem(Lop, self.DT, grid)
+        sys_ = solver._ImplicitSystem(Lop, self.DT, grid, [])
         rhs = gaussian_density(grid)
         keep = rhs.copy()
         first = sys_.solve(rhs)
@@ -735,7 +735,7 @@ class TestImplicitSystem:
         rhs = gaussian_density(grid)
         rhs[40] = bad
         with pytest.raises(SolverError):
-            solver._ImplicitSystem(Lop, self.DT, grid).solve(rhs)
+            solver._ImplicitSystem(Lop, self.DT, grid, []).solve(rhs)
 
     def test_non_finite_rhs_raises_solver_error_2d(self):
         grid = Grid.box2d((-1, -1), (1, 1), (16, 16))
@@ -744,7 +744,7 @@ class TestImplicitSystem:
         rhs = np.ones(grid.npts)
         rhs[7] = np.nan
         with pytest.raises(SolverError):
-            solver._ImplicitSystem(Lop, self.DT, grid).solve(rhs)
+            solver._ImplicitSystem(Lop, self.DT, grid, []).solve(rhs)
 
     @pytest.mark.parametrize("n, fields", [
         # the nonlinear-2d workload's coefficients, cross term on
@@ -759,33 +759,56 @@ class TestImplicitSystem:
         Lop = solver.assemble_generator(cs, grid, 0.0)
         M = identity(grid.npts, format="csr") - self.DT * Lop
         rhs = np.random.default_rng(5).standard_normal(grid.npts)
-        out = solver._ImplicitSystem(Lop, self.DT, grid).solve(rhs)
+        out = solver._ImplicitSystem(Lop, self.DT, grid, []).solve(rhs)
         assert np.linalg.norm(M @ out - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
     @settings(max_examples=40, deadline=None)
-    @given(n0=st.sampled_from([16, 24]),
-           n1=st.sampled_from([16, 33, solver.BANDED_MAX_K - 1, solver.BANDED_MAX_K,
-                               solver.BANDED_MAX_K + 1, 100]),
+    @given(short=st.sampled_from([16, 33, solver.BANDED_MAX_K - 1, solver.BANDED_MAX_K,
+                                  solver.BANDED_MAX_K + 1]),
+           extra=st.sampled_from([0, 9]), short_first=st.booleans(),
            a12=st.sampled_from([0.0, 0.2, -0.15]),
            b=st.tuples(st.floats(-6, 6), st.floats(-6, 6)),
            c=st.floats(-1, 1), dt=st.sampled_from([DT, 0.05, 0.5]))
-    def test_2d_matches_sparse_lu_on_both_sides_of_the_cutoff(self, n0, n1, a12, b, c,
+    def test_2d_matches_sparse_lu_on_both_sides_of_the_cutoff(self, short, extra,
+                                                               short_first, a12, b, c,
                                                                dt):
-        # k is n1, plus one with the cross term: the sampled n1 put it on
-        # both sides of BANDED_MAX_K
+        # cells are numbered along the shorter axis first, whichever it is:
+        # k is its length, plus one with the cross term, and the sampled
+        # lengths put it on both sides of BANDED_MAX_K
         from scipy.sparse.linalg import SuperLU
-        grid = Grid.box2d((-4, -4), (4, 4), (n0, n1))
+        n = (short, short + extra) if short_first else (short + extra, short)
+        grid = Grid.box2d((-4, -4), (4, 4), n)
         a11 = ScalarField("sinusoidal", 2, amp=0.2, offset=0.5, freq=(0.7, 1.3))
         cs = CoefficientSet.from_fields(d=2, L=1, a=(a11, a12, 0.4), b=b, c=c)
         Lop = solver.assemble_generator(cs, grid, 0.0)
         M = (identity(grid.npts, format="csr") - dt * Lop).tocsc()
-        rhs = np.random.default_rng(n0 * n1).standard_normal(grid.npts)
-        system = solver._ImplicitSystem(Lop, dt, grid)
-        k = n1 + (a12 != 0.0)
+        rhs = np.random.default_rng(n[0] * n[1]).standard_normal(grid.npts)
+        system = solver._ImplicitSystem(Lop, dt, grid, [])
+        k = short + (a12 != 0.0)
         assert isinstance(getattr(system._solve, "__self__", None), SuperLU) == (
             k > solver.BANDED_MAX_K)
         out = system.solve(rhs)
         ref = splu(M).solve(rhs)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_box_longer_along_its_last_axis_is_banded_along_its_first(self, monkeypatch):
+        # numbered along the last axis, a 64 x 96 box with the cross term
+        # would have k = 97 and go to SuperLU; along its first axis k = 65
+        bands = []
+
+        def recorded(ab, kl, ku, **kw):
+            bands.append((kl, ku))
+            return dgbtrf(ab, kl, ku, **kw)
+        dgbtrf = solver.dgbtrf
+        monkeypatch.setattr(solver, "dgbtrf", recorded)
+        grid = Grid.box2d((-4, -4), (4, 4), (64, 96))
+        cs = CoefficientSet.from_fields(d=2, L=1, a=(0.6, 0.2, 0.5), b=(0.3, -0.2),
+                                        sigma=[(0.5, 0.3)])
+        Lop = solver.assemble_generator(cs, grid, 0.0)
+        rhs = np.random.default_rng(7).standard_normal(grid.npts)
+        out = solver._ImplicitSystem(Lop, self.DT, grid, []).solve(rhs)
+        assert bands == [(65, 65)]
+        ref = splu((identity(grid.npts, format="csr") - self.DT * Lop).tocsc()).solve(rhs)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("b, dt, routines", [
@@ -805,7 +828,7 @@ class TestImplicitSystem:
         cs = CoefficientSet.from_fields(d=2, L=1, a=(0.01, 0.005, 0.01), b=b)
         Lop = solver.assemble_generator(cs, grid, 0.0)
         rhs = np.random.default_rng(2).standard_normal(grid.npts)
-        out = solver._ImplicitSystem(Lop, dt, grid).solve(rhs)
+        out = solver._ImplicitSystem(Lop, dt, grid, []).solve(rhs)
         assert calls == routines
         ref = splu((identity(grid.npts, format="csr") - dt * Lop).tocsc()).solve(rhs)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -813,7 +836,8 @@ class TestImplicitSystem:
     def test_non_finite_rhs_raises_solver_error_after_interchanges(self):
         grid = Grid.box2d((-4, -4), (4, 4), (16, 16))
         cs = CoefficientSet.from_fields(d=2, L=1, a=(0.01, 0.005, 0.01), b=(6.0, -4.0))
-        system = solver._ImplicitSystem(solver.assemble_generator(cs, grid, 0.0), 0.5, grid)
+        system = solver._ImplicitSystem(solver.assemble_generator(cs, grid, 0.0), 0.5, grid,
+                                        [])
         rhs = np.ones(grid.npts)
         rhs[100] = np.inf
         with pytest.raises(SolverError, match="non-finite"):
@@ -828,7 +852,7 @@ class TestImplicitSystem:
         M[:, 40] = 0.0
         Lop = identity(grid.npts, format="csr") - csr_matrix(M)
         with pytest.raises(SolverError, match=r"banded factorization failed \(info=41\)"):
-            solver._ImplicitSystem(Lop, 1.0, grid)
+            solver._ImplicitSystem(Lop, 1.0, grid, [])
 
     def test_sparse_lu_is_imported_only_for_wide_bands(self):
         src = str(Path(solver.__file__).resolve().parents[1])
@@ -849,7 +873,7 @@ print(run(Grid.line(-4, 4, 256), CoefficientSet.from_fields(d=1, L=1, a=0.5, b=0
 cs = CoefficientSet.from_fields(d=2, L=1, a=(0.6, 0.2, 0.5), b=(0.3, -0.2),
                                 sigma=[(0.5, 0.3)])
 print(run(Grid.box2d((-4, -4), (4, 4), (64, 64)), cs))
-print(run(Grid.box2d((-4, -4), (4, 4), (16, solver.BANDED_MAX_K)), cs))
+print(run(Grid.box2d((-4, -4), (4, 4), (96, solver.BANDED_MAX_K)), cs))
 """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -862,14 +886,14 @@ print(run(Grid.box2d((-4, -4), (4, 4), (16, solver.BANDED_MAX_K)), cs))
         wide = Lop.tolil()
         wide[0, 2] = 1.0
         with pytest.raises(SolverError, match="tridiagonal"):
-            solver._ImplicitSystem(csr_matrix(wide), self.DT, grid)
+            solver._ImplicitSystem(csr_matrix(wide), self.DT, grid, [])
 
     def test_singular_1d_system_rejected(self):
         # dt L = I makes I - dt L the zero matrix
         grid = Grid.line(-1, 1, 16)
         Lop = identity(grid.npts, format="csr") / self.DT
         with pytest.raises(SolverError, match="factorization"):
-            solver._ImplicitSystem(Lop, self.DT, grid)
+            solver._ImplicitSystem(Lop, self.DT, grid, [])
 
 
 @st.composite
@@ -921,6 +945,109 @@ def flag_zakai(monkeypatch, time_dependent, wrap=lambda cs: cs):
     declared = flt.zakai_coefficients
     monkeypatch.setattr(flt, "zakai_coefficients",
                         lambda sc: wrap(flagged(declared(sc), time_dependent)))
+
+
+def time_scaled(cs):
+    """``cs`` with a(t) = (1 + 10 t) a(0): the generator moves every step."""
+    return CoefficientSet(cs.d, cs.L, lambda t, x: cs.a(t, x) * (1 + 10 * t), cs.b, cs.c,
+                          cs.sigma, cs.h, cs.f, cs.g, time_dependent=True)
+
+
+class TestFactorizationReuse:
+    """A stepper factors I - dt L again only when its bytes change, and the
+    factorization it keeps gives the bytes of a fresh one."""
+
+    DT, N = 1e-3, 6
+    FIELDS_2D = dict(d=2, L=1, a=(0.6, 0.2, 0.5), b=(0.3, -0.2), sigma=[(0.5, 0.3)])
+    CASES = {
+        "tridiagonal": (Grid.line(-4, 4, 64), "dgttrf",
+                        dict(d=1, L=1, a=0.5, b=0.3, sigma=0.4)),
+        "banded": (Grid.box2d((-4, -4), (4, 4), (16, 24)), "dgbtrf", FIELDS_2D),
+        "sparse-lu": (Grid.box2d((-4, -4), (4, 4), (solver.BANDED_MAX_K,) * 2), "splu",
+                      FIELDS_2D),
+    }
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """Counts of the LAPACK and SuperLU factorizations."""
+        import scipy.sparse.linalg
+        counts = collections.Counter()
+        for module, name in ((solver, "dgttrf"), (solver, "dgbtrf"),
+                             (scipy.sparse.linalg, "splu")):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kw):
+                counts[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def case(self, kind):
+        grid, routine, fields = self.CASES[kind]
+        u0 = np.exp(-np.sum(grid.points() ** 2, axis=1) / 0.5)
+        return grid, routine, CoefficientSet.from_fields(**fields), u0
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_frozen_source_solve_factors_once(self, factored, monkeypatch, kind):
+        grid, routine, cs, u0 = self.case(kind)
+        path = noise.generate(3, 1, self.N, self.DT)
+        src = picard.NonlinearSources.sin_of_u(0.1)
+        traj, _ = picard.picard_solve(cs, src, u0, grid, SolverConfig(dt=self.DT), path)
+        frozen = picard.frozen_source_coefficients(cs, src, traj)
+        cfg = SolverConfig(dt=self.DT, store_every=1)
+
+        factored.clear()
+        once = solver.solve(frozen, u0, grid, cfg, path, [self.N * self.DT])
+        assert factored == {routine: 1}
+
+        # the same solve, handed an empty record at every build
+        init = solver._ImplicitSystem.__init__
+        monkeypatch.setattr(solver._ImplicitSystem, "__init__",
+                            lambda system, Lop, dt, grid, last: init(system, Lop, dt,
+                                                                     grid, []))
+        factored.clear()
+        every = solver.solve(frozen, u0, grid, cfg, path, [self.N * self.DT])
+        assert factored == {routine: self.N}
+        assert once.full_history.tobytes() == every.full_history.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_moving_generator_refactors_every_step(self, factored, kind):
+        grid, routine, cs, u0 = self.case(kind)
+        path = noise.generate(3, 1, self.N, self.DT)
+        solver.solve(time_scaled(cs), u0, grid, SolverConfig(dt=self.DT), path,
+                     [self.N * self.DT])
+        assert factored == {routine: self.N}
+
+    def test_one_ulp_in_one_entry_refactors(self, factored):
+        grid, _, cs, _ = self.case("banded")
+        Lop = solver.assemble_generator(cs, grid, 0.0)
+        dt = 2.0 ** -10     # dt L is exact, and off the diagonal I - dt L is -dt L
+        last = []
+        first = solver._ImplicitSystem(Lop, dt, grid, last)
+        again = solver._ImplicitSystem(Lop.copy(), dt, grid, last)
+        assert factored == {"dgbtrf": 1} and again._solve is first._solve
+
+        moved = Lop.copy()
+        rows = np.repeat(np.arange(grid.npts), np.diff(moved.indptr))
+        j = np.flatnonzero((moved.indices != rows) & (moved.data != 0.0))[0]
+        moved.data[j] = np.nextafter(moved.data[j], np.inf)
+        third = solver._ImplicitSystem(moved, dt, grid, last)
+        assert factored == {"dgbtrf": 2} and third._solve is not first._solve
+        assert last[1] is third._solve
+
+    def test_failed_factorization_is_never_reused(self, factored):
+        # an all-zero column of I - dt L, as in test_singular_2d_band_rejected
+        grid = Grid.box2d((-1, -1), (1, 1), (16, 16))
+        cs = CoefficientSet.from_fields(d=2, L=1, a=(0.5, 0.1, 0.4), b=(0.3, 0.0))
+        Lop = solver.assemble_generator(cs, grid, 0.0)
+        M = (identity(grid.npts, format="csr") - Lop).tolil()
+        M[:, 40] = 0.0
+        singular = identity(grid.npts, format="csr") - csr_matrix(M)
+        last = []
+        solver._ImplicitSystem(Lop, 1.0, grid, last)
+        for _ in range(2):
+            with pytest.raises(SolverError, match="banded factorization failed"):
+                solver._ImplicitSystem(singular, 1.0, grid, last)
+            assert last == []
+        assert factored == {"dgbtrf": 3}
 
 
 class TestStepperBuilds:
@@ -1054,8 +1181,9 @@ def no_cycle_collector():
 
 
 class TestStepperMemory:
-    """Reference counting alone frees a finished stepper, and a
-    time-dependent run holds one factorization at a time."""
+    """Reference counting alone frees a finished stepper and the
+    factorization it reused, and a time-dependent run holds one
+    factorization at a time, releasing the old one before it factors anew."""
 
     grid = Grid.box2d((-4, -4), (4, 4), (16, 16))
     cs = CoefficientSet.from_fields(d=2, L=1, a=(0.6, 0.2, 0.5), b=(0.3, -0.2),
@@ -1088,6 +1216,35 @@ class TestStepperMemory:
         monkeypatch.setattr(solver._ImplicitSystem, "__init__", tracked)
         solver.solve(frozen, u0, self.grid, SolverConfig(dt=dt), path, [N * dt])
         assert alive_at_build == [0] * N
+
+    def test_reused_factorization_is_freed_with_its_stepper(self, no_cycle_collector):
+        stepper = solver.Stepper(flagged(self.cs, True), self.grid, 1e-3, True)
+        stepper.at(0)
+        solve = weakref.ref(stepper.system._solve)
+        stepper.at(1)
+        assert stepper.system._solve is solve()
+        del stepper
+        assert solve() is None
+
+    def test_old_factorization_is_gone_before_a_new_one_is_built(self, monkeypatch,
+                                                                   no_cycle_collector):
+        N, dt = 6, 1e-3
+        solves, alive_at_factor = weakref.WeakSet(), []
+        init, dgbtrf = solver._ImplicitSystem.__init__, solver.dgbtrf
+
+        def tracked(system, *args):
+            init(system, *args)
+            solves.add(system._solve)
+
+        def factor(*args, **kw):
+            alive_at_factor.append(len(solves))
+            return dgbtrf(*args, **kw)
+        monkeypatch.setattr(solver._ImplicitSystem, "__init__", tracked)
+        monkeypatch.setattr(solver, "dgbtrf", factor)
+        u0 = np.exp(-np.sum(self.grid.points() ** 2, axis=1) / 0.5)
+        solver.solve(time_scaled(self.cs), u0, self.grid, SolverConfig(dt=dt),
+                     noise.generate(3, 1, N, dt), [N * dt])
+        assert alive_at_factor == [0] * N
 
 
 class TestTrajectorySeries:

@@ -67,8 +67,9 @@ rep = diagnostics.continuity_modulus(
     traj, [TestFunction.bump((0.0,), 4.0), TestFunction.bump((1.0,), 3.0)])
 out = repr((rep.measured, rep.extra["moduli"])).encode()
 """,
-    # a time-dependent 2-d solve at the widest band factored as one: gbtrf
-    # updates the band with BLAS-3 calls every step
+    # a time-dependent 2-d solve at the widest band factored as one, along
+    # the shorter first axis: gbtrf updates the band with BLAS-3 calls every
+    # step
     "banded-2d": """
 import numpy as np
 from spdelab import noise, solver
@@ -76,7 +77,7 @@ from spdelab.grids import Grid
 from spdelab.model import CoefficientSet
 from spdelab.solver import SolverConfig
 k = solver.BANDED_MAX_K
-grid = Grid.box2d((-4, -4), (4, 4), (64, k - 1))
+grid = Grid.box2d((-4, -4), (4, 4), (k - 1, 96))
 base = CoefficientSet.from_fields(d=2, L=1, a=(0.6, 0.2, 0.5), b=(0.3, -0.2),
                                   sigma=[(0.5, 0.3)])
 cs = CoefficientSet(2, 1, lambda t, x: base.a(t, x) * (1 + 10 * t), base.b, base.c,
