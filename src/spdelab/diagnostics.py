@@ -86,7 +86,7 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet,
     """Accumulate the discrete Ito energy balance and report the net defect.
 
     Per step, with ubar the drift-only implicit update and w the explicit
-    noise increment, the budget is
+    noise increment from ``Stepper.add_noise``, the budget is
 
         generator:   2 dt <L ubar + f, ubar>
         martingale:  2 <u_n, w_n>
@@ -112,11 +112,7 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet,
         stepper.at(n)
         u = hist[n]
         fv, gv, forced = stepper.sources(n)
-        w = np.zeros_like(u)
-        for l in range(coeffs.L):
-            dB = path.increments[n, l]
-            if dB != 0.0:
-                w += (stepper.noise_op(l) @ u + gv[:, l]) * dB
+        w = stepper.add_noise(np.zeros_like(u), u, gv, path.increments[n])
         ubar = stepper.system.solve(u + dt * fv)
         inner = _dot(stepper.Lop @ ubar, ubar)
         if forced:

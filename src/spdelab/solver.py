@@ -413,7 +413,8 @@ class Stepper:
                 self._check(t)
             self.Lop = self.system = self._noise = self._n = None
             self.Lop = assemble_generator(self.coeffs, self.grid, t + 0.5 * self.dt)
-            self.system = _ImplicitSystem(self.Lop, self.dt, self.grid, self._factored)
+            last = [] if self._static else self._factored   # built once: nothing to compare
+            self.system = _ImplicitSystem(self.Lop, self.dt, self.grid, last)
             self._noise = [None] * self.coeffs.L
             self._n = n
 
@@ -423,6 +424,13 @@ class Stepper:
             self._noise[l] = assemble_noise_op(self.coeffs, self.grid,
                                                self._n * self.dt, l)
         return self._noise[l]
+
+    def add_noise(self, out: np.ndarray, u: np.ndarray, g: np.ndarray, dB) -> np.ndarray:
+        """out += sum_l (M^l u + g^l) dB^l of the current step, driver by driver."""
+        for l in range(self.coeffs.L):
+            if dB[l] != 0.0:
+                out += (self.noise_op(l) @ u + g[:, l]) * dB[l]
+        return out
 
     def advance(self, u: np.ndarray, n: int, dB, f=None) -> np.ndarray:
         """u_{n+1} from u_n along driver increments dB; ``f`` (m,) is an
@@ -434,10 +442,7 @@ class Stepper:
             fv = fv + f
         if f is not None or f_nonzero:
             rhs += self.dt * fv
-        for l in range(self.coeffs.L):
-            if dB[l] != 0.0:
-                rhs += (self.noise_op(l) @ u + gv[:, l]) * dB[l]
-        return self.system.solve(rhs)
+        return self.system.solve(self.add_noise(rhs, u, gv, dB))
 
 
 def solve(coeffs: CoefficientSet, u0, grid: Grid, cfg: SolverConfig,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdelab import diagnostics as diag
 from spdelab import filtering as flt
@@ -100,7 +102,86 @@ class TestL1Report:
         assert np.max(np.abs(traj.mass_series - expected)) < 1e-10
 
 
+def bumps():
+    """Zero (None) or a gaussian bump."""
+    return st.one_of(st.none(), st.builds(
+        ScalarField, st.just("gaussian"), st.just(1), amp=st.floats(-1, 1),
+        center=st.floats(-1, 1), width=st.floats(0.3, 1)))
+
+
+@st.composite
+def energy_sets(draw):
+    """Random 1-d sets with one or two drivers, f and each g^l zero or a
+    bump, under either build policy; a = 1/2 holds sum_l sigma_l^2 <= 2a."""
+    L = draw(st.sampled_from([1, 2]))
+    per_driver = st.lists(st.floats(-0.5, 0.5), min_size=L, max_size=L)
+    cs = CoefficientSet.from_fields(
+        d=1, L=L, a=0.5, b=draw(st.floats(-1, 1)), sigma=draw(per_driver),
+        h=draw(per_driver), f=draw(bumps()),
+        g=draw(st.lists(bumps(), min_size=L, max_size=L)))
+    cs.time_dependent = draw(st.booleans())
+    return cs
+
+
+def reference_energy(cs, u0, grid, dt, path):
+    """The step and the energy balance written out by hand, each with its own
+    loop over the drivers: the solve's history, |sum_n defect_n| and the
+    per-step defects."""
+    def dot(x, y):
+        return float(np.einsum("i,i->", x, y))
+    N, vol = path.n_steps, grid.cell_volume
+    step = solver.Stepper(cs, grid, dt, True)
+    hist = [u0]
+    for n in range(N):
+        u = hist[n]
+        step.at(n)
+        rhs = u.copy()
+        fv, gv, f_nonzero = step.sources(n)
+        if f_nonzero:
+            rhs += dt * fv
+        for l in range(cs.L):
+            if path.increments[n, l] != 0.0:
+                rhs += (step.noise_op(l) @ u + gv[:, l]) * path.increments[n, l]
+        hist.append(step.system.solve(rhs))
+    check = solver.Stepper(cs, grid, dt, False)
+    net, per_step = 0.0, np.zeros(N)
+    for n in range(N):
+        check.at(n)
+        u = hist[n]
+        fv, gv, forced = check.sources(n)
+        w = np.zeros_like(u)
+        for l in range(cs.L):
+            dB = path.increments[n, l]
+            if dB != 0.0:
+                w += (check.noise_op(l) @ u + gv[:, l]) * dB
+        ubar = check.system.solve(u + dt * fv)
+        inner = dot(check.Lop @ ubar, ubar)
+        if forced:
+            inner += dot(fv, ubar)
+        d = ((dot(hist[n + 1], hist[n + 1]) - dot(u, u)) * vol - 2.0 * dt * inner * vol
+             - 2.0 * dot(u, w) * vol - dot(w, w) * vol)
+        net += d
+        per_step[n] = d
+    return np.array(hist), abs(net), per_step
+
+
 class TestEnergyReport:
+    @settings(max_examples=20, deadline=None)
+    @given(cs=energy_sets(), seed=st.integers(0, 2**16), skip=st.integers(2, 5))
+    def test_matches_the_reference_loops_bitwise(self, cs, seed, skip):
+        # driver 0 is still on every skip-th step, so its term is left out there
+        grid, dt, N = Grid.line(-8, 8, 128), 1e-3, 20
+        inc = noise.generate(seed, cs.L, N, dt).increments.copy()
+        inc[::skip, 0] = 0.0
+        path = noise.BrownianPath(L=cs.L, n_steps=N, dt=dt, increments=inc, seed=seed)
+        u0 = gaussian(grid)
+        traj = solver.solve(cs, u0, grid, SolverConfig(dt=dt, store_every=1), path, [N * dt])
+        rep = diag.energy_report(traj, cs, path)
+        hist, measured, per_step = reference_energy(cs, u0, grid, dt, path)
+        assert np.array_equal(traj.full_history, hist)
+        assert rep.measured == measured
+        assert np.array_equal(rep.extra["per_step"], per_step)
+
     def test_zero_coefficients_defect_zero(self):
         grid = Grid.line(-4, 4, 64)
         cs = CoefficientSet.from_fields(d=1, L=1)

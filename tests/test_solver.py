@@ -1217,6 +1217,23 @@ class TestStepperMemory:
         solver.solve(frozen, u0, self.grid, SolverConfig(dt=dt), path, [N * dt])
         assert alive_at_build == [0] * N
 
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_only_a_time_dependent_solve_keeps_a_record(self, monkeypatch, time_dependent):
+        # a static stepper builds its one system and has nothing to compare
+        steppers = []
+
+        class Recorded(solver.Stepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                steppers.append(self)
+        monkeypatch.setattr(solver, "Stepper", Recorded)
+        N, dt = 4, 1e-3
+        u0 = np.exp(-np.sum(self.grid.points() ** 2, axis=1) / 0.5)
+        solver.solve(flagged(self.cs, time_dependent), u0, self.grid, SolverConfig(dt=dt),
+                     noise.generate(3, 1, N, dt), [N * dt])
+        [stepper] = steppers
+        assert bool(stepper._factored) == time_dependent
+
     def test_reused_factorization_is_freed_with_its_stepper(self, no_cycle_collector):
         stepper = solver.Stepper(flagged(self.cs, True), self.grid, 1e-3, True)
         stepper.at(0)
