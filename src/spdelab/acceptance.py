@@ -42,8 +42,8 @@ def _cached(key, builder):
     return _cache[key]
 
 
-def _gauss(grid, var=0.25):
-    return np.exp(-grid.x**2 / (2 * var))
+def _gauss(grid):
+    return np.exp(-grid.x**2 / 0.5)   # variance 1/4
 
 
 def _report(criterion, name, measured, threshold, **context):
@@ -79,8 +79,7 @@ def heat_run():
     def build():
         grid = Grid.line(-8, 8, 512)
         cs = CoefficientSet.from_fields(d=1, L=1, a=0.5)
-        path = noise.BrownianPath(L=1, n_steps=2500, dt=1e-4,
-                                  increments=np.zeros((2500, 1)), seed=0)
+        path = noise.BrownianPath(dt=1e-4, increments=np.zeros((2500, 1)), seed=0)
         v0 = 0.25
         u0 = np.exp(-grid.x**2 / (2 * v0)) / np.sqrt(2 * np.pi * v0)
         traj = solver.solve(cs, u0, grid, SolverConfig(dt=1e-4, store_every=1),
@@ -204,8 +203,7 @@ def criterion_7():
     grid = Grid.line(-6, 6, 256)
     cs = CoefficientSet.from_fields(d=1, L=1, a=0.5, c=-1.0)
     dt, T = 1e-3, 0.5
-    path = noise.BrownianPath(L=1, n_steps=int(T / dt), dt=dt,
-                              increments=np.zeros((int(T / dt), 1)), seed=0)
+    path = noise.BrownianPath(dt=dt, increments=np.zeros((int(T / dt), 1)), seed=0)
     u0 = _gauss(grid)
     u0 /= grid.integrate(u0)
     traj = solver.solve(cs, u0, grid, SolverConfig(dt=dt, store_every=1), path, [T])
@@ -267,8 +265,7 @@ def criterion_10():
     grid = Grid.line(-8, 8, 256)
     cs = CoefficientSet.from_fields(d=1, L=1, a=0.5)
     dt, T = 1e-3, 0.25
-    path = noise.BrownianPath(L=1, n_steps=int(T / dt), dt=dt,
-                              increments=np.zeros((int(T / dt), 1)), seed=3)
+    path = noise.BrownianPath(dt=dt, increments=np.zeros((int(T / dt), 1)), seed=3)
     cfg = SolverConfig(dt=dt)
     u0 = _gauss(grid)
     out = []
@@ -316,8 +313,7 @@ def criterion_11():
         grid = Grid.line(-8, 8, 512)
         cs = CoefficientSet.from_fields(d=1, L=1, a=0.5)
         steps = int(0.25 / dt)
-        path = noise.BrownianPath(L=1, n_steps=steps, dt=dt,
-                                  increments=np.zeros((steps, 1)), seed=0)
+        path = noise.BrownianPath(dt=dt, increments=np.zeros((steps, 1)), seed=0)
         traj = solver.solve(cs, _gauss(grid), grid,
                             SolverConfig(dt=dt, store_every=1), path, [0.25])
         defects.append(diag.energy_report(traj, cs, path).measured)

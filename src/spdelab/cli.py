@@ -29,7 +29,6 @@ from .config import ScenarioBundle, parse_config
 from .errors import ConfigurationError, ParseError, SpdelabError
 from .families import triangle_wave
 from .manifest import RunManifest, write_csv, write_json_report
-from .mollifier import MollifierParams, mollified_coefficient_set
 from .solver import SolverConfig
 
 
@@ -78,12 +77,9 @@ def _run_dir(out_root: str, manifest: RunManifest):
 
 
 def _spde_inputs(bundle: ScenarioBundle):
-    """The coefficients (mollified when [coefficients] mollify is set), u0
-    values, driver path and solver settings of a run that solves the SPDE."""
+    """The coefficients, u0 values, driver path and solver settings of a run
+    that solves the SPDE."""
     coeffs = bundle.coeffs
-    if bundle.mollify_epsilon is not None:
-        coeffs = mollified_coefficient_set(
-            coeffs, MollifierParams(bundle.mollify_epsilon), bundle.grid)
     n_steps = int(round(bundle.t_end / bundle.dt))
     path = noise.generate(bundle.seeds["path"], coeffs.L, max(n_steps, 1), bundle.dt)
     cfg = SolverConfig(dt=bundle.dt, store_every=1)
@@ -141,14 +137,14 @@ def _picard(bundle: ScenarioBundle, out: Path) -> None:
 
 
 # Per run command: its body, the sections it needs and the ones it may also
-# take, and what of the grid its manifest records: all of it, only n, or
-# (a command that reads no grid, time step or seeds) nothing.
+# take.  A command that takes [grid] solves on it, and its manifest records
+# the grid, the time step, the driver count and the seeds; any other command
+# records none of them.
 _RUNS = {
-    "run-spde": (_run_spde, {"coefficients", "initial"}, {"run", "grid", "time"}, "whole"),
-    "run-filter": (_run_filter, {"filter"}, {"run", "grid", "time"}, "whole"),
-    "picard": (_picard, {"coefficients", "initial"}, {"run", "grid", "time", "picard"},
-               "n"),
-    "sweep-commutator": (_sweep_commutator, set(), {"run"}, None),
+    "run-spde": (_run_spde, {"coefficients", "initial"}, {"run", "grid", "time"}),
+    "run-filter": (_run_filter, {"filter"}, {"run", "grid", "time"}),
+    "picard": (_picard, {"coefficients", "initial"}, {"run", "grid", "time", "picard"}),
+    "sweep-commutator": (_sweep_commutator, set(), {"run"}),
 }
 
 # Keys of sections a command reads that the command itself does not read.
@@ -162,7 +158,7 @@ _UNREAD_KEYS = {
 def cmd_run(args) -> int:
     """Read and parse the config, refuse what the command does not read, and
     run the command's body in the run directory its manifest names."""
-    body, needs, takes, grid_record = _RUNS[args.subcommand]
+    body, needs, takes = _RUNS[args.subcommand]
     try:
         text = Path(args.config).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -181,12 +177,10 @@ def cmd_run(args) -> int:
             raise ParseError(f"{args.subcommand} does not read [{section}] {name}: {why}")
     if body in (_run_spde, _picard):    # both keep every step of the solve
         solver.check_history_size(round(bundle.t_end / bundle.dt), bundle.grid.npts)
-    read = dict(grid=None, dt=None, L=None, seeds=None)
-    if grid_record:
-        grid = {"n": list(bundle.grid.n)}
-        if grid_record == "whole":
-            grid.update(x_min=list(bundle.grid.x_min), x_max=list(bundle.grid.x_max),
-                        boundary="zero-flux")
+    read = {}
+    if "grid" in takes:
+        grid = dict(n=list(bundle.grid.n), x_min=list(bundle.grid.x_min),
+                    x_max=list(bundle.grid.x_max), boundary="zero-flux")
         read = dict(grid=grid, dt=bundle.dt, L=bundle.coeffs.L if bundle.coeffs else 1,
                     seeds=bundle.seeds)
     manifest = RunManifest(scenario=bundle.name, subcommand=args.subcommand,

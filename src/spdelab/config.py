@@ -6,7 +6,7 @@ field specs 'family:key=val,...'):
     [run]           name, seed
     [grid]          dim, x_min, x_max, n
     [time]          dt, t_end, output_times
-    [coefficients]  L, mollify and the field keys of _coefficient_keys(dim, L)
+    [coefficients]  L and the field keys of _coefficient_keys(dim, L)
     [initial]       u0
     [filter]        A, Q, H, R, prior_mean, prior_var
     [picard]        f (none, sin_of_u:scale=.. or linear_in_u:coeff=..), tol, max_iter
@@ -22,9 +22,9 @@ output_times must end at t_end.  A grid of more than 2e8 points is refused
 before any grid-sized work.  The model invariants and the range checks
 run immediately, on a probe grid of at most ``PROBE_MAX_N`` points per axis,
 so a bad scenario never reaches a solver.  The CLI reads the
-file and refuses a section or key that its command does not read;
-``mollify`` means the same to run-spde and picard.  There is no key for the
-scheme or the walls: every run steps backward Euler on zero-flux walls.
+file and refuses a section or key that its command does not read.  There is
+no key for the scheme or the walls: every run steps backward Euler on
+zero-flux walls.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class ScenarioBundle:
     tol: float
     max_iter: int
     filter: FilterScenario | None = None
-    mollify_epsilon: float | None = None
     sections: tuple = ()
     raw: dict = field(default_factory=dict)  # section.key -> text, hashed
 
@@ -169,11 +168,10 @@ def parse_config(text: str) -> ScenarioBundle:
     if L < 1:
         raise ValidationError(f"coefficients.L must be at least 1, got {L}")
     coeffs = None
-    mollify_epsilon = number("coefficients", "mollify")
     if cp.has_section("coefficients"):
         layout = _coefficient_keys(dim, L)
         given = set(cp["coefficients"])
-        undefined = sorted(given - _leaves(layout.values()) - {"L", "mollify"})
+        undefined = sorted(given - _leaves(layout.values()) - {"L"})
         if undefined:
             raise ParseError(f"key '{undefined[0]}' in [coefficients] is not "
                              f"defined for dim = {dim} and L = {L}")
@@ -185,10 +183,9 @@ def parse_config(text: str) -> ScenarioBundle:
 
         coeffs = CoefficientSet.from_fields(
             d=dim, L=L, **{name: fields(keys) for name, keys in layout.items()})
-        times_probe = [0.0, t_end / 2 if t_end else 0.0]
         probe = Grid(dim, grid.x_min, grid.x_max,
                      tuple(min(max(16, n // 8), PROBE_MAX_N) for n in grid.n))
-        coeffs.validate(probe, times_probe)
+        coeffs.validate(probe, [0.0])   # from_fields sets are time independent
 
     u0_field = None
     if cp.has_section("initial"):
@@ -238,5 +235,4 @@ def parse_config(text: str) -> ScenarioBundle:
                           output_times=output_times, coeffs=coeffs,
                           u0_field=u0_field, seeds=seeds, sources=sources,
                           tol=tol, max_iter=max_iter, filter=filter_scenario,
-                          mollify_epsilon=mollify_epsilon,
                           sections=tuple(cp.sections()), raw=raw)

@@ -166,8 +166,7 @@ def _snapshot_times(n_steps: int, dt: float):
 
 def _observation_path(truth: TruthRealization) -> BrownianPath:
     """The transformed observation increments dBbar as the filters' driver."""
-    return BrownianPath(L=1, n_steps=truth.n_steps, dt=truth.dt,
-                        increments=truth.bbar_increments, seed=truth.seed)
+    return BrownianPath(dt=truth.dt, increments=truth.bbar_increments, seed=truth.seed)
 
 
 def normalize(values: np.ndarray, grid: Grid) -> np.ndarray:

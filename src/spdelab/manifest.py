@@ -27,10 +27,10 @@ class RunManifest:
     scenario: str
     subcommand: str
     parameters: dict = field(default_factory=dict)
-    grid: dict | None = field(default_factory=dict)
-    dt: float | None = 0.0
-    L: int | None = 1
-    seeds: dict | None = field(default_factory=dict)
+    grid: dict | None = None
+    dt: float | None = None
+    L: int | None = None
+    seeds: dict | None = None
     tool_version: str = __version__
 
     def canonical_json(self) -> str:

@@ -183,32 +183,6 @@ def _mollify(coeffs: CoefficientSet, name: str, params: MollifierParams,
     return _smooth(lambda x: fn(t, x), params, grid, chi ** 2 if name == "a" else chi)
 
 
-def mollified_coefficient_set(coeffs: CoefficientSet, params: MollifierParams,
-                              grid: Grid) -> CoefficientSet:
-    """Freeze mollified coefficient samples into a grid-backed bundle.
-
-    The returned callables only answer at the grid's own points (that is all
-    the solver ever asks for) and refuse any other points.  The set has no
-    derivative hooks, so ``weak_residual`` refuses it; time dependence is
-    dropped, matching the omission of time mollification: the coefficients
-    are sampled at t = 0.
-    """
-    pts = grid.points()
-
-    def frozen(name):
-        points_first = np.moveaxis(_mollify(coeffs, name, params, grid, 0.0), -1, 0)
-
-        def fn(tt, X):
-            if not np.array_equal(X, pts):
-                raise ConfigurationError(
-                    "mollified coefficients are grid samples; evaluate at the grid's points")
-            return points_first
-        return fn
-
-    return CoefficientSet(coeffs.d, coeffs.L,
-                          *map(frozen, ("a", "b", "c", "sigma", "h", "f", "g")))
-
-
 def mollified_parabolicity_check(coeffs: CoefficientSet, params: MollifierParams,
                                  grid: Grid, times) -> ParabolicityReport:
     """Exact minimum over unit directions of the mollified form

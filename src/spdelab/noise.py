@@ -24,13 +24,25 @@ _MAX_ELEMENTS = 200_000_000
 
 @dataclass(frozen=True)
 class BrownianPath:
-    """L independent driver increment columns with seed provenance."""
+    """L independent driver increment columns with seed provenance; the
+    (n_steps, L) shape of ``increments`` is the one record of both counts."""
 
-    L: int
-    n_steps: int
     dt: float
     increments: np.ndarray  # (n_steps, L)
     seed: int
+
+    def __post_init__(self):
+        if np.ndim(self.increments) != 2:
+            raise ConfigurationError(f"increments must be an (n_steps, L) array, got "
+                                     f"shape {np.shape(self.increments)}")
+
+    @property
+    def n_steps(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def L(self) -> int:
+        return self.increments.shape[1]
 
     def endpoint(self) -> np.ndarray:
         """B_T per driver (exact under the quantized representation)."""
@@ -46,8 +58,7 @@ def generate(seed: int, L: int, n_steps: int, dt: float) -> BrownianPath:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     inc = rng.standard_normal((n_steps, L)) * np.sqrt(dt)
     inc = np.rint(inc / _QUANTUM) * _QUANTUM
-    return BrownianPath(L=int(L), n_steps=int(n_steps), dt=float(dt),
-                        increments=inc, seed=int(seed))
+    return BrownianPath(dt=float(dt), increments=inc, seed=int(seed))
 
 
 def block_sums(increments: np.ndarray, k: int) -> np.ndarray:
@@ -67,5 +78,4 @@ def coarsen(path: BrownianPath, k: int) -> BrownianPath:
     if k == 1:
         return path
     inc = block_sums(path.increments, k)
-    return BrownianPath(L=path.L, n_steps=path.n_steps // k, dt=path.dt * k,
-                        increments=inc, seed=path.seed)
+    return BrownianPath(dt=path.dt * k, increments=inc, seed=path.seed)

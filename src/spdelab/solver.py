@@ -265,9 +265,9 @@ def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
     hmin = min(grid.hs)
     sig_sq = float(np.max(np.sum(S**2, axis=(1, 2)))) if S.size else 0.0
     if sig_sq > 0 and dt * sig_sq / hmin**2 > 1.0 + 1e-12:
-        raise StabilityError(
-            f"dt={dt} violates the noise stability budget",
-            suggested_dt=0.95 * hmin**2 / sig_sq)
+        suggested = 0.95 * hmin**2 / sig_sq
+        raise StabilityError(f"dt={dt} violates the noise stability budget; "
+                             f"try dt={suggested:.3g}", suggested_dt=suggested)
     # a non-finite field gives a nan defect, which passes here and fails,
     # named as non-finite, in assembly
     defect = _worst_defect([(A, S)], PARABOLIC_TOL).min_defect

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdelab import ScalarField, acceptance, cli, config, noise
+from spdelab import ScalarField, acceptance, cli, config
 from spdelab.acceptance import FILTER_CONFIG, PICARD_CONFIG, SWEEP_CONFIG
 from spdelab.config import _SECTION_KEYS, _coefficient_keys, _leaves, parse_config
 from spdelab.errors import ParseError, SizeError, SpdelabError, ValidationError
-from spdelab.manifest import RunManifest, write_csv
+from spdelab.manifest import RunManifest
 from spdelab.model import CoefficientSet
-from spdelab.mollifier import MollifierParams, mollified_coefficient_set
-from spdelab.picard import NonlinearSources, picard_solve
-from spdelab.solver import SolverConfig
+from spdelab.picard import NonlinearSources
 
 HEAT = """\
 [run]
@@ -146,9 +144,9 @@ class TestParseConfig:
     def test_every_key_the_layout_defines_is_read(self, dim, L, keys):
         lines = "\n".join(f"{k} = constant:0" for k in keys.split())
         b = parse_config(HEAT.replace("dim = 1", f"dim = {dim}")
-                         .replace("L = 1", f"L = {L}\nmollify = 0.5")
+                         .replace("L = 1", f"L = {L}")
                          .replace("a = constant:0.5", lines))
-        assert b.coeffs.L == L and b.mollify_epsilon == 0.5
+        assert b.coeffs.L == L
 
 
     @pytest.mark.parametrize("old, new", [
@@ -203,6 +201,24 @@ class TestManifest:
                          parameters={"a": "2"}, dt=1e-3, seeds={"path": 0})
         assert m1.hash == m2.hash
         assert m1.hash != m3.hash
+
+    def test_picard_records_the_box_it_reads(self, tmp_path, capsys):
+        run_dir = run_dir_of(tmp_path, "picard", PICARD_CONFIG)
+        recorded = json.loads((run_dir / "manifest.json").read_text())
+        assert recorded["grid"] == {"n": [128], "x_min": ["-8.0"], "x_max": ["8.0"],
+                                    "boundary": "zero-flux"}
+        assert recorded["dt"] == "0.001" and recorded["L"] == 1
+
+    def test_check_records_no_grid_time_step_or_driver_count(self, tmp_path, capsys,
+                                                            monkeypatch):
+        from spdelab.diagnostics import CheckReport
+        monkeypatch.setitem(acceptance.CRITERIA, 3, lambda: [CheckReport(
+            name="c3:stub", passed=True, measured=0.0, threshold=1.0)])
+        assert cli.main(["check", "--only", "3", "--out", str(tmp_path)]) == 0
+        (run_dir,) = tmp_path.iterdir()
+        recorded = json.loads((run_dir / "manifest.json").read_text())
+        assert sorted(recorded) == ["parameters", "scenario", "seeds", "subcommand",
+                                    "tool_version"]
 
 
 class TestCli:
@@ -322,14 +338,6 @@ R = 1.0
         # the second sweep repeats the first: one correction
         assert rows.shape == (2, 3) and rows[1, 1] < 1e-8
 
-    def test_mollified_solve_option(self, tmp_path):
-        cfg = tmp_path / "m.cfg"
-        cfg.write_text(HEAT.replace("a = constant:0.5",
-                                    "a = constant:0.5\nmollify = 0.5"))
-        rc = cli.main(["run-spde", "--config", str(cfg), "--out",
-                       str(tmp_path / "runs")])
-        assert rc == 0
-
 
 SECTIONS = {"coefficients": "\n[coefficients]\nL = 1\na = constant:0.5\n",
             "initial": "\n[initial]\nu0 = gaussian:amp=1,width=0.5\n",
@@ -350,8 +358,7 @@ def run_dir_of(tmp_path, sub, text):
 
 
 class TestCliSettings:
-    """mollify means the same to every command that can use it, and a zero
-    horizon runs wherever the solve does."""
+    """A zero horizon runs wherever the solve does."""
 
     @pytest.mark.parametrize("sub, text", [
         ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.0")),
@@ -359,20 +366,6 @@ class TestCliSettings:
     ], ids=["run-spde", "picard"])
     def test_zero_horizon_runs(self, tmp_path, capsys, sub, text):
         run_dir_of(tmp_path, sub, text)
-
-    def test_picard_reads_mollify(self, tmp_path, capsys):
-        run_dir = run_dir_of(tmp_path, "picard",
-                             PICARD_CONFIG.replace("L = 1", "L = 1\nmollify = 0.5"))
-        b = parse_config(PICARD_CONFIG)
-        coeffs = mollified_coefficient_set(b.coeffs, MollifierParams(0.5), b.grid)
-        path = noise.generate(3, 1, 100, 1e-3)
-        _, log = picard_solve(coeffs, NonlinearSources.sin_of_u(0.1), b.u0_field(b.grid.points()),
-                              b.grid, SolverConfig(dt=1e-3), path, tol=1e-8)
-        write_csv(tmp_path / "direct.csv", ["iter", "sup_diff", "ratio"], zip(*log))
-        direct = (tmp_path / "direct.csv").read_bytes()
-        assert (run_dir / "iterates.csv").read_bytes() == direct
-        plain = run_dir_of(tmp_path / "plain", "picard", PICARD_CONFIG)
-        assert (plain / "iterates.csv").read_bytes() != direct
 
 
 # a (1e6 + 1) x 1e5 history, 745 GiB, refused before it is allocated
@@ -384,7 +377,11 @@ OVERSIZED_LINE = (HEAT.replace("n = 128", f"n = {2**24}")
 # 4e8 points, refused before the coefficients are probed on any grid
 OVERSIZED_GRID = (HEAT.replace("dim = 1", "dim = 2").replace("n = 128", "n = 20000")
                   .replace("a = constant:0.5", "a11 = constant:0.5"))
-MOLLIFY_2E6 = HEAT.replace("a = constant:0.5", "a = constant:0.5\nmollify = 2e6")
+# no command solves with mollified coefficients, so mollify is an undefined key
+MOLLIFY = HEAT.replace("a = constant:0.5", "a = constant:0.5\nmollify = 0.5")
+# dt sigma^2 / h^2 = 0.05 / 0.125^2 = 3.2 > 1
+OVER_NOISE_BUDGET = (HEAT.replace("dt = 1e-3", "dt = 0.05")
+                     .replace("a = constant:0.5", "a = constant:0.5\nsigma0 = constant:1"))
 # 2a - sigma sigma^T = [[0, -1], [-1, 0]] has the eigenvalue -1, while each
 # diagonal entry 2a_ii - |sigma_i|^2 is 0
 NOT_PARABOLIC_2D = (HEAT.replace("dim = 1", "dim = 2").replace("n = 128", "n = 32")
@@ -402,7 +399,10 @@ class TestCliErrors:
                                       "exceeds the safety limit of 200000000 values",
         "picard-history-too-large": "error: a history of 1000001 steps x 100000 points "
                                     "exceeds the safety limit of 200000000 values",
-        "mollify-2e6": "error: epsilon must lie in (0, 1e6), got 2000000.0",
+        "mollify": "error: key 'mollify' in [coefficients] is not defined "
+                   "for dim = 1 and L = 1",
+        "over-noise-budget": "error: dt=0.05 violates the noise stability budget; "
+                             "try dt=0.0148",
         "picard-independent-width-abc": "error: picard source 'independent:f=gaussian:"
                                         "amp=1,width=abc': a source that does not depend "
                                         "on u is the field [coefficients] f, with "
@@ -477,7 +477,8 @@ class TestCliErrors:
         ("picard", PICARD_CONFIG.replace("sin_of_u:scale=0.1", "linear_in_u:coeff=inf")),
         ("run-spde", OVERSIZED),
         ("picard", OVERSIZED),
-        ("run-spde", MOLLIFY_2E6),
+        ("run-spde", MOLLIFY),
+        ("run-spde", OVER_NOISE_BUDGET),
         ("run-spde", NOT_PARABOLIC_2D),
         ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\ntheta = 1.0")),
         ("picard", PICARD_CONFIG.replace("t_end = 0.1", "t_end = 0.1\ntheta = 0.5")),
@@ -503,7 +504,8 @@ class TestCliErrors:
             "filter-prior-var-negative",
             "run-filter-t_end-negative", "run-filter-2d", "picard-tol-0", "picard-tol-negative",
             "picard-max_iter-0", "picard-scale-nan", "picard-coeff-inf",
-            "run-spde-history-too-large", "picard-history-too-large", "mollify-2e6",
+            "run-spde-history-too-large", "picard-history-too-large", "mollify",
+            "over-noise-budget",
             "not-parabolic-2d", "run-spde-theta", "picard-theta", "run-filter-theta",
             "run-spde-boundary", "run-filter-boundary", "run-spde-particle_seed",
             "picard-particle_seed", "sweep-commutator-particle_seed",
@@ -612,7 +614,7 @@ class TestCliErrors:
 
 ACCEPTANCE_CONFIGS = {"heat": acceptance.HEAT_CONFIG, "filter": acceptance.FILTER_CONFIG,
                       "picard": acceptance.PICARD_CONFIG, "sweep": acceptance.SWEEP_CONFIG}
-ALL_KEYS = sorted(set().union(*filter(None, _SECTION_KEYS.values()), {"L", "mollify"},
+ALL_KEYS = sorted(set().union(*filter(None, _SECTION_KEYS.values()), {"L"},
                               *(_leaves(_coefficient_keys(d, 2).values()) for d in (1, 2))))
 # integers stay small so that a drawn grid size stays cheap to validate
 TOKENS = st.one_of(

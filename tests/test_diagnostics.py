@@ -20,8 +20,7 @@ def gaussian(grid, var=0.25):
 
 
 def still_path(n_steps, dt, L=1):
-    return noise.BrownianPath(L=L, n_steps=n_steps, dt=dt,
-                              increments=np.zeros((n_steps, L)), seed=0)
+    return noise.BrownianPath(dt=dt, increments=np.zeros((n_steps, L)), seed=0)
 
 
 def heat_run(n=512, dt=1e-4, T=0.25, store=1):
@@ -173,7 +172,7 @@ class TestEnergyReport:
         grid, dt, N = Grid.line(-8, 8, 128), 1e-3, 20
         inc = noise.generate(seed, cs.L, N, dt).increments.copy()
         inc[::skip, 0] = 0.0
-        path = noise.BrownianPath(L=cs.L, n_steps=N, dt=dt, increments=inc, seed=seed)
+        path = noise.BrownianPath(dt=dt, increments=inc, seed=seed)
         u0 = gaussian(grid)
         traj = solver.solve(cs, u0, grid, SolverConfig(dt=dt, store_every=1), path, [N * dt])
         rep = diag.energy_report(traj, cs, path)

@@ -22,10 +22,10 @@ CONFIGS = {"run-spde": acceptance.HEAT_CONFIG, "run-filter": acceptance.FILTER_C
 # subcommand -> {path relative to the output root: sha256}
 GOLDEN = {
     "picard": {
-        "5097be096a90/iterates.csv":
+        "4458d793beb2/iterates.csv":
             "10cf59e8e9621209e9131a81a65fb32627faabb6214250823626c994ed5765ad",
-        "5097be096a90/manifest.json":
-            "5fb3626c013acebf23254cfccf740cbe655f08fefa4fbd1e328e58c30bb35e83",
+        "4458d793beb2/manifest.json":
+            "5e8d2bfba6b16be48577c7d5e3442e7e894e1b883bef2a59095553526989accb",
     },
     "run-filter": {
         "722c65c03f0c/manifest.json":

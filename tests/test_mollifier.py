@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from spdelab import mollifier as mol
-from spdelab import noise, solver
-from spdelab.errors import ConfigurationError, HypothesisError, UnderResolvedError
+from spdelab.errors import HypothesisError, UnderResolvedError
 from spdelab.families import ScalarField
 from spdelab.grids import Grid
 from spdelab.mollifier import MollifierParams
 from spdelab.model import CoefficientSet
-from spdelab.solver import SolverConfig, TestFunction
 
 
 def centered_grid(half=2.0, n=512):
@@ -212,29 +210,6 @@ class TestMollifiedParabolicity:
         grid = centered_grid(half=2.0, n=256)
         with pytest.raises(HypothesisError):
             mol.mollified_parabolicity_check(cs, MollifierParams(0.1), grid, [0.0])
-
-
-class TestMollifiedCoefficientSet:
-    def test_answers_only_at_the_grid_points(self):
-        # grid samples have no derivative hooks, so the weak form refuses
-        # them by name rather than reading dsigma = 0
-        cs = CoefficientSet.from_fields(
-            d=1, L=1, a=0.5, sigma=ScalarField("sinusoidal", 1, amp=0.3))
-        grid = Grid.line(-4, 4, 128)
-        frozen = mol.mollified_coefficient_set(cs, MollifierParams(0.2), grid)
-        pts = grid.points()
-        sig = frozen.sigma(0.0, pts)[:, 0, 0]
-        assert np.array_equal(
-            sig, mol._mollify(cs, "sigma", MollifierParams(0.2), grid, 0.0)[0, 0])
-        assert frozen.da is None and frozen.div_sigma is None
-        path = noise.generate(0, 1, 2, 1e-3)
-        u0 = np.exp(-pts[:, 0] ** 2)
-        traj = solver.solve(frozen, u0, grid, SolverConfig(dt=1e-3, store_every=1), path,
-                            [2e-3])
-        with pytest.raises(ConfigurationError, match="derivative hook 'da'"):
-            solver.weak_residual(traj, TestFunction.bump((0.0,), 2.0), frozen, path)
-        with pytest.raises(ConfigurationError, match="grid's points"):
-            frozen.sigma(0.0, pts + 1e-3)
 
 
 class TestDivBound:

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spdelab import noise
+from spdelab import noise, solver
 from spdelab.errors import ConfigurationError, SizeError
+from spdelab.grids import Grid
+from spdelab.model import CoefficientSet
+from spdelab.solver import SolverConfig
 
 
 class TestGenerate:
@@ -41,6 +44,32 @@ class TestGenerate:
             noise.generate(1, 0, 10, 0.1)
         with pytest.raises(SizeError):
             noise.generate(1, 10_000, 1_000_000, 0.1)
+
+
+class TestBrownianPath:
+    def test_counts_are_the_shape_of_the_increments(self):
+        p = noise.BrownianPath(dt=0.1, increments=np.zeros((7, 3)), seed=0)
+        assert (p.n_steps, p.L) == (7, 3)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 1, 1), ()])
+    def test_increments_that_are_not_a_matrix_are_refused(self, shape):
+        with pytest.raises(ConfigurationError, match="n_steps, L"):
+            noise.BrownianPath(dt=0.1, increments=np.zeros(shape), seed=0)
+
+    def test_short_path_is_refused_before_the_solve(self):
+        # 50 increments cannot drive 100 steps
+        grid = Grid.line(-4, 4, 32)
+        cs = CoefficientSet.from_fields(d=1, L=1, a=0.5)
+        path = noise.BrownianPath(dt=1e-3, increments=np.zeros((50, 1)), seed=0)
+        with pytest.raises(ConfigurationError, match="shorter than the requested horizon"):
+            solver.solve(cs, np.ones(grid.npts), grid, SolverConfig(dt=1e-3), path, [0.1])
+
+    def test_path_with_more_drivers_than_the_coefficients_is_refused(self):
+        grid = Grid.line(-4, 4, 32)
+        cs = CoefficientSet.from_fields(d=1, L=1, a=0.5, sigma=0.1)
+        path = noise.generate(0, 2, 10, 1e-3)
+        with pytest.raises(ConfigurationError, match="path has 2 drivers, coefficients need 1"):
+            solver.solve(cs, np.ones(grid.npts), grid, SolverConfig(dt=1e-3), path, [1e-2])
 
 
 class TestCoarsen:

@@ -19,8 +19,7 @@ def heat_setup(n=256, dt=1e-3, T=0.25, sigma=None, seed=5):
     n_steps = int(T / dt)
     path = noise.generate(seed, 1, n_steps, dt)
     if sigma is None:
-        path = noise.BrownianPath(L=1, n_steps=n_steps, dt=dt,
-                                  increments=np.zeros((n_steps, 1)), seed=seed)
+        path = noise.BrownianPath(dt=dt, increments=np.zeros((n_steps, 1)), seed=seed)
     u0 = np.exp(-grid.x**2 / 0.5)
     return grid, cs, path, u0
 

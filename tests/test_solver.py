@@ -33,8 +33,7 @@ def gaussian_density(grid, var=0.25, center=0.0):
 
 def zero_path(L, n_steps, dt):
     p = noise.generate(0, L, n_steps, dt)
-    return noise.BrownianPath(L=L, n_steps=n_steps, dt=dt,
-                              increments=np.zeros_like(p.increments), seed=0)
+    return noise.BrownianPath(dt=dt, increments=np.zeros_like(p.increments), seed=0)
 
 
 class TestAssembleGenerator:
@@ -1397,6 +1396,20 @@ class TestWeakResidual:
                             SolverConfig(dt=2.5e-4, store_every=1), path, [0.25])
         phi = TestFunction.bump((0.0,), 4.0)
         assert solver.weak_residual(traj, phi, cs, path) <= 2e-2
+
+    def test_set_without_derivative_hooks_is_refused_by_name(self):
+        # a hand-built set has no da or div_sigma unless it is given them;
+        # the weak form refuses it rather than reading the derivatives as 0
+        grid = Grid.line(-4, 4, 64)
+        fields = CoefficientSet.from_fields(d=1, L=1, a=0.5, sigma=0.5)
+        raw = CoefficientSet(1, 1, *(getattr(fields, name) for name in
+                                     ("a", "b", "c", "sigma", "h", "f", "g")))
+        assert raw.da is None and raw.div_sigma is None
+        path = noise.generate(0, 1, 2, 1e-3)
+        traj = solver.solve(raw, gaussian_density(grid), grid,
+                            SolverConfig(dt=1e-3, store_every=1), path, [2e-3])
+        with pytest.raises(ConfigurationError, match="derivative hook 'da'"):
+            solver.weak_residual(traj, TestFunction.bump((0.0,), 2.0), raw, path)
 
     def test_stochastic_source_residual(self):
         # exercises the g dB bookkeeping on both sides of the identity

@@ -11,7 +11,6 @@ import pytest
 from spdelab import filtering, model
 from spdelab.grids import Grid
 from spdelab.model import CoefficientSet
-from spdelab.mollifier import MollifierParams, mollified_coefficient_set
 from spdelab.picard import NonlinearSources, frozen_source_coefficients
 from spdelab.solver import Trajectory
 
@@ -42,15 +41,10 @@ def _frozen_source():
                                       traj)
 
 
-def _mollified():
-    return mollified_coefficient_set(_from_fields_1d(), MollifierParams(0.2),
-                                     Grid.line(-4, 4, 128))
-
-
 @pytest.mark.parametrize("build", [_from_fields_1d, _from_fields_2d, _zakai,
-                                   _frozen_source, _mollified],
+                                   _frozen_source],
                          ids=["from_fields-1d", "from_fields-2d", "zakai",
-                              "frozen_source", "mollified"])
+                              "frozen_source"])
 def test_tracer_wraps_every_set_and_uninstalls(build):
     init = model.CoefficientSet.__init__
     tracer = tracing.Tracer("coefficients")
