@@ -26,11 +26,20 @@ family, not as a callable.
 Everything is driven by precomputed dBbar increments; the observation path
 is never regenerated inside a solve.  Both density equations step with the
 solver's one scheme, backward Euler in the generator on zero-flux walls.
+
+The particle cloud is cut into ``PARTICLE_BLOCKS`` contiguous blocks, and
+block b draws its prior and its step noise from its own counter-based stream
+Philox(SeedSequence(entropy=seed, spawn_key=(7, b))).  The blocks are stepped
+on a thread pool; the block count is a constant, so the cloud has the same
+bytes on every machine and at any number of threads.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -43,6 +52,12 @@ from .noise import BrownianPath, coarsen
 from .solver import SolverConfig, Stepper, Trajectory, _march, solve
 # bound here for perfbench's tracer test, which reads this name
 from .solver import assemble_generator  # noqa: F401
+
+# The particle cloud is stepped in this many blocks, each with its own
+# random stream.  It is a constant, never the core count, so that the cloud
+# has the same bytes on every machine; ROADMAP.md ("Perf levers") gives the
+# timing table it was chosen from.
+PARTICLE_BLOCKS = 2
 
 
 @dataclass(frozen=True)
@@ -96,9 +111,11 @@ class FilterScenario:
             raise ValidationError(f"prior mass {mass!r} is not 1 within 1e-10")
 
 
-@dataclass
+@dataclass(eq=False)
 class TruthRealization:
-    """One realized signal/observation pair with its driver bookkeeping."""
+    """One realized signal/observation pair with its driver bookkeeping.
+    Realizations compare and hash by identity; a field-wise ``==`` over the
+    arrays would have no single truth value."""
 
     x_path: np.ndarray        # (n_steps + 1, 1)
     y_path: np.ndarray        # (n_steps + 1, 1)
@@ -270,47 +287,79 @@ def particle_ensemble(sc: FilterScenario, truth: TruthRealization, N: int,
     """Terminal particle cloud and weights under the reference measure.
 
     Fresh signal paths are simulated with drift A x and diffusion Q from
-    independent drivers, on flat (N,) arrays, and weighted by
+    independent drivers, on flat arrays, and weighted by
     exp(int h dBbar - 1/2 int h^2 dt) along the FIXED observation drivers.
     Returns (X_T of shape (N, 1), weights).
+
+    The cloud is cut into ``PARTICLE_BLOCKS`` contiguous blocks: block b
+    holds particles b N // B up to (b + 1) N // B and takes its prior draw
+    and then its step noise, step by step, from its own stream
+    Philox(SeedSequence(entropy=seed, spawn_key=(7, b))).  The blocks are
+    stepped on a pool of min(B, usable cores) threads, each under the
+    caller's numpy error state; numpy releases the interpreter lock while it
+    draws and in its elementwise loops, so blocks overlap.  B is fixed, so
+    the bytes do not depend on the machine or on the number of threads.
     """
     if N < 100:
         raise ConfigurationError("particle methods need N >= 100")
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(7,))))
-    X = sc.sample_prior(rng, N)
-    logw = np.zeros(N)
     A, Q, H = (float(v) for v in (sc.A, sc.Q, sc.H))
     r_inv = 1.0 / float(sc.R)
     dt = truth.dt
     sq = np.sqrt(dt)
-    x = X[:, 0]                      # a view: stepping x steps X
-    h, t, dW = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    # in place, the IEEE operations of h = (H x) R^-1, logw += h bb -
-    # (0.5 (h h)) dt, x += (A x) dt and x += Q (sq dW), in that order
-    # (swapping a product's operands does not change its bits)
-    for bb in truth.bbar_increments[:, 0].tolist():
-        np.multiply(x, H, out=h)
-        h *= r_inv
-        np.multiply(h, h, out=t)
-        t *= 0.5
-        t *= dt
-        h *= bb
-        h -= t
-        logw += h
-        np.multiply(x, A, out=t)
-        t *= dt
-        x += t
-        rng.standard_normal(out=dW)
-        dW *= sq
-        dW *= Q
-        x += dW
+    bbar = truth.bbar_increments[:, 0].tolist()
+    X = np.empty((N, 1))
+    logw = np.zeros(N)
+
+    # Runs on a worker thread, so it calls no spdelab function that
+    # perfbench traces: the tracer keeps one span stack for the process, and
+    # a span opened here would nest under whatever the caller has open.
+    def step_block(b):
+        lo, hi = b * N // PARTICLE_BLOCKS, (b + 1) * N // PARTICLE_BLOCKS
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=int(seed), spawn_key=(7, b))))
+        X[lo:hi] = sc.sample_prior(rng, hi - lo)
+        x, lw = X[lo:hi, 0], logw[lo:hi]     # views: stepping them steps X, logw
+        h, t, dW = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+        # in place, the IEEE operations of h = (H x) R^-1, logw += h bb -
+        # (0.5 (h h)) dt, x += (A x) dt and x += Q (sq dW), in that order
+        # (swapping a product's operands does not change its bits)
+        for bb in bbar:
+            np.multiply(x, H, out=h)
+            h *= r_inv
+            np.multiply(h, h, out=t)
+            t *= 0.5
+            t *= dt
+            h *= bb
+            h -= t
+            lw += h
+            np.multiply(x, A, out=t)
+            t *= dt
+            x += t
+            rng.standard_normal(out=dW)
+            dW *= sq
+            dW *= Q
+            x += dW
+
+    with ThreadPoolExecutor(min(PARTICLE_BLOCKS, _usable_cores())) as pool:
+        # a new thread starts from numpy's default error state (numpy keeps
+        # it in a context variable), so each block runs in a copy of ours
+        blocks = [pool.submit(contextvars.copy_context().run, step_block, b)
+                  for b in range(PARTICLE_BLOCKS)]
+        for block in blocks:
+            block.result()
     with np.errstate(over="ignore"):
         w = np.exp(logw)
     bad = np.count_nonzero(~np.isfinite(w))
     if bad:
         raise ScenarioError(f"{bad} of {N} particle weights are not finite")
     return X, w
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def weighted_estimate(X: np.ndarray, w: np.ndarray, phi):

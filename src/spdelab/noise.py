@@ -22,10 +22,12 @@ _QUANTUM = 2.0 ** -26
 _MAX_ELEMENTS = 200_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BrownianPath:
     """L independent driver increment columns with seed provenance; the
-    (n_steps, L) shape of ``increments`` is the one record of both counts."""
+    (n_steps, L) shape of ``increments`` is the one record of both counts.
+    Paths compare and hash by identity; a field-wise ``==`` over the array
+    would have no single truth value."""
 
     dt: float
     increments: np.ndarray  # (n_steps, L)

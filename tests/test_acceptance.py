@@ -22,7 +22,7 @@ GOLDEN = {
     1: 'd7867be23bc18291b73d659f3d4a6ce28a7d0951fa560ff16fa81edc86fbf6c6',
     2: '8b34efb184eb5c5ef3bd4a6f956dbe478e0037ddd4a9e2caa41263e5564a1284',
     3: 'd2358db3a1e0979a38eb708192686584ecd32184fe009c82e0913239a597ebe0',
-    4: '9fb2d111c49dd785f6151a3021176d3e5dbf4a8208eeb8ca781691f70da1b4de',
+    4: '9a48ea18fc5e569a874d4c77a892bcbcdc68e65326cc3148938c0f1f38be0925',
     5: 'ead661d450d948bc860e1e0ca869d91eb22d6b0a11483d1981173a7784aa66c3',
     6: 'd44aecb12ea7239666d8fcd464c7a5d74c90336b40e71458912aa538d2cb125c',
     7: 'e52dbbd77373d9b0e65c23126100771896ec90956c76ec3c58eb2392337ab172',

@@ -51,6 +51,11 @@ class TestBrownianPath:
         p = noise.BrownianPath(dt=0.1, increments=np.zeros((7, 3)), seed=0)
         assert (p.n_steps, p.L) == (7, 3)
 
+    def test_paths_compare_and_hash_by_identity(self):
+        a, b = noise.generate(0, 1, 3, 0.1), noise.generate(0, 1, 3, 0.1)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     @pytest.mark.parametrize("shape", [(5,), (5, 1, 1), ()])
     def test_increments_that_are_not_a_matrix_are_refused(self, shape):
         with pytest.raises(ConfigurationError, match="n_steps, L"):

@@ -1,9 +1,14 @@
-"""Results that must not depend on the BLAS thread count.
+"""Results that must not depend on the thread count.
 
 OpenBLAS splits a gemv or a dot product across threads above a size
-threshold, and the split changes the summation order.  Each case runs in
-a fresh interpreter at OPENBLAS_NUM_THREADS=1 and 2 and prints the sha256
-of its result bytes.
+threshold, and the split changes the summation order.  Each case in
+``CASES`` runs in a fresh interpreter at OPENBLAS_NUM_THREADS=1 and 2 and
+prints the sha256 of its result bytes.
+
+The particle cloud is stepped in blocks on a pool of worker threads
+(``filtering.particle_ensemble``); ``TestParticleWorkers`` checks that the
+workers keep the caller's numpy error state, that the cloud does not depend
+on how many workers there are, and that the blocks draw different normals.
 """
 
 import os
@@ -11,9 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spdelab
+from spdelab import filtering as flt
 
 CASES = {
     # the per-step moments of a Zakai run on more than 10 000 points
@@ -103,3 +110,33 @@ def _digest(script: str, threads: int) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_same_bytes_at_one_and_two_blas_threads(case):
     assert _digest(CASES[case], 1) == _digest(CASES[case], 2)
+
+
+class TestParticleWorkers:
+    def test_workers_keep_the_callers_error_state(self):
+        # h * h overflows in the first step; a worker thread starts from
+        # numpy's default state, which only warns
+        sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1, H=1, R=1,
+                                                prior_mean=1e200, prior_var=1)
+        truth = flt.simulate_truth(sc, 3, 20, 1e-3)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                flt.particle_ensemble(sc, truth, 200, 5)
+
+    def test_one_worker_gives_the_same_bytes(self, monkeypatch):
+        sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
+        truth = flt.simulate_truth(sc, 12, 300, 1e-3)
+        cloud = flt.particle_ensemble(sc, truth, 1001, 7)
+        monkeypatch.setattr(flt, "_usable_cores", lambda: 1)
+        alone = flt.particle_ensemble(sc, truth, 1001, 7)
+        for a, b in zip(cloud, alone):
+            assert a.tobytes() == b.tobytes()
+
+    def test_blocks_draw_different_normals(self):
+        # with no drift and no sensor every particle is its prior draw plus
+        # its summed noise, so blocks on one stream would repeat values
+        sc = flt.FilterScenario.linear_gaussian(A=0.0, Q=1.0, H=0.0, R=1.0)
+        truth = flt.simulate_truth(sc, 12, 50, 1e-3)
+        N = 100 * flt.PARTICLE_BLOCKS
+        X, _ = flt.particle_ensemble(sc, truth, N, 7)
+        assert np.unique(X).size == N

@@ -9,7 +9,9 @@ that was never entered.  The count is the union of the line ranges of those
 defs (decorators through the last line of the body), so a def nested in an
 unreached def is counted once.  Prints the count, then one line per unreached
 def: ``file:first-last qualified.name``.  Output files go to a temporary
-directory that is removed afterwards.
+directory that is removed afterwards.  The tracer is also installed with
+``threading.settrace``, so defs entered only on threads started during the
+run (the particle blocks) count as reached.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import contextlib
 import io
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,10 +82,12 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         sys.settrace(tracer)
+        threading.settrace(tracer)
         try:
             run_claims(Path(tmp))
         finally:
             sys.settrace(None)
+            threading.settrace(None)
     unreached = sorted((k[0], v) for k, v in defs().items() if k not in entered)
     lines = {(f, i) for f, (first, last, _) in unreached for i in range(first, last + 1)}
     print(len(lines))
