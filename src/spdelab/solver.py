@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,80 +104,36 @@ def _stacked(lists, vals, dtype):
     return out
 
 
-# Patterns of the most recent operators; a time-dependent run builds the same
-# operator on the same grid, with the same entries kept, every step.
-_PATTERN_CACHE_SIZE = 8
-_patterns: OrderedDict = OrderedDict()
+# The last build of each operator, by name: a time-dependent set whose
+# operators do not move, such as Picard's frozen-source set, builds the same
+# matrix every step.
+_last: dict = {}
 
 
-class _Pattern:
-    """Where the kept triplets of one operator land in its csr matrix.
-
-    csr_matrix((vals, (rows, cols))) orders the triplets by row, keeping
-    triplet order within a row (coo_tocsr), sorts each row by column
-    (csr_sort_indices, which is not stable) and sums each run of duplicates
-    left to right (csr_sum_duplicates).  The two orders depend only on the
-    indices, so they are recorded once, by sorting the triplet numbers as
-    the data; ``matrix`` then gathers and sums the values in that order.
-    """
-
-    def __init__(self, rows, cols, keep, N: int):
-        # rows and cols come in the smallest index dtype that holds the
-        # triplet count, and each intermediate is dropped once it is used
-        src = np.flatnonzero(keep).astype(rows.dtype)
-        rows, cols = rows[src], cols[src]
-        by_row = np.argsort(rows, kind="stable").astype(rows.dtype)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=N))])
-        del rows
-        m = csr_matrix((by_row, cols[by_row], indptr), shape=(N, N))
-        del by_row, cols, indptr
-        m.sort_indices()
-        trip = src[m.data].astype(np.intp)
-        del src
-        first = np.ones(m.nnz, bool)
-        first[1:] = m.indices[1:] != m.indices[:-1]
-        first[m.indptr[:-1][np.diff(m.indptr) > 0]] = True
-        starts = np.flatnonzero(first)
-        del first
-        runs = np.diff(np.append(starts, m.nnz))
-        m.sum_duplicates()
-        self.indptr, self.indices, self.shape = m.indptr, m.indices, m.shape
-        del m
-        # runs longest first, so the runs that have a k-th triplet are a prefix
-        longest = np.argsort(-runs, kind="stable")
-        self.unsort = np.argsort(longest)
-        heads, runs = starts[longest], runs[longest]
-        self.kth = [trip[heads[:np.count_nonzero(runs > k)] + k]
-                    for k in range(runs.max(initial=1))]
-
-    def matrix(self, vals: np.ndarray) -> csr_matrix:
-        data = vals[self.kth[0]]
-        for kth in self.kth[1:]:
-            data[:len(kth)] += vals[kth]
-        out = csr_matrix((data[self.unsort], self.indices.copy(), self.indptr.copy()),
-                         shape=self.shape)
-        out.has_canonical_format = True     # as sum_duplicates leaves it
-        return out
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether x and y hold the same bits, compared in place: -0.0 is not 0.0."""
+    as_bits = f"u{x.itemsize}"
+    return np.array_equal(x.view(as_bits), y.view(as_bits))
 
 
 def _to_csr(op: str, grid: Grid, blocks) -> csr_matrix:
-    """The csr matrix of ``blocks``' kept (row, col, val) triplets, bit for
-    bit csr_matrix((vals, (rows, cols))): duplicates summed in triplet order.
-    Each block is (rows, cols, vals, keep), each a list of per-site entries;
-    the indices are stacked only when no pattern is cached for the operator,
-    the grid's shape and the keep mask."""
+    """csr_matrix((vals, (rows, cols))) of ``blocks``' kept (row, col, val)
+    triplets: duplicates summed in triplet order.  Each block is (rows, cols,
+    vals, keep), each a list of per-site entries.  A call whose grid shape,
+    keep mask and values have the bits of the last call for ``op`` gets a
+    copy of that call's matrix; only a new build stacks the indices."""
     rows, cols, vals, keep = zip(*blocks)
+    shape = tuple(grid.n)
     keep = _stacked(keep, vals, bool)
-    key = (op, tuple(grid.n), np.packbits(keep).tobytes())
-    pattern = _patterns.pop(key, None)
-    if pattern is None:
+    data = _stacked(vals, vals, float)
+    last = _last.get(op)
+    if not (last and last[0] == shape and _same_bits(last[1], keep)
+            and _same_bits(last[2], data)):
         index = get_index_dtype(maxval=keep.size)
-        pattern = _Pattern(_stacked(rows, vals, index), _stacked(cols, vals, index), keep,
-                           grid.npts)
-    _patterns[key] = pattern
-    if len(_patterns) > _PATTERN_CACHE_SIZE:
-        _patterns.popitem(last=False)
-    return pattern.matrix(_stacked(vals, vals, float))
+        ij = (_stacked(rows, vals, index)[keep], _stacked(cols, vals, index)[keep])
+        last = _last[op] = shape, keep, data, csr_matrix((data[keep], ij),
+                                                         shape=(grid.npts, grid.npts))
+    return last[3].copy()
 
 
 def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matrix:
@@ -253,7 +208,7 @@ def assemble_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> c
     cols.append(idx)
     vals.append(hv.reshape(shape))
     keep = [v != 0.0 for v in vals]
-    return _to_csr("noise", grid, [([idx] * len(cols), cols, vals, keep)])
+    return _to_csr(f"noise{l}", grid, [([idx] * len(cols), cols, vals, keep)])
 
 
 def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):

@@ -426,19 +426,22 @@ class TestIndexArrayBuilders:
             assert_same_csr(solver.assemble_noise_op(cs, grid, 0.0, l),
                             reference_noise_op(cs, grid, 0.0, l))
 
-    def test_pattern_cache_hits_misses_and_evictions(self, monkeypatch):
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The csr matrices solver builds from triplets, in a fresh cache."""
+        monkeypatch.setattr(solver, "_last", {})
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return csr_matrix(*args, **kwargs)
+        monkeypatch.setattr(solver, "csr_matrix", counted)
+        return built
+
+    def test_last_build_is_reused_only_for_the_same_bits(self, builds):
         # the kept entries change with the half-space a, c, sigma and h are
         # cut to zero on; None leaves them whole
         cuts = [None, -1.0, None, 0.0, 1.0, -1.5, 0.5, -0.5, None, -1.0]
-        assert 2 * len(set(cuts)) > solver._PATTERN_CACHE_SIZE
-        monkeypatch.setattr(solver, "_patterns", collections.OrderedDict())
-        built = []
-
-        class Counted(solver._Pattern):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
-        monkeypatch.setattr(solver, "_Pattern", Counted)
         grid = Grid.box2d((-2, -1.5), (2, 1.5), (16, 19))
         whole = CoefficientSet.from_fields(d=2, L=1, a=(1.0, 0.3, 0.8), b=(0.2, -0.1),
                                            c=0.5, sigma=[(0.4, 0.2)], h=[0.3])
@@ -452,10 +455,39 @@ class TestIndexArrayBuilders:
                             reference_generator(cs, grid, 0.0))
             assert_same_csr(solver.assemble_noise_op(cs, grid, 0.0, 0),
                             reference_noise_op(cs, grid, 0.0, 0))
-        calls = 2 * len(cuts)
-        assert len(built) < calls                     # hits
-        assert len(built) > 2 * len(set(cuts))        # evicted patterns built again
-        assert len(solver._patterns) == solver._PATTERN_CACHE_SIZE
+        assert len(builds) == 2 * len(cuts)      # no two calls in a row alike
+
+        # the same inputs again: nothing is built, and writing into a
+        # returned matrix leaves the next one alone
+        for _ in range(2):
+            gen = solver.assemble_generator(cs, grid, 0.0)
+            assert_same_csr(gen, reference_generator(cs, grid, 0.0))
+            gen.data[:] = 7.0
+            gen.indices[:] = 0
+        assert len(builds) == 2 * len(cuts)
+
+        # c = -0.0 at one cell it is cut to zero on: no entry is kept there,
+        # so the matrix is the same, but one value differs in its sign bit
+        # and the matrix is built again
+        cut_c = cs.c
+
+        def signed_zero_c(t, x):
+            out = cut_c(t, x).copy()
+            assert out[5] == 0.0
+            out[5] = -0.0
+            return out
+        cs.c = signed_zero_c
+        assert_same_csr(solver.assemble_generator(cs, grid, 0.0),
+                        reference_generator(cs, grid, 0.0))
+        assert len(builds) == 2 * len(cuts) + 1
+
+    def test_drivers_keep_their_own_last_build(self, builds):
+        grid = Grid.line(-2, 2, 24)
+        cs = CoefficientSet.from_fields(d=1, L=2, a=0.5, sigma=[0.4, -0.3], h=[0.2, 0.0])
+        for l in [0, 1, 0, 1, 1, 0]:
+            assert_same_csr(solver.assemble_noise_op(cs, grid, 0.0, l),
+                            reference_noise_op(cs, grid, 0.0, l))
+        assert len(builds) == 2
 
     @LAYOUTS
     @settings(max_examples=15, deadline=None)
