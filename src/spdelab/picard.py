@@ -119,7 +119,7 @@ def picard_solve(coeffs: CoefficientSet, sources: NonlinearSources, u0,
 
     vol = grid.cell_volume
     guess = u0_vals if initial_guess is None else np.asarray(initial_guess, float).ravel()
-    prev = np.tile(guess, (n_steps + 1, 1))
+    prev = np.broadcast_to(guess, (n_steps + 1, guess.size))
     log = []
     for it in range(1, max_iter + 1):
         traj = _linear_sweep(coeffs, grid, cfg, path, output_times, u0_vals, prev,
@@ -140,13 +140,15 @@ def picard_solve(coeffs: CoefficientSet, sources: NonlinearSources, u0,
 def frozen_source_coefficients(coeffs: CoefficientSet, sources: NonlinearSources,
                                traj: Trajectory) -> CoefficientSet:
     """Linear coefficient set whose f adds the source evaluated on the final
-    iterate, for running the weak-form residual on the converged solution."""
+    iterate at the endpoint of the step that holds t, as the Picard sweep
+    reads it: its linear solve reproduces the iterate, and the weak-form
+    residual runs on the converged solution."""
     hist = traj.full_history
     dt = traj.dt
     n_max = hist.shape[0] - 1
 
     def idx(t):
-        return min(int(np.floor(t / dt + 1e-9)), n_max)
+        return min(int(np.floor(t / dt + 1e-9)) + 1, n_max)
 
     def f_fn(t, X):
         return coeffs.f(t, X) + sources.f(hist[idx(t)])

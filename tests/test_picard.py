@@ -140,6 +140,19 @@ class TestPicardSolve:
                                 tol=1e-8, max_iter=2)
         assert len(exc.value.log) == 2
 
+    def test_frozen_source_solve_reproduces_the_iterate(self):
+        # the frozen set reads the source at each step's endpoint, as the sweep does
+        grid, cs, path, u0 = heat_setup(n=512, dt=5e-4, sigma=0.3, seed=101)
+        src = NonlinearSources.sin_of_u(0.1)
+        traj, _ = picard.picard_solve(cs, src, u0, grid, SolverConfig(dt=5e-4), path,
+                                      tol=1e-10)
+        frozen = picard.frozen_source_coefficients(cs, src, traj)
+        lin = solver.solve(frozen, u0, grid, SolverConfig(dt=5e-4, store_every=1), path,
+                           [0.25])
+        gap = np.max(np.sqrt(np.sum((traj.full_history - lin.full_history) ** 2, axis=1)
+                             * grid.cell_volume))
+        assert gap <= 1e-12
+
     def test_frozen_residual_small(self):
         grid, cs, path, u0 = heat_setup(n=512, dt=5e-4)
         src = NonlinearSources.sin_of_u(0.1)
