@@ -235,11 +235,14 @@ class _ImplicitSystem:
     """I - dt L, factored once; ``solve`` is the per-step solve.
 
     ``last`` is the caller's record of its most recent factorization: empty,
-    or the indptr, indices and data bytes of that I - dt L with its solve.
-    A matrix with the same bytes takes that solve over and is not factored
-    again.  Any other matrix empties ``last`` before it is factored and
-    leaves its own record there once the factorization succeeds, so the old
-    factorization is released first and a failed one is never reused.
+    or dt and the indptr, indices and data arrays of the generator L, with
+    the solve of that I - dt L.  A generator with the same bits at the same
+    dt takes that solve over, and I - dt L is not even formed; the record
+    then refers to the new generator's arrays, so it holds no copy and keeps
+    no older generator alive.  Any other generator empties ``last`` before
+    it is factored and leaves its own record there once the factorization
+    succeeds, so the old factorization is released first and a failed one
+    is never reused.
 
     In 1-d the flux-form operator is tridiagonal by construction, so the
     matrix is factored with LAPACK gttrf (LU with partial pivoting) and each
@@ -261,12 +264,13 @@ class _ImplicitSystem:
     """
 
     def __init__(self, Lop: csr_matrix, dt: float, grid: Grid, last: list):
-        M = identity(Lop.shape[0], format="csr") - dt * Lop
-        key = (M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes())
-        if last and last[0] == key:
+        key = dt, Lop.indptr, Lop.indices, Lop.data
+        if last and last[0][0] == dt and all(map(_same_bits, last[0][1:], key[1:])):
+            last[0] = key
             self._solve = last[1]
             return
         last.clear()
+        M = identity(Lop.shape[0], format="csr") - dt * Lop
         coo = M.tocoo()
         row, col = coo.row, coo.col
         transposed = grid.d == 2 and grid.n[0] < grid.n[1]
@@ -327,12 +331,14 @@ class Stepper:
     on first use.  Static coefficients build them once (at n = 0), and
     ``sources`` evaluates their f and g once; time-dependent ones rebuild
     and re-evaluate every step, releasing the previous step's operators
-    first.  The previous factorization goes with them unless the new
-    I - dt L has the same bytes, in which case it is reused: a set whose
-    operators do not move, such as the frozen-source set of a Picard solve,
-    factors once.  One factorization is alive at a time.  With ``guard`` the
-    stability check runs at t = 0 and, for time-dependent coefficients,
-    again at the start of every step.  The stepper holds no reference to
+    first.  Every system is handed the stepper's one record of its last
+    factorization (see ``_ImplicitSystem``), which refers to the generator
+    the stepper holds: the previous factorization is released unless the
+    new generator has the same bits, in which case it is reused, so a set
+    whose operators do not move, such as the frozen-source set of a Picard
+    solve, factors once.  One factorization is alive at a time.  With
+    ``guard`` the stability check runs at t = 0 and, for time-dependent
+    coefficients, again at the start of every step.  The stepper holds no reference to
     itself, so reference counting frees it and its factorization.
     """
 
@@ -368,8 +374,7 @@ class Stepper:
                 self._check(t)
             self.Lop = self.system = self._noise = self._n = None
             self.Lop = assemble_generator(self.coeffs, self.grid, t + 0.5 * self.dt)
-            last = [] if self._static else self._factored   # built once: nothing to compare
-            self.system = _ImplicitSystem(self.Lop, self.dt, self.grid, last)
+            self.system = _ImplicitSystem(self.Lop, self.dt, self.grid, self._factored)
             self._noise = [None] * self.coeffs.L
             self._n = n
 

@@ -1249,8 +1249,10 @@ class TestStepperMemory:
         assert alive_at_build == [0] * N
 
     @pytest.mark.parametrize("time_dependent", [False, True])
-    def test_only_a_time_dependent_solve_keeps_a_record(self, monkeypatch, time_dependent):
-        # a static stepper builds its one system and has nothing to compare
+    def test_record_refers_to_the_steppers_own_generator(self, monkeypatch, time_dependent):
+        # the record holds no copy: its arrays are those of the generator the
+        # stepper holds, after a static stepper's one build and after a
+        # time-dependent stepper's reuses alike
         steppers = []
 
         class Recorded(solver.Stepper):
@@ -1263,7 +1265,11 @@ class TestStepperMemory:
         solver.solve(flagged(self.cs, time_dependent), u0, self.grid, SolverConfig(dt=dt),
                      noise.generate(3, 1, N, dt), [N * dt])
         [stepper] = steppers
-        assert bool(stepper._factored) == time_dependent
+        (record_dt, *arrays), solve = stepper._factored
+        Lop = stepper.Lop
+        assert record_dt == dt and solve is stepper.system._solve
+        assert [a is b for a, b in zip(arrays, (Lop.indptr, Lop.indices, Lop.data))] == \
+            [True] * 3
 
     def test_reused_factorization_is_freed_with_its_stepper(self, no_cycle_collector):
         stepper = solver.Stepper(flagged(self.cs, True), self.grid, 1e-3, True)
