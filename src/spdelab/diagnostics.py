@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, HypothesisError
+from .grids import dot
 from .model import CoefficientSet
 from .noise import BrownianPath
 from .solver import Stepper, Trajectory
@@ -76,11 +77,6 @@ def check_positivity(traj: Trajectory, hypotheses: Hypotheses) -> CheckReport:
                        measured=measured, threshold=POSITIVITY_TOL)
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """<x, y> as an einsum loop: the same bits at any BLAS thread count."""
-    return float(np.einsum("i,i->", x, y))
-
-
 def energy_report(traj: Trajectory, coeffs: CoefficientSet,
                   path: BrownianPath) -> CheckReport:
     """Accumulate the discrete Ito energy balance and report the net defect.
@@ -107,24 +103,24 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet,
     stepper = Stepper(coeffs, grid, dt, False)
     net = 0.0
     per_step = np.zeros(n_steps)
-    sq_next = _dot(hist[0], hist[0])
+    sq_next = dot(hist[0], hist[0])
     for n in range(n_steps):
         stepper.at(n)
         u = hist[n]
         fv, gv, forced = stepper.sources(n)
         w = stepper.add_noise(np.zeros_like(u), u, gv, path.increments[n])
         ubar = stepper.system.solve(u + dt * fv)
-        inner = _dot(stepper.Lop @ ubar, ubar)
+        inner = dot(stepper.Lop @ ubar, ubar)
         if forced:
-            inner += _dot(fv, ubar)
+            inner += dot(fv, ubar)
         gen = 2.0 * dt * inner * vol
-        mart = 2.0 * _dot(u, w) * vol
-        ito = _dot(w, w) * vol
-        sq, sq_next = sq_next, _dot(hist[n + 1], hist[n + 1])
+        mart = 2.0 * dot(u, w) * vol
+        ito = dot(w, w) * vol
+        sq, sq_next = sq_next, dot(hist[n + 1], hist[n + 1])
         d = (sq_next - sq) * vol - gen - mart - ito
         net += d
         per_step[n] = d
-    return CheckReport(name="energy-balance", passed=True, measured=abs(net),
+    return CheckReport(name="energy-balance", passed=True, measured=float(abs(net)),
                        threshold=np.inf, extra={"per_step": per_step})
 
 
@@ -157,10 +153,8 @@ def continuity_modulus(traj: Trajectory, phi_set) -> CheckReport:
         levels = []
         m = m0
         for _ in range(MODULUS_LEVELS):
-            # <u_n, phi> only at the rows the level reads, as einsum row
-            # loops: no copy of the history, and the same bits at any BLAS
-            # thread count
-            proj = np.einsum("ij,j->i", hist[::m], phiv) * vol
+            # <u_n, phi> only at the rows the level reads: no copy of the history
+            proj = dot(hist[::m], phiv) * vol
             levels.append(float(np.max(np.abs(np.diff(proj)))))
             m //= 2
         moduli[f"phi{j}"] = levels

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateMassError, ScenarioError, ValidationError
 from .families import ScalarField
-from .grids import DensityField, Grid
+from .grids import DensityField, Grid, dot
 from .model import CoefficientSet, reuse_if_static
 from .noise import BrownianPath, coarsen
 from .solver import SolverConfig, Stepper, Trajectory, _march, solve
@@ -218,8 +218,7 @@ def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
 
     The first two x-moments of u are summed at every step as the solve
     runs, so no step history is kept unless ``cfg.store_every`` asks for
-    one.  The sums are einsum loops, not BLAS, so their bits do not depend
-    on the BLAS thread count."""
+    one."""
     coeffs = zakai_coefficients(sc)
     sc.validate(grid)
     p0 = normalize(sc.pi0(grid.points()), grid)
@@ -228,7 +227,7 @@ def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     sums = np.empty((truth.n_steps + 1, 2))
 
     def observe(n, u):
-        np.einsum("ji,i->j", xs, u, out=sums[n])
+        sums[n] = dot(xs, u)
     traj = solve(coeffs, p0, grid, cfg, _observation_path(truth),
                  _snapshot_times(truth.n_steps, truth.dt), observe)
     mass = traj.mass_series
@@ -273,7 +272,7 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     def update(n, pi):
         stepper.at(n)
         hv = h(n * dt, pts)                         # (m, 1)
-        pi_h = (pi @ hv) * vol                      # (1,)
+        pi_h = dot(hv.T, pi) * vol                  # (1,)
         dBcheck = path.increments[n] - pi_h * dt
         src = (hv - pi_h[None, :]) * pi[:, None]    # (m, 1)
         return normalize(stepper.system.solve(pi + src @ dBcheck), grid)

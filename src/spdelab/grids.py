@@ -10,6 +10,15 @@ import numpy as np
 from .errors import ValidationError
 
 
+def dot(x: np.ndarray, y: np.ndarray):
+    """Sum over the last axis of x times y: <x, y> for a vector x, one entry
+    per row for a stack of rows.  Every dense sum over grid points goes
+    through this one einsum loop, whose bits do not depend on the BLAS
+    thread count; OpenBLAS splits a dot or a gemv across threads above
+    10 000 points, and the split changes the summation order."""
+    return np.einsum("...i,i->...", x, y)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform lattice of cell centers x_i = x_min + (i + 1/2) h on a box.

@@ -35,7 +35,7 @@ from scipy.sparse import csr_matrix, get_index_dtype, identity
 
 from .errors import (ConfigurationError, SizeError, SolverError, StabilityError,
                      TestFunctionError, ValidationError)
-from .grids import DensityField, Grid
+from .grids import DensityField, Grid, dot
 from .model import PARABOLIC_TOL, CoefficientSet, _worst_defect, reuse_if_static
 from .noise import _MAX_ELEMENTS, BrownianPath
 
@@ -465,7 +465,7 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
         if n > 0:
             u = update(n - 1, u)
         mass[n] = np.sum(u) * vol
-        l2[n] = math.sqrt(np.einsum("i,i->", u, u) * vol)   # no BLAS thread split
+        l2[n] = math.sqrt(dot(u, u) * vol)
         if observe is not None:
             observe(n, u)
         if history is not None:
@@ -601,7 +601,8 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
     dt = traj.dt
 
     def terms(n):
-        """L* phi, M* phi, <f, phi> and <g^l, phi> of step n."""
+        """The adjoints [L* phi; M^{l*} phi] of step n stacked as rows, <f, phi>
+        and the <g^l, phi>."""
         t = n * dt
         A = coeffs.a(t, pts)
         da = coeffs.da(t, pts)
@@ -616,29 +617,28 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
         ms = (-dS * phiv[:, None] - np.einsum("mil,mi->ml", S, gphi)
               + hv * phiv[:, None])
         fv, gv = coeffs.f(t, pts), coeffs.g(t, pts)
-        return (ls, ms, float(fv @ phiv),
-                tuple(float(gv[:, l] @ phiv) for l in range(coeffs.L)))
+        return np.vstack([ls, ms.T]), float(dot(fv, phiv)), dot(gv.T, phiv).tolist()
     terms = reuse_if_static(terms, not coeffs.time_dependent)
 
-    lhs0 = float(hist[0] @ phiv) * vol
+    lhs0 = float(dot(hist[0], phiv)) * vol
     acc = 0.0
     snap_defects = []
     snap_steps = set(int(round(t / dt)) for t in traj.times)
     obs = {}
     for n in range(n_steps + 1):
         if n in snap_steps:
-            lhs = float(hist[n] @ phiv) * vol
+            lhs = float(dot(hist[n], phiv)) * vol
             obs[n] = lhs
             snap_defects.append(abs(lhs - (lhs0 + acc)))
         if n == n_steps:
             break
-        ls, ms, f_phi, g_phi = terms(n)
-        u_n = hist[n]
-        acc += dt * float(u_n @ ls) * vol + dt * f_phi * vol
+        adjoints, f_phi, g_phi = terms(n)
+        l_u, *m_u = dot(adjoints, hist[n]).tolist()   # <u_n, L* phi>, <u_n, M^{l*} phi>
+        acc += dt * l_u * vol + dt * f_phi * vol
         for l in range(coeffs.L):
             dB = path.increments[n, l]
             if dB != 0.0:
-                acc += float(u_n @ ms[:, l]) * vol * dB
+                acc += m_u[l] * vol * dB
                 acc += g_phi[l] * vol * dB
     denom = max(abs(v) for v in obs.values()) + 1.0
     return max(snap_defects) / denom

@@ -59,6 +59,30 @@ traj = solver.solve(cs, np.exp(-grid.x ** 2 / 0.5), grid,
 rep = diagnostics.energy_report(traj, cs, path)
 out = repr(rep.measured).encode() + rep.extra["per_step"].tobytes()
 """,
+    # the weak residual of that solve
+    "weak-residual": """
+import numpy as np
+from spdelab import noise, solver
+from spdelab.grids import Grid
+from spdelab.model import CoefficientSet
+from spdelab.solver import SolverConfig, TestFunction
+grid = Grid.line(-8, 8, 12000)
+cs = CoefficientSet.from_fields(d=1, L=1, a=0.5, sigma=0.03)
+path = noise.generate(5, 1, 20, 1e-3)
+traj = solver.solve(cs, np.exp(-grid.x ** 2 / 0.5), grid,
+                    SolverConfig(dt=1e-3, store_every=1), path, [0.02])
+out = repr(solver.weak_residual(traj, TestFunction.bump((0.0,), 4.0), cs, path)).encode()
+""",
+    # the final Kushner density on more than 10 000 points
+    "kushner": """
+from spdelab import filtering as flt
+from spdelab.grids import Grid
+from spdelab.solver import SolverConfig
+sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
+truth = flt.simulate_truth(sc, 12, 50, 1e-3)
+traj = flt.run_kushner(sc, truth, Grid.line(-8, 8, 12000), SolverConfig(dt=1e-3))
+out = traj.fields[-1].values.tobytes()
+""",
     # the modulus of a 5001 x 2048 history
     "continuity-modulus": """
 import numpy as np
