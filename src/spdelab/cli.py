@@ -129,6 +129,8 @@ def _sweep_commutator(bundle: ScenarioBundle, out: Path) -> None:
 
 
 def _picard(bundle: ScenarioBundle, out: Path) -> None:
+    # the sweeps run unguarded; a config's set is static, so t = 0 is solve's check
+    solver.check_stability(bundle.coeffs, bundle.grid, 0.0, bundle.dt)
     coeffs, u0, path, cfg = _spde_inputs(bundle)
     _, log = picard.picard_solve(coeffs, bundle.sources, u0, bundle.grid, cfg, path,
                                  tol=bundle.tol, max_iter=bundle.max_iter,

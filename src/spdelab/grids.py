@@ -11,11 +11,8 @@ from .errors import ValidationError
 
 
 def dot(x: np.ndarray, y: np.ndarray):
-    """Sum over the last axis of x times y: <x, y> for a vector x, one entry
-    per row for a stack of rows.  Every dense sum over grid points goes
-    through this one einsum loop, whose bits do not depend on the BLAS
-    thread count; OpenBLAS splits a dot or a gemv across threads above
-    10 000 points, and the split changes the summation order."""
+    """<x, y> per row of x: every dense sum over grid points is this einsum
+    loop, whose bits, unlike a BLAS dot's, do not depend on the thread count."""
     return np.einsum("...i,i->...", x, y)
 
 

@@ -25,7 +25,7 @@ from .errors import ConfigurationError, NonConvergenceError, ParseError, Validat
 from .grids import DensityField, Grid
 from .model import CoefficientSet
 from .noise import BrownianPath
-from .solver import SolverConfig, Stepper, Trajectory, _march, check_history_size
+from .solver import SolverConfig, Stepper, Trajectory, _march
 # bound here for perfbench's tracer test, which reads this name
 from .solver import assemble_generator  # noqa: F401
 
@@ -115,10 +115,11 @@ def picard_solve(coeffs: CoefficientSet, sources: NonlinearSources, u0,
     if len(output_times) == 0:
         raise ConfigurationError("output_times is empty")
     n_steps = int(round(max(output_times) / cfg.dt))
-    check_history_size(n_steps, grid.npts)
 
     vol = grid.cell_volume
     guess = u0_vals if initial_guess is None else np.asarray(initial_guess, float).ravel()
+    if guess.size != grid.npts:
+        raise ConfigurationError("the initial guess does not match the grid")
     prev = np.broadcast_to(guess, (n_steps + 1, guess.size))
     log = []
     for it in range(1, max_iter + 1):

@@ -234,15 +234,12 @@ def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
 class _ImplicitSystem:
     """I - dt L, factored once; ``solve`` is the per-step solve.
 
-    ``last`` is the caller's record of its most recent factorization: empty,
-    or dt and the indptr, indices and data arrays of the generator L, with
-    the solve of that I - dt L.  A generator with the same bits at the same
-    dt takes that solve over, and I - dt L is not even formed; the record
-    then refers to the new generator's arrays, so it holds no copy and keeps
-    no older generator alive.  Any other generator empties ``last`` before
-    it is factored and leaves its own record there once the factorization
-    succeeds, so the old factorization is released first and a failed one
-    is never reused.
+    ``last`` is the caller's record of its last factorization: empty, or dt
+    and the indptr, indices and data of L (the arrays, not copies) with that
+    solve.  An L with the same bits at the same dt takes the solve over, and
+    the record moves to its arrays; any other empties ``last`` before it is
+    factored and records itself once that succeeds, so the old factorization
+    is released first and a failed one is never reused.
 
     In 1-d the flux-form operator is tridiagonal by construction, so the
     matrix is factored with LAPACK gttrf (LU with partial pivoting) and each
@@ -331,14 +328,11 @@ class Stepper:
     on first use.  Static coefficients build them once (at n = 0), and
     ``sources`` evaluates their f and g once; time-dependent ones rebuild
     and re-evaluate every step, releasing the previous step's operators
-    first.  Every system is handed the stepper's one record of its last
-    factorization (see ``_ImplicitSystem``), which refers to the generator
-    the stepper holds: the previous factorization is released unless the
-    new generator has the same bits, in which case it is reused, so a set
-    whose operators do not move, such as the frozen-source set of a Picard
-    solve, factors once.  One factorization is alive at a time.  With
-    ``guard`` the stability check runs at t = 0 and, for time-dependent
-    coefficients, again at the start of every step.  The stepper holds no reference to
+    first.  Each system gets the stepper's one record (see ``_ImplicitSystem``),
+    so a generator that keeps its bits, such as a Picard frozen-source set's,
+    is factored once.  One factorization is alive at a time.  With ``guard``
+    the stability check runs at t = 0 and, for time-dependent coefficients,
+    again at the start of every step.  The stepper holds no reference to
     itself, so reference counting frees it and its factorization.
     """
 
@@ -601,8 +595,7 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
     dt = traj.dt
 
     def terms(n):
-        """The adjoints [L* phi; M^{l*} phi] of step n stacked as rows, <f, phi>
-        and the <g^l, phi>."""
+        """[L* phi; M^{l*} phi] of step n as rows, <f, phi> and the <g^l, phi>."""
         t = n * dt
         A = coeffs.a(t, pts)
         da = coeffs.da(t, pts)

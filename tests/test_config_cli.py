@@ -384,6 +384,13 @@ OVER_NOISE_BUDGET = (HEAT.replace("dt = 1e-3", "dt = 0.05")
                      .replace("a = constant:0.5", "a = constant:0.5\nsigma0 = constant:1"))
 # 2a - sigma sigma^T = [[0, -1], [-1, 0]] has the eigenvalue -1, while each
 # diagonal entry 2a_ii - |sigma_i|^2 is 0
+# 2a - sigma^2 = 1 - 4 = -3
+PICARD_NOT_PARABOLIC = PICARD_CONFIG.replace("a = constant:0.5",
+                                             "a = constant:0.5\nsigma0 = constant:2.0")
+# parabolic (4 - 3.61 > 0), but dt sigma^2 / h^2 = 0.01 * 3.61 / 0.125^2 = 2.3 > 1
+PICARD_OVER_NOISE_BUDGET = (PICARD_CONFIG.replace("dt = 1e-3", "dt = 1e-2")
+                            .replace("a = constant:0.5", "a = constant:2.0\n"
+                                     "sigma0 = constant:1.9"))
 NOT_PARABOLIC_2D = (HEAT.replace("dim = 1", "dim = 2").replace("n = 128", "n = 32")
                     .replace("a = constant:0.5", "a11 = constant:0.5\na22 = constant:0.5\n"
                              "sigma0_1 = constant:1\nsigma0_2 = constant:1"))
@@ -411,6 +418,11 @@ class TestCliErrors:
                          "for dim = 1 and L = 1",
         "not-parabolic-2d": "error: coefficients are not parabolic at t=0.0: the smallest "
                             "eigenvalue of 2a - sigma sigma^T is -1.000e+00 < 0",
+        "picard-not-parabolic": "error: coefficients are not parabolic at t=0.0: the "
+                                "smallest eigenvalue of 2a - sigma sigma^T is "
+                                "-3.000e+00 < 0",
+        "picard-over-noise-budget": "error: dt=0.01 violates the noise stability budget; "
+                                    "try dt=0.00411",
         "run-spde-theta": "error: unknown key 'theta' in [time]",
         "picard-theta": "error: unknown key 'theta' in [time]",
         "run-filter-theta": "error: unknown key 'theta' in [time]",
@@ -480,6 +492,8 @@ class TestCliErrors:
         ("run-spde", MOLLIFY),
         ("run-spde", OVER_NOISE_BUDGET),
         ("run-spde", NOT_PARABOLIC_2D),
+        ("picard", PICARD_NOT_PARABOLIC),
+        ("picard", PICARD_OVER_NOISE_BUDGET),
         ("run-spde", HEAT.replace("t_end = 0.05", "t_end = 0.05\ntheta = 1.0")),
         ("picard", PICARD_CONFIG.replace("t_end = 0.1", "t_end = 0.1\ntheta = 0.5")),
         ("run-filter", FILTER_CONFIG.replace("t_end = 0.25", "t_end = 0.25\ntheta = 0.5")),
@@ -506,7 +520,8 @@ class TestCliErrors:
             "picard-max_iter-0", "picard-scale-nan", "picard-coeff-inf",
             "run-spde-history-too-large", "picard-history-too-large", "mollify",
             "over-noise-budget",
-            "not-parabolic-2d", "run-spde-theta", "picard-theta", "run-filter-theta",
+            "not-parabolic-2d", "picard-not-parabolic", "picard-over-noise-budget",
+            "run-spde-theta", "picard-theta", "run-filter-theta",
             "run-spde-boundary", "run-filter-boundary", "run-spde-particle_seed",
             "picard-particle_seed", "sweep-commutator-particle_seed",
             "run-filter-particle_seed", "run-filter-n_particles", "run-filter-kind",

@@ -123,6 +123,13 @@ class TestPicardSolve:
                              * grid.cell_volume))
         assert gap < 10 * tol
 
+    @pytest.mark.parametrize("guess", [0.0, np.zeros(10)], ids=["scalar", "too-short"])
+    def test_initial_guess_needs_one_value_per_point(self, guess):
+        grid, cs, path, u0 = heat_setup(n=128, T=0.01)
+        with pytest.raises(ConfigurationError, match="the initial guess does not match the grid"):
+            picard.picard_solve(cs, NonlinearSources.sin_of_u(0.1), u0, grid,
+                                SolverConfig(dt=1e-3), path, initial_guess=guess)
+
     def test_bitwise_reproducible(self):
         grid, cs, path, u0 = heat_setup(sigma=1.0)
         src = NonlinearSources.sin_of_u(0.1)

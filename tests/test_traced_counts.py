@@ -2,24 +2,30 @@
 
 perfbench's ``--trace 1`` mode checks the span and counter totals of a run
 against the counts the workload's body expects.  ``nonlinear-2d`` pins the
-most of them (assemblies, factorizations, stability checks, solves), so it
+most of them (assemblies, factorizations, stability checks, solves),
+``transport-1d`` its solves, energy re-solves and weak residuals, and
+``filter-1d`` its Zakai and Kushner solves, particle steps and truths.  Each
 runs here under the tracer, in process, at its default seed."""
 
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
-from workloads import Checks, Nonlinear2d  # noqa: E402
+from workloads import WORKLOADS, Checks  # noqa: E402
 
 
-def test_nonlinear_2d_traced_counts_match_its_expectations(tmp_path):
+@pytest.mark.parametrize("name", ["transport-1d", "filter-1d", "nonlinear-2d"])
+def test_traced_counts_match_the_workloads_expectations(tmp_path, name):
+    workload = WORKLOADS[name]
     tracer = tracing.Tracer("counts")
     tracer.install()
     try:
         checks = Checks()
-        inputs = checks.run(Nonlinear2d.setup, Nonlinear2d.default_seed, tmp_path)
-        result = checks.run(Nonlinear2d.body, inputs, checks)
+        inputs = checks.run(workload.setup, workload.default_seed, tmp_path)
+        result = checks.run(workload.body, inputs, checks)
     finally:
         tracer.uninstall()
     assert result is not None, checks.rows
