@@ -11,8 +11,7 @@ from .errors import ValidationError
 
 
 def dot(x: np.ndarray, y: np.ndarray):
-    """<x, y> per row of x: every dense sum over grid points is this einsum
-    loop, whose bits, unlike a BLAS dot's, do not depend on the thread count."""
+    """<x, y> per row of x, by einsum: unlike BLAS, its bits ignore the thread count."""
     return np.einsum("...i,i->...", x, y)
 
 

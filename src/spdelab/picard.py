@@ -119,7 +119,8 @@ def picard_solve(coeffs: CoefficientSet, sources: NonlinearSources, u0,
     vol = grid.cell_volume
     guess = u0_vals if initial_guess is None else np.asarray(initial_guess, float).ravel()
     if guess.size != grid.npts:
-        raise ConfigurationError("the initial guess does not match the grid")
+        raise ConfigurationError(f"{'u0' if initial_guess is None else 'initial_guess'} "
+                                 "does not match the grid")
     prev = np.broadcast_to(guess, (n_steps + 1, guess.size))
     log = []
     for it in range(1, max_iter + 1):

@@ -126,7 +126,7 @@ class TestPicardSolve:
     @pytest.mark.parametrize("guess", [0.0, np.zeros(10)], ids=["scalar", "too-short"])
     def test_initial_guess_needs_one_value_per_point(self, guess):
         grid, cs, path, u0 = heat_setup(n=128, T=0.01)
-        with pytest.raises(ConfigurationError, match="the initial guess does not match the grid"):
+        with pytest.raises(ConfigurationError, match="initial_guess does not match the grid"):
             picard.picard_solve(cs, NonlinearSources.sin_of_u(0.1), u0, grid,
                                 SolverConfig(dt=1e-3), path, initial_guess=guess)
 
