@@ -104,36 +104,38 @@ def _stacked(lists, vals, dtype):
     return out
 
 
-# The last build of each operator, by name: a time-dependent set whose
-# operators do not move, such as Picard's frozen-source set, builds the same
-# matrix every step.
-_last: dict = {}
+_last: dict = {}   # (grid, samples, matrix) of each operator's last build
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether x and y hold the same bits, compared in place: -0.0 is not 0.0."""
-    as_bits = f"u{x.itemsize}"
-    return np.array_equal(x.view(as_bits), y.view(as_bits))
+    """Whether float64 x and y hold the same bits, compared in place: -0.0 is not 0.0."""
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
-def _to_csr(op: str, grid: Grid, blocks) -> csr_matrix:
-    """csr_matrix((vals, (rows, cols))) of ``blocks``' kept (row, col, val)
-    triplets: duplicates summed in triplet order.  Each block is (rows, cols,
-    vals, keep), each a list of per-site entries.  A call whose grid shape,
-    keep mask and values have the bits of the last call for ``op`` gets a
-    copy of that call's matrix; only a new build stacks the indices."""
-    rows, cols, vals, keep = zip(*blocks)
-    shape = tuple(grid.n)
-    keep = _stacked(keep, vals, bool)
-    data = _stacked(vals, vals, float)
+def _last_build(op, grid: Grid, samples, blocks) -> csr_matrix:
+    """csr of ``blocks(grid, cell numbers, *samples)``, built from float64 copies
+    of the samples and read-only: the last build of ``op`` itself if its grid
+    and sample bits repeat."""
+    samples = [np.array(s, float) for s in samples]
     last = _last.get(op)
-    if not (last and last[0] == shape and _same_bits(last[1], keep)
-            and _same_bits(last[2], data)):
-        index = get_index_dtype(maxval=keep.size)
-        ij = (_stacked(rows, vals, index)[keep], _stacked(cols, vals, index)[keep])
-        last = _last[op] = shape, keep, data, csr_matrix((data[keep], ij),
-                                                         shape=(grid.npts, grid.npts))
-    return last[3].copy()
+    if not (last and last[0] == grid and all(map(_same_bits, last[1], samples))):
+        idx = np.arange(grid.npts).reshape(grid.n)
+        last = _last[op] = grid, samples, _to_csr(grid, blocks(grid, idx, *samples))
+    return last[2]
+
+
+def _to_csr(grid: Grid, blocks) -> csr_matrix:
+    """csr_matrix((vals, (rows, cols))) of ``blocks``' kept (row, col, val)
+    triplets: duplicates summed in triplet order, arrays made read-only.
+    Each block is (rows, cols, vals, keep), each a list of per-site entries."""
+    rows, cols, vals, keep = zip(*blocks)
+    keep = _stacked(keep, vals, bool)
+    index = get_index_dtype(maxval=keep.size)
+    ij = (_stacked(rows, vals, index)[keep], _stacked(cols, vals, index)[keep])
+    out = csr_matrix((_stacked(vals, vals, float)[keep], ij), shape=(grid.npts,) * 2)
+    for a in (out.data, out.indices, out.indptr):
+        a.flags.writeable = False
+    return out
 
 
 def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matrix:
@@ -146,22 +148,21 @@ def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matr
     diagonal.
     """
     pts = grid.points()
-    A = coeffs.a(t, pts)
-    bvec = coeffs.b(t, pts)
-    cvec = coeffs.c(t, pts)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(bvec))
-            and np.all(np.isfinite(cvec))):
+    A, bvec, cvec = (f(t, pts) for f in (coeffs.a, coeffs.b, coeffs.c))
+    if not all(np.all(np.isfinite(v)) for v in (A, bvec, cvec)):
         raise SolverError(f"non-finite generator coefficients at t={t}")
     if not np.allclose(A, np.transpose(A, (0, 2, 1)), atol=1e-13, rtol=0):
         raise ValidationError("a(t,x) sample is not symmetric")
-    shape = tuple(grid.n)
-    idx = np.arange(grid.npts).reshape(shape)
+    return _last_build("generator", grid, (A, bvec, cvec), _generator_blocks)
+
+
+def _generator_blocks(grid: Grid, idx, A, bvec, cvec) -> list:
     blocks = []
     for ax, h in enumerate(grid.hs):
         lo = (slice(None),) * ax + (slice(None, -1),)
         hi = (slice(None),) * ax + (slice(1, None),)
-        a = A[:, ax, ax].reshape(shape)
-        b = bvec[:, ax].reshape(shape)
+        a = A[:, ax, ax].reshape(grid.n)
+        b = bvec[:, ax].reshape(grid.n)
         r0, r1 = idx[lo], idx[hi]
         af = 0.5 * (a[lo] + a[hi])
         b0, b1 = b[lo], b[hi]
@@ -172,7 +173,7 @@ def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matr
                 b0 / (2 * h), b1 / (2 * h), -b0 / (2 * h), -b1 / (2 * h)]
         keep = [True] * 8
         if grid.d == 2:
-            a12 = A[:, 0, 1].reshape(shape)
+            a12 = A[:, 0, 1].reshape(grid.n)
             cf = 0.5 * (a12[lo] + a12[hi])
             q = 1.0 / (4 * grid.hs[1 - ax])
             nbp, nbm = _neighbours(idx, 1 - ax)
@@ -182,8 +183,8 @@ def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matr
                 vals += [cf * w / h, -cf * w / h]
                 keep += [cf != 0.0] * 2
         blocks.append((rows, cols, vals, keep))
-    c = np.asarray(cvec, float).reshape(shape)
-    return _to_csr("generator", grid, blocks + [([idx], [idx], [c], [c != 0.0])])
+    c = cvec.reshape(grid.n)
+    return blocks + [([idx], [idx], [c], [c != 0.0])]
 
 
 def assemble_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> csr_matrix:
@@ -196,19 +197,20 @@ def assemble_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> c
     if not 0 <= l < coeffs.L:
         raise ConfigurationError(f"driver index {l} outside [0, {coeffs.L})")
     pts = grid.points()
-    S = coeffs.sigma(t, pts)[:, :, l]
-    hv = coeffs.h(t, pts)[:, l]
-    shape = tuple(grid.n)
-    idx = np.arange(grid.npts).reshape(shape)
+    samples = coeffs.sigma(t, pts)[:, :, l], coeffs.h(t, pts)[:, l]
+    return _last_build(("noise", l), grid, samples, _noise_blocks)
+
+
+def _noise_blocks(grid: Grid, idx, S, hv) -> list:
     cols, vals = [], []
     for ax, h in enumerate(grid.hs):
-        s = S[:, ax].reshape(shape)
+        s = S[:, ax].reshape(grid.n)
         cols += _neighbours(idx, ax)
         vals += [s / (2 * h), -s / (2 * h)]
     cols.append(idx)
-    vals.append(hv.reshape(shape))
+    vals.append(hv.reshape(grid.n))
     keep = [v != 0.0 for v in vals]
-    return _to_csr(f"noise{l}", grid, [([idx] * len(cols), cols, vals, keep)])
+    return [([idx] * len(cols), cols, vals, keep)]
 
 
 def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
@@ -234,12 +236,11 @@ def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
 class _ImplicitSystem:
     """I - dt L, factored once; ``solve`` is the per-step solve.
 
-    ``last`` is the caller's record of its last factorization: empty, or dt
-    and the indptr, indices and data of L (the arrays, not copies) with that
-    solve.  An L with the same bits at the same dt takes the solve over, and
-    the record moves to its arrays; any other empties ``last`` before it is
-    factored and records itself once that succeeds, so the old factorization
-    is released first and a failed one is never reused.
+    ``last`` is the caller's record of its last factorization: empty, or L,
+    dt and that solve.  The same L object at the same dt takes the solve
+    over; any other empties ``last`` before it is factored and records itself
+    once that succeeds, so the old factorization is released first and a
+    failed one is never reused.
 
     In 1-d the flux-form operator is tridiagonal by construction, so the
     matrix is factored with LAPACK gttrf (LU with partial pivoting) and each
@@ -261,10 +262,8 @@ class _ImplicitSystem:
     """
 
     def __init__(self, Lop: csr_matrix, dt: float, grid: Grid, last: list):
-        key = dt, Lop.indptr, Lop.indices, Lop.data
-        if last and last[0][0] == dt and all(map(_same_bits, last[0][1:], key[1:])):
-            last[0] = key
-            self._solve = last[1]
+        if last and last[0] is Lop and last[1] == dt:
+            self._solve = last[2]
             return
         last.clear()
         M = identity(Lop.shape[0], format="csr") - dt * Lop
@@ -311,7 +310,7 @@ class _ImplicitSystem:
         else:
             from scipy.sparse.linalg import splu
             self._solve = splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-        last[:] = key, self._solve
+        last[:] = Lop, dt, self._solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         out = self._solve(rhs)
@@ -328,12 +327,13 @@ class Stepper:
     on first use.  Static coefficients build them once (at n = 0), and
     ``sources`` evaluates their f and g once; time-dependent ones rebuild
     and re-evaluate every step, releasing the previous step's operators
-    first.  Each system gets the stepper's one record (see ``_ImplicitSystem``),
-    so a generator that keeps its bits, such as a Picard frozen-source set's,
-    is factored once.  One factorization is alive at a time.  With ``guard``
-    the stability check runs at t = 0 and, for time-dependent coefficients,
-    again at the start of every step.  The stepper holds no reference to
-    itself, so reference counting frees it and its factorization.
+    first.  A generator whose samples repeat, such as a Picard frozen-source
+    set's, is the same matrix (see ``_last_build``), which the stepper's one
+    record (see ``_ImplicitSystem``) factors once; one factorization is alive
+    at a time.  With ``guard`` the stability check runs at t = 0 and, for
+    time-dependent coefficients, again at the start of every step.  The
+    stepper holds no reference to itself, so reference counting frees it and
+    its factorization.
     """
 
     def __init__(self, coeffs: CoefficientSet, grid: Grid, dt: float, guard: bool):

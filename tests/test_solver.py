@@ -457,13 +457,15 @@ class TestIndexArrayBuilders:
                             reference_noise_op(cs, grid, 0.0, 0))
         assert len(builds) == 2 * len(cuts)      # no two calls in a row alike
 
-        # the same inputs again: nothing is built, and writing into a
-        # returned matrix leaves the next one alone
-        for _ in range(2):
-            gen = solver.assemble_generator(cs, grid, 0.0)
-            assert_same_csr(gen, reference_generator(cs, grid, 0.0))
-            gen.data[:] = 7.0
-            gen.indices[:] = 0
+        # the same inputs again: nothing is built, the matrix comes back
+        # itself, and no write into it is allowed
+        gen = solver.assemble_generator(cs, grid, 0.0)
+        for name in ("data", "indices", "indptr"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(gen, name)[:] = 0
+        again = solver.assemble_generator(cs, grid, 0.0)
+        assert again is gen
+        assert_same_csr(again, reference_generator(cs, grid, 0.0))
         assert len(builds) == 2 * len(cuts)
 
         # c = -0.0 at one cell it is cut to zero on: no entry is kept there,
@@ -1047,22 +1049,30 @@ class TestFactorizationReuse:
                      [self.N * self.DT])
         assert factored == {routine: self.N}
 
-    def test_one_ulp_in_one_entry_refactors(self, factored):
+    def test_one_ulp_in_one_coefficient_refactors(self, factored):
+        # the same samples give the same matrix and the same solve; a11 moved
+        # by one ulp at one point gives a new matrix and a new factorization
         grid, _, cs, _ = self.case("banded")
-        Lop = solver.assemble_generator(cs, grid, 0.0)
-        dt = 2.0 ** -10     # dt L is exact, and off the diagonal I - dt L is -dt L
-        last = []
-        first = solver._ImplicitSystem(Lop, dt, grid, last)
-        again = solver._ImplicitSystem(Lop.copy(), dt, grid, last)
-        assert factored == {"dgbtrf": 1} and again._solve is first._solve
+        a, dt, last = cs.a, 2.0 ** -10, []
+        first = solver._ImplicitSystem(solver.assemble_generator(cs, grid, 0.0), dt,
+                                       grid, last)
+        Lop = last[0]
+        again = solver._ImplicitSystem(solver.assemble_generator(cs, grid, 0.0), dt,
+                                       grid, last)
+        assert last[0] is Lop and again._solve is first._solve
+        assert factored == {"dgbtrf": 1}
 
-        moved = Lop.copy()
-        rows = np.repeat(np.arange(grid.npts), np.diff(moved.indptr))
-        j = np.flatnonzero((moved.indices != rows) & (moved.data != 0.0))[0]
-        moved.data[j] = np.nextafter(moved.data[j], np.inf)
-        third = solver._ImplicitSystem(moved, dt, grid, last)
+        def moved(t, x):
+            out = a(t, x).copy()
+            out[40, 0, 0] = np.nextafter(out[40, 0, 0], np.inf)
+            return out
+        cs.a = moved
+        third = solver._ImplicitSystem(solver.assemble_generator(cs, grid, 0.0), dt,
+                                       grid, last)
+        assert last[0] is not Lop
+        assert_same_csr(last[0], reference_generator(cs, grid, 0.0))
         assert factored == {"dgbtrf": 2} and third._solve is not first._solve
-        assert last[1] is third._solve
+        assert last[2] is third._solve
 
     def test_failed_factorization_is_never_reused(self, factored):
         # an all-zero column of I - dt L, as in test_singular_2d_band_rejected
@@ -1250,9 +1260,8 @@ class TestStepperMemory:
 
     @pytest.mark.parametrize("time_dependent", [False, True])
     def test_record_refers_to_the_steppers_own_generator(self, monkeypatch, time_dependent):
-        # the record holds no copy: its arrays are those of the generator the
-        # stepper holds, after a static stepper's one build and after a
-        # time-dependent stepper's reuses alike
+        # the record holds the generator the stepper holds, after a static
+        # stepper's one build and after a time-dependent stepper's reuses alike
         steppers = []
 
         class Recorded(solver.Stepper):
@@ -1265,11 +1274,8 @@ class TestStepperMemory:
         solver.solve(flagged(self.cs, time_dependent), u0, self.grid, SolverConfig(dt=dt),
                      noise.generate(3, 1, N, dt), [N * dt])
         [stepper] = steppers
-        (record_dt, *arrays), solve = stepper._factored
-        Lop = stepper.Lop
-        assert record_dt == dt and solve is stepper.system._solve
-        assert [a is b for a, b in zip(arrays, (Lop.indptr, Lop.indices, Lop.data))] == \
-            [True] * 3
+        Lop, record_dt, solve = stepper._factored
+        assert Lop is stepper.Lop and record_dt == dt and solve is stepper.system._solve
 
     def test_reused_factorization_is_freed_with_its_stepper(self, no_cycle_collector):
         stepper = solver.Stepper(flagged(self.cs, True), self.grid, 1e-3, True)
