@@ -17,7 +17,7 @@ from .errors import ConfigurationError, HypothesisError
 from .grids import dot
 from .model import CoefficientSet
 from .noise import BrownianPath
-from .solver import Stepper, Trajectory
+from .solver import Stepper, Trajectory, check_path
 # bound here for perfbench's tracer test, which reads this name
 from .solver import assemble_generator  # noqa: F401
 
@@ -92,6 +92,7 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet,
     is |sum_n defect_n|, which is O(dt) along a fixed path and halves under
     dt-halving on the coarsened path; the per-step defect is also recorded.
     The report records the defect without a verdict (threshold inf).
+    ``path`` must pass ``solver.check_path`` against the trajectory.
     """
     if traj.full_history is None:
         raise ConfigurationError("energy_report needs a store_every=1 trajectory")
@@ -100,6 +101,7 @@ def energy_report(traj: Trajectory, coeffs: CoefficientSet,
     hist = traj.full_history
     n_steps = hist.shape[0] - 1
     dt = traj.dt
+    check_path(path, dt, n_steps, coeffs.L)
     stepper = Stepper(coeffs, grid, dt, False)
     net = 0.0
     per_step = np.zeros(n_steps)
@@ -134,7 +136,7 @@ def continuity_modulus(traj: Trajectory, phi_set) -> CheckReport:
     increments are extreme-value noisy, so single ratios jitter while the
     median tracks the O(D) drift / sqrt(D) noise scaling (about 0.5 for
     diffusive runs, about 0.7 for observation-driven ones); it passes
-    below 0.8.
+    below 0.8.  An empty ``phi_set`` is refused, not passed.
     """
     if traj.full_history is None:
         raise ConfigurationError("continuity_modulus needs a store_every=1 trajectory")
@@ -143,6 +145,8 @@ def continuity_modulus(traj: Trajectory, phi_set) -> CheckReport:
     vol = grid.cell_volume
     hist = traj.full_history
     n_steps = hist.shape[0] - 1
+    if not phi_set:
+        raise ConfigurationError("continuity_modulus needs at least one test function")
     m0 = n_steps // 8
     if m0 // (2 ** (MODULUS_LEVELS - 1)) < 1:
         raise ConfigurationError("trajectory too short for the requested levels")

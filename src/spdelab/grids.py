@@ -11,7 +11,11 @@ from .errors import ValidationError
 
 
 def dot(x: np.ndarray, y: np.ndarray):
-    """<x, y> per row of x, by einsum: unlike BLAS, its bits ignore the thread count."""
+    """<x, y> per row of x, by einsum: unlike BLAS, its bits ignore the thread count.
+
+    They follow the call's shape, not the row: a row reduced inside a stacked
+    call can differ in its last bits from the same row reduced alone, so a
+    caller that must repeat its bits keeps one shape."""
     return np.einsum("...i,i->...", x, y)
 
 

@@ -415,17 +415,15 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
     record the per-step mass and L2 series, the snapshots at the output times
     and, with ``keep_history``, every step.  ``observe(n, u)``, if given, is
     called at every step boundary n = 0..n_steps after the mass and L2
-    records; it must not write to ``u``.  The horizon, the output times,
-    dt and the driver count are checked against ``path``, and a kept history
-    against ``check_history_size``, before any step."""
+    records; it must not write to ``u``.  The output times are checked, the
+    path against them with ``check_path``, and a kept history against
+    ``check_history_size``, before any step."""
     if isinstance(u0, DensityField):
         u = u0.values.copy()
     else:
         u = np.asarray(u0, float).ravel().copy()
         if u.shape[0] != grid.npts:
             raise ConfigurationError("u0 does not match the grid")
-    if abs(path.dt - cfg.dt) > 1e-12 * max(path.dt, cfg.dt):
-        raise ConfigurationError(f"path.dt={path.dt} differs from cfg.dt={cfg.dt}")
     output_times = sorted(float(t) for t in output_times)
     if not output_times:
         raise ConfigurationError("output_times is empty")
@@ -435,10 +433,7 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
     n_steps = int(round(t_end / cfg.dt))
     if abs(n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ConfigurationError("t_end must be a multiple of dt")
-    if path.n_steps < n_steps:
-        raise ConfigurationError("driver path is shorter than the requested horizon")
-    if path.L != L:
-        raise ConfigurationError(f"path has {path.L} drivers, coefficients need {L}")
+    check_path(path, cfg.dt, n_steps, L)
     snap_steps = set()
     for t in output_times:
         k = int(round(t / cfg.dt))
@@ -470,6 +465,17 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
     _boundary_mass_guard(grid, u)
     return Trajectory(grid=grid, times=np.asarray(output_times), fields=fields,
                       mass_series=mass, l2_series=l2, dt=cfg.dt, full_history=history)
+
+
+def check_path(path: BrownianPath, dt: float, n_steps: int, L: int) -> None:
+    """Refuse a driver path whose dt is not ``dt``, that is shorter than
+    ``n_steps`` steps, or that has not one driver per noise term (``L``)."""
+    if abs(path.dt - dt) > 1e-12 * max(path.dt, dt):
+        raise ConfigurationError(f"path.dt={path.dt} differs from dt={dt}")
+    if path.n_steps < n_steps:
+        raise ConfigurationError("driver path is shorter than the requested horizon")
+    if path.L != L:
+        raise ConfigurationError(f"path has {path.L} drivers, coefficients need {L}")
 
 
 def check_history_size(n_steps: int, npts: int) -> None:
@@ -574,7 +580,8 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
     grid quadrature in space and left-point sums in time; returns the worst
     absolute defect over the snapshot times normalized by sup_t |int u_t phi|
     plus one.  A deliberately sign-flipped drift must blow this up by an
-    order of magnitude (negative control in the test suite).
+    order of magnitude (negative control in the test suite).  ``path`` must
+    pass ``check_path`` against the trajectory.
     """
     if traj.full_history is None:
         raise ConfigurationError("weak_residual needs a store_every=1 trajectory")
@@ -593,6 +600,7 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
     hist = traj.full_history
     n_steps = hist.shape[0] - 1
     dt = traj.dt
+    check_path(path, dt, n_steps, coeffs.L)
 
     def terms(n):
         """[L* phi; M^{l*} phi] of step n as rows, <f, phi> and the <g^l, phi>."""

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from spdelab import diagnostics as diag
 from spdelab import filtering as flt
 from spdelab import noise, solver
-from spdelab.errors import HypothesisError
+from spdelab.errors import ConfigurationError, HypothesisError
 from spdelab.families import ScalarField
 from spdelab.grids import Grid
 from spdelab.model import CoefficientSet
@@ -225,7 +225,54 @@ class TestEnergyReport:
         assert abs(np.mean(drifts)) < 0.01
 
 
+class TestDriverPath:
+    """energy_report and weak_residual read the driver increment of every
+    step of the trajectory: a path at another dt, shorter than the run, or
+    with another driver count is refused, not misread."""
+
+    N, DT = 64, 1e-3
+    grid = Grid.line(-8, 8, 128)
+    cs = CoefficientSet.from_fields(d=1, L=1, a=0.5, sigma=0.4)
+    CHECKS = {
+        "energy_report": lambda traj, cs, path: diag.energy_report(traj, cs, path).measured,
+        "weak_residual": lambda traj, cs, path: solver.weak_residual(
+            traj, TestFunction.bump((0.0,), 2.0), cs, path),
+    }
+    BAD = {"shorter": (N - 1, DT, 1, "shorter than the requested horizon"),
+           "coarser": (N, 4 * DT, 1, "differs from"),
+           "two drivers": (N, DT, 2, "path has 2 drivers, coefficients need 1")}
+
+    def run(self):
+        path = noise.generate(7, 1, self.N, self.DT)
+        traj = solver.solve(self.cs, gaussian(self.grid), self.grid,
+                            SolverConfig(dt=self.DT, store_every=1), path,
+                            [self.N * self.DT])
+        return traj, path
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_mismatched_path_is_refused(self, check, bad):
+        traj, _ = self.run()
+        n_steps, dt, L, message = self.BAD[bad]
+        with pytest.raises(ConfigurationError, match=message):
+            self.CHECKS[check](traj, self.cs, noise.generate(7, L, n_steps, dt))
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_longer_path_reads_as_the_runs_own(self, check):
+        traj, path = self.run()
+        longer = noise.generate(7, 1, 2 * self.N, self.DT)
+        longer = noise.BrownianPath(dt=self.DT, seed=0, increments=np.vstack(
+            [path.increments, longer.increments[self.N:]]))
+        assert self.CHECKS[check](traj, self.cs, longer) == \
+            self.CHECKS[check](traj, self.cs, path)
+
+
 class TestContinuityModulus:
+    def test_empty_test_function_set_is_refused(self):
+        _, _, _, traj = heat_run(n=64, dt=1e-3, T=0.064)
+        with pytest.raises(ConfigurationError, match="at least one test function"):
+            diag.continuity_modulus(traj, [])
+
     def test_zero_run_flat(self):
         grid = Grid.line(-4, 4, 64)
         cs = CoefficientSet.from_fields(d=1, L=1)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import unittest.mock
 import weakref
 from pathlib import Path
 
@@ -499,6 +500,94 @@ class TestIndexArrayBuilders:
         cs, grid = data.draw(operator_cases(d, cross, with_c=False))
         L = solver.assemble_generator(cs, grid, 0.0)
         assert np.max(np.abs(np.asarray(L.sum(axis=0)))) <= 1e-12
+
+
+def x0_samples(x):
+    """Float64 a, b, c, sigma (two drivers) and h at the points x, functions
+    of x_1 alone, each zero somewhere (a12, c, sigma^{21}, h^1)."""
+    x0, m = x[:, 0], len(x)
+    a = np.zeros((m, 2, 2))
+    a[:, 0, 0], a[:, 1, 1] = 0.6 + 0.3 * np.sin(x0), 0.5
+    a[:, 0, 1] = a[:, 1, 0] = np.where(x0 < 0, 0.0, 0.1 * np.cos(x0))
+    b = np.stack([0.3 * np.cos(x0), np.full(m, -0.2)], axis=1)
+    c = np.where(x0 < 0, 0.0, 0.4 * x0)
+    sigma = np.zeros((m, 2, 2))
+    sigma[:, 0, 0], sigma[:, 1, 0], sigma[:, 0, 1] = 0.5 * np.sin(x0), 0.3, 0.2
+    h = np.stack([np.where(x0 < 0, 0.0, 0.3), 0.2 * np.sin(x0)], axis=1)
+    return dict(a=a, b=b, c=c, sigma=sigma, h=h)
+
+
+# (field, entry at point 7) moved by one ulp (by one for integers), and the
+# fields whose zeros turn to -0.0
+ULP_MOVES = {"a": (7, 0, 0), "b": (7, 1), "c": (7,), "sigma": (7, 0, 0), "h": (7, 1)}
+SIGNED_ZEROS = ("a", "c", "h")
+
+
+class TestLastBuildReuse:
+    """Along any sequence of operator calls, an operator is the last build of
+    its kind exactly when its grid and samples repeat bit for bit, and it has
+    the bytes of the reference loops on the samples' float64 values.  The
+    two grids share their first axis, so on them the samples are equal and
+    only the grid tells the builds apart."""
+
+    GRIDS = (Grid.box2d((-2, -1.5), (2, 1.5), (16, 17)),
+             Grid.box2d((-2, -1.5), (2, 2.0), (16, 17)))
+    CHANGES = [None] + [("ulp", k) for k in ULP_MOVES] + [("zero", k) for k in SIGNED_ZEROS]
+
+    @staticmethod
+    def coefficients(state):
+        """A set whose samples follow ``state``: its change, its dtype and,
+        with ``in_place``, one array per field, rewritten at every call."""
+        buffers = {}
+
+        def field(name):
+            def fn(t, x):
+                v, dtype = x0_samples(x)[name], state["dtype"]
+                v = (np.rint(4 * v) if dtype is int else v).astype(dtype)
+                kind, target = state["change"] or (None, None)
+                if target == name and kind == "ulp":
+                    i = ULP_MOVES[name]
+                    v[i] = v[i] + 1 if dtype is int else np.nextafter(v[i], np.inf)
+                if target == name and kind == "zero":
+                    v[v == 0] = -0.0
+                if not state["in_place"]:
+                    return v
+                out = buffers.setdefault(name, np.empty_like(v))
+                out[...] = v
+                return out
+            return fn
+        return CoefficientSet(2, 2, *map(field, ("a", "b", "c", "sigma", "h")), None, None)
+
+    @settings(max_examples=25, deadline=None)
+    @given(dtype=st.sampled_from([float, np.float32, int]), in_place=st.booleans(),
+           calls=st.lists(st.tuples(st.sampled_from(["generator", 0, 1]),
+                                    st.sampled_from([0, 1]), st.sampled_from(CHANGES)),
+                          min_size=1, max_size=10))
+    def test_operator_is_the_last_build_exactly_when_its_inputs_repeat(self, dtype,
+                                                                      in_place, calls):
+        state = {"dtype": dtype, "in_place": in_place}
+        cs = self.coefficients(state)
+        as64 = copy.copy(cs)
+        for name in ("a", "b", "c", "sigma", "h"):
+            setattr(as64, name, lambda t, x, fn=getattr(cs, name): np.array(fn(t, x), float))
+        last = {}
+        with unittest.mock.patch.object(solver, "_last", {}):
+            for op, g, change in calls:
+                state["change"], grid = change, self.GRIDS[g]
+                pts = grid.points()
+                if op == "generator":
+                    new = solver.assemble_generator(cs, grid, 0.0)
+                    ref = reference_generator(as64, grid, 0.0)
+                    samples = [as64.a(0.0, pts), as64.b(0.0, pts), as64.c(0.0, pts)]
+                else:
+                    new = solver.assemble_noise_op(cs, grid, 0.0, op)
+                    ref = reference_noise_op(as64, grid, 0.0, op)
+                    samples = [as64.sigma(0.0, pts)[:, :, op], as64.h(0.0, pts)[:, op]]
+                key = grid, [v.tobytes() for v in samples]
+                assert_same_csr(new, ref)
+                last_key, last_op = last.get(op, (None, None))
+                assert (new is last_op) == (key == last_key)
+                last[op] = key, new
 
 
 def smooth_field(draw, d):
