@@ -41,6 +41,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -267,7 +268,7 @@ def run_kushner(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     stepper = Stepper(coeffs, grid, dt, True)
     pts = stepper.pts
     vol = grid.cell_volume
-    h = reuse_if_static(coeffs.h, not coeffs.time_dependent)
+    h = reuse_if_static(partial(coeffs.sample, "h"), not coeffs.time_dependent)
 
     def update(n, pi):
         stepper.at(n)

@@ -29,6 +29,9 @@ from .families import ScalarField
 from .grids import Grid
 
 PARABOLIC_TOL = 1e-12
+SYMMETRY_TOL = 1e-14   # largest |a^{ij} - a^{ji}| that ``CoefficientSet.sample`` accepts
+# each field's sample axes after the point axis, by attribute name (d or L)
+_AXES = dict(a="dd", b="d", c="", sigma="dL", h="L", f="", g="L", da="d", div_sigma="L")
 
 
 class CoefficientSet:
@@ -42,7 +45,8 @@ class CoefficientSet:
 
     Derivative hooks (``da`` = d_j a^{ij} as (m, d), ``div_sigma`` =
     d_i sigma^{il} as (m, L)) are the ones ``solver.weak_residual`` reads;
-    a set built without them has them as None.
+    a set built without them has them as None.  These shapes are enforced:
+    every evaluation goes through ``sample``.
 
     ``time_dependent = False`` is a contract: no callable depends on ``t``.
     The solve paths then build the operators and evaluate ``f``, ``g`` and
@@ -63,19 +67,29 @@ class CoefficientSet:
         self.da, self.div_sigma = da, div_sigma
         self.time_dependent = bool(time_dependent)
 
+    def sample(self, name: str, t: float, X: np.ndarray) -> np.ndarray:
+        """Field ``name`` at time t on the points X (m, d), from one call:
+        refused with EvaluationError when it is not of its documented shape
+        or not finite everywhere, and, for ``a``, with ValidationError when
+        a^{ij} and a^{ji} differ by more than ``SYMMETRY_TOL``."""
+        out = np.asarray(getattr(self, name)(t, X))
+        shape = (len(X), *(getattr(self, k) for k in _AXES[name]))
+        if out.shape != shape:
+            raise EvaluationError(f"field '{name}' has shape {out.shape} at t={t}, "
+                                  f"not {shape}")
+        if not np.isfinite(out).all():
+            raise EvaluationError(f"field '{name}' is non-finite at t={t}")
+        if name == "a" and any(np.any(np.abs(out[:, i, j] - out[:, j, i]) > SYMMETRY_TOL)
+                               for i in range(self.d) for j in range(i)):
+            raise ValidationError(f"field 'a' is not symmetric at t={t}")
+        return out
+
     def validate(self, grid: Grid, times) -> None:
-        """Run the structural invariants on grid x times samples."""
+        """Sample every coefficient and source on grid x times."""
         X = grid.points()
         for t in times:
-            names = [("a", self.a(t, X)), ("b", self.b(t, X)), ("c", self.c(t, X)),
-                     ("sigma", self.sigma(t, X)), ("h", self.h(t, X)),
-                     ("f", self.f(t, X)), ("g", self.g(t, X))]
-            for name, arr in names:
-                if not np.all(np.isfinite(arr)):
-                    raise EvaluationError(f"field '{name}' is non-finite at t={t}")
-            A = dict(names)["a"]
-            if not np.allclose(A, np.transpose(A, (0, 2, 1)), rtol=0, atol=1e-14):
-                raise ValidationError("a(t,x) must be symmetric at all sampled points")
+            for name in ("a", "b", "c", "sigma", "h", "f", "g"):
+                self.sample(name, t, X)
 
     # -- constructors -----------------------------------------------------
 
@@ -187,14 +201,8 @@ def verify_parabolicity(coeffs: CoefficientSet, grid: Grid, times) -> Parabolici
     if grid.npts == 0 or not times:
         raise ConfigurationError("verify_parabolicity needs a nonempty grid and times")
     X = grid.points()
-
-    def fields(t):
-        A, S = coeffs.a(t, X), coeffs.sigma(t, X)
-        for name, arr in (("a", A), ("sigma", S)):
-            if not np.all(np.isfinite(arr)):
-                raise EvaluationError(f"field '{name}' is non-finite at t={t}")
-        return A, S
-    return _worst_defect(map(fields, times), PARABOLIC_TOL)
+    return _worst_defect(((coeffs.sample("a", t, X), coeffs.sample("sigma", t, X))
+                          for t in times), PARABOLIC_TOL)
 
 
 def _worst_defect(samples, tol: float) -> ParabolicityReport:

@@ -20,6 +20,7 @@ downstream bound).  A scale eps is admissible on spacing h when eps >= 2h.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -175,12 +176,12 @@ def _mollify(coeffs: CoefficientSet, name: str, params: MollifierParams,
     first and the grid last, from one evaluation on the padded lattice: a
     picks up chi^2, sigma/c/h/f/g pick up chi, and b is truncated at 1/eps
     before smoothing (no cutoff)."""
-    fn = getattr(coeffs, name)
+    fn = partial(coeffs.sample, name, t)
     if name == "b":
         cap = 1.0 / params.epsilon
-        return _smooth(lambda x: np.clip(fn(t, x), -cap, cap), params, grid, 1.0)
+        return _smooth(lambda x: np.clip(fn(x), -cap, cap), params, grid, 1.0)
     chi = _chi_grid(grid, params)
-    return _smooth(lambda x: fn(t, x), params, grid, chi ** 2 if name == "a" else chi)
+    return _smooth(fn, params, grid, chi ** 2 if name == "a" else chi)
 
 
 def mollified_parabolicity_check(coeffs: CoefficientSet, params: MollifierParams,

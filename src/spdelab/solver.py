@@ -148,12 +148,8 @@ def assemble_generator(coeffs: CoefficientSet, grid: Grid, t: float) -> csr_matr
     diagonal.
     """
     pts = grid.points()
-    A, bvec, cvec = (f(t, pts) for f in (coeffs.a, coeffs.b, coeffs.c))
-    if not all(np.all(np.isfinite(v)) for v in (A, bvec, cvec)):
-        raise SolverError(f"non-finite generator coefficients at t={t}")
-    if not np.allclose(A, np.transpose(A, (0, 2, 1)), atol=1e-13, rtol=0):
-        raise ValidationError("a(t,x) sample is not symmetric")
-    return _last_build("generator", grid, (A, bvec, cvec), _generator_blocks)
+    samples = [coeffs.sample(name, t, pts) for name in ("a", "b", "c")]
+    return _last_build("generator", grid, samples, _generator_blocks)
 
 
 def _generator_blocks(grid: Grid, idx, A, bvec, cvec) -> list:
@@ -197,7 +193,7 @@ def assemble_noise_op(coeffs: CoefficientSet, grid: Grid, t: float, l: int) -> c
     if not 0 <= l < coeffs.L:
         raise ConfigurationError(f"driver index {l} outside [0, {coeffs.L})")
     pts = grid.points()
-    samples = coeffs.sigma(t, pts)[:, :, l], coeffs.h(t, pts)[:, l]
+    samples = coeffs.sample("sigma", t, pts)[:, :, l], coeffs.sample("h", t, pts)[:, l]
     return _last_build(("noise", l), grid, samples, _noise_blocks)
 
 
@@ -215,18 +211,17 @@ def _noise_blocks(grid: Grid, idx, S, hv) -> list:
 
 def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
     """Explicit-noise mean-square budget and the parabolic condition: the
-    smallest eigenvalue of 2a - sigma sigma^T at the grid points is >= -1e-12."""
+    smallest eigenvalue of 2a - sigma sigma^T at the grid points is >= -1e-12,
+    on sigma and a samples that ``CoefficientSet.sample`` has accepted."""
     pts = grid.points()
-    S = coeffs.sigma(t, pts)
-    A = coeffs.a(t, pts)
+    S = coeffs.sample("sigma", t, pts)
+    A = coeffs.sample("a", t, pts)
     hmin = min(grid.hs)
     sig_sq = float(np.max(np.sum(S**2, axis=(1, 2)))) if S.size else 0.0
     if sig_sq > 0 and dt * sig_sq / hmin**2 > 1.0 + 1e-12:
         suggested = 0.95 * hmin**2 / sig_sq
         raise StabilityError(f"dt={dt} violates the noise stability budget; "
                              f"try dt={suggested:.3g}", suggested_dt=suggested)
-    # a non-finite field gives a nan defect, which passes here and fails,
-    # named as non-finite, in assembly
     defect = _worst_defect([(A, S)], PARABOLIC_TOL).min_defect
     if defect < -PARABOLIC_TOL:
         raise StabilityError(f"coefficients are not parabolic at t={t}: the smallest "
@@ -338,20 +333,19 @@ class Stepper:
 
     def __init__(self, coeffs: CoefficientSet, grid: Grid, dt: float, guard: bool):
         self.coeffs, self.grid, self.dt = coeffs, grid, dt
-        self.pts = grid.points()
+        self.pts = pts = grid.points()
         self._static = not coeffs.time_dependent
         self._guard = guard
         self._n = None
         self._factored = []   # the last factorization; see _ImplicitSystem
         self._check(0.0)
-        f, g, pts = coeffs.f, coeffs.g, self.pts
 
         def sources(n: int):
             """f at the midpoint of step n, g at its left point, and whether
             f is nonzero."""
             t = n * dt
-            fv = f(t + 0.5 * dt, pts)
-            return fv, g(t, pts), bool(np.any(fv))
+            fv = coeffs.sample("f", t + 0.5 * dt, pts)
+            return fv, coeffs.sample("g", t, pts), bool(np.any(fv))
         self.sources = reuse_if_static(sources, self._static)
 
     def _check(self, t: float):
@@ -604,20 +598,14 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
 
     def terms(n):
         """[L* phi; M^{l*} phi] of step n as rows, <f, phi> and the <g^l, phi>."""
-        t = n * dt
-        A = coeffs.a(t, pts)
-        da = coeffs.da(t, pts)
-        bv = coeffs.b(t, pts)
-        cv = coeffs.c(t, pts)
-        S = coeffs.sigma(t, pts)
-        dS = coeffs.div_sigma(t, pts)
-        hv = coeffs.h(t, pts)
+        A, da, bv, cv, S, dS, hv, fv, gv = (
+            coeffs.sample(name, n * dt, pts)
+            for name in ("a", "da", "b", "c", "sigma", "div_sigma", "h", "f", "g"))
         ls = (np.einsum("mi,mi->m", da, gphi)
               + np.einsum("mij,mij->m", A, hphi)
               - np.einsum("mi,mi->m", bv, gphi) + cv * phiv)
         ms = (-dS * phiv[:, None] - np.einsum("mil,mi->ml", S, gphi)
               + hv * phiv[:, None])
-        fv, gv = coeffs.f(t, pts), coeffs.g(t, pts)
         return np.vstack([ls, ms.T]), float(dot(fv, phiv)), dot(gv.T, phiv).tolist()
     terms = reuse_if_static(terms, not coeffs.time_dependent)
 
