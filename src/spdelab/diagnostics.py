@@ -136,7 +136,9 @@ def continuity_modulus(traj: Trajectory, phi_set) -> CheckReport:
     increments are extreme-value noisy, so single ratios jitter while the
     median tracks the O(D) drift / sqrt(D) noise scaling (about 0.5 for
     diffusive runs, about 0.7 for observation-driven ones); it passes
-    below 0.8.  An empty ``phi_set`` is refused, not passed.
+    below 0.8.  An empty ``phi_set``, or one for which no ratio forms
+    because every modulus a ratio would divide by is 0, is refused, not
+    passed.
     """
     if traj.full_history is None:
         raise ConfigurationError("continuity_modulus needs a store_every=1 trajectory")
@@ -163,7 +165,10 @@ def continuity_modulus(traj: Trajectory, phi_set) -> CheckReport:
             m //= 2
         moduli[f"phi{j}"] = levels
         ratios.extend(s2 / s1 for s1, s2 in zip(levels, levels[1:]) if s1 > 0)
-    measured = float(np.median(ratios)) if ratios else 0.0
+    if not ratios:
+        raise HypothesisError("no continuity ratio forms: every modulus a ratio "
+                              "would divide by is 0")
+    measured = float(np.median(ratios))
     return CheckReport(name="continuity-modulus", passed=measured < MODULUS_RATIO_BOUND,
                        measured=measured, threshold=MODULUS_RATIO_BOUND,
                        extra={"moduli": moduli})

@@ -510,12 +510,18 @@ def _caller_stacklevel() -> int:
 @dataclass(frozen=True)
 class TestFunction:
     """Compactly supported bump exp(-s / (1 - s)) with s = |x - center|^2 /
-    width^2, zero outside the ball of radius ``width``."""
+    width^2, zero outside the ball of radius ``width``, which must be finite
+    and positive."""
 
     __test__ = False  # not a pytest case, despite the name
 
     center: tuple
     width: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise TestFunctionError(f"test function width {self.width} is not finite "
+                                    "and positive")
 
     @classmethod
     def bump(cls, center, width):

@@ -19,11 +19,12 @@ from scipy.sparse.linalg import splu
 
 from spdelab import diagnostics, noise, picard, solver
 from spdelab import filtering as flt
-from spdelab.errors import (ConfigurationError, SizeError, SolverError, StabilityError,
-                            TestFunctionError, ValidationError)
+from spdelab.errors import (ConfigurationError, EvaluationError, SizeError, SolverError,
+                            StabilityError, TestFunctionError, ValidationError)
 from spdelab.families import ScalarField
 from spdelab.grids import DensityField, Grid
-from spdelab.model import CoefficientSet
+from spdelab.model import SYMMETRY_TOL, CoefficientSet, verify_parabolicity
+from spdelab.mollifier import MollifierParams, mollified_parabolicity_check
 from spdelab.solver import SolverConfig, TestFunction
 
 
@@ -1521,6 +1522,13 @@ class TestWeakResidual:
         with pytest.raises(TestFunctionError):
             solver.weak_residual(traj, TestFunction.bump((0.0,), 3.0), cs, path)
 
+    @pytest.mark.parametrize("width", [-4.5, 0.0, math.nan])
+    def test_width_must_be_finite_and_positive(self, width):
+        # bump(0, -4.5) has the values of bump(0, 4.5), whose support leaves
+        # Grid.line(-4, 4, 64), but a negative width would pass the support test
+        with pytest.raises(TestFunctionError, match="width"):
+            TestFunction.bump((0.0,), width)
+
     def test_stochastic_run_residual(self):
         grid = Grid.line(-8, 8, 256)
         cs = CoefficientSet.from_fields(d=1, L=1, a=0.5, sigma=1.0)
@@ -1644,3 +1652,124 @@ class TestTrajectoryAndMisc:
             traj = solver.solve(cs, u0, grid, SolverConfig(dt=1e-3),
                                 zero_path(1, 200, 1e-3), [0.2])
         assert traj.mass_series[-1] / traj.mass_series[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def spoiled(cs, name, kind):
+    """``cs`` with field ``name`` spoiled: ``"nan"`` or ``"inf"`` at one
+    point, ``"shape"`` with its axes after the first dropped (or one added
+    to a scalar field), ``"asymmetric"`` with a12 - a21 = 1e-12 at one point."""
+    fn = getattr(cs, name)
+
+    def bad(t, x):
+        out = np.array(fn(t, x), float)
+        if kind == "shape":
+            return out.reshape(len(x), -1)[:, 0] if out.ndim > 1 else out[:, None]
+        if kind == "asymmetric":
+            out[len(x) // 2, 0, 1] += 1e-12
+        else:
+            out[len(x) // 2] = float(kind)
+        return out
+    out = copy.copy(cs)
+    setattr(out, name, bad)
+    return out
+
+
+class SampleRun:
+    """A short good run on the 1-d line or the 2-d box, with what each path
+    needs besides the coefficient set."""
+
+    DT, N = 1e-3, 10
+
+    def __init__(self, d):
+        self.grid = Grid.line(-4, 4, 64) if d == 1 else Grid.box2d((-4, -4), (4, 4),
+                                                                     (16, 16))
+        self.cs = CoefficientSet.from_fields(
+            **(dict(d=1, L=1, a=0.5, sigma=0.3) if d == 1
+               else dict(d=2, L=1, a=(0.5, 0.0, 0.5), sigma=[(0.3, 0.0)])))
+        self.u0 = np.exp(-2.0 * np.sum(self.grid.points() ** 2, axis=1))
+        self.path = noise.generate(5, 1, self.N, self.DT)
+        self.traj = solver.solve(self.cs, self.u0, self.grid,
+                                 SolverConfig(dt=self.DT, store_every=1), self.path,
+                                 [self.N * self.DT])
+        self.phi = TestFunction.bump((0.0,) * d, 2.0)
+
+
+class TestSampleContract:
+    """Every path that reads a coefficient refuses a bad sample of it with a
+    typed error that names the field and t: EvaluationError for a
+    non-finite value or a sample not of its documented shape,
+    ValidationError for an asymmetric a."""
+
+    ALL = ("a", "b", "c", "sigma", "h", "f", "g")
+    # path: (the fields it reads, a call of it with coefficient set cs)
+    PATHS = {
+        "solve": (ALL, lambda cs, r: solver.solve(
+            cs, r.u0, r.grid, SolverConfig(dt=r.DT), r.path, [r.N * r.DT])),
+        "picard_solve": (ALL, lambda cs, r: picard.picard_solve(
+            cs, picard.NonlinearSources.sin_of_u(0.1), r.u0, r.grid,
+            SolverConfig(dt=r.DT), r.path)),
+        "energy_report": (ALL, lambda cs, r: diagnostics.energy_report(r.traj, cs, r.path)),
+        "weak_residual": (ALL + ("da", "div_sigma"), lambda cs, r: solver.weak_residual(
+            r.traj, r.phi, cs, r.path)),
+        "check_stability": (("a", "sigma"), lambda cs, r: solver.check_stability(
+            cs, r.grid, 0.0, r.DT)),
+        "verify_parabolicity": (("a", "sigma"), lambda cs, r: verify_parabolicity(
+            cs, r.grid, [0.0])),
+        "validate": (ALL, lambda cs, r: cs.validate(r.grid, [0.0])),
+        "mollified_parabolicity_check": (("a", "sigma"), lambda cs, r:
+                                         mollified_parabolicity_check(
+                                             cs, MollifierParams(1.0), r.grid, [0.0])),
+    }
+    CASES = [(path, name) for path, (names, _) in PATHS.items() for name in names]
+    CASES += [("run_kushner", name) for name in ("a", "b", "c", "sigma", "h")]
+    RUNS = {}
+
+    def call(self, path, spoil, d, monkeypatch):
+        if d not in self.RUNS:
+            self.RUNS[d] = SampleRun(d)
+        run = self.RUNS[d]
+        if path != "run_kushner":
+            return self.PATHS[path][1](spoil(run.cs), run)
+        flag_zakai(monkeypatch, False, wrap=spoil)
+        sc = flt.FilterScenario.linear_gaussian(A=-0.5, Q=1.0, H=1.0, R=1.0)
+        truth = flt.simulate_truth(sc, 12, run.N, run.DT)
+        return flt.run_kushner(sc, truth, Grid.line(-8, 8, 64), SolverConfig(dt=run.DT))
+
+    @pytest.mark.parametrize("kind", ["nan", "inf", "shape"])
+    @pytest.mark.parametrize("path, name", CASES)
+    def test_bad_sample_is_named(self, monkeypatch, path, name, kind):
+        with pytest.raises(EvaluationError, match=rf"field '{name}' .*at t=\d"):
+            self.call(path, lambda cs: spoiled(cs, name, kind), 1, monkeypatch)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_asymmetric_a_is_refused(self, monkeypatch, path):
+        with pytest.raises(ValidationError, match=r"field 'a' is not symmetric at t=\d"):
+            self.call(path, lambda cs: spoiled(cs, "a", "asymmetric"), 2, monkeypatch)
+
+    def test_mollifier_checks_its_padded_lattice(self):
+        # sigma is bad only beyond the box: the raw check passes, and the
+        # mollifier's own sample on the padded lattice refuses it
+        cs = CoefficientSet.from_fields(d=1, L=1, a=0.5, sigma=0.3)
+        sigma = cs.sigma
+
+        def beyond(t, x):
+            out = np.array(sigma(t, x))
+            out[x[:, 0] > 4.0] = np.nan
+            return out
+        cs.sigma = beyond
+        grid = Grid.line(-4, 4, 64)
+        assert verify_parabolicity(cs, grid, [0.0]).passes
+        with pytest.raises(EvaluationError, match=r"field 'sigma' is non-finite at t=0\.0"):
+            mollified_parabolicity_check(cs, MollifierParams(0.5), grid, [0.0])
+
+    def test_one_symmetry_tolerance(self):
+        X = Grid.box2d((-1, -1), (1, 1), (16, 16)).points()
+        for diff, ok in ((SYMMETRY_TOL, True), (2 * SYMMETRY_TOL, False)):
+            cs = CoefficientSet(2, 1, lambda t, x: np.tile([[1.0, diff], [0.0, 1.0]],
+                                                           (len(x), 1, 1)),
+                                None, None, None, None, None, None)
+            if ok:
+                assert cs.sample("a", 0.0, X).shape == (256, 2, 2)
+            else:
+                with pytest.raises(ValidationError, match="not symmetric"):
+                    cs.sample("a", 0.0, X)
