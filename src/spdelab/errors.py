@@ -6,7 +6,7 @@ class SpdelabError(Exception):
 
 
 class EvaluationError(SpdelabError):
-    """A coefficient or source field produced a non-finite value."""
+    """A coefficient or source sample is non-finite or not of its documented shape."""
 
 
 class ConfigurationError(SpdelabError):

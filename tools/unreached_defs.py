@@ -1,6 +1,6 @@
 """Lines of spdelab that no claim reaches.
 
-    python3 tools/unreached_defs.py
+    python3 tools/unreached_defs.py [--statements]
 
 Runs ``spdelab check`` (``cli.main(["check"])``) and then one setup and body
 of each perfbench workload at its default seed, all in this process under a
@@ -12,10 +12,18 @@ def: ``file:first-last qualified.name``.  Output files go to a temporary
 directory that is removed afterwards.  The tracer is also installed with
 ``threading.settrace``, so defs entered only on threads started during the
 run (the particle blocks) count as reached.
+
+With ``--statements`` the tracer also records line events, and after the
+def list comes ``statements: N`` and one line per run of consecutive
+statements that never executed inside code that did run, as
+``file:first-last scope``.  N is the union of their line ranges.  A def that
+was never entered is left to the def list, and docstrings are not
+statements.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -51,6 +59,71 @@ def defs():
     return out
 
 
+def _blocks(node):
+    """The statement lists directly under ``node``: its body, else and
+    finally blocks, and the bodies of its except handlers and match cases."""
+    for field in ("body", "orelse", "finalbody"):
+        if getattr(node, field, None):
+            yield getattr(node, field)
+    for sub in getattr(node, "handlers", []) + getattr(node, "cases", []):
+        yield sub.body
+
+
+def _children(node):
+    return [child for block in _blocks(node) for child in block]
+
+
+def _span(node):
+    return min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])]), \
+        node.end_lineno
+
+
+def _is_docstring(node):
+    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+
+
+def unexecuted(path: str, hit: set, entered: set):
+    """(first, last, scope) of each run of consecutive statements of
+    ``path`` that no line event reached, in blocks that did run.  A
+    statement ran when a line of its own (not of a nested statement) was
+    hit, or a nested statement ran."""
+    tree = ast.parse(Path(path).read_text(), path)
+    out = []
+
+    def ran(node):
+        first, last = _span(node)
+        own = set(range(first, last + 1))
+        for child in _children(node):
+            a, b = _span(child)
+            own -= set(range(a, b + 1))
+        return bool(own & hit) or any(map(ran, _children(node)))
+
+    def walk(block, scope, with_docstring):
+        run = []
+        for i, node in enumerate(block):
+            if with_docstring and i == 0 and _is_docstring(node):
+                continue
+            if not ran(node):
+                run.append(node)
+                continue
+            if run:
+                out.append((_span(run[0])[0], run[-1].end_lineno, scope))
+                run = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if (path, _span(node)[0]) in entered:
+                    walk(node.body, f"{scope}{node.name}.", True)
+            elif isinstance(node, ast.ClassDef):
+                walk(node.body, f"{scope}{node.name}.", True)
+            else:
+                for sub in _blocks(node):
+                    walk(sub, scope, False)
+        if run:
+            out.append((_span(run[0])[0], run[-1].end_lineno, scope))
+    walk(tree.body, "", True)
+    return [(first, last, scope.rstrip(".") or "<module>") for first, last, scope in out]
+
+
 def run_claims(workdir: Path):
     """``spdelab check`` and one setup and body of each perfbench workload."""
     import spdelab
@@ -72,13 +145,24 @@ def run_claims(workdir: Path):
 
 
 def main() -> int:
-    entered = set()
+    parser = argparse.ArgumentParser(description="List the defs, and with "
+                                     "--statements the statements, that no claim reaches.")
+    parser.add_argument("--statements", action="store_true",
+                        help="also list statements never executed inside reached code")
+    statements = parser.parse_args().statements
+    entered, hit = set(), set()
     prefix = str(PACKAGE) + "/"
+
+    def lines(frame, event, arg):
+        if event == "line":
+            hit.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
 
     def tracer(frame, event, arg):
         code = frame.f_code
         if code.co_filename.startswith(prefix):
             entered.add((code.co_filename, code.co_firstlineno))
+            return lines if statements else None
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         sys.settrace(tracer)
@@ -93,6 +177,13 @@ def main() -> int:
     print(len(lines))
     for f, (first, last, name) in unreached:
         print(f"{Path(f).relative_to(ROOT)}:{first}-{last} {name}")
+    if statements:
+        runs = [(str(path), run) for path in sorted(PACKAGE.glob("*.py"))
+                for run in unexecuted(str(path), {i for f, i in hit if f == str(path)},
+                                      entered)]
+        print(f"statements: {len({(f, i) for f, (a, b, _) in runs for i in range(a, b + 1)})}")
+        for f, (first, last, scope) in runs:
+            print(f"{Path(f).relative_to(ROOT)}:{first}-{last} {scope}")
     return 0
 
 
