@@ -71,7 +71,8 @@ class DegenerateMassError(ScenarioError):
 
 
 class TestFunctionError(SpdelabError):
-    """Weak-form test function unusable (support touches the boundary)."""
+    """Weak-form test function unusable (width not finite and positive, or
+    support touching the boundary)."""
 
     __test__ = False  # not a pytest case, despite the name
 

@@ -23,7 +23,7 @@ from spdelab.errors import (ConfigurationError, EvaluationError, SizeError, Solv
                             StabilityError, TestFunctionError, ValidationError)
 from spdelab.families import ScalarField
 from spdelab.grids import DensityField, Grid
-from spdelab.model import SYMMETRY_TOL, CoefficientSet, verify_parabolicity
+from spdelab.model import CoefficientSet, verify_parabolicity
 from spdelab.mollifier import MollifierParams, mollified_parabolicity_check
 from spdelab.solver import SolverConfig, TestFunction
 
@@ -1763,13 +1763,12 @@ class TestSampleContract:
             mollified_parabolicity_check(cs, MollifierParams(0.5), grid, [0.0])
 
     def test_one_symmetry_tolerance(self):
+        # validate's former 1e-14, not assembly's former 1e-13
         X = Grid.box2d((-1, -1), (1, 1), (16, 16)).points()
-        for diff, ok in ((SYMMETRY_TOL, True), (2 * SYMMETRY_TOL, False)):
-            cs = CoefficientSet(2, 1, lambda t, x: np.tile([[1.0, diff], [0.0, 1.0]],
-                                                           (len(x), 1, 1)),
-                                None, None, None, None, None, None)
-            if ok:
-                assert cs.sample("a", 0.0, X).shape == (256, 2, 2)
-            else:
-                with pytest.raises(ValidationError, match="not symmetric"):
-                    cs.sample("a", 0.0, X)
+
+        def with_a12(a12):
+            return CoefficientSet(2, 1, lambda t, x: np.tile([[1.0, a12], [0.0, 1.0]],
+                                                             (len(x), 1, 1)), *[None] * 6)
+        assert with_a12(1e-14).sample("a", 0.0, X).shape == (256, 2, 2)
+        with pytest.raises(ValidationError, match="not symmetric"):
+            with_a12(2e-14).sample("a", 0.0, X)

@@ -74,8 +74,9 @@ def _children(node):
 
 
 def _span(node):
-    return min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])]), \
-        node.end_lineno
+    """First line, decorators included, and last line of a statement."""
+    decorators = [d.lineno for d in getattr(node, "decorator_list", [])]
+    return min([node.lineno] + decorators), node.end_lineno
 
 
 def _is_docstring(node):
