@@ -1,6 +1,6 @@
 """Lines of spdelab that no claim reaches.
 
-    python3 tools/unreached_defs.py [--statements]
+    python3 tools/unreached_defs.py
 
 Runs ``spdelab check`` (``cli.main(["check"])``) and then one setup and body
 of each perfbench workload at its default seed, all in this process under a
@@ -13,17 +13,15 @@ directory that is removed afterwards.  The tracer is also installed with
 ``threading.settrace``, so defs entered only on threads started during the
 run (the particle blocks) count as reached.
 
-With ``--statements`` the tracer also records line events, and after the
-def list comes ``statements: N`` and one line per run of consecutive
-statements that never executed inside code that did run, as
-``file:first-last scope``.  N is the union of their line ranges.  A def that
-was never entered is left to the def list, and docstrings are not
-statements.
+The tracer also records line events, and after the def list comes
+``statements: N`` and one line per run of consecutive statements that never
+executed inside code that did run, as ``file:first-last scope``.  N is the
+union of their line ranges.  A def that was never entered is left to the def
+list, and docstrings are not statements.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import io
@@ -146,24 +144,19 @@ def run_claims(workdir: Path):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="List the defs, and with "
-                                     "--statements the statements, that no claim reaches.")
-    parser.add_argument("--statements", action="store_true",
-                        help="also list statements never executed inside reached code")
-    statements = parser.parse_args().statements
     entered, hit = set(), set()
     prefix = str(PACKAGE) + "/"
 
-    def lines(frame, event, arg):
+    def line_tracer(frame, event, arg):
         if event == "line":
             hit.add((frame.f_code.co_filename, frame.f_lineno))
-        return lines
+        return line_tracer
 
     def tracer(frame, event, arg):
         code = frame.f_code
         if code.co_filename.startswith(prefix):
             entered.add((code.co_filename, code.co_firstlineno))
-            return lines if statements else None
+            return line_tracer
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         sys.settrace(tracer)
@@ -178,13 +171,11 @@ def main() -> int:
     print(len(lines))
     for f, (first, last, name) in unreached:
         print(f"{Path(f).relative_to(ROOT)}:{first}-{last} {name}")
-    if statements:
-        runs = [(str(path), run) for path in sorted(PACKAGE.glob("*.py"))
-                for run in unexecuted(str(path), {i for f, i in hit if f == str(path)},
-                                      entered)]
-        print(f"statements: {len({(f, i) for f, (a, b, _) in runs for i in range(a, b + 1)})}")
-        for f, (first, last, scope) in runs:
-            print(f"{Path(f).relative_to(ROOT)}:{first}-{last} {scope}")
+    runs = [(str(path), run) for path in sorted(PACKAGE.glob("*.py"))
+            for run in unexecuted(str(path), {i for f, i in hit if f == str(path)}, entered)]
+    print(f"statements: {len({(f, i) for f, (a, b, _) in runs for i in range(a, b + 1)})}")
+    for f, (first, last, scope) in runs:
+        print(f"{Path(f).relative_to(ROOT)}:{first}-{last} {scope}")
     return 0
 
 
