@@ -10,11 +10,11 @@ __version__ = "0.1.0"
 
 from .families import ScalarField, parse_field, triangle_wave
 from .grids import DensityField, Grid
-from .model import CoefficientSet, ParabolicityReport, verify_parabolicity
+from .model import CoefficientSet, verify_parabolicity
 
 __all__ = [
     "__version__",
     "ScalarField", "parse_field", "triangle_wave",
     "DensityField", "Grid",
-    "CoefficientSet", "ParabolicityReport", "verify_parabolicity",
+    "CoefficientSet", "verify_parabolicity",
 ]

@@ -241,8 +241,8 @@ def criterion_9():
     n = 512
     h = 6.0 / n
     grid = Grid.line(-3 - h / 2, 3 - h / 2, n)
-    rep = mol.mollified_parabolicity_check(cs, mol.MollifierParams(0.1), grid, [0.0])
-    out.append(_report(9, "mollified-parabolicity", -rep.min_defect, 1e-10))
+    defect = mol.mollified_parabolicity_check(cs, mol.MollifierParams(0.1), grid, [0.0])
+    out.append(_report(9, "mollified-parabolicity", -defect, 1e-10))
     p = mol.MollifierParams(0.1)
     sig = np.sin(grid.x)
     chi = mol.cutoff_value(grid.x, p.epsilon)

@@ -80,7 +80,7 @@ def _spde_inputs(bundle: ScenarioBundle):
     """The coefficients, u0 values, driver path and solver settings of a run
     that solves the SPDE."""
     coeffs = bundle.coeffs
-    n_steps = int(round(bundle.t_end / bundle.dt))
+    n_steps = int(round(bundle.output_times[-1] / bundle.dt))
     path = noise.generate(bundle.seeds["path"], coeffs.L, max(n_steps, 1), bundle.dt)
     cfg = SolverConfig(dt=bundle.dt, store_every=1)
     return coeffs, bundle.u0_field(bundle.grid.points()), path, cfg
@@ -107,7 +107,7 @@ def _snapshot_columns(traj, pts):
 
 def _run_filter(bundle: ScenarioBundle, out: Path) -> None:
     sc, cfg = bundle.filter, SolverConfig(dt=bundle.dt)
-    n_steps = int(round(bundle.t_end / bundle.dt))
+    n_steps = int(round(bundle.output_times[-1] / bundle.dt))
     truth = flt.simulate_truth(sc, bundle.seeds["path"], n_steps, bundle.dt)
     res = flt.run_zakai(sc, truth, bundle.grid, cfg)
     mean, var = res.posterior_moments()
@@ -122,10 +122,10 @@ def _run_filter(bundle: ScenarioBundle, out: Path) -> None:
 
 
 def _sweep_commutator(bundle: ScenarioBundle, out: Path) -> None:
-    sweep = com.convergence_sweep(lambda p: np.sin(p[:, 0]), triangle_wave(),
-                                  [0.2, 0.1, 0.05, 0.025])
+    epsilons = [0.2, 0.1, 0.05, 0.025]
+    sweep = com.convergence_sweep(lambda p: np.sin(p[:, 0]), triangle_wave(), epsilons)
     write_csv(out / "sweep.csv", ["epsilon", "norm", "consistency_gap"],
-              [sweep.epsilons, sweep.norms, sweep.gaps])
+              [epsilons, sweep.norms, sweep.gaps])
 
 
 def _picard(bundle: ScenarioBundle, out: Path) -> None:
@@ -178,7 +178,8 @@ def cmd_run(args) -> int:
             section, name = key.split(".")
             raise ParseError(f"{args.subcommand} does not read [{section}] {name}: {why}")
     if body in (_run_spde, _picard):    # both keep every step of the solve
-        solver.check_history_size(round(bundle.t_end / bundle.dt), bundle.grid.npts)
+        solver.check_history_size(round(bundle.output_times[-1] / bundle.dt),
+                                  bundle.grid.npts)
     read = {}
     if "grid" in takes:
         grid = dict(n=list(bundle.grid.n), x_min=list(bundle.grid.x_min),

@@ -117,10 +117,9 @@ def for2_defect(a, b, u, eps: float, grid: Grid) -> np.ndarray:
 
 @dataclass
 class CommutatorSweep:
-    """Shrinkage record of commutator norms over decreasing eps, with the
-    relative direct-vs-integral gap at each eps."""
+    """Shrinkage record of commutator norms over the decreasing eps of the
+    sweep, with the relative direct-vs-integral gap at each eps."""
 
-    epsilons: list
     norms: list
     gaps: list
 
@@ -144,6 +143,8 @@ def convergence_sweep(b, u, epsilons) -> CommutatorSweep:
     eps_list = sorted(set(float(e) for e in epsilons), reverse=True)
     if list(epsilons) != eps_list:
         raise ConfigurationError("epsilons must be strictly decreasing")
+    for e in eps_list:
+        MollifierParams(e)      # refuses a scale outside (0, 1e6) before h = min / 64
     h = min(eps_list) / 64.0
     half = SWEEP_RADIUS + 2 * max(eps_list) + 0.5
     n = int(np.ceil(2 * half / h / 2)) * 2
@@ -169,4 +170,4 @@ def convergence_sweep(b, u, epsilons) -> CommutatorSweep:
         raise ConfigurationError(
             f"direct/integral routes disagree: gap {max(gaps):.2e} "
             f"exceeds the declared quadrature tolerance {QUADRATURE_TOL:.0e}")
-    return CommutatorSweep(epsilons=eps_list, norms=norms, gaps=gaps)
+    return CommutatorSweep(norms=norms, gaps=gaps)

@@ -18,13 +18,17 @@ f(u) as a ``NonlinearSources`` kind and number), so a command only picks the
 ones it runs.  A source that does not depend on u is ``[coefficients] f``.
 Unknown sections or keys, and coefficient keys that the file's dim and L do
 not define, are rejected at parse time; numbers must be finite, and
-output_times must end at t_end.  A grid of more than 2e8 points is refused
-before any grid-sized work.  The model invariants and the range checks
-run immediately, on a probe grid of at most ``PROBE_MAX_N`` points per axis,
-so a bad scenario never reaches a solver.  The CLI reads the
-file and refuses a section or key that its command does not read.  There is
-no key for the scheme or the walls: every run steps backward Euler on
-zero-flux walls.
+output_times must end at t_end.  Four sizes are refused with ``SizeError``
+before the memory they name, each above 2e8 values: here, the grid points,
+and, with [coefficients], the driver count L, when the driver path (steps x
+L) or one sigma sample (grid points x dim x L) is larger; in ``cli``, a
+run-spde or picard history of (steps + 1) x grid points; and in
+``filtering.simulate_truth``, a run-filter truth path of 2 x steps
+increments.  The model invariants and the range checks run immediately, on
+a probe grid of at most ``PROBE_MAX_N`` points per axis, so a bad scenario
+never reaches a solver.  The CLI reads the file and refuses a section or key
+that its command does not read.  There is no key for the scheme or the
+walls: every run steps backward Euler on zero-flux walls.
 """
 
 from __future__ import annotations
@@ -83,8 +87,7 @@ class ScenarioBundle:
     name: str
     grid: Grid
     dt: float
-    t_end: float
-    output_times: list
+    output_times: list   # ends at [time] t_end
     coeffs: CoefficientSet | None
     u0_field: object
     seeds: dict
@@ -132,7 +135,7 @@ def parse_config(text: str) -> ScenarioBundle:
             raise ParseError(f"{section}.{key} takes {kind} per entry, got {v!r}")
         return parts
 
-    def number(section, key, default=None, conv=float):
+    def number(section, key, default, conv=float):
         if get(section, key) is None:
             return default
         parts = numbers(section, key, conv)
@@ -162,6 +165,21 @@ def parse_config(text: str) -> ScenarioBundle:
     t_end = number("time", "t_end", 0.25)
     output_times = (numbers("time", "output_times")
                     if get("time", "output_times") else [t_end])
+    if dt <= 0:
+        raise ValidationError("time.dt must be positive")
+    for t in [t_end, *output_times]:
+        if not 0 <= t / dt < math.inf:
+            raise ValidationError(f"time: time {t} is not a finite, "
+                                  f"nonnegative number of dt = {dt} steps")
+    for t in output_times:
+        k = round(t / dt)
+        if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
+            raise ValidationError(f"output time {t} is not a multiple of dt")
+        if t > t_end:
+            raise ValidationError(f"output time {t} is past t_end = {t_end}")
+    if output_times[-1] != t_end:
+        raise ValidationError(f"the last output time {output_times[-1]} is not "
+                              f"t_end = {t_end}")
 
     # coefficients: exactly the keys this file's dim and L define
     L = number("coefficients", "L", 1, int)
@@ -169,6 +187,12 @@ def parse_config(text: str) -> ScenarioBundle:
         raise ValidationError(f"coefficients.L must be at least 1, got {L}")
     coeffs = None
     if cp.has_section("coefficients"):
+        # the driver path and one sigma sample, before any per-driver work
+        steps = round(t_end / dt)
+        for what, per_driver in [("driver path", steps), ("sigma sample", grid.npts * dim)]:
+            if per_driver * L > _MAX_ELEMENTS:
+                raise SizeError(f"a {what} of {per_driver} x {L} values exceeds the "
+                                f"safety limit of {_MAX_ELEMENTS} values")
         layout = _coefficient_keys(dim, L)
         given = set(cp["coefficients"])
         undefined = sorted(given - _leaves(layout.values()) - {"L"})
@@ -215,23 +239,8 @@ def parse_config(text: str) -> ScenarioBundle:
                               f"least 1, got {tol} and {max_iter}")
 
     name = get("run", "name", "scenario")
-    if dt <= 0:
-        raise ValidationError("time.dt must be positive")
-    for t in [t_end, *output_times]:
-        if not 0 <= t / dt < math.inf:
-            raise ValidationError(f"time: time {t} is not a finite, "
-                                  f"nonnegative number of dt = {dt} steps")
-    for t in output_times:
-        k = round(t / dt)
-        if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValidationError(f"output time {t} is not a multiple of dt")
-        if t > t_end:
-            raise ValidationError(f"output time {t} is past t_end = {t_end}")
-    if output_times[-1] != t_end:
-        raise ValidationError(f"the last output time {output_times[-1]} is not "
-                              f"t_end = {t_end}")
 
-    return ScenarioBundle(name=name, grid=grid, dt=dt, t_end=t_end,
+    return ScenarioBundle(name=name, grid=grid, dt=dt,
                           output_times=output_times, coeffs=coeffs,
                           u0_field=u0_field, seeds=seeds, sources=sources,
                           tol=tol, max_iter=max_iter, filter=filter_scenario,

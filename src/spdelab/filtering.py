@@ -45,11 +45,12 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateMassError, ScenarioError, ValidationError
+from .errors import (ConfigurationError, DegenerateMassError, ScenarioError, SizeError,
+                     ValidationError)
 from .families import ScalarField
 from .grids import DensityField, Grid, dot
 from .model import CoefficientSet, reuse_if_static
-from .noise import BrownianPath, coarsen
+from .noise import _MAX_ELEMENTS, BrownianPath, coarsen
 from .solver import SolverConfig, Stepper, Trajectory, _march, solve
 # bound here for perfbench's tracer test, which reads this name
 from .solver import assemble_generator  # noqa: F401
@@ -134,6 +135,9 @@ def simulate_truth(sc: FilterScenario, seed: int, n_steps: int,
     """Euler-Maruyama on the joint system, stepped on Python floats; dy is
     materialized from dBbar so the change-of-measure bookkeeping is
     consistent by construction."""
+    if 2 * n_steps > _MAX_ELEMENTS:     # dW and dV
+        raise SizeError(f"a truth path of {n_steps} x 2 increments exceeds the safety "
+                        f"limit of {_MAX_ELEMENTS} values")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     x = sc.sample_prior(rng, 1)[0]
     dW = rng.standard_normal((n_steps, 1)) * np.sqrt(dt)
@@ -235,8 +239,8 @@ def run_zakai(sc: FilterScenario, truth: TruthRealization, grid: Grid,
     if np.any(mass <= 0):
         raise DegenerateMassError(
             f"unnormalized mass hit {mass.min():.3e}; the scenario is under-resolved")
-    pi_fields = [DensityField(grid=grid, values=normalize(f.values, grid),
-                              time_index=f.time_index) for f in traj.fields]
+    pi_fields = [DensityField(grid=grid, values=normalize(f.values, grid))
+                 for f in traj.fields]
     pi_traj = Trajectory(grid=grid, times=traj.times, fields=pi_fields,
                          mass_series=np.ones_like(mass), l2_series=traj.l2_series / mass,
                          dt=traj.dt)

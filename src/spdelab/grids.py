@@ -45,6 +45,9 @@ class Grid:
                 raise ValidationError(f"grid.n must be >= 16, got {n}")
             if hi <= lo:
                 raise ValidationError("grid needs x_max > x_min")
+        if not 0 < self.cell_volume < math.inf:
+            raise ValidationError(f"the grid box from {self.x_min} to {self.x_max} has cells "
+                                  f"of size {self.hs}, which are not finite and positive")
 
     @classmethod
     def line(cls, x_min: float, x_max: float, n: int) -> "Grid":
@@ -101,11 +104,11 @@ class Grid:
 
 @dataclass
 class DensityField:
-    """A solution sample u on a grid at one time index."""
+    """A solution sample u on a grid; the trajectory that holds it keeps
+    its time."""
 
     grid: Grid
     values: np.ndarray
-    time_index: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).ravel()

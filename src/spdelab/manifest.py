@@ -31,7 +31,6 @@ class RunManifest:
     dt: float | None = None
     L: int | None = None
     seeds: dict | None = None
-    tool_version: str = __version__
 
     def canonical_json(self) -> str:
         def clean(v):
@@ -45,6 +44,7 @@ class RunManifest:
                 return repr(v.item())
             return v
         recorded = {k: v for k, v in asdict(self).items() if v is not None}
+        recorded["tool_version"] = __version__
         return json.dumps(clean(recorded), sort_keys=True, separators=(",", ":"))
 
     @property

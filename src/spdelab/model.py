@@ -20,8 +20,6 @@ smallest eigenvalue of 2a - sigma sigma', at every sampled (t, x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, ValidationError
@@ -178,37 +176,21 @@ def _read_only(value):
 
 # -- parabolicity ---------------------------------------------------------
 
-@dataclass
-class ParabolicityReport:
-    """Outcome of the parabolic quadratic form at the sampled (t, x).
-
-    ``min_defect`` is its exact minimum over unit directions and the sampled
-    points: the smallest eigenvalue of 2a - sigma sigma' found there.
-    """
-
-    min_defect: float
-    tol: float = PARABOLIC_TOL
-
-    @property
-    def passes(self) -> bool:
-        return self.min_defect >= -self.tol
-
-
-def verify_parabolicity(coeffs: CoefficientSet, grid: Grid, times) -> ParabolicityReport:
+def verify_parabolicity(coeffs: CoefficientSet, grid: Grid, times) -> float:
     """Exact minimum of the defect over unit directions at every grid point
-    and time; passes when it is >= -1e-12."""
+    and time: the smallest eigenvalue of 2a - sigma sigma' found there.  The
+    condition holds when it is >= -PARABOLIC_TOL."""
     times = list(times)
     if grid.npts == 0 or not times:
         raise ConfigurationError("verify_parabolicity needs a nonempty grid and times")
     X = grid.points()
-    return _worst_defect(((coeffs.sample("a", t, X), coeffs.sample("sigma", t, X))
-                          for t in times), PARABOLIC_TOL)
+    return _worst_defect((coeffs.sample("a", t, X), coeffs.sample("sigma", t, X))
+                         for t in times)
 
 
-def _worst_defect(samples, tol: float) -> ParabolicityReport:
+def _worst_defect(samples) -> float:
     """Smallest eigenvalue of 2a - sigma sigma' over (a, sigma) samples of
     shapes (m, d, d) and (m, d, L): per point, the minimum of the defect over
     unit directions xi."""
-    worst = min(float(np.min(np.linalg.eigvalsh(2.0 * A - np.einsum("mil,mjl->mij", S, S))))
-                for A, S in samples)
-    return ParabolicityReport(min_defect=worst, tol=tol)
+    return min(float(np.min(np.linalg.eigvalsh(2.0 * A - np.einsum("mil,mjl->mij", S, S))))
+               for A, S in samples)

@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, HypothesisError, UnderResolvedError
 from .grids import Grid
-from .model import (CoefficientSet, ParabolicityReport, _worst_defect,
-                    verify_parabolicity)
+from .model import PARABOLIC_TOL, CoefficientSet, _worst_defect, verify_parabolicity
 
 # unit-mass normalizations of exp(-1/(1-|x|^2)) on the unit ball
 Z_1D = 2.252283621044
@@ -185,25 +184,24 @@ def _mollify(coeffs: CoefficientSet, name: str, params: MollifierParams,
 
 
 def mollified_parabolicity_check(coeffs: CoefficientSet, params: MollifierParams,
-                                 grid: Grid, times) -> ParabolicityReport:
+                                 grid: Grid, times) -> float:
     """Exact minimum over unit directions of the mollified form
     2 xi'a_eps xi - |sigma_eps'xi|^2 at every grid point and time, the
-    smallest eigenvalue of 2a_eps - sigma_eps sigma_eps'; passes when it is
-    >= -1e-10.
+    smallest eigenvalue of 2a_eps - sigma_eps sigma_eps'.
 
     The raw coefficients must satisfy the parabolic condition first;
     otherwise the hypothesis is violated and this refuses to run.
     """
     times = list(times)
     raw = verify_parabolicity(coeffs, grid, times)
-    if not raw.passes:
+    if raw < -PARABOLIC_TOL:
         raise HypothesisError(
-            f"raw coefficients violate the parabolic condition (min {raw.min_defect:.3e})")
+            f"raw coefficients violate the parabolic condition (min {raw:.3e})")
 
     def fields(t):   # grid axis first
         return [np.moveaxis(_mollify(coeffs, name, params, grid, t), -1, 0)
                 for name in ("a", "sigma")]
-    return _worst_defect(map(fields, times), 1e-10)
+    return _worst_defect(map(fields, times))
 
 
 # -- divergence bound (drift smoothing keeps div uniformly bounded) --------

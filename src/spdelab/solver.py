@@ -222,7 +222,7 @@ def check_stability(coeffs: CoefficientSet, grid: Grid, t: float, dt: float):
         suggested = 0.95 * hmin**2 / sig_sq
         raise StabilityError(f"dt={dt} violates the noise stability budget; "
                              f"try dt={suggested:.3g}", suggested_dt=suggested)
-    defect = _worst_defect([(A, S)], PARABOLIC_TOL).min_defect
+    defect = _worst_defect([(A, S)])
     if defect < -PARABOLIC_TOL:
         raise StabilityError(f"coefficients are not parabolic at t={t}: the smallest "
                              f"eigenvalue of 2a - sigma sigma^T is {defect:.3e} < 0")
@@ -454,7 +454,7 @@ def _march(update, u0, grid: Grid, cfg: SolverConfig, path: BrownianPath, L: int
         if history is not None:
             history[n] = u
         if n in snap_steps:
-            fields.append(DensityField(grid=grid, values=u.copy(), time_index=n))
+            fields.append(DensityField(grid=grid, values=u.copy()))
 
     _boundary_mass_guard(grid, u)
     return Trajectory(grid=grid, times=np.asarray(output_times), fields=fields,

@@ -166,3 +166,8 @@ class TestSweep:
     def test_increasing_epsilons_rejected(self):
         with pytest.raises(ConfigurationError):
             com.convergence_sweep(lambda p: np.sin(p[:, 0]), tri, [0.05, 0.1])
+
+    @pytest.mark.parametrize("epsilons", [[0.2, 0.0], [0.2, -0.1]], ids=["zero", "negative"])
+    def test_each_scale_checked_before_the_lattice(self, epsilons):
+        with pytest.raises(ConfigurationError, match=r"epsilon must lie in \(0, 1e6\)"):
+            com.convergence_sweep(lambda p: np.sin(p[:, 0]), tri, epsilons)

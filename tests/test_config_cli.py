@@ -377,6 +377,13 @@ OVERSIZED_LINE = (HEAT.replace("n = 128", f"n = {2**24}")
 # 4e8 points, refused before the coefficients are probed on any grid
 OVERSIZED_GRID = (HEAT.replace("dim = 1", "dim = 2").replace("n = 128", "n = 20000")
                   .replace("a = constant:0.5", "a11 = constant:0.5"))
+# 50 steps x 1e8 drivers, refused before the per-driver keys are built
+OVERSIZED_DRIVERS = HEAT.replace("L = 1", "L = 100000000")
+# 2.5e9 truth steps, refused before the increments are drawn
+OVERSIZED_HORIZON = FILTER_CONFIG.replace("dt = 1e-3", "dt = 1e-10")
+# a box 2e308 wide: its cell size overflows to inf
+INFINITE_CELLS = HEAT.replace("x_min = -8", "x_min = -1e308").replace("x_max = 8",
+                                                                      "x_max = 1e308")
 # no command solves with mollified coefficients, so mollify is an undefined key
 MOLLIFY = HEAT.replace("a = constant:0.5", "a = constant:0.5\nmollify = 0.5")
 # dt sigma^2 / h^2 = 0.05 / 0.125^2 = 3.2 > 1
@@ -436,6 +443,12 @@ class TestCliErrors:
         "run-filter-kind": "error: unknown key 'kind' in [filter]",
         "grid-too-large": "error: a grid of 20000 x 20000 points exceeds the safety "
                           "limit of 200000000 points",
+        "drivers-too-many": "error: a driver path of 50 x 100000000 values exceeds the "
+                            "safety limit of 200000000 values",
+        "filter-horizon-too-long": "error: a truth path of 2500000000 x 2 increments "
+                                   "exceeds the safety limit of 200000000 values",
+        "cells-not-finite": "error: the grid box from (-1e+308,) to (1e+308,) has cells "
+                            "of size (inf,), which are not finite and positive",
     }
 
     @staticmethod
@@ -505,6 +518,9 @@ class TestCliErrors:
         ("run-filter", FILTER_CONFIG.replace("R = 1.0", "R = 1.0\nn_particles = 200")),
         ("run-filter", FILTER_CONFIG.replace("[filter]\n", "[filter]\nkind = linear-gaussian\n")),
         ("run-spde", OVERSIZED_GRID),
+        ("run-spde", OVERSIZED_DRIVERS),
+        ("run-filter", OVERSIZED_HORIZON),
+        ("run-spde", INFINITE_CELLS),
     ], ids=["x_min-abc", "n-lots", "x_min-3-entries", "picard-scale-abc",
             "picard-independent-width-abc", "field-unknown-parameter",
             "constant-unknown-parameter", "pwlinear-missing-knots",
@@ -525,7 +541,8 @@ class TestCliErrors:
             "run-spde-boundary", "run-filter-boundary", "run-spde-particle_seed",
             "picard-particle_seed", "sweep-commutator-particle_seed",
             "run-filter-particle_seed", "run-filter-n_particles", "run-filter-kind",
-            "grid-too-large"])
+            "grid-too-large", "drivers-too-many", "filter-horizon-too-long",
+            "cells-not-finite"])
     def test_bad_config_exits_1_without_traceback(self, tmp_path, capsys, request,
                                                   sub, text):
         rc, err, out = self.run(tmp_path, capsys, sub, text)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from spdelab.errors import ConfigurationError, EvaluationError, ParseError
 from spdelab.families import ScalarField, parse_field
 from spdelab.grids import Grid
-from spdelab.model import CoefficientSet, verify_parabolicity
+from spdelab.model import PARABOLIC_TOL, CoefficientSet, verify_parabolicity
 
 
 def heat_coeffs(a=0.5, sigma=None, d=1, L=1, **kw):
@@ -26,16 +26,16 @@ class TestParabolicDefect:
     def test_identity_a_no_noise_d2(self):
         cs = CoefficientSet.from_fields(d=2, L=1, a=(1.0, 0.0, 1.0))
         grid = Grid.box2d((-1, -1), (1, 1), (16, 16))
-        rep = verify_parabolicity(cs, grid, [0.0])
-        assert rep.min_defect == pytest.approx(2.0, rel=1e-12)
+        min_defect = verify_parabolicity(cs, grid, [0.0])
+        assert min_defect == pytest.approx(2.0, rel=1e-12)
 
     def test_exact_minimum_over_directions_d2(self):
         # 2a has eigenvalues 2 (1 +- 0.9): the worst direction (1, -1)/sqrt 2
         # gives 0.2, which a sampled direction set only approaches from above
         cs = CoefficientSet.from_fields(d=2, L=1, a=(1.0, 0.9, 1.0))
         grid = Grid.box2d((-1, -1), (1, 1), (16, 16))
-        rep = verify_parabolicity(cs, grid, [0.0])
-        assert rep.min_defect == pytest.approx(0.2, abs=1e-14)
+        min_defect = verify_parabolicity(cs, grid, [0.0])
+        assert min_defect == pytest.approx(0.2, abs=1e-14)
         xi = np.array([1.0, -1.0]) / np.sqrt(2.0)
         assert pointwise_defect(cs, 0.0, (0.3, -0.2), xi) == pytest.approx(0.2, abs=1e-14)
 
@@ -44,13 +44,13 @@ class TestParabolicDefect:
         s1, s2 = 0.7, -1.3
         a_val = 0.5 * (s1 * s1 + s2 * s2)
         cs = CoefficientSet.from_fields(d=1, L=2, a=a_val, sigma=[s1, s2])
-        rep = verify_parabolicity(cs, Grid.line(-1, 1, 16), [0.0])
-        assert rep.min_defect == pytest.approx(0.0, abs=1e-13)
+        min_defect = verify_parabolicity(cs, Grid.line(-1, 1, 16), [0.0])
+        assert min_defect == pytest.approx(0.0, abs=1e-13)
 
     def test_two_driver_arithmetic(self):
         cs = CoefficientSet.from_fields(d=1, L=2, a=1.0, sigma=[1.0, 1.0])
-        rep = verify_parabolicity(cs, Grid.line(-1, 1, 16), [0.0])
-        assert rep.min_defect == pytest.approx(0.0, abs=1e-14)
+        min_defect = verify_parabolicity(cs, Grid.line(-1, 1, 16), [0.0])
+        assert min_defect == pytest.approx(0.0, abs=1e-14)
 
     def test_nonfinite_field_named(self):
         def bad_a(t, x):
@@ -68,9 +68,9 @@ class TestVerifyParabolicity:
     def test_degenerate_transport_tight_at_zero(self):
         grid = Grid.line(-2, 2, 32)
         cs = heat_coeffs(a=0.5, sigma=1.0)
-        rep = verify_parabolicity(cs, grid, [0.0, 0.1])
-        assert rep.min_defect == pytest.approx(0.0, abs=1e-12)
-        assert rep.passes
+        min_defect = verify_parabolicity(cs, grid, [0.0, 0.1])
+        assert min_defect == pytest.approx(0.0, abs=1e-12)
+        assert min_defect >= -PARABOLIC_TOL
 
     def test_random_spd_matches_eigen_oracle_d2(self):
         # oracle: the smallest eigenvalue of 2a, from eigvalsh directly
@@ -80,18 +80,18 @@ class TestVerifyParabolicity:
         cs = CoefficientSet.from_fields(d=2, L=1,
                                         a=(spd[0, 0], spd[0, 1], spd[1, 1]))
         grid = Grid.box2d((-1, -1), (1, 1), (16, 16))
-        rep = verify_parabolicity(cs, grid, [0.0])
+        min_defect = verify_parabolicity(cs, grid, [0.0])
         oracle = float(np.linalg.eigvalsh(2.0 * spd)[0])
-        assert rep.min_defect == pytest.approx(oracle, abs=1e-10)
+        assert min_defect == pytest.approx(oracle, abs=1e-10)
 
     def test_min_is_exact_over_grid_points(self):
         cs = CoefficientSet.from_fields(
             d=1, L=1, a=ScalarField("sinusoidal", 1, amp=0.2, offset=0.7), sigma=0.9)
         grid = Grid.line(-3, 3, 64)
-        rep = verify_parabolicity(cs, grid, [0.0])
+        min_defect = verify_parabolicity(cs, grid, [0.0])
         # brute re-evaluation at every point along the unit direction
         vals = [pointwise_defect(cs, 0.0, row, [1.0]) for row in grid.points()]
-        assert rep.min_defect == pytest.approx(min(vals), abs=0)
+        assert min_defect == pytest.approx(min(vals), abs=0)
 
     def test_empty_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
