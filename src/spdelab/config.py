@@ -75,8 +75,10 @@ def _coefficient_keys(dim: int, L: int) -> dict:
             "h": [f"h{l}" for l in range(L)], "g": [f"g{l}" for l in range(L)]}
 
 
-def _leaves(keys) -> set:
-    return {keys} if isinstance(keys, str) else set().union(*map(_leaves, keys))
+def _leaves(keys):
+    """Every name in a nested layout of names, tuples and lists."""
+    for key in keys:
+        yield from (key,) if isinstance(key, str) else _leaves(key)
 
 
 @dataclass
@@ -195,7 +197,7 @@ def parse_config(text: str) -> ScenarioBundle:
                                 f"safety limit of {_MAX_ELEMENTS} values")
         layout = _coefficient_keys(dim, L)
         given = set(cp["coefficients"])
-        undefined = sorted(given - _leaves(layout.values()) - {"L"})
+        undefined = sorted(given - set(_leaves(layout.values())) - {"L"})
         if undefined:
             raise ParseError(f"key '{undefined[0]}' in [coefficients] is not "
                              f"defined for dim = {dim} and L = {L}")

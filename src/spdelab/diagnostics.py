@@ -155,7 +155,7 @@ def continuity_modulus(traj: Trajectory, phi_set) -> CheckReport:
     ratios = []
     moduli = {}
     for j, phi in enumerate(phi_set):
-        phiv = phi.value(pts)
+        phiv = phi.value_grad_hess(pts)[0]
         levels = []
         m = m0
         for _ in range(MODULUS_LEVELS):

@@ -132,9 +132,9 @@ class TruthRealization:
 
 def simulate_truth(sc: FilterScenario, seed: int, n_steps: int,
                    dt: float) -> TruthRealization:
-    """Euler-Maruyama on the joint system, stepped on Python floats; dy is
-    materialized from dBbar so the change-of-measure bookkeeping is
-    consistent by construction."""
+    """Euler-Maruyama on the joint system: x is stepped on Python floats into
+    one array, then dBbar = (R^{-1} (H x)) dt + dV and y, summed left to
+    right from 0 by dy = R dBbar, follow as whole arrays."""
     if 2 * n_steps > _MAX_ELEMENTS:     # dW and dV
         raise SizeError(f"a truth path of {n_steps} x 2 increments exceeds the safety "
                         f"limit of {_MAX_ELEMENTS} values")
@@ -143,21 +143,17 @@ def simulate_truth(sc: FilterScenario, seed: int, n_steps: int,
     dW = rng.standard_normal((n_steps, 1)) * np.sqrt(dt)
     dV = rng.standard_normal((n_steps, 1)) * np.sqrt(dt)
     A, Q, H, R = (float(v) for v in (sc.A, sc.Q, sc.H, sc.R))
-    r_inv = 1.0 / R
-    x, y, dt = float(x[0]), 0.0, float(dt)
-    xs, ys, bbar = [x], [y], []
-    for n, (dw, dv) in enumerate(zip(dW[:, 0].tolist(), dV[:, 0].tolist())):
-        b = r_inv * (H * x) * dt + dv
-        y = y + R * b
+    x, dt = float(x[0]), float(dt)
+    xs = np.empty(n_steps + 1)
+    xs[0] = x
+    for n, dw in enumerate(memoryview(dW[:, 0]), 1):   # one Python float at a time
         x = x + A * x * dt + Q * dw
         if not math.isfinite(x):
-            raise ScenarioError(f"signal exploded at step {n}")
-        xs.append(x)
-        ys.append(y)
-        bbar.append(b)
-    return TruthRealization(x_path=np.array(xs).reshape(-1, 1),
-                            y_path=np.array(ys).reshape(-1, 1),
-                            bbar_increments=np.array(bbar).reshape(-1, 1),
+            raise ScenarioError(f"signal exploded at step {n - 1}")
+        xs[n] = x
+    bbar = (1.0 / R) * (H * xs[:-1, None]) * dt + dV
+    ys = np.cumsum(np.vstack(([0.0], R * bbar)), axis=0)
+    return TruthRealization(x_path=xs[:, None], y_path=ys, bbar_increments=bbar,
                             seed=int(seed), dt=dt)
 
 

@@ -99,46 +99,68 @@ class CoefficientSet:
         For d = 1, ``a``..``g`` are single fields and ``sigma``/``h``/``g``
         may be lists over the driver index.  For d = 2, ``a`` is given as
         (a11, a12, a22), ``b`` as (b1, b2), and each sigma^l as a pair.
-        Driver lists are padded with zeros to L.  Internally every
+        A driver list may list fewer than L drivers.  Internally every
         coefficient is one nested list of fields: a is d x d, b is d, sigma
-        is d x L, h and g are L, c and f scalars.
+        is d x L, h and g are L, c and f scalars, and an absent entry is
+        None, which reads as zeros.  A layout that does not fit d and L is
+        refused with ValidationError.
         """
-        def F(v):
-            if isinstance(v, ScalarField):
-                return v
-            return ScalarField("constant", d, value=0.0 if v is None else float(v))
+        if d not in (1, 2) or L < 1:
+            raise ValidationError(f"from_fields takes d = 1 or 2 and L >= 1, "
+                                  f"got d = {d} and L = {L}")
 
-        def drivers(v):
+        def F(v):
+            if v is None or isinstance(v, ScalarField):
+                return v
+            return ScalarField("constant", d, value=float(v))
+
+        def entries(name, v, n):
+            v = (None,) * n if v is None else v
+            if not isinstance(v, (list, tuple)) or len(v) != n:
+                raise ValidationError(f"from_fields: {name} needs {n} entries for "
+                                      f"d = {d}, got {v!r}")
+            return v
+
+        def drivers(name, v):
             v = list(v) if isinstance(v, (list, tuple)) else [] if v is None else [v]
-            return (v + [None] * L)[:L]
+            if len(v) > L:
+                raise ValidationError(f"from_fields: {name} lists {len(v)} drivers, "
+                                      f"but L = {L} takes at most {L}")
+            return v + [None] * (L - len(v))
 
         if d == 1:
             A, B = [[F(a)]], [F(b)]
+            cols = [(e,) for e in drivers("sigma", sigma)]
         else:
-            a11, a12, a22 = (F(v) for v in (a or (None,) * 3))
-            A, B = [[a11, a12], [a12, a22]], [F(v) for v in (b or (None,) * 2)]
-        cols = [(e,) if d == 1 else e or (None,) * d for e in drivers(sigma)]
+            a11, a12, a22 = map(F, entries("a", a, 3))
+            A, B = [[a11, a12], [a12, a22]], list(map(F, entries("b", b, 2)))
+            cols = [entries(f"sigma[{l}]", e, 2)
+                    for l, e in enumerate(drivers("sigma", sigma))]
         S = [[F(col[i]) for col in cols] for i in range(d)]   # driver l in column l
 
         def values(tree):
-            return lambda t, x: _evaluate(tree, lambda fld: fld(x))
+            return lambda t, x: _evaluate(tree, lambda fld: fld(x), len(x))
 
         def divergence(rows):
             return lambda t, x: _divergence(rows, x)
 
         return cls(d, L, values(A), values(B), values(F(c)), values(S),
-                   values([F(v) for v in drivers(h)]),
-                   values(F(f)), values([F(v) for v in drivers(g)]),
+                   values([F(v) for v in drivers("h", h)]),
+                   values(F(f)), values([F(v) for v in drivers("g", g)]),
                    da=divergence([list(col) for col in zip(*A)]),
                    div_sigma=divergence(S))
 
 
-def _evaluate(tree, leaf):
-    """``leaf(field)`` over a nested list of fields: each list level stacks
-    its entries on axis 1, so a d x L tree gives an (m, d, L) array."""
-    if isinstance(tree, list):
-        return np.stack([_evaluate(sub, leaf) for sub in tree], axis=1)
-    return leaf(tree)
+def _evaluate(tree, leaf, m):
+    """``leaf(field)`` at m points over a nested list of fields: each list
+    level is one axis after the point axis, so a d x L tree gives an
+    (m, d, L) array.  A None entry is left zero; no field stands for it."""
+    fields = np.array(tree, dtype=object)
+    out = np.zeros((m, *fields.shape))
+    for idx, fld in np.ndenumerate(fields):
+        if fld is not None:
+            out[(slice(None), *idx)] = leaf(fld)
+    return out
 
 
 def _divergence(rows, x):
@@ -146,7 +168,7 @@ def _divergence(rows, x):
     from zero in k order."""
     out = 0.0
     for k, tree in enumerate(rows):
-        out = out + _evaluate(tree, lambda fld: fld.grad(x)[:, k])
+        out = out + _evaluate(tree, lambda fld: fld.grad(x)[:, k], len(x))
     return out
 
 

@@ -527,45 +527,25 @@ class TestFunction:
     def bump(cls, center, width):
         return cls(tuple(np.atleast_1d(np.asarray(center, float))), float(width))
 
-    def value(self, X):
-        s = self._s(X)
-        out = np.zeros(s.shape)
-        inside = s < 1.0
-        out[inside] = np.exp(-s[inside] / (1.0 - s[inside]))
-        return out
-
-    def grad(self, X):
-        X = np.asarray(X, float)
-        diff = X - np.asarray(self.center)
-        s = self._s(X)
-        out = np.zeros_like(diff)
-        inside = s < 1.0
-        phi = np.exp(-s[inside] / (1.0 - s[inside]))
-        dphi_ds = -phi / (1.0 - s[inside]) ** 2
-        out[inside] = dphi_ds[:, None] * 2.0 * diff[inside] / self.width**2
-        return out
-
-    def hess(self, X):
+    def value_grad_hess(self, X):
+        """The bump's value (m,), gradient (m, d) and Hessian (m, d, d) at
+        the points X (m, d), from one pass over its support."""
         X = np.asarray(X, float)
         m, d = X.shape
         diff = X - np.asarray(self.center)
-        s = self._s(X)
-        out = np.zeros((m, d, d))
-        eye = np.eye(d)
+        s = np.sum(diff**2, axis=1) / self.width**2
         inside = s < 1.0
         si = s[inside]
         phi = np.exp(-si / (1.0 - si))
         d1 = -phi / (1.0 - si) ** 2                       # d phi / d s
         d2 = phi / (1.0 - si) ** 4 - 2.0 * phi / (1.0 - si) ** 3
         ds = 2.0 * diff[inside] / self.width**2           # grad s
-        out[inside] = (np.einsum("m,mi,mj->mij", d2, ds, ds)
-                       + np.einsum("m,ij->mij", d1, 2.0 * eye / self.width**2))
-        return out
-
-    def _s(self, X):
-        X = np.asarray(X, float)
-        diff = X - np.asarray(self.center)
-        return np.sum(diff**2, axis=1) / self.width**2
+        value, grad, hess = np.zeros(m), np.zeros((m, d)), np.zeros((m, d, d))
+        value[inside] = phi
+        grad[inside] = d1[:, None] * 2.0 * diff[inside] / self.width**2
+        hess[inside] = (np.einsum("m,mi,mj->mij", d2, ds, ds)
+                        + np.einsum("m,ij->mij", d1, 2.0 * np.eye(d) / self.width**2))
+        return value, grad, hess
 
 
 def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
@@ -594,9 +574,7 @@ def weak_residual(traj: Trajectory, phi: TestFunction, coeffs: CoefficientSet,
             raise TestFunctionError("test function support touches the boundary")
     pts = grid.points()
     vol = grid.cell_volume
-    phiv = phi.value(pts)
-    gphi = phi.grad(pts)
-    hphi = phi.hess(pts)
+    phiv, gphi, hphi = phi.value_grad_hess(pts)
     hist = traj.full_history
     n_steps = hist.shape[0] - 1
     dt = traj.dt

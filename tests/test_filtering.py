@@ -111,6 +111,18 @@ class TestSimulateTruth:
         with pytest.raises(flt.ScenarioError, match="exploded at step 1"):
             flt.simulate_truth(huge, 1, 200, 1e-2)
 
+    def test_keeps_no_python_object_per_step(self):
+        # dW, dV, the three paths and one temporary fit in 48 B a step; a
+        # Python list of floats costs 32 B a step more for each path it holds
+        n_steps = 200_000
+        tracemalloc.start()
+        try:
+            flt.simulate_truth(kb_scenario(), 4, n_steps, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * n_steps
+
 
 class TestCoarsenTruth:
     def test_keeps_every_kth_state_and_sums_the_drivers(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdelab.errors import ConfigurationError, EvaluationError, ParseError
+from spdelab.errors import ConfigurationError, EvaluationError, ParseError, ValidationError
 from spdelab.families import ScalarField, parse_field
 from spdelab.grids import Grid
 from spdelab.model import PARABOLIC_TOL, CoefficientSet, verify_parabolicity
@@ -298,3 +298,57 @@ class TestFromFieldsLayout:
             got, want = getattr(new, name)(0.3, X), getattr(ref, name)(0.3, X)
             assert (got.shape, got.dtype) == (want.shape, want.dtype), name
             assert got.tobytes() == want.tobytes(), name
+
+
+class TestAbsentEntries:
+    def test_only_declared_fields_are_built_and_called(self, monkeypatch):
+        counts = {"built": 0, "called": 0}
+        init, call = ScalarField.__init__, ScalarField.__call__
+
+        def counted_init(self, *args, **kw):
+            counts["built"] += 1
+            init(self, *args, **kw)
+
+        def counted_call(self, x):
+            counts["called"] += 1
+            return call(self, x)
+
+        monkeypatch.setattr(ScalarField, "__init__", counted_init)
+        monkeypatch.setattr(ScalarField, "__call__", counted_call)
+        cs = CoefficientSet.from_fields(d=1, L=100_000, a=0.5, sigma=1.0)
+        cs.validate(Grid.line(-8, 8, 16), [0.0])
+        assert counts == {"built": 2, "called": 2}
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_absent_entries_sample_as_zeros(self, d):
+        L = 3
+        a = 0.5 if d == 1 else (0.5, None, 0.5)
+        sigma = [None, 0.25] if d == 1 else [None, (0.25, None)]
+        cs = CoefficientSet.from_fields(d=d, L=L, a=a, sigma=sigma)
+        X = np.random.default_rng(0).uniform(-3, 3, (5, d))
+        for name in ("b", "c", "h", "f", "g", "da", "div_sigma"):
+            out = cs.sample(name, 0.0, X)
+            assert not out.any(), name
+        A, S = cs.sample("a", 0.0, X), cs.sample("sigma", 0.0, X)
+        assert np.array_equal(A, np.broadcast_to(0.5 * np.eye(d), (5, d, d)))
+        want = np.zeros((5, d, L))
+        want[:, 0, 1] = 0.25
+        assert np.array_equal(S, want)
+
+
+class TestFromFieldsRefusals:
+    @pytest.mark.parametrize("kw, named", [
+        (dict(d=1, L=1, sigma=[0.1, 0.2]), "sigma lists 2 drivers, but L = 1 takes at most 1"),
+        (dict(d=1, L=2, h=[0.1, 0.2, 0.3]), "h lists 3 drivers, but L = 2 takes at most 2"),
+        (dict(d=1, L=1, g=[0.1, 0.2]), "g lists 2 drivers, but L = 1 takes at most 1"),
+        (dict(d=2, L=1, sigma=[(0.5,)]), r"sigma\[0\] needs 2 entries"),
+        (dict(d=2, L=1, a=(0.5, 0.1)), "a needs 3 entries"),
+        (dict(d=2, L=1, a=0.5), "a needs 3 entries"),
+        (dict(d=2, L=1, b=(0.3,)), "b needs 2 entries"),
+        (dict(d=3, L=1), "d = 1 or 2 and L >= 1, got d = 3"),
+        (dict(d=1, L=0), "d = 1 or 2 and L >= 1, got d = 1 and L = 0"),
+    ], ids=["sigma-drivers", "h-drivers", "g-drivers", "sigma-pair", "a-triple",
+            "a-scalar-2d", "b-pair", "d3", "L0"])
+    def test_layout_that_does_not_fit_is_refused_by_name(self, kw, named):
+        with pytest.raises(ValidationError, match=named):
+            CoefficientSet.from_fields(**kw)
